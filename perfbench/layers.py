@@ -9,7 +9,8 @@ the part of it covered by spans it called.  Self times of all layers plus
 
 Counts are recorded at the same boundaries (rows scattered, noise values
 drawn, budget checks, ...), so per-layer ratios are measured where the work
-happens.
+happens.  ``BENCHMARK.json`` lists the per-layer metrics and their report
+order; a name recorded here must be declared there to be reported.
 """
 
 from __future__ import annotations
@@ -20,52 +21,6 @@ from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 Counter = Callable[[tuple, dict, Any], Dict[str, int]]
-
-#: Layers whose self time is reported as ``<layer>_s``, in report order.
-TIME_LAYERS = (
-    "backend.normalize",
-    "backend.index_add",
-    "backend.gaussian",
-    "generator.forward",
-    "generator.train",
-    "discriminator.gradient",
-    "discriminator.update",
-    "budget.check",
-    "accountant.step",
-    "sampling.sample",
-    "walk.corpus",
-    "pairs.extract",
-    "pair_source.wait",
-    "skipgram.step",
-    "graph.build",
-    "evals.split",
-    "evals.score",
-    "baselines.fit",
-    "cache.put",
-    "cache.get",
-)
-
-#: Counts reported as-is, in report order.
-COUNTS = (
-    "backend.normalize_rows",
-    "backend.index_add_rows",
-    "backend.gaussian_values",
-    "generator.calls",
-    "generator.steps",
-    "discriminator.substeps",
-    "budget.checks",
-    "accountant.steps",
-    "sampling.batches",
-    "walk.passes",
-    "pairs.count",
-    "pair_source.batches",
-    "skipgram.steps",
-    "graph.nodes",
-    "graph.edges",
-    "cache.hits",
-    "cache.misses",
-)
-
 
 def _size(x: Any) -> int:
     shape = getattr(x, "shape", None)
@@ -239,9 +194,9 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def metrics(self, wall: float) -> Dict[str, float]:
-        """Every per-layer metric for a traced region of ``wall`` seconds."""
-        out: Dict[str, float] = {f"{layer}_s": self.seconds.get(layer, 0.0) for layer in TIME_LAYERS}
-        out.update({name: self.counts.get(name, 0) for name in COUNTS})
+        """The per-layer metrics recorded over a traced region of ``wall`` seconds."""
+        out: Dict[str, float] = {f"{layer}_s": s for layer, s in self.seconds.items()}
+        out.update(self.counts)
         steps = self.counts.get("accountant.steps", 0)
         out["budget.checks_per_step"] = self.counts.get("budget.checks", 0) / steps if steps else 0.0
         out["other_s"] = wall - sum(self.seconds.values())

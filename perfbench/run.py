@@ -8,9 +8,11 @@ followed by one JSON result line::
     python3 perfbench/run.py --workload advsgm-ppi --seed 1 --seconds 10 --trace 0
     python3 perfbench/run.py --workload all --seed 1        # every workload, one table
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs one
-untraced and one traced repetition and reports the per-layer metrics of
-the traced one, plus the tracing overhead (traced minus untraced wall).
+``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs a
+warm-up repetition, then one untraced and one traced repetition, and reports
+the per-layer metrics of the traced one plus the tracing overhead (traced
+minus untraced wall).  Workload and metric names and units come from
+``BENCHMARK.json`` at the repository root.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 #: Pinned to one thread before numpy loads: unpinned, advsgm-ppi is bimodal
 #: on a 2-core machine (5.6s or 9s per cell depending on the run).
@@ -40,20 +43,10 @@ THREAD_VARS = (
 #: outside the checkout; the benchmark runs with all of them unset.
 AMBIENT_VARS = ("REPRO_BACKEND", "REPRO_WALK_CACHE", "REPRO_GRAPH_CACHE", "REPRO_CACHE_DIR")
 
-WORKLOAD_NAMES = ("advsgm-ppi", "sgm-50k", "node2vec-ppi", "fig3-sweep")
+WORKLOAD_NAMES = tuple(w["name"] for w in SPEC["workloads"])
+#: Metric name -> unit, in report order, for ``--trace 0`` and ``--trace 1``.
+UNITS = {key: {m["name"]: m["unit"] for m in SPEC[key]} for key in ("end_to_end", "per_layer")}
 MIN_REPETITIONS = 2
-#: Set-up runs per invocation (this process plus fresh child processes).
-SETUP_RUNS = 3
-
-END_TO_END = {
-    "setup_s": "s",
-    "wall_s": "s",
-    "pair_updates_per_s": "1/s",
-    "cells_per_s": "1/s",
-    "peak_rss_mb": "MiB",
-    "auc": "ratio",
-    "epsilon_spent": "eps",
-}
 #: ``epsilon_spent`` of a workload that trains without privacy (no
 #: accountant): a constant, so it can never register a change.
 NOT_PRIVATE = 1.0
@@ -64,12 +57,6 @@ def pin_environment() -> None:
         os.environ[var] = "1"
     for var in AMBIENT_VARS:
         os.environ.pop(var, None)
-
-
-def layer_unit(name: str) -> str:
-    if name.endswith("_s"):
-        return "s"
-    return "ratio" if name == "budget.checks_per_step" else "count"
 
 
 def environment() -> Dict[str, Any]:
@@ -107,7 +94,7 @@ def child_setup_seconds(args: argparse.Namespace) -> float:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
          "--seed", str(args.seed), "--size", args.size, "--setup-only"],
-        capture_output=True, text=True, timeout=150, check=True,
+        capture_output=True, text=True, timeout=60, check=True,
     )
     return float(proc.stdout.split()[-1])
 
@@ -140,22 +127,35 @@ def end_to_end_metrics(outcomes: List[Any], setups: List[float]) -> Dict[str, fl
 
 
 def measure(args: argparse.Namespace, start: float) -> Dict[str, Any]:
-    """Set up, run the repetitions, check them; the full report."""
+    """Set up, run the repetitions, check them; the full report.
+
+    An untraced run repeats the workload for at least ``--seconds`` and
+    ``MIN_REPETITIONS`` times.  A traced run does exactly three
+    repetitions: a warm-up, then the untraced/traced pair whose difference
+    is the tracing overhead, and no fresh-interpreter set-ups are timed.
+    """
     from layers import Tracer
     from workloads import WORKLOADS
 
     workload = WORKLOADS[args.workload]()
     workload.setup(args.seed, args.size)
+    # setup_s is the median of this set-up and one in a fresh interpreter
+    # before and after the repetitions: it samples the host at both ends of
+    # the run and absorbs the bytecode compilation of a fresh checkout's
+    # first run.  More samples would not steady it, because a slow phase of
+    # a shared host outlasts a run.
     setups = [time.perf_counter() - start]
-    setups += [child_setup_seconds(args) for _ in range(SETUP_RUNS - 1)]
+    if not args.trace:
+        setups.append(child_setup_seconds(args))
 
     tracer = Tracer() if args.trace else None
+    repetitions = MIN_REPETITIONS + 1 if tracer else MIN_REPETITIONS
     outcomes, errors = [], []
     begin = time.perf_counter()
-    while len(outcomes) < MIN_REPETITIONS or (
+    while len(outcomes) < repetitions or (
         not args.trace and time.perf_counter() - begin < args.seconds
     ):
-        traced = tracer is not None and len(outcomes) == MIN_REPETITIONS - 1
+        traced = tracer is not None and len(outcomes) == repetitions - 1
         try:
             outcomes.append(workload.run(tracer if traced else None))
         except Exception as exc:  # a failed operation is a result, not a crash
@@ -163,6 +163,8 @@ def measure(args: argparse.Namespace, start: float) -> Dict[str, Any]:
             break
     if not outcomes:
         raise RuntimeError(f"{args.workload}: no repetition completed: {errors}")
+    if not args.trace:
+        setups.append(child_setup_seconds(args))
 
     problems = check_outcomes(outcomes) + errors
     attempted = sum(len(o.ops) for o in outcomes) + len(errors)
@@ -176,17 +178,18 @@ def measure(args: argparse.Namespace, start: float) -> Dict[str, Any]:
         "repetitions": [
             {"wall_s": o.wall, "fit_s": o.fit, "pair_updates": o.pair_updates,
              "cells": o.cells, "cell_s": o.cell_seconds, "auc": o.auc,
-             "epsilon_spent": o.epsilon, "traced": bool(tracer) and i == MIN_REPETITIONS - 1}
+             "epsilon_spent": o.epsilon, "traced": bool(tracer) and i == repetitions - 1}
             for i, o in enumerate(outcomes)
         ],
         "attempted": attempted,
         "failed": len(problems),
         "failed_frac": len(problems) / attempted,
         "problems": problems,
-        "end_to_end": end_to_end_metrics(outcomes, setups),
     }
-    if tracer is not None and len(outcomes) == MIN_REPETITIONS:
-        untraced, traced = outcomes
+    if not args.trace:
+        report["end_to_end"] = end_to_end_metrics(outcomes, setups)
+    elif len(outcomes) == repetitions:
+        _warm_up, untraced, traced = outcomes
         layers = tracer.metrics(traced.wall)
         layers["trace.wall_s"] = traced.wall
         layers["trace.overhead_s"] = traced.wall - untraced.wall
@@ -194,29 +197,30 @@ def measure(args: argparse.Namespace, start: float) -> Dict[str, Any]:
     return report
 
 
-def print_report(report: Dict[str, Any]) -> None:
+def print_report(report: Dict[str, Any], trace: bool) -> None:
     print(f"== {report['workload']} seed {report['seed']} ({report['size']}): "
           f"{len(report['repetitions'])} repetitions, {report['attempted']} ops, "
           f"{report['failed']} failed (failed_frac {report['failed_frac']:.4g})")
     for problem in report["problems"]:
         print(f"   FAILED {problem}")
-    for name, value in report["end_to_end"].items():
-        print(f"   {name:<28} {value:>16.6g} {END_TO_END[name]}")
-    for name, value in report.get("per_layer", {}).items():
-        print(f"   {name:<28} {value:>16.6g} {layer_unit(name)}")
+    for name, metric in result_line(report, trace)["metrics"].items():
+        print(f"   {name:<28} {metric['value']:>16.6g} {metric['unit']}")
     print(json.dumps({"report": report}, sort_keys=True))
 
 
 def result_line(report: Dict[str, Any], trace: bool) -> Dict[str, Any]:
-    if trace:
-        values = {k: (v, layer_unit(k)) for k, v in report["per_layer"].items()}
-    else:
-        values = {k: (v, END_TO_END[k]) for k, v in report["end_to_end"].items()}
+    """The driver's result: every declared metric, in ``BENCHMARK.json`` order.
+
+    A layer the workload never called reads 0.
+    """
+    key = "per_layer" if trace else "end_to_end"
+    values = report.get(key, {})
     return {
         "correct": report["failed"] == 0,
         "attempted": report["attempted"],
         "failed": report["failed"],
-        "metrics": {k: {"value": v, "unit": unit} for k, (v, unit) in values.items()},
+        "metrics": {name: {"value": values.get(name, 0), "unit": unit}
+                    for name, unit in UNITS[key].items()},
     }
 
 
@@ -271,7 +275,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(time.perf_counter() - start)
         return 0
     report = measure(args, start)
-    print_report(report)
+    print_report(report, bool(args.trace))
     print(json.dumps(result_line(report, bool(args.trace))))
     return 0
 

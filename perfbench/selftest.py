@@ -1,9 +1,10 @@
 """Self-test of the benchmark at tiny sizes (about a minute on one core).
 
-Checks that every workload emits exactly the metrics ``BENCHMARK.json``
-names, each with its unit, that traced self times plus ``other_s`` add up to
-the traced wall time, and that corrupted program outputs are counted as
-failed operations instead of passing silently::
+Checks that every workload emits every metric ``BENCHMARK.json`` names and
+records none it does not name, that traced self times plus ``other_s`` add
+up to the traced wall time, that corrupted program outputs are counted as
+failed operations instead of passing silently, and that a skipped sgm update
+moves ``auc`` by more than its bound::
 
     python3 perfbench/selftest.py
 """
@@ -25,10 +26,9 @@ sys.path[:0] = [str(HERE), str(ROOT / "src")]
 
 import run  # noqa: E402  (the benchmark harness, importable for in-process runs)
 
-SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
-
-def run_tiny(workload: str, trace: int) -> dict:
+def run_tiny(workload: str, trace: int) -> tuple:
+    """``(result line, report)`` of one tiny run in a fresh process."""
     proc = subprocess.run(
         [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", "3",
          "--seconds", "0", "--trace", str(trace), "--size", "tiny"],
@@ -36,7 +36,8 @@ def run_tiny(workload: str, trace: int) -> dict:
     )
     if proc.returncode:
         raise AssertionError(f"{workload} --trace {trace} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    return json.loads(lines[-1]), json.loads(lines[-2])["report"]
 
 
 def measure_tiny(workload: str) -> dict:
@@ -47,20 +48,24 @@ def measure_tiny(workload: str) -> dict:
 
 class MetricContract(unittest.TestCase):
     def test_workloads_match(self):
-        self.assertEqual([w["name"] for w in SPEC["workloads"]], list(run.WORKLOAD_NAMES))
+        from workloads import WORKLOADS
 
-    def test_every_metric_emitted_with_its_unit(self):
+        self.assertEqual(set(WORKLOADS), set(run.WORKLOAD_NAMES))
+
+    def test_every_metric_emitted_and_declared(self):
         for workload in run.WORKLOAD_NAMES:
             for trace, key in ((0, "end_to_end"), (1, "per_layer")):
                 with self.subTest(workload=workload, trace=trace):
-                    result = run_tiny(workload, trace)
+                    result, report = run_tiny(workload, trace)
                     self.assertEqual(set(result), {"correct", "attempted", "failed", "metrics"})
                     self.assertTrue(result["correct"])
                     self.assertEqual(result["failed"], 0)
                     self.assertGreaterEqual(result["attempted"], 1)
-                    expected = {m["name"]: m["unit"] for m in SPEC[key]}
-                    got = {k: v["unit"] for k, v in result["metrics"].items()}
-                    self.assertEqual(got, expected)
+                    self.assertEqual(list(result["metrics"]), list(run.UNITS[key]))
+                    # Anything measured but not declared would be dropped.
+                    self.assertLessEqual(set(report[key]), set(run.UNITS[key]))
+                    if not trace:
+                        self.assertEqual(set(report[key]), set(run.UNITS[key]))
                     values = {k: v["value"] for k, v in result["metrics"].items()}
                     self.assertTrue(all(math.isfinite(v) for v in values.values()))
                     if trace:
@@ -112,6 +117,17 @@ class CorruptedOutputs(unittest.TestCase):
 
         with mock.patch.object(ResultStore, "get", lambda self, cell, **kw: None):
             self.assert_failed(measure_tiny("fig3-sweep"), "resume pass computed 10 cells")
+
+
+class QualityGuard(unittest.TestCase):
+    def test_skipped_sgm_update_moves_auc_past_its_bound(self):
+        from repro.backend.numpy_backend import NumpyBackend
+
+        bound = next(m["bound"] for m in run.SPEC["end_to_end"] if m["name"] == "auc")
+        clean = measure_tiny("sgm-50k")["end_to_end"]["auc"]
+        with mock.patch.object(NumpyBackend, "index_add_", lambda self, *a, **kw: None):
+            skipped = measure_tiny("sgm-50k")["end_to_end"]["auc"]
+        self.assertGreater((clean - skipped) / clean, bound)
 
 
 if __name__ == "__main__":
