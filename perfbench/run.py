@@ -11,8 +11,9 @@ followed by one JSON result line::
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs a
 warm-up repetition, then one untraced and one traced repetition, and reports
 the per-layer metrics of the traced one plus the tracing overhead (traced
-minus untraced wall).  Workload and metric names and units come from
-``BENCHMARK.json`` at the repository root.
+minus untraced wall).  End-to-end times are corrected for the shared host's
+speed (see ``hostspeed.py``); per-layer times are raw.  Workload and metric
+names and units come from ``BENCHMARK.json`` at the repository root.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
+
+from hostspeed import REFERENCE_SECONDS, HostSpeed
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -89,14 +92,19 @@ def environment() -> Dict[str, Any]:
     }
 
 
-def child_setup_seconds(args: argparse.Namespace) -> float:
-    """Set-up time measured in a fresh interpreter (imports are not cached)."""
+def child_setup(args: argparse.Namespace) -> Dict[str, float]:
+    """Set-up measured in a fresh interpreter (imports are not cached)."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
          "--seed", str(args.seed), "--size", args.size, "--setup-only"],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    return float(proc.stdout.split()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def own_setup(probe: HostSpeed, start: float) -> Dict[str, float]:
+    """This process's set-up so far: raw seconds and the host-speed scale."""
+    return {"raw_s": time.perf_counter() - start, "scale": probe.scale(0)}
 
 
 def check_outcomes(outcomes: List[Any]) -> List[str]:
@@ -113,21 +121,27 @@ def check_outcomes(outcomes: List[Any]) -> List[str]:
     return problems
 
 
-def end_to_end_metrics(outcomes: List[Any], setups: List[float]) -> Dict[str, float]:
+def end_to_end_metrics(outcomes: List[Any], scales: List[float],
+                       setups: List[Dict[str, float]]) -> Dict[str, float]:
+    """Times are host-speed corrected: each repetition's raw seconds times
+    the scale measured over that repetition."""
     first = outcomes[0]
+    reps = list(zip(outcomes, scales))
     return {
-        "setup_s": statistics.median(setups),
-        "wall_s": statistics.median(o.wall for o in outcomes),
-        "pair_updates_per_s": statistics.median(o.pair_updates / o.fit for o in outcomes),
-        "cells_per_s": statistics.median(o.cells / o.cell_seconds for o in outcomes),
+        "setup_s": statistics.median(s["raw_s"] * s["scale"] for s in setups),
+        "wall_s": statistics.median(o.wall * k for o, k in reps),
+        "pair_updates_per_s": statistics.median(o.pair_updates / (o.fit * k) for o, k in reps),
+        "cells_per_s": statistics.median(o.cells / (o.cell_seconds * k) for o, k in reps),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "auc": first.auc,
         "epsilon_spent": NOT_PRIVATE if first.epsilon is None else first.epsilon,
     }
 
 
-def measure(args: argparse.Namespace, start: float) -> Dict[str, Any]:
+def measure(args: argparse.Namespace, start: float, probe: HostSpeed) -> Dict[str, Any]:
     """Set up, run the repetitions, check them; the full report.
+
+    ``probe`` is the running host-speed sampler, started at ``start``.
 
     An untraced run repeats the workload for at least ``--seconds`` and
     ``MIN_REPETITIONS`` times.  A traced run does exactly three
@@ -140,31 +154,31 @@ def measure(args: argparse.Namespace, start: float) -> Dict[str, Any]:
     workload = WORKLOADS[args.workload]()
     workload.setup(args.seed, args.size)
     # setup_s is the median of this set-up and one in a fresh interpreter
-    # before and after the repetitions: it samples the host at both ends of
-    # the run and absorbs the bytecode compilation of a fresh checkout's
-    # first run.  More samples would not steady it, because a slow phase of
-    # a shared host outlasts a run.
-    setups = [time.perf_counter() - start]
+    # before and after the repetitions: it absorbs the bytecode compilation
+    # of a fresh checkout's first run.
+    setups = [own_setup(probe, start)]
     if not args.trace:
-        setups.append(child_setup_seconds(args))
+        setups.append(child_setup(args))
 
     tracer = Tracer() if args.trace else None
     repetitions = MIN_REPETITIONS + 1 if tracer else MIN_REPETITIONS
-    outcomes, errors = [], []
+    outcomes, scales, errors = [], [], []
     begin = time.perf_counter()
     while len(outcomes) < repetitions or (
         not args.trace and time.perf_counter() - begin < args.seconds
     ):
         traced = tracer is not None and len(outcomes) == repetitions - 1
+        since = probe.mark()
         try:
             outcomes.append(workload.run(tracer if traced else None))
         except Exception as exc:  # a failed operation is a result, not a crash
             errors.append(f"repetition {len(outcomes)}: {type(exc).__name__}: {exc}")
             break
+        scales.append(probe.scale(since))
     if not outcomes:
         raise RuntimeError(f"{args.workload}: no repetition completed: {errors}")
     if not args.trace:
-        setups.append(child_setup_seconds(args))
+        setups.append(child_setup(args))
 
     problems = check_outcomes(outcomes) + errors
     attempted = sum(len(o.ops) for o in outcomes) + len(errors)
@@ -174,12 +188,13 @@ def measure(args: argparse.Namespace, start: float) -> Dict[str, Any]:
         "size": args.size,
         "graph": list(workload.graph_shape),
         "environment": environment(),
-        "setup_runs_s": setups,
+        "setups": setups,
         "repetitions": [
             {"wall_s": o.wall, "fit_s": o.fit, "pair_updates": o.pair_updates,
              "cells": o.cells, "cell_s": o.cell_seconds, "auc": o.auc,
-             "epsilon_spent": o.epsilon, "traced": bool(tracer) and i == repetitions - 1}
-            for i, o in enumerate(outcomes)
+             "epsilon_spent": o.epsilon, "host_scale": k,
+             "traced": bool(tracer) and i == repetitions - 1}
+            for i, (o, k) in enumerate(zip(outcomes, scales))
         ],
         "attempted": attempted,
         "failed": len(problems),
@@ -187,12 +202,15 @@ def measure(args: argparse.Namespace, start: float) -> Dict[str, Any]:
         "problems": problems,
     }
     if not args.trace:
-        report["end_to_end"] = end_to_end_metrics(outcomes, setups)
+        report["end_to_end"] = end_to_end_metrics(outcomes, scales, setups)
     elif len(outcomes) == repetitions:
         _warm_up, untraced, traced = outcomes
+        _, untraced_scale, traced_scale = scales
         layers = tracer.metrics(traced.wall)
         layers["trace.wall_s"] = traced.wall
-        layers["trace.overhead_s"] = traced.wall - untraced.wall
+        # Corrected, so the host's phase does not swamp a ~1% difference.
+        layers["trace.overhead_s"] = traced.wall * traced_scale - untraced.wall * untraced_scale
+        layers["host.reference_us"] = REFERENCE_SECONDS / traced_scale * 1e6
         report["per_layer"] = layers
     return report
 
@@ -268,13 +286,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not (ROOT / "src" / "repro").is_dir():
         raise SystemExit(f"no repro sources under {ROOT / 'src'}: nothing to benchmark")
     sys.path.insert(0, str(ROOT / "src"))
-    if args.setup_only:
-        from workloads import WORKLOADS
+    with HostSpeed() as probe:
+        if args.setup_only:
+            from workloads import WORKLOADS
 
-        WORKLOADS[args.workload]().setup(args.seed, args.size)
-        print(time.perf_counter() - start)
-        return 0
-    report = measure(args, start)
+            WORKLOADS[args.workload]().setup(args.seed, args.size)
+            print(json.dumps(own_setup(probe, start)))
+            return 0
+        report = measure(args, start, probe)
     print_report(report, bool(args.trace))
     print(json.dumps(result_line(report, bool(args.trace))))
     return 0

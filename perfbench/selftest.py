@@ -25,6 +25,7 @@ ROOT = HERE.parent
 sys.path[:0] = [str(HERE), str(ROOT / "src")]
 
 import run  # noqa: E402  (the benchmark harness, importable for in-process runs)
+from hostspeed import HostSpeed  # noqa: E402
 
 
 def run_tiny(workload: str, trace: int) -> tuple:
@@ -43,7 +44,9 @@ def run_tiny(workload: str, trace: int) -> tuple:
 def measure_tiny(workload: str) -> dict:
     args = run.parse_args(["--workload", workload, "--seed", "3", "--seconds", "0",
                            "--size", "tiny"])
-    return run.measure(args, time.perf_counter())
+    start = time.perf_counter()
+    with HostSpeed() as probe:
+        return run.measure(args, start, probe)
 
 
 class MetricContract(unittest.TestCase):
