@@ -1,13 +1,14 @@
 """Benchmark the compute backends: numpy vs torch fit throughput, per precision.
 
 Trains the LINE-style skip-gram (``sgm``) on the 50k-node benchmark graph
-once per available (backend, precision) combination — ``exact`` float64
-everywhere, plus the ``fast`` float32 device-resident path on accelerator
-backends — and records graph-build and fit wall-clock plus the pair-update
-throughput.  All runs share one seed so the exact rows execute the identical
-sampling schedule.  The torch rows are skipped — and recorded as
-unavailable — when torch is not installed, which keeps the benchmark itself
-torch-free on the default CI job.
+once per backend spec ``name[:device][:precision]`` — by default ``numpy``,
+``torch:cpu`` (exact float64) and ``torch:cpu:fast`` (the float32
+device-resident path) — and records graph-build and fit wall-clock plus the
+pair-update throughput, one row per canonical spec.  All runs share one seed
+so the exact rows execute the identical sampling schedule.  A spec that
+cannot be built here (torch not installed, ``numpy:fast``) is skipped and
+recorded with its reason, which keeps the benchmark itself torch-free on the
+default CI job.
 
 ``pair_updates`` is derived from the sampler's *actual* per-batch take
 (:attr:`~repro.graph.sampling.EdgeSampler.positive_batch_size`, which clamps
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api.registry import make_model
-from repro.backend import backend_unavailable_reason, canonical_backend_spec
+from repro.backend import BackendError, canonical_backend_spec
 from repro.graph.graph import Graph
 
 
@@ -50,17 +51,14 @@ def max_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def bench_one(
-    backend: str, precision: str, graph: Graph, args: argparse.Namespace
-) -> dict:
-    """Fit sgm on ``graph`` under ``backend``/``precision``; the timing row."""
+def bench_one(backend: str, graph: Graph, args: argparse.Namespace) -> dict:
+    """Fit sgm on ``graph`` under the backend spec ``backend``; the timing row."""
     fit_start = time.perf_counter()
     model = make_model(
         "sgm",
         graph=graph,
         rng=2025,
         backend=backend,
-        precision=precision,
         embedding_dim=args.dim,
         num_epochs=args.epochs,
         batches_per_epoch=args.batches_per_epoch,
@@ -78,8 +76,8 @@ def bench_one(
     )
     emb = model.embeddings_
     return {
-        "backend": canonical_backend_spec(backend, precision=precision),
-        "precision": precision,
+        "backend": canonical_backend_spec(backend),
+        "precision": model.backend_.precision,
         "fit_seconds": fit_seconds,
         "pair_updates": pair_updates,
         "pair_updates_per_second": pair_updates / max(1e-9, fit_seconds),
@@ -97,13 +95,11 @@ def main() -> None:
     parser.add_argument("--batches-per-epoch", type=int, default=50)
     parser.add_argument("--batch-size", type=int, default=1024)
     parser.add_argument("--negatives", type=int, default=5)
-    parser.add_argument("--backends", nargs="+", default=["numpy", "torch"],
-                        help="backend specs to benchmark (unavailable ones "
-                             "are recorded and skipped)")
-    parser.add_argument("--precisions", nargs="+", default=["exact", "fast"],
-                        help="precision modes to benchmark per backend "
-                             "(numpy only supports exact; fast rows on it "
-                             "are skipped)")
+    parser.add_argument("--backends", nargs="+",
+                        default=["numpy", "torch:cpu", "torch:cpu:fast"],
+                        help="backend specs name[:device][:precision] to "
+                             "benchmark (unavailable ones are recorded and "
+                             "skipped)")
     parser.add_argument("--quick", action="store_true",
                         help="tiny workload for CI smoke runs")
     parser.add_argument(
@@ -124,23 +120,16 @@ def main() -> None:
 
     results, skipped = {}, {}
     for backend in args.backends:
-        family = backend.split(":")[0]
-        reason = backend_unavailable_reason(family)
-        if reason is not None:
-            skipped[backend] = reason
-            print(f"  {backend:<16} skipped ({reason})")
+        try:
+            row = bench_one(backend, graph, args)
+        except BackendError as exc:
+            skipped[backend] = str(exc)
+            print(f"  {backend:<16} skipped ({exc})")
             continue
-        for precision in args.precisions:
-            if family == "numpy" and precision != "exact":
-                skipped[f"{backend}:{precision}"] = (
-                    "numpy is the exact reference; it has no fast path"
-                )
-                continue
-            row = bench_one(backend, precision, graph, args)
-            results[row["backend"]] = row
-            print(f"  {row['backend']:<16} fit {row['fit_seconds']:7.2f}s  "
-                  f"{row['pair_updates_per_second']:>12,.0f} pair updates/s  "
-                  f"(peak rss {row['max_rss_mb']:,.0f} MiB)")
+        results[row["backend"]] = row
+        print(f"  {row['backend']:<16} fit {row['fit_seconds']:7.2f}s  "
+              f"{row['pair_updates_per_second']:>12,.0f} pair updates/s  "
+              f"(peak rss {row['max_rss_mb']:,.0f} MiB)")
 
     comparison = {}
     exact_torch = next(

@@ -167,7 +167,6 @@ def child_main(args: argparse.Namespace) -> None:
         "num_edges": graph.num_edges,
     }
     if args.child == "prefetch":
-        result["prefetch_method"] = source.method
         result["prefetch_depth"] = source.depth
         result["consumer_wait_seconds"] = source.consumer_wait_seconds
     print(json.dumps(result))
@@ -230,7 +229,7 @@ def main() -> None:
         row = results[mode]
         extra = ""
         if mode == "prefetch":
-            extra = (f"  [{row['prefetch_method']}, depth {row['prefetch_depth']}, "
+            extra = (f"  [depth {row['prefetch_depth']}, "
                      f"waited {row['consumer_wait_seconds']:.2f}s]")
         print(f"  {mode:<13} fit {row['fit_seconds']:7.2f}s  "
               f"peak RSS {row['peak_rss_mb']:8.1f} MB  "

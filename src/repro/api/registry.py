@@ -15,7 +15,7 @@ import dataclasses
 import inspect
 import typing
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Any, Dict, Iterable, Optional, Tuple, Type
 
 from repro.utils.rng import RngLike
 
@@ -174,6 +174,29 @@ def config_field_names(name: str) -> Tuple[str, ...]:
     return tuple(sorted(f.name for f in dataclasses.fields(entry.config_cls)))
 
 
+def check_overrides(name: str, overrides: Iterable[str]) -> ModelEntry:
+    """Resolve ``name`` and check that every override names a config field.
+
+    Raises ``KeyError`` for an unknown model and ``TypeError`` for unknown
+    fields, each with a one-line message.  The embedding service runs this
+    at submission, so a spec that could never build its model is refused
+    up front instead of failing on every worker lease.
+    """
+    entry = get_entry(name)
+    field_names = {f.name for f in dataclasses.fields(entry.config_cls)}
+    unknown = set(overrides) - field_names
+    if unknown:
+        hint = ""
+        if unknown & {"device", "precision"}:
+            hint = (" (name the device and precision in the backend spec "
+                    "string, e.g. backend='torch:cuda:fast')")
+        raise TypeError(
+            f"unknown config field(s) {sorted(unknown)} for model "
+            f"{entry.name!r}{hint}; valid fields: {sorted(field_names)}"
+        )
+    return entry
+
+
 def make_model(
     name: str,
     *,
@@ -181,8 +204,6 @@ def make_model(
     graph=None,
     rng: RngLike = None,
     backend: Optional[str] = None,
-    device: Optional[str] = None,
-    precision: Optional[str] = None,
     **overrides: Any,
 ):
     """Construct a registered estimator by name.
@@ -200,12 +221,12 @@ def make_model(
         unbound — pass the graph to ``fit(graph)`` instead.
     rng:
         Seed or generator forwarded to the model.
-    backend / device / precision:
-        Compute backend request, shorthand for the ``backend`` / ``device``
-        / ``precision`` config fields every registered model carries
-        (``"numpy"`` default, ``"torch"``/``"torch:cuda"`` optional;
-        precision ``"exact"`` default or ``"fast"`` for the float32
-        device-resident path — see :mod:`repro.backend`).
+    backend:
+        Backend spec ``name[:device][:precision]``, shorthand for the
+        ``backend`` config field every registered model carries
+        (``"numpy"`` default; ``"torch"``, ``"torch:cuda"`` or
+        ``"torch:cuda:fast"`` for the float32 device-resident path — see
+        :mod:`repro.backend`).
     **overrides:
         Config dataclass fields to override (validated against the model's
         config class so typos fail fast).
@@ -214,20 +235,9 @@ def make_model(
     -------
     A :class:`repro.api.GraphEmbedder` estimator (untrained).
     """
-    entry = get_entry(name)
     if backend is not None:
         overrides = {**overrides, "backend": str(backend)}
-    if device is not None:
-        overrides = {**overrides, "device": str(device)}
-    if precision is not None:
-        overrides = {**overrides, "precision": str(precision)}
-    field_names = {f.name for f in dataclasses.fields(entry.config_cls)}
-    unknown = set(overrides) - field_names
-    if unknown:
-        raise TypeError(
-            f"unknown config field(s) {sorted(unknown)} for model "
-            f"{entry.name!r}; valid fields: {sorted(field_names)}"
-        )
+    entry = check_overrides(name, overrides)
     if epsilon is not None:
         if not entry.private:
             raise ValueError(

@@ -63,6 +63,24 @@ def _freeze_overrides(overrides: Union[Mapping[str, Any], Iterable, None]) -> Tu
     return tuple(sorted(frozen))
 
 
+def _drop_legacy_placement(data: Mapping[str, Any]) -> Dict[str, Any]:
+    """Copy ``data`` without the retired ``device``/``precision`` keys.
+
+    Older ``to_dict`` output carries them as ``null`` and still loads; a
+    non-null value is refused, because the backend spec string is now the
+    only place a device or precision can be named.
+    """
+    kwargs = dict(data)
+    for key in ("device", "precision"):
+        if kwargs.pop(key, None) is not None:
+            raise ValueError(
+                f"{key!r} is no longer a separate field; name it in the "
+                "backend spec string, backend='name[:device][:precision]' "
+                "(e.g. 'torch:cuda:fast')"
+            )
+    return kwargs
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """One model column of an experiment grid.
@@ -139,8 +157,6 @@ class ExperimentCell:
     dataset_seed: Optional[int] = None
     test_fraction: float = 0.1
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
     on_disk: bool = False
     graph_path: Optional[str] = None
     walk_cache: Union[bool, str, None] = None
@@ -165,10 +181,6 @@ class ExperimentCell:
         object.__setattr__(self, "test_fraction", float(self.test_fraction))
         if self.backend is not None:
             object.__setattr__(self, "backend", str(self.backend))
-        if self.device is not None:
-            object.__setattr__(self, "device", str(self.device))
-        if self.precision is not None:
-            object.__setattr__(self, "precision", str(self.precision))
         object.__setattr__(self, "on_disk", bool(self.on_disk))
         if self.graph_path is not None:
             object.__setattr__(self, "graph_path", str(self.graph_path))
@@ -180,8 +192,7 @@ class ExperimentCell:
         data = {f: getattr(self, f) for f in (
             "task", "dataset", "epsilon", "repeat", "seed",
             "dataset_scale", "dataset_seed", "test_fraction",
-            "backend", "device", "precision", "on_disk", "graph_path",
-            "walk_cache",
+            "backend", "on_disk", "graph_path", "walk_cache",
         )}
         data["model"] = self.model.to_dict()
         return data
@@ -189,7 +200,7 @@ class ExperimentCell:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentCell":
         """Inverse of :meth:`to_dict`."""
-        kwargs = dict(data)
+        kwargs = _drop_legacy_placement(data)
         kwargs["model"] = ModelSpec.of(kwargs["model"])
         return cls(**kwargs)
 
@@ -219,13 +230,13 @@ class ExperimentSpec:
         ``base_seed`` (the historical runners' convention).
     test_fraction:
         Held-out edge fraction for link prediction.
-    backend / device / precision:
-        Compute backend every cell of the grid trains on (``None`` defers to
-        each model's config and then the ambient default — see
-        :mod:`repro.backend`), its device, and its precision mode
-        (``"exact"`` / ``"fast"``).  Carried per cell so a worker process,
-        or a remote runner reading the cell from a cache manifest,
-        reproduces the same placement and arithmetic.
+    backend:
+        Backend spec every cell of the grid trains on,
+        ``name[:device][:precision]`` (``"torch:cuda:fast"``; ``None`` defers
+        to each model's config and then the ambient default — see
+        :mod:`repro.backend`).  Carried per cell so a worker process, or a
+        remote runner reading the cell from a cache manifest, reproduces the
+        same placement and arithmetic.
     on_disk:
         Load every dataset as a memory-mapped on-disk graph
         (``load_dataset(..., on_disk=True)``) instead of in RAM.  The arrays
@@ -254,8 +265,6 @@ class ExperimentSpec:
     dataset_seed: Optional[int] = field(default=None)
     test_fraction: float = 0.1
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
     on_disk: bool = False
     graph_path: Optional[str] = None
     walk_cache: Union[bool, str, None] = None
@@ -288,10 +297,6 @@ class ExperimentSpec:
             object.__setattr__(self, "dataset_seed", self.base_seed)
         if self.backend is not None:
             object.__setattr__(self, "backend", str(self.backend))
-        if self.device is not None:
-            object.__setattr__(self, "device", str(self.device))
-        if self.precision is not None:
-            object.__setattr__(self, "precision", str(self.precision))
         object.__setattr__(self, "on_disk", bool(self.on_disk))
         if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
             object.__setattr__(self, "walk_cache", str(self.walk_cache))
@@ -326,8 +331,6 @@ class ExperimentSpec:
                                 dataset_seed=self.dataset_seed,
                                 test_fraction=self.test_fraction,
                                 backend=self.backend,
-                                device=self.device,
-                                precision=self.precision,
                                 on_disk=self.on_disk,
                                 graph_path=self.graph_path,
                                 walk_cache=self.walk_cache,
@@ -353,8 +356,6 @@ class ExperimentSpec:
             "dataset_seed": self.dataset_seed,
             "test_fraction": self.test_fraction,
             "backend": self.backend,
-            "device": self.device,
-            "precision": self.precision,
             "on_disk": self.on_disk,
             "graph_path": self.graph_path,
             "walk_cache": self.walk_cache,
@@ -363,7 +364,7 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
         """Inverse of :meth:`to_dict`."""
-        kwargs = dict(data)
+        kwargs = _drop_legacy_placement(data)
         kwargs["datasets"] = tuple(kwargs["datasets"])
         kwargs["models"] = tuple(ModelSpec.of(m) for m in kwargs["models"])
         kwargs["epsilons"] = tuple(kwargs["epsilons"])

@@ -4,8 +4,8 @@ The models never import numpy-vs-torch directly; they ask this module for a
 :class:`Backend` and route their tensor math through it.  Selection
 precedence, everywhere a backend can be named:
 
-1. an explicit argument (CLI ``--backend`` / ``--device`` / ``--precision``,
-   a config field, a ``Backend`` instance passed through the API),
+1. an explicit request (CLI ``--backend``, a config ``backend`` field, a
+   ``Backend`` instance passed through the API),
 2. the ``REPRO_BACKEND`` environment variable (``"torch"``, ``"torch:cuda"``
    or ``"torch:cuda:fast"`` forms accepted),
 3. the numpy default.
@@ -153,58 +153,13 @@ def default_backend_spec() -> str:
     return os.environ.get(BACKEND_ENV_VAR, "").strip() or "numpy"
 
 
-def _resolve_request(
-    spec: Optional[str], device: Optional[str], precision: Optional[str]
-) -> Tuple[str, Optional[str], Optional[str]]:
-    """Merge a spec string with explicit device/precision arguments.
-
-    Conflicts (spec embeds one value, the argument names another) are
-    errors; agreement and one-sided requests resolve normally.
-    """
-    name, spec_device, spec_precision = _split_spec(
-        spec if spec else default_backend_spec()
-    )
-    if spec_device is not None and device is not None and spec_device != device:
-        raise BackendError(
-            f"conflicting devices: spec {spec!r} names {spec_device!r} but "
-            f"device={device!r} was also passed"
-        )
-    if (
-        spec_precision is not None
-        and precision is not None
-        and spec_precision != precision
-    ):
-        raise BackendError(
-            f"conflicting precisions: spec {spec!r} names {spec_precision!r} "
-            f"but precision={precision!r} was also passed"
-        )
-    device = device if device is not None else spec_device
-    precision = precision if precision is not None else spec_precision
-    if precision is not None and precision not in PRECISIONS:
-        raise BackendError(
-            f"unknown precision {precision!r} (expected one of {PRECISIONS})"
-        )
-    return name, device, precision
-
-
-def get_backend(
-    spec: Union[str, Backend, None] = None,
-    device: Optional[str] = None,
-    precision: Optional[str] = None,
-) -> Backend:
+def get_backend(spec: Union[str, Backend, None] = None) -> Backend:
     """Resolve a backend request to a live :class:`Backend` instance.
 
-    Parameters
-    ----------
-    spec:
-        A :class:`Backend` instance (passed through), a ``"name"``,
-        ``"name:device"`` or ``"name:device:precision"`` string, or ``None``
-        to fall back to ``$REPRO_BACKEND`` and then numpy.
-    device:
-        Device override; conflicts with a device embedded in ``spec``.
-    precision:
-        Precision override (``"exact"`` / ``"fast"``); conflicts with a
-        precision embedded in ``spec``.
+    ``spec`` is a :class:`Backend` instance (passed through), a
+    ``name[:device][:precision]`` string (``"numpy"``, ``"torch:cuda"``,
+    ``"torch:cuda:0:fast"``), or ``None`` to fall back to
+    ``$REPRO_BACKEND`` and then numpy.
 
     Raises
     ------
@@ -213,19 +168,8 @@ def get_backend(
         precision — always with a one-line, actionable message.
     """
     if isinstance(spec, Backend):
-        if device is not None and device != spec.device:
-            raise BackendError(
-                f"backend instance is on device {spec.device!r} but device "
-                f"{device!r} was requested; construct a new backend instead"
-            )
-        if precision is not None and precision != spec.precision:
-            raise BackendError(
-                f"backend instance has precision {spec.precision!r} but "
-                f"precision {precision!r} was requested; construct a new "
-                "backend instead"
-            )
         return spec
-    name, device, precision = _resolve_request(spec, device, precision)
+    name, device, precision = _split_spec(spec or default_backend_spec())
     factory = _FACTORIES.get(name)
     if factory is None:
         raise BackendError(
@@ -239,13 +183,8 @@ def get_backend(
     return instance
 
 
-def canonical_backend_spec(
-    spec: Union[str, Backend, None] = None,
-    device: Optional[str] = None,
-    precision: Optional[str] = None,
-) -> str:
-    """The canonical identity string a (spec, device, precision) request
-    resolves to.
+def canonical_backend_spec(spec: Union[str, Backend, None] = None) -> str:
+    """The canonical identity string a backend request resolves to.
 
     Pure string normalisation — never imports or constructs the backend —
     so cache-key computation stays total even for backends that are not
@@ -259,7 +198,7 @@ def canonical_backend_spec(
     """
     if isinstance(spec, Backend):
         return spec.spec
-    name, device, precision = _resolve_request(spec, device, precision)
+    name, device, precision = _split_spec(spec or default_backend_spec())
     if name == "numpy":
         base = "numpy"
     else:

@@ -53,16 +53,10 @@ class DPARConfig:
     epsilon: float = 6.0
     delta: float = 1e-5
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.backend is not None:
             self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
         for name in (
             "feature_dim",
             "embedding_dim",
@@ -105,9 +99,7 @@ class DPAR(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: split the seed stream and calibrate the noise."""
         self.graph = graph
-        self.backend_ = get_backend(
-            self.config.backend, self.config.device, self.config.precision
-        )
+        self.backend_ = get_backend(self.config.backend)
         feat_rng, noise_rng, weight_rng, train_rng = spawn_rngs(self._rng, 4)
         self._feat_rng = feat_rng
         self._noise_rng = noise_rng

@@ -51,16 +51,10 @@ class DPGGANConfig:
     epsilon: float = 6.0
     delta: float = 1e-5
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.backend is not None:
             self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
         for name in ("embedding_dim", "batch_size", "num_epochs", "batches_per_epoch"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -98,9 +92,7 @@ class DPGGAN(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: initialise latents, generator, sampler, budget."""
         self.graph = graph
-        self.backend_ = get_backend(
-            self.config.backend, self.config.device, self.config.precision
-        )
+        self.backend_ = get_backend(self.config.backend)
         init_rng, sample_rng, noise_rng, gen_rng = spawn_rngs(self._rng, 4)
         dim = self.config.embedding_dim
         self.latent = normal_init(

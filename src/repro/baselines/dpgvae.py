@@ -48,16 +48,10 @@ class DPGVAEConfig:
     delta: float = 1e-5
     kl_weight: float = 1e-3
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.backend is not None:
             self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
         for name in (
             "feature_dim",
             "embedding_dim",
@@ -101,9 +95,7 @@ class DPGVAE(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``; the (privatised) GCN aggregation happens here."""
         self.graph = graph
-        self.backend_ = get_backend(
-            self.config.backend, self.config.device, self.config.precision
-        )
+        self.backend_ = get_backend(self.config.backend)
         be = self.backend_
         feat_rng, weight_rng, sample_rng, noise_rng = spawn_rngs(self._rng, 4)
         cfg = self.config

@@ -46,17 +46,11 @@ class DPSGMConfig:
     delta: float = 1e-5
     negative_distribution: str = "uniform"
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_negative_distribution(self.negative_distribution)
         if self.backend is not None:
             self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
         for name in (
             "embedding_dim",
             "num_negatives",
@@ -100,9 +94,7 @@ class DPSGM(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: initialise embeddings, sampler and accountant."""
         self.graph = graph
-        self.backend_ = get_backend(
-            self.config.backend, self.config.device, self.config.precision
-        )
+        self.backend_ = get_backend(self.config.backend)
         init_rng, sample_rng, noise_rng = spawn_rngs(self._rng, 3)
         dim = self.config.embedding_dim
         self.w_in = uniform_embedding(

@@ -41,19 +41,16 @@ def cell_backend_spec(cell: Union[ExperimentCell, Mapping[str, Any]]) -> str:
     """The canonical backend spec one cell's computation resolves to.
 
     Precedence mirrors execution (:func:`repro.experiments.runners.
-    _compute_cell`): the cell-level ``backend``/``device`` win over a
-    ``backend``/``device`` entry in the model overrides, which wins over the
-    ambient ``$REPRO_BACKEND``/numpy default.  Pure string normalisation —
+    compute_cell`): the cell-level ``backend`` wins over a ``backend`` entry
+    in the model overrides, which wins over the ambient
+    ``$REPRO_BACKEND``/numpy default.  Pure string normalisation —
     stays total for backends not installed in this process, exactly like
     :func:`~repro.api.registry.canonical_name` for unknown models.
     """
     data = cell.to_dict() if isinstance(cell, ExperimentCell) else dict(cell)
     model = data.get("model") or {}
     overrides = dict(model.get("overrides") or {}) if isinstance(model, Mapping) else {}
-    backend = data.get("backend") or overrides.get("backend")
-    device = data.get("device") or overrides.get("device")
-    precision = data.get("precision") or overrides.get("precision")
-    return canonical_backend_spec(backend, device, precision)
+    return canonical_backend_spec(data.get("backend") or overrides.get("backend"))
 
 
 def canonical_cell_dict(cell: Union[ExperimentCell, Mapping[str, Any]]) -> Dict[str, Any]:
@@ -70,25 +67,19 @@ def canonical_cell_dict(cell: Union[ExperimentCell, Mapping[str, Any]]) -> Dict[
         model["name"] = canonical_name(str(model["name"]))
     if plain.get("epsilon") is not None:
         plain["epsilon"] = float(plain["epsilon"])
-    # Replace the raw (possibly None) backend/device/precision fields with
-    # the spec the computation actually resolves to, so "unset under
+    # Replace the raw (possibly None) backend field with the spec the
+    # computation actually resolves to, so "unset under
     # $REPRO_BACKEND=torch", "backend='torch'" and a backend named via model
     # overrides all hash identically — and differently from any numpy run.
-    # The raw entries are stripped once resolved: they are placement
-    # requests, and the resolved spec is their complete canonical form.
     # The default "exact" precision canonicalises away inside the spec
     # (``torch:cpu``, not ``torch:cpu:exact``), so every pre-precision cache
     # key is preserved; ``fast`` cells get a distinct trailing token and can
     # never be served an exact row or vice versa.
     plain["backend"] = cell_backend_spec(data)
-    plain.pop("device", None)
-    plain.pop("precision", None)
     if isinstance(model, dict):
         overrides = model.get("overrides")
         if isinstance(overrides, dict):
             overrides.pop("backend", None)
-            overrides.pop("device", None)
-            overrides.pop("precision", None)
             overrides.pop("walk_cache", None)
     # Graph placement, like compute placement, is canonicalised away or
     # resolved to content: ``on_disk`` only changes *where* bit-identical

@@ -50,7 +50,7 @@ Examples
     python -m repro backends list
     python -m repro train --model advsgm --dataset ppi --epsilon 6 \
         --set num_epochs=2 --scale 0.15 --out emb.npz
-    python -m repro train --model sgm --dataset ppi --backend torch --device cpu
+    python -m repro train --model sgm --dataset ppi --backend torch:cpu:fast
     python -m repro evaluate --model dpar --dataset wiki --epsilon 4 \
         --task node_clustering --preset smoke
     python -m repro experiment fig3 --dataset ppi --workers 4 --cache-dir .cache
@@ -109,19 +109,15 @@ def _check_dataset_or_exit(name: str) -> None:
 
 
 def _check_backend_or_exit(args: argparse.Namespace) -> None:
-    """Validate the backend/device/precision request early, one-line message.
+    """Validate the backend spec early, with a one-line message.
 
-    Runs for every command that will train: an explicit ``--backend`` /
-    ``--device`` / ``--precision`` (or an ambient ``$REPRO_BACKEND``) that
-    names an unknown, uninstalled or incompatible backend must fail before
-    any dataset or model work starts — and without a traceback.
+    Runs for every command that will train: an explicit ``--backend`` (or an
+    ambient ``$REPRO_BACKEND``) that names an unknown, uninstalled or
+    incompatible backend, device or precision must fail before any dataset
+    or model work starts — and without a traceback.
     """
     try:
-        get_backend(
-            getattr(args, "backend", None),
-            getattr(args, "device", None),
-            getattr(args, "precision", None),
-        )
+        get_backend(args.backend)
     except BackendError as exc:
         raise SystemExit(str(exc))
 
@@ -318,7 +314,8 @@ def _cmd_backends(args: argparse.Namespace) -> int:
               f"(precedence: --backend > config > $REPRO_BACKEND > numpy)")
         for line in _backend_availability_lines():
             print(f"  {line}")
-        print("precisions: exact (float64, default; bit-for-bit reference) "
+        print("spec: name[:device][:precision], e.g. torch:cuda:fast; "
+              "precisions: exact (float64, default; bit-for-bit reference) "
               "| fast (float32 device-resident, accelerator backends only)")
     return 0
 
@@ -405,15 +402,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     epsilon = args.epsilon if entry.private else None
     if args.epsilon is not None and not entry.private:
         raise SystemExit(f"model {entry.name!r} is not private; drop --epsilon")
-    # Fold the flags into the overrides dict (rather than separate kwargs)
+    # Fold the flag into the overrides dict (rather than a separate kwarg)
     # so `--set backend=...` and `--backend ...` cannot collide; the
-    # explicit flags win, per the documented precedence.
+    # explicit flag wins, per the documented precedence.
     if args.backend is not None:
         overrides["backend"] = args.backend
-    if args.device is not None:
-        overrides["device"] = args.device
-    if args.precision is not None:
-        overrides["precision"] = args.precision
     model = _make_model_or_exit(
         entry.name, epsilon=epsilon, graph=graph, rng=args.seed, **overrides
     )
@@ -450,13 +443,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         settings = dataclasses.replace(settings, dataset_scale=args.scale)
     if args.seed is not None:
         settings = dataclasses.replace(settings, seed=args.seed)
-    if args.backend is not None or args.device is not None or args.precision is not None:
-        settings = dataclasses.replace(
-            settings,
-            backend=args.backend,
-            device=args.device,
-            precision=args.precision,
-        )
+    if args.backend is not None:
+        settings = dataclasses.replace(settings, backend=args.backend)
     if args.on_disk:
         settings = dataclasses.replace(settings, on_disk=True)
     walk_cache = _walk_cache_value(args)
@@ -502,13 +490,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     module = modules[args.name]
     _check_backend_or_exit(args)
     settings = ExperimentSettings.preset(args.preset)
-    if args.backend is not None or args.device is not None or args.precision is not None:
-        settings = dataclasses.replace(
-            settings,
-            backend=args.backend,
-            device=args.device,
-            precision=args.precision,
-        )
+    if args.backend is not None:
+        settings = dataclasses.replace(settings, backend=args.backend)
     if args.on_disk:
         settings = dataclasses.replace(settings, on_disk=True)
     # A bare --walk-cache co-locates the artifacts under --cache-dir (when
@@ -859,14 +842,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="train against a memory-mapped on-disk graph "
                               "(materialised once under the graph cache)")
     _add_walk_cache_flags(p_train)
-    p_train.add_argument("--backend", default=None,
-                         help="compute backend (numpy | torch | torch:DEVICE; "
-                              "see `backends list`)")
-    p_train.add_argument("--device", default=None,
-                         help="device for the backend (e.g. cpu, cuda)")
-    p_train.add_argument("--precision", default=None, choices=["exact", "fast"],
-                         help="arithmetic mode: exact float64 (default) or "
-                              "fast float32 device-resident (torch only)")
+    p_train.add_argument("--backend", default=None, metavar="SPEC",
+                         help="backend spec name[:device][:precision] (numpy "
+                              "| torch:cuda | torch:cuda:fast; see "
+                              "`backends list`)")
     p_train.add_argument("--out", help="save embeddings to this .npz file")
     p_train.set_defaults(func=_cmd_train)
 
@@ -881,13 +860,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--scale", type=float, default=None, help="override dataset scale")
     p_eval.add_argument("--seed", type=int, default=None, help="override the root seed")
     p_eval.add_argument("--repeat", type=int, default=0, help="repeat index (derives the seed)")
-    p_eval.add_argument("--backend", default=None,
-                        help="compute backend (numpy | torch | torch:DEVICE)")
-    p_eval.add_argument("--device", default=None,
-                        help="device for the backend (e.g. cpu, cuda)")
-    p_eval.add_argument("--precision", default=None, choices=["exact", "fast"],
-                        help="arithmetic mode: exact float64 (default) or "
-                             "fast float32 device-resident (torch only)")
+    p_eval.add_argument("--backend", default=None, metavar="SPEC",
+                        help="backend spec name[:device][:precision] (numpy "
+                             "| torch:cuda | torch:cuda:fast)")
     p_eval.add_argument("--on-disk", action="store_true",
                         help="load the dataset as a memory-mapped on-disk graph")
     _add_walk_cache_flags(p_eval)
@@ -913,15 +888,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "--cache-dir the default ~/.cache/repro is used")
     p_exp.add_argument("--force", action="store_true",
                        help="recompute every cell, overwriting cached entries")
-    p_exp.add_argument("--backend", default=None,
-                       help="compute backend for every cell (numpy | torch "
-                            "| torch:DEVICE); cached separately per backend")
-    p_exp.add_argument("--device", default=None,
-                       help="device for the backend (e.g. cpu, cuda)")
-    p_exp.add_argument("--precision", default=None, choices=["exact", "fast"],
-                       help="arithmetic mode for every cell: exact float64 "
-                            "(default) or fast float32 (torch only); cached "
-                            "separately per precision")
+    p_exp.add_argument("--backend", default=None, metavar="SPEC",
+                       help="backend spec for every cell, name[:device]"
+                            "[:precision] (numpy | torch:cuda | "
+                            "torch:cuda:fast); cached separately per spec")
     p_exp.add_argument("--on-disk", action="store_true",
                        help="load every cell's dataset as a memory-mapped "
                             "on-disk graph (cached under the graph cache root)")

@@ -60,8 +60,8 @@ class AdvSGM(EstimatorMixin):
         Seed or generator; all stochastic subcomponents derive their streams
         from it, so a fixed seed makes the whole run reproducible — on every
         compute backend, since noise is always drawn from numpy streams
-        (``config.backend`` / ``config.device`` select where the tensor math
-        executes, not what is computed).
+        (``config.backend`` selects where the tensor math executes, not what
+        is computed).
 
     Examples
     --------
@@ -93,9 +93,7 @@ class AdvSGM(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: build discriminator, generators, sampler, budget."""
         self.graph = graph
-        self.backend_ = get_backend(
-            self.config.backend, self.config.device, self.config.precision
-        )
+        self.backend_ = get_backend(self.config.backend)
         disc_rng, gen_rng, sample_rng = spawn_rngs(self._rng, 3)
 
         self.discriminator = AdvSGMDiscriminator(

@@ -55,25 +55,20 @@ class AdvSGMConfig:
         factor absorbed into the learning rate), which is what makes the
         paper's learning rates (0.01-0.3) produce visible progress within the
         step counts the privacy budget allows.
-    backend / device:
-        Compute backend for the tensor math (``"numpy"`` default, ``"torch"``
-        optional; ``None`` defers to ``$REPRO_BACKEND`` and then numpy) and
-        its device (``"cpu"``/``"cuda"`` for torch).  The choice affects
-        *only* where matmuls and activations execute: the DP guarantee is
+    backend:
+        Compute backend spec ``name[:device][:precision]`` (``"numpy"``
+        default, ``"torch"``, ``"torch:cuda"``, ``"torch:cuda:fast"``;
+        ``None`` defers to ``$REPRO_BACKEND`` and then numpy — see
+        :mod:`repro.backend`).  The choice affects *only* where matmuls and
+        activations execute and at what width (``exact`` float64, the
+        default and bit-for-bit with the numpy reference, or ``fast``
+        float32 device-resident arithmetic): the DP guarantee is
         backend-independent, because the RDP accountant is charged from the
         sampling probabilities and the noise multiplier alone — and the
         Gaussian noise itself is drawn from the same seeded numpy stream on
         every backend before being transferred, so a fixed seed yields the
         same mechanism invocations (and the same budget-driven early stop)
-        under numpy and torch alike.
-    precision:
-        ``"exact"`` (default; float64, bit-for-bit with the numpy reference)
-        or ``"fast"`` (float32 device-resident arithmetic with fused batch
-        updates, accelerator backends only).  Like the backend choice, the
-        precision mode is *utility-only*: the RDP accountant consumes the
-        sampling probabilities and the noise multiplier, none of which
-        depend on the arithmetic width, so the (epsilon, delta) guarantee is
-        identical under both modes.
+        under every backend and precision.
     """
 
     embedding_dim: int = 128
@@ -97,8 +92,6 @@ class AdvSGMConfig:
     average_gradients: bool = False
     rdp_orders: Tuple[int, ...] = field(default_factory=lambda: tuple(range(2, 65)))
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -130,10 +123,6 @@ class AdvSGMConfig:
             raise ValueError("rdp_orders must all be integers >= 2")
         if self.backend is not None:
             self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
 
     def without_privacy(self) -> "AdvSGMConfig":
         """Return a copy of this config with differential privacy disabled."""

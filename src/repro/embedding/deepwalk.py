@@ -33,7 +33,6 @@ from repro.graph.sampling import (
 from repro.nn.functional import sigmoid
 from repro.nn.init import uniform_embedding
 from repro.train import (
-    PREFETCH_METHODS,
     ArrayPairSource,
     PairSource,
     PrefetchingPairSource,
@@ -64,9 +63,8 @@ class DeepWalkConfig:
     shuffled ahead of SGD and delivered through a bounded queue of
     ``prefetch_depth`` chunks, so walk generation overlaps training.  It
     implies the streaming pipeline and delivers the identical pair multiset
-    seed-for-seed.  ``prefetch_method`` places the producer in a spawned
-    process (``"process"``), a thread (``"thread"``), or picks automatically
-    (``"auto"``: process when the graph pickles, thread otherwise).
+    seed-for-seed.  The producer is a spawned process, so the graph must
+    pickle (in-RAM and memory-mapped graphs both do).
 
     ``walk_cache`` opts into the derived-artifact cache: corpus passes are
     content-addressed by (graph fingerprint, walk parameters, seed
@@ -94,11 +92,8 @@ class DeepWalkConfig:
     frontier_shard: Optional[int] = None
     pair_prefetch: bool = False
     prefetch_depth: int = 2
-    prefetch_method: str = "auto"
     walk_cache: Union[bool, str, None] = None
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in ("embedding_dim", "num_walks", "walk_length", "window_size",
@@ -110,19 +105,10 @@ class DeepWalkConfig:
             raise ValueError("frontier_shard must be positive")
         check_positive(self.learning_rate, "learning_rate")
         check_negative_distribution(self.negative_distribution)
-        if self.prefetch_method not in PREFETCH_METHODS:
-            raise ValueError(
-                f"prefetch_method must be one of {PREFETCH_METHODS}, "
-                f"got {self.prefetch_method!r}"
-            )
         if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
             self.walk_cache = str(self.walk_cache)
         if self.backend is not None:
             self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
 
 
 @register_model(
@@ -149,9 +135,7 @@ class DeepWalk(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: initialise embeddings and the negative table."""
         self.graph = graph
-        self.backend_ = get_backend(
-            self.config.backend, self.config.device, self.config.precision
-        )
+        self.backend_ = get_backend(self.config.backend)
         self._init_rng, self._walk_rng, self._train_rng = spawn_rngs(self._rng, 3)
         dim = self.config.embedding_dim
         self.w_in = uniform_embedding(
@@ -223,7 +207,6 @@ class DeepWalk(EstimatorMixin):
                     factory,
                     batch_size=cfg.batch_size,
                     depth=cfg.prefetch_depth,
-                    method=cfg.prefetch_method,
                 )
             return StreamingPairSource(factory, batch_size=cfg.batch_size)
         corpus = self.graph.walk_engine().walk_corpus(

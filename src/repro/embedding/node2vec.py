@@ -7,7 +7,7 @@ corpus is produced, so this class subclasses :class:`DeepWalk` and only
 injects the bias parameters into the shared pair pipeline (materialised,
 streaming, or streaming with a background prefetch producer — see
 :meth:`DeepWalk._make_pair_source`); the ``pair_prefetch`` /
-``prefetch_depth`` / ``prefetch_method`` knobs are inherited unchanged.
+``prefetch_depth`` knobs are inherited unchanged.
 """
 
 from __future__ import annotations

@@ -46,8 +46,6 @@ class SkipGramConfig:
     normalize_embeddings: bool = True
     negative_distribution: str = "uniform"
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.embedding_dim <= 0:
@@ -62,10 +60,6 @@ class SkipGramConfig:
         check_negative_distribution(self.negative_distribution)
         if self.backend is not None:
             self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
 
 
 @register_model(
@@ -104,9 +98,7 @@ class SkipGramModel(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: initialise embeddings and the batch sampler."""
         self.graph = graph
-        self.backend_ = get_backend(
-            self.config.backend, self.config.device, self.config.precision
-        )
+        self.backend_ = get_backend(self.config.backend)
         init_rng, sample_rng = spawn_rngs(self._rng, 2)
         dim = self.config.embedding_dim
         self.w_in = uniform_embedding(
@@ -244,8 +236,8 @@ class SkipGramModel(EstimatorMixin):
         Updates follow the usual skip-gram/SGD convention: per-pair gradients
         are accumulated into their embedding rows and applied with the full
         learning rate (no division by the batch size), which is how word2vec,
-        LINE and DeepWalk implementations behave.  Under ``precision="fast"``
-        the whole batch runs through the backend's fused
+        LINE and DeepWalk implementations behave.  On a fast backend
+        (``backend="torch:cuda:fast"``) the whole batch runs through the backend's fused
         :meth:`~repro.backend.base.Backend.skipgram_step`.
         """
         if batch is None:

@@ -40,10 +40,10 @@ class ExperimentSettings:
         Privacy budgets swept by the comparison experiments.
     seed:
         Base seed; every experiment derives per-run seeds from it.
-    backend / device / precision:
-        Compute backend every cell trains on (``None`` defers to the model
-        configs and then the ambient default; see :mod:`repro.backend`),
-        its device, and its precision mode (``"exact"`` / ``"fast"``).
+    backend:
+        Backend spec every cell trains on, ``name[:device][:precision]``
+        (``None`` defers to the model configs and then the ambient default;
+        see :mod:`repro.backend`).
     on_disk:
         Load every dataset as a memory-mapped on-disk graph (materialised
         once under the graph cache, bit-identical to the in-RAM build).
@@ -72,8 +72,6 @@ class ExperimentSettings:
     num_repeats: int = 1
     seed: int = 2025
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
     on_disk: bool = False
     walk_cache: Union[bool, str, None] = None
 
@@ -102,10 +100,6 @@ class ExperimentSettings:
             raise ValueError("epsilons must not be empty")
         if self.backend is not None:
             self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
         if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
             self.walk_cache = str(self.walk_cache)
 

@@ -234,8 +234,6 @@ def spec_from_settings(
         dataset_scale=settings.dataset_scale,
         test_fraction=settings.test_fraction,
         backend=settings.backend,
-        device=settings.device,
-        precision=settings.precision,
         on_disk=settings.on_disk,
         walk_cache=settings.walk_cache,
     )
@@ -265,15 +263,10 @@ def compute_cell(
             on_disk=cell.on_disk,
         )
     overrides = dict(cell.model.overrides)
-    # The cell-level backend/device/precision win over any model-spec
-    # override, so a sweep re-run under --backend torch (or --precision
-    # fast) retrains every cell accordingly.
+    # The cell-level backend wins over any model-spec override, so a sweep
+    # re-run under --backend torch:cuda:fast retrains every cell accordingly.
     if cell.backend is not None:
         overrides["backend"] = cell.backend
-    if cell.device is not None:
-        overrides["device"] = cell.device
-    if cell.precision is not None:
-        overrides["precision"] = cell.precision
     # The walk-corpus cache is a sweep-level placement knob: models whose
     # config has the field (the walk-corpus family) receive it, everything
     # else (edge-sampling trainers, GNN baselines) silently ignores it so
@@ -475,8 +468,6 @@ def _single_cell(
         dataset_seed=settings.seed,
         test_fraction=settings.test_fraction,
         backend=settings.backend,
-        device=settings.device,
-        precision=settings.precision,
         on_disk=settings.on_disk,
         walk_cache=settings.walk_cache,
     )

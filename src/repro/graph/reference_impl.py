@@ -116,50 +116,6 @@ def reference_random_walks(
     return walks
 
 
-def reference_node2vec_walks(
-    graph: Graph,
-    num_walks: int,
-    walk_length: int,
-    p: float = 1.0,
-    q: float = 1.0,
-    rng: RngLike = None,
-) -> List[List[int]]:
-    """Legacy per-step-reweighted node2vec walks."""
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
-    if num_walks <= 0 or walk_length <= 0:
-        raise ValueError("num_walks and walk_length must be positive")
-    rng = ensure_rng(rng)
-    walks: List[List[int]] = []
-    nodes = np.arange(graph.num_nodes)
-    for _ in range(num_walks):
-        rng.shuffle(nodes)
-        for start in nodes:
-            walk = [int(start)]
-            for _ in range(walk_length - 1):
-                current = walk[-1]
-                neigh = graph.neighbours(current)
-                if neigh.size == 0:
-                    break
-                if len(walk) == 1:
-                    nxt = int(neigh[int(rng.integers(0, neigh.size))])
-                else:
-                    prev = walk[-2]
-                    weights = np.empty(neigh.size)
-                    for i, candidate in enumerate(neigh):
-                        if candidate == prev:
-                            weights[i] = 1.0 / p
-                        elif graph.has_edge(int(candidate), prev):
-                            weights[i] = 1.0
-                        else:
-                            weights[i] = 1.0 / q
-                    weights /= weights.sum()
-                    nxt = int(rng.choice(neigh, p=weights))
-                walk.append(nxt)
-            walks.append(walk)
-    return walks
-
-
 def reference_walks_to_pairs(
     walks: List[List[int]], window_size: int = 5
 ) -> np.ndarray:

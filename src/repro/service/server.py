@@ -42,6 +42,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 import numpy as np
 
 import repro
+from repro.api.registry import check_overrides
 from repro.api.spec import ExperimentSpec
 from repro.cache import ResultStore, resolve_store
 from repro.service.scheduler import (
@@ -238,6 +239,13 @@ class _Handler(BaseHTTPRequestHandler):
             spec = ExperimentSpec.from_dict(spec_dict)
         except (KeyError, TypeError, ValueError) as exc:
             raise _BadRequest(f"invalid experiment spec: {exc}")
+        # Refuse a spec whose models could never be built: otherwise every
+        # lease would load the dataset, fail in make_model and burn retries.
+        for model in spec.models:
+            try:
+                check_overrides(model.name, dict(model.overrides))
+            except (KeyError, TypeError) as exc:
+                raise _BadRequest(f"invalid experiment spec: {exc.args[0]}")
         self._send_json(self.server.scheduler.submit(spec))
 
     def _post_lease(self) -> None:

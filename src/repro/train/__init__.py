@@ -23,11 +23,7 @@ from repro.train.pair_source import (
     SampledBatchSource,
     StreamingPairSource,
 )
-from repro.train.prefetch import (
-    PREFETCH_METHODS,
-    PrefetchingPairSource,
-    ProducerError,
-)
+from repro.train.prefetch import PrefetchingPairSource, ProducerError
 from repro.train.protocol import Trainer
 
 __all__ = [
@@ -36,7 +32,6 @@ __all__ = [
     "Callback",
     "LoopResult",
     "PairSource",
-    "PREFETCH_METHODS",
     "PrefetchingPairSource",
     "PrivacyBudget",
     "ProducerError",

@@ -11,18 +11,15 @@ and neither ever waits unless the other is genuinely slower.
 
 Determinism
 -----------
-The producer evaluates the *same factory* the in-process streaming path would
-have evaluated, against the same generator state:
-
-* **thread mode** shares the factory object, so the walk generator advances
-  exactly as it would inline;
-* **process mode** pickles the factory once at worker start.  A pickled
-  ``numpy.random.Generator`` round-trips its bit-generator state *and* its
-  seed-sequence spawn counter, so the worker replays the identical sequence
-  of passes (including the per-pass ``independent_child`` shuffle streams)
-  that the streaming path would have produced.  The producer never touches
-  the trainer's own stream — chunk order, chunk content and therefore the
-  delivered pair multiset are bit-identical seed-for-seed.
+The producer is a spawned process that evaluates the *same factory* the
+in-process streaming path would have evaluated, against the same generator
+state: the factory is pickled once at worker start, and a pickled
+``numpy.random.Generator`` round-trips its bit-generator state *and* its
+seed-sequence spawn counter, so the worker replays the identical sequence of
+passes (including the per-pass ``independent_child`` shuffle streams) that
+the streaming path would have produced.  The producer never touches the
+trainer's own stream — chunk order, chunk content and therefore the
+delivered pair multiset are bit-identical seed-for-seed.
 
 Robustness
 ----------
@@ -32,17 +29,15 @@ that dies without reporting (``kill -9``) is detected by liveness polling.
 Shutdown — normal exhaustion, trainer exception, or ``KeyboardInterrupt`` —
 goes through :meth:`PrefetchingPairSource.close`: the stop flag is set, the
 queue is drained so a blocked producer can observe it, and the worker is
-joined (then terminated, for processes, as a last resort).  The producer
-additionally polls its parent's liveness so an abandoned worker exits on its
-own instead of orphaning.
+joined (then terminated as a last resort).  The producer additionally polls
+its parent's liveness so an abandoned worker exits on its own instead of
+orphaning.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import queue as queue_module
-import threading
 import time
 import traceback
 from typing import Callable, Iterable, Iterator, Optional
@@ -50,12 +45,6 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from repro.train.pair_source import StreamingPairSource
-
-#: Accepted producer placements: ``"process"`` (a spawned worker — true
-#: parallelism, requires a picklable factory), ``"thread"`` (shared memory,
-#: overlap limited to GIL-releasing numpy ops), ``"auto"`` (process when the
-#: factory pickles, thread otherwise).
-PREFETCH_METHODS = ("auto", "process", "thread")
 
 #: Message tags on the producer queue.
 _CHUNK, _PASS_END, _ERROR = 0, 1, 2
@@ -115,9 +104,8 @@ def _producer_loop(factory, out_queue, stop, buffered_pairs) -> None:
     finally:
         # Never let the mp.Queue feeder thread block process exit: anything
         # still unflushed on shutdown is data the consumer no longer wants.
-        cancel = getattr(out_queue, "cancel_join_thread", None)
-        if cancel is not None and stop.is_set():
-            cancel()
+        if stop.is_set():
+            out_queue.cancel_join_thread()
 
 
 class PrefetchingPairSource(StreamingPairSource):
@@ -126,20 +114,15 @@ class PrefetchingPairSource(StreamingPairSource):
     Parameters
     ----------
     chunk_factory:
-        Zero-argument callable returning a fresh iterable of ``(m, 2)`` pair
-        chunks; one evaluation is one pass.  The worker evaluates it
-        repeatedly, so consecutive passes see the advancing generator state
-        exactly as the in-process streaming path would.
+        Picklable zero-argument callable returning a fresh iterable of
+        ``(m, 2)`` pair chunks; one evaluation is one pass.  The worker
+        evaluates it repeatedly, so consecutive passes see the advancing
+        generator state exactly as the in-process streaming path would.
     batch_size:
         Rows per delivered batch (identical carving to the parent class).
     depth:
         Bound of the chunk queue.  ``2`` is classic double buffering: one
         chunk in flight to the trainer, one ready, one being generated.
-    method:
-        ``"process"``, ``"thread"`` or ``"auto"`` (see
-        :data:`PREFETCH_METHODS`).  ``"auto"`` resolves to ``"process"``
-        when the factory pickles — e.g. graphs whose buffers are plain numpy
-        arrays — and falls back to ``"thread"`` otherwise.
     """
 
     def __init__(
@@ -148,19 +131,11 @@ class PrefetchingPairSource(StreamingPairSource):
         batch_size: int,
         *,
         depth: int = 2,
-        method: str = "auto",
     ) -> None:
         super().__init__(chunk_factory, batch_size)
         if depth <= 0:
             raise ValueError(f"depth must be positive, got {depth}")
-        if method not in PREFETCH_METHODS:
-            raise ValueError(
-                f"method must be one of {PREFETCH_METHODS}, got {method!r}"
-            )
         self.depth = int(depth)
-        self.requested_method = method
-        #: Resolved placement ("process" or "thread"), set on worker start.
-        self.method: Optional[str] = None
         #: Cumulative seconds the consumer spent blocked waiting for chunks —
         #: the benchmark's overlap diagnostic (near zero == full overlap).
         self.consumer_wait_seconds = 0.0
@@ -174,43 +149,24 @@ class PrefetchingPairSource(StreamingPairSource):
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
-    def _resolve_method(self) -> str:
-        if self.requested_method != "auto":
-            return self.requested_method
-        try:
-            pickle.dumps(self._chunk_factory)
-            return "process"
-        except Exception:  # unpicklable factory (closure, open handle, ...)
-            return "thread"
-
     def _ensure_worker(self) -> None:
         if self._worker is not None:
             return
         if self._error is not None:
             raise self._error
-        self.method = self._resolve_method()
         self._stop = self._ctx.Event()
         self._buffered_pairs = self._ctx.Value("q", 0)
-        if self.method == "process":
-            self._queue = self._ctx.Queue(maxsize=self.depth)
-            self._worker = self._ctx.Process(
-                target=_producer_loop,
-                args=(self._chunk_factory, self._queue, self._stop, self._buffered_pairs),
-                name="pair-prefetch-producer",
-                # Non-daemonic on purpose: the producer may itself shard walk
-                # passes over a process pool (walk_workers > 1), which daemon
-                # processes cannot do.  Orphan safety comes from the parent
-                # liveness poll in _producer_loop plus close().
-                daemon=False,
-            )
-        else:
-            self._queue = queue_module.Queue(maxsize=self.depth)
-            self._worker = threading.Thread(
-                target=_producer_loop,
-                args=(self._chunk_factory, self._queue, self._stop, self._buffered_pairs),
-                name="pair-prefetch-producer",
-                daemon=True,
-            )
+        self._queue = self._ctx.Queue(maxsize=self.depth)
+        self._worker = self._ctx.Process(
+            target=_producer_loop,
+            args=(self._chunk_factory, self._queue, self._stop, self._buffered_pairs),
+            name="pair-prefetch-producer",
+            # Non-daemonic on purpose: the producer may itself shard walk
+            # passes over a process pool (walk_workers > 1), which daemon
+            # processes cannot do.  Orphan safety comes from the parent
+            # liveness poll in _producer_loop plus close().
+            daemon=False,
+        )
         self._worker.start()
 
     def _worker_alive(self) -> bool:
@@ -286,18 +242,16 @@ class PrefetchingPairSource(StreamingPairSource):
         deadline = time.monotonic() + _JOIN_SECONDS
         while worker.is_alive() and time.monotonic() < deadline:
             # Drain while joining: the producer may need queue space to
-            # observe the stop flag, and (process mode) its feeder thread
-            # needs the pipe read before the process can exit.
+            # observe the stop flag, and its feeder thread needs the pipe
+            # read before the process can exit.
             self._drain()
             worker.join(timeout=_POLL_SECONDS)
-        if worker.is_alive() and isinstance(worker, self._ctx.Process):
+        if worker.is_alive():
             worker.terminate()
             worker.join(timeout=_JOIN_SECONDS)
         self._drain()
-        close_queue = getattr(self._queue, "close", None)
-        if close_queue is not None:
-            self._queue.cancel_join_thread()
-            close_queue()
+        self._queue.cancel_join_thread()
+        self._queue.close()
         self._queue = None
 
     def __del__(self) -> None:  # best-effort backstop; close() is the API

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api.spec import ExperimentCell, ModelSpec
+from repro.api.spec import ExperimentCell, ExperimentSpec, ModelSpec
 from repro.backend import (
     BACKEND_ENV_VAR,
     NUMPY_BACKEND,
@@ -74,16 +74,20 @@ class TestResolution:
 
     def test_numpy_rejects_non_cpu_device(self):
         with pytest.raises(BackendError, match="does not support device"):
-            get_backend("numpy", device="cuda")
+            get_backend("numpy:cuda")
 
     def test_conflicting_devices_rejected(self):
-        with pytest.raises(BackendError, match="conflicting devices"):
-            get_backend("torch:cpu", device="cuda")
+        # The spec string is the only spelling of a device: a spec dict
+        # that names a second one beside it is refused, pointing at the
+        # spec-string form, instead of being reconciled.
+        data = ExperimentSpec(
+            task="none", datasets=("ppi",), models=("sgm",), backend="torch:cpu"
+        ).to_dict()
+        with pytest.raises(ValueError, match=r"backend spec string.*torch:cuda:fast"):
+            ExperimentSpec.from_dict({**data, "device": "cuda"})
 
     def test_instance_passthrough(self):
         assert get_backend(NUMPY_BACKEND) is NUMPY_BACKEND
-        with pytest.raises(BackendError, match="device"):
-            get_backend(NUMPY_BACKEND, device="cuda")
 
     @pytest.mark.skipif(TORCH_AVAILABLE, reason="torch installed here")
     def test_torch_unavailable_is_one_line_error(self):
@@ -97,7 +101,7 @@ class TestResolution:
         assert canonical_backend_spec() == "numpy"
         assert canonical_backend_spec("numpy") == "numpy"
         assert canonical_backend_spec("torch") == "torch:cpu"
-        assert canonical_backend_spec("torch", "cuda") == "torch:cuda"
+        assert canonical_backend_spec("torch:cuda") == "torch:cuda"
         assert canonical_backend_spec("torch:cuda:1") == "torch:cuda:1"
         monkeypatch.setenv(BACKEND_ENV_VAR, "torch")
         assert canonical_backend_spec() == "torch:cpu"
@@ -114,16 +118,14 @@ class TestPrecisionResolution:
         assert canonical_backend_spec("torch:fast") == "torch:cpu:fast"
         assert canonical_backend_spec("torch:cuda:fast") == "torch:cuda:fast"
         assert canonical_backend_spec("torch:cuda:0:fast") == "torch:cuda:0:fast"
-        assert canonical_backend_spec("torch", precision="fast") == "torch:cpu:fast"
-        assert canonical_backend_spec("torch", "cuda", "fast") == "torch:cuda:fast"
 
     def test_exact_is_canonicalised_away(self, monkeypatch):
         # Pre-precision cache keys must survive: an explicit "exact" resolves
         # to the very same canonical strings the seam produced before.
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert canonical_backend_spec("numpy", precision="exact") == "numpy"
+        assert canonical_backend_spec("numpy:exact") == "numpy"
         assert canonical_backend_spec("torch:cpu:exact") == "torch:cpu"
-        assert canonical_backend_spec("torch", precision="exact") == "torch:cpu"
+        assert canonical_backend_spec("torch:exact") == "torch:cpu"
         assert canonical_backend_spec("torch:cuda:1:exact") == "torch:cuda:1"
 
     def test_env_var_can_name_a_fast_backend(self, monkeypatch):
@@ -131,31 +133,40 @@ class TestPrecisionResolution:
         assert canonical_backend_spec() == "torch:cuda:fast"
 
     def test_conflicting_precisions_rejected(self):
-        with pytest.raises(BackendError, match="conflicting precisions"):
-            get_backend("torch:cpu:fast", precision="exact")
+        # Old spec JSON carries "precision": null and still loads; a real
+        # value beside the spec string is refused, never reconciled.
+        data = ExperimentSpec(
+            task="none", datasets=("ppi",), models=("sgm",), backend="torch:cpu:fast"
+        ).to_dict()
+        assert ExperimentSpec.from_dict({**data, "precision": None}).backend == (
+            "torch:cpu:fast"
+        )
+        with pytest.raises(ValueError, match="'precision' is no longer"):
+            ExperimentSpec.from_dict({**data, "precision": "exact"})
 
     def test_agreeing_precisions_accepted(self, monkeypatch):
+        # The short and the full spelling of one precision resolve to one
+        # canonical spec and one backend instance.
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert canonical_backend_spec("torch:fast", precision="fast") == "torch:cpu:fast"
+        assert canonical_backend_spec("torch:fast") == "torch:cpu:fast"
+        assert canonical_backend_spec("torch:cpu:fast") == "torch:cpu:fast"
+        assert get_backend("numpy:exact") is get_backend("numpy")
 
     def test_unknown_precision_rejected(self):
-        with pytest.raises(BackendError, match="unknown precision"):
-            get_backend("numpy", precision="double")
+        # Only exact/fast peel off as a precision token; anything else is
+        # read as (part of) the device and refused there.
+        with pytest.raises(BackendError, match="does not support device 'double'"):
+            get_backend("numpy:double")
 
     def test_numpy_rejects_fast(self):
         # numpy IS the exact reference; it has no float32 mode to offer.
         with pytest.raises(BackendError, match="does not support precision"):
-            get_backend("numpy", precision="fast")
+            get_backend("numpy:fast")
 
     def test_numpy_exact_is_the_shared_instance(self):
-        assert get_backend("numpy", precision="exact") is NUMPY_BACKEND
+        assert get_backend("numpy:exact") is NUMPY_BACKEND
         assert NUMPY_BACKEND.precision == "exact"
         assert NUMPY_BACKEND.spec == "numpy"
-
-    def test_instance_passthrough_checks_precision(self):
-        assert get_backend(NUMPY_BACKEND, precision="exact") is NUMPY_BACKEND
-        with pytest.raises(BackendError, match="precision"):
-            get_backend(NUMPY_BACKEND, precision="fast")
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +267,7 @@ class TestBackendProtocolConformance:
     """
 
     def _backend(self, family, precision):
-        device = None if family == "numpy" else "cpu"
-        return get_backend(family, device=device, precision=precision)
+        return get_backend("numpy" if family == "numpy" else f"torch:cpu:{precision}")
 
     def test_core_ops_match_reference(self, family, precision):
         be = self._backend(family, precision)
@@ -385,7 +395,7 @@ class TestCacheBackendIdentity:
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert cell_backend_spec(_cell()) == "numpy"
         assert cell_backend_spec(_cell(backend="torch")) == "torch:cpu"
-        assert cell_backend_spec(_cell(backend="torch", device="cuda")) == "torch:cuda"
+        assert cell_backend_spec(_cell(backend="torch:cuda")) == "torch:cuda"
         # A model-level override counts when the cell is silent...
         via_model = _cell(model=ModelSpec(name="sgm", overrides={"backend": "torch"}))
         assert cell_backend_spec(via_model) == "torch:cpu"
@@ -402,7 +412,7 @@ class TestCacheBackendIdentity:
             cell_key(_cell()),
             cell_key(_cell(backend="numpy")),  # same work: unset == numpy
             cell_key(_cell(backend="torch")),
-            cell_key(_cell(backend="torch", device="cuda")),
+            cell_key(_cell(backend="torch:cuda")),
         }
         assert cell_key(_cell()) == cell_key(_cell(backend="numpy"))
         assert len(keys) == 3
@@ -457,9 +467,9 @@ class TestCachePrecisionIdentity:
         byte-identical to what it was before precision existed.
         """
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert cell_key(_cell()) == cell_key(_cell(precision="exact"))
+        assert cell_key(_cell()) == cell_key(_cell(backend="numpy:exact"))
         assert cell_key(_cell(backend="torch")) == cell_key(
-            _cell(backend="torch", precision="exact")
+            _cell(backend="torch:exact")
         )
         assert cell_key(_cell(backend="torch")) == cell_key(
             _cell(backend="torch:cpu:exact")
@@ -468,22 +478,17 @@ class TestCachePrecisionIdentity:
     def test_fast_and_exact_cells_never_share_a_key(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         exact = cell_key(_cell(backend="torch"))
-        fast = cell_key(_cell(backend="torch", precision="fast"))
+        fast = cell_key(_cell(backend="torch:fast"))
         assert exact != fast
-        assert (
-            cell_backend_spec(_cell(backend="torch", precision="fast"))
-            == "torch:cpu:fast"
-        )
+        assert cell_backend_spec(_cell(backend="torch:fast")) == "torch:cpu:fast"
 
     def test_fast_spellings_are_one_work_unit(self, monkeypatch):
-        """Cell field, spec suffix and model override all hash identically."""
+        """Short and full spec strings, on the cell or as a model override,
+        all hash identically."""
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        fast = cell_key(_cell(backend="torch", precision="fast"))
+        fast = cell_key(_cell(backend="torch:fast"))
         assert fast == cell_key(_cell(backend="torch:cpu:fast"))
-        via_model = _cell(
-            backend="torch",
-            model=ModelSpec(name="sgm", overrides={"precision": "fast"}),
-        )
+        via_model = _cell(model=ModelSpec(name="sgm", overrides={"backend": "torch:fast"}))
         assert fast == cell_key(via_model)
 
 
@@ -500,21 +505,22 @@ class TestModelPlumbing:
         from repro.api.registry import config_field_names
 
         fields = config_field_names(name)
-        assert "backend" in fields and "device" in fields
-        assert "precision" in fields
+        # The spec string is the one placement knob: device and precision
+        # ride inside it and have no fields of their own.
+        assert "backend" in fields
+        assert "device" not in fields and "precision" not in fields
 
     def test_make_model_backend_kwarg_sets_config(self):
-        model = repro.make_model("sgm", backend="numpy", device="cpu")
-        assert model.config.backend == "numpy"
-        assert model.config.device == "cpu"
-        assert model.config.precision is None
+        model = repro.make_model("sgm", backend="torch:cuda:fast")
+        assert model.config.backend == "torch:cuda:fast"
 
-    def test_make_model_precision_kwarg_sets_config(self):
-        model = repro.make_model("sgm", backend="torch", precision="fast")
-        assert model.config.precision == "fast"
+    def test_make_model_refuses_device_and_precision(self):
+        for field in ("device", "precision"):
+            with pytest.raises(TypeError, match="backend spec string"):
+                repro.make_model("sgm", **{field: "fast"})
 
     def test_numpy_fast_fails_at_bind_time(self):
-        model = repro.make_model("sgm", precision="fast")  # numpy default
+        model = repro.make_model("sgm", backend="numpy:fast")
         with pytest.raises(BackendError, match="does not support precision"):
             model.fit(golden_graph())
 
@@ -591,7 +597,7 @@ PARITY_CASES.update({
 @pytest.mark.skipif(not TORCH_AVAILABLE, reason="torch not installed")
 class TestTorchBackendOps:
     def _backend(self):
-        return get_backend("torch", device="cpu")
+        return get_backend("torch:cpu")
 
     def test_spec_and_device(self):
         be = self._backend()
@@ -733,7 +739,7 @@ class TestTorchFastPath:
     """
 
     def _backend(self):
-        return get_backend("torch", device="cpu", precision="fast")
+        return get_backend("torch:cpu:fast")
 
     def test_spec_dtype_and_instance_identity(self):
         be = self._backend()
@@ -743,7 +749,7 @@ class TestTorchFastPath:
         # One cached instance per (name, device, precision); fast and exact
         # never alias.
         assert be is get_backend("torch:cpu:fast")
-        assert be is not get_backend("torch", device="cpu")
+        assert be is not get_backend("torch:cpu")
 
     def test_fast_runs_are_deterministic(self):
         graph = golden_graph()
@@ -751,7 +757,7 @@ class TestTorchFastPath:
         runs = [
             repro.make_model(
                 "sgm", graph=graph, rng=13,
-                backend="torch", precision="fast", **overrides,
+                backend="torch:fast", **overrides,
             ).fit().embeddings_
             for _ in range(2)
         ]
@@ -764,7 +770,7 @@ class TestTorchFastPath:
         overrides = dict(GOLDEN_CASES["sgm"]["overrides"])
         model = repro.make_model(
             "sgm", graph=graph, rng=13,
-            backend="torch", precision="fast", **overrides,
+            backend="torch:fast", **overrides,
         ).fit()
         losses = model.history.get("loss")
         assert len(losses) == model.config.num_epochs
@@ -775,8 +781,7 @@ class TestTorchFastPath:
             "sgm",
             graph=graph,
             rng=rng,
-            backend="torch",
-            precision=precision,
+            backend=f"torch:{precision}",
             embedding_dim=32,
             num_epochs=15,
             batches_per_epoch=10,

@@ -210,6 +210,54 @@ class TestGraphPlacementKeys:
         assert len(canon["graph_fingerprint"]) == 64
 
 
+def _paper_cell(**changes):
+    """The default AdvSGM cell on ppi at ε = 6 (Fig. 3's headline point)."""
+    defaults = dict(
+        task="link_prediction", dataset="ppi", model=ModelSpec("advsgm"),
+        epsilon=6.0, repeat=0, seed=2025, dataset_seed=2025,
+    )
+    defaults.update(changes)
+    return ExperimentCell(**defaults)
+
+
+class TestPinnedKeys:
+    """Literal cell keys: any change that moves a key fails here, loudly.
+
+    Every cached result in every existing store is addressed by these
+    digests, so a refactor of the cell, spec or placement plumbing must
+    leave them byte-identical.  Never regenerate them to make a change
+    pass; a deliberate key change bumps ``CACHE_SCHEMA_VERSION`` instead.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _no_ambient_backend(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+
+    def test_default_advsgm_cell(self):
+        assert cell_key(_paper_cell()) == (
+            "25b421c88e7b68f40a5039dad3c70d9eb8c08cc827ffe1035463a4d085099b9b"
+        )
+
+    def test_node2vec_walk_cell_with_placement_knobs(self):
+        cell = _paper_cell(
+            model=ModelSpec("node2vec", overrides={
+                "walk_length": 20, "num_walks": 4, "window_size": 3,
+                "p": 0.5, "q": 2.0,
+            }),
+            epsilon=None, walk_cache=True, on_disk=True,
+        )
+        assert cell_key(cell) == (
+            "3a6b27939b2385765c4f1068978b2141fd09732da1709e02f6665599f47e057e"
+        )
+
+    def test_torch_fast_cell(self):
+        # The same work unit was once spelled backend="torch", device="cuda",
+        # precision="fast"; the spec string keeps its key.
+        assert cell_key(_paper_cell(backend="torch:cuda:fast")) == (
+            "2e7f51dc3432aa6db9201a38559b46d26c591241b965700d6ac3c885f7b608b3"
+        )
+
+
 class TestRoundTripDeterminism:
     def test_to_dict_sorted_and_plain(self):
         cell = tiny_cell(

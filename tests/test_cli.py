@@ -104,6 +104,20 @@ class TestCli:
         assert "field=value" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "experiment"])
+    def test_backend_spec_string_is_the_only_placement_flag(self, command):
+        proc = run_cli(command, "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "name[:device][:precision]" in proc.stdout
+        assert "--device" not in proc.stdout and "--precision" not in proc.stdout
+
+    def test_numpy_fast_spec_is_one_line_error(self):
+        proc = run_cli("train", "--model", "sgm", "--dataset", "ppi",
+                       "--backend", "numpy:fast")
+        assert proc.returncode != 0
+        assert "does not support precision 'fast'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_stream_flags_rejected_for_non_walk_models(self):
         proc = run_cli("train", "--model", "sgm", "--dataset", "ppi",
                        "--stream-pairs")
@@ -176,6 +190,23 @@ class TestServiceCli:
         bogus.write_text(json.dumps({"task": "link_prediction"}))
         proc = run_cli("submit", str(bogus), "--server", "http://127.0.0.1:1")
         self.assert_one_line_error(proc, "invalid experiment spec")
+
+    @pytest.mark.parametrize("field", ["device", "precision"])
+    def test_submit_spec_with_retired_placement_field(self, tmp_path, field):
+        path = self.write_spec(tmp_path)
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, field: "cuda"}))
+        proc = run_cli("submit", str(path), "--server", "http://127.0.0.1:1")
+        self.assert_one_line_error(proc, "name it in the backend spec string")
+
+    def test_submit_spec_with_null_placement_fields_still_loads(self, tmp_path):
+        # Older spec JSON carries explicit nulls; it loads and gets as far as
+        # contacting the (absent) server.
+        path = self.write_spec(tmp_path)
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "device": None, "precision": None}))
+        proc = run_cli("submit", str(path), "--server", "http://127.0.0.1:1")
+        self.assert_one_line_error(proc, "cannot reach server")
 
     def test_submit_unreachable_server(self, tmp_path):
         # Port 1 on loopback refuses instantly -- no server, no timeout.

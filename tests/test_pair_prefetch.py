@@ -4,13 +4,13 @@ The contract under test (see ``repro/train/prefetch.py``):
 
 * the producer delivers the *bit-identical batch sequence* (hence the same
   pair multiset) as the in-process streaming path, seed-for-seed, for any
-  queue depth, in both thread and process mode — and epoch 1 additionally
-  matches the materialised corpus multiset;
+  queue depth — and epoch 1 additionally matches the materialised corpus
+  multiset;
 * a producer exception re-raises trainer-side as :class:`ProducerError`
   carrying the producer's traceback, with no worker left behind;
 * early trainer exit (``close()``, context-manager ``__exit__``,
-  ``TrainingLoop`` resource cleanup on an exception) leaks neither processes
-  nor threads;
+  ``TrainingLoop`` resource cleanup on an exception) leaks no producer
+  process;
 * prefetch composes with sharded walk generation (``walk_workers=2``);
 * the default materialised path constructs no queue/worker machinery at all.
 
@@ -19,7 +19,6 @@ fast instead of hanging the suite.
 """
 
 import multiprocessing
-import threading
 
 import numpy as np
 import pytest
@@ -33,9 +32,6 @@ from repro.train import (
     StreamingPairSource,
     TrainingLoop,
 )
-
-PRODUCER_THREAD_NAME = "pair-prefetch-producer"
-
 
 def pair_multiset(pairs):
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -58,14 +54,10 @@ def make_factory(graph, seed, **overrides):
 
 def assert_no_leaked_workers():
     assert multiprocessing.active_children() == []
-    assert not any(
-        t.name == PRODUCER_THREAD_NAME and t.is_alive()
-        for t in threading.enumerate()
-    )
 
 
 class ExplodingFactory:
-    """Yields one chunk, then raises — module-level so process mode pickles it."""
+    """Yields one chunk, then raises — module-level so the producer pickles it."""
 
     def __call__(self):
         return self._generate()
@@ -89,17 +81,16 @@ class EndlessFactory:
 
 class TestPrefetchParity:
     @pytest.mark.timeout(180)
-    @pytest.mark.parametrize("method", ["thread", "process"])
     @pytest.mark.parametrize("depth", [1, 2, 4])
     def test_batch_sequence_matches_streaming_and_materialised(
-        self, small_graph, method, depth
+        self, small_graph, depth
     ):
         corpus = small_graph.walk_engine().walk_corpus(2, 10, rng=21)
         materialised = walks_to_pairs(corpus, window_size=3)
 
         streaming = StreamingPairSource(make_factory(small_graph, 21), batch_size=32)
         prefetch = PrefetchingPairSource(
-            make_factory(small_graph, 21), batch_size=32, depth=depth, method=method
+            make_factory(small_graph, 21), batch_size=32, depth=depth
         )
         try:
             for epoch in range(2):
@@ -116,12 +107,10 @@ class TestPrefetchParity:
                     )
         finally:
             prefetch.close()
-        assert prefetch.method == method
         assert_no_leaked_workers()
 
     @pytest.mark.timeout(180)
-    @pytest.mark.parametrize("method", ["thread", "process"])
-    def test_trained_embeddings_match_streaming(self, small_graph, method):
+    def test_trained_embeddings_match_streaming(self, small_graph):
         def embeddings(**kwargs):
             return make_model(
                 "deepwalk", graph=small_graph, rng=13, num_walks=2, walk_length=10,
@@ -130,7 +119,7 @@ class TestPrefetchParity:
             ).fit().embeddings_
 
         streamed = embeddings(pair_streaming=True)
-        prefetched = embeddings(pair_prefetch=True, prefetch_method=method)
+        prefetched = embeddings(pair_prefetch=True)
         assert np.array_equal(streamed, prefetched)
         assert_no_leaked_workers()
 
@@ -152,20 +141,13 @@ class TestPrefetchParity:
         with pytest.raises(ValueError):
             PrefetchingPairSource(EndlessFactory(), batch_size=8, depth=0)
         with pytest.raises(ValueError):
-            PrefetchingPairSource(EndlessFactory(), batch_size=8, method="fibre")
-        with pytest.raises(ValueError):
-            make_model("deepwalk", prefetch_method="fibre")
-        with pytest.raises(ValueError):
             make_model("deepwalk", prefetch_depth=0)
 
 
 class TestProducerFailure:
     @pytest.mark.timeout(120)
-    @pytest.mark.parametrize("method", ["thread", "process"])
-    def test_producer_exception_propagates_with_traceback(self, method):
-        source = PrefetchingPairSource(
-            ExplodingFactory(), batch_size=2, method=method
-        )
+    def test_producer_exception_propagates_with_traceback(self):
+        source = PrefetchingPairSource(ExplodingFactory(), batch_size=2)
         with pytest.raises(ProducerError, match="boom in producer"):
             drain(source)
         # The original producer-side traceback rides along for debugging.
@@ -177,7 +159,7 @@ class TestProducerFailure:
     @pytest.mark.timeout(120)
     def test_killed_producer_is_detected(self):
         source = PrefetchingPairSource(
-            EndlessFactory(), batch_size=8, depth=1, method="process"
+            EndlessFactory(), batch_size=8, depth=1
         )
         batches = source.batches()
         next(batches)  # worker is up and producing
@@ -191,11 +173,8 @@ class TestProducerFailure:
 
 class TestShutdown:
     @pytest.mark.timeout(120)
-    @pytest.mark.parametrize("method", ["thread", "process"])
-    def test_early_exit_leaks_nothing(self, method):
-        source = PrefetchingPairSource(
-            EndlessFactory(), batch_size=8, depth=2, method=method
-        )
+    def test_early_exit_leaks_nothing(self):
+        source = PrefetchingPairSource(EndlessFactory(), batch_size=8, depth=2)
         batches = source.batches()
         next(batches)  # abandon the pass after one batch
         source.close()
@@ -205,16 +184,14 @@ class TestShutdown:
     @pytest.mark.timeout(120)
     def test_context_manager_closes_on_exception(self):
         with pytest.raises(KeyboardInterrupt):
-            with PrefetchingPairSource(
-                EndlessFactory(), batch_size=8, method="thread"
-            ) as source:
+            with PrefetchingPairSource(EndlessFactory(), batch_size=8) as source:
                 next(source.batches())
                 raise KeyboardInterrupt
         assert_no_leaked_workers()
 
     @pytest.mark.timeout(120)
     def test_training_loop_closes_resources_on_failure(self):
-        source = PrefetchingPairSource(EndlessFactory(), batch_size=8, method="thread")
+        source = PrefetchingPairSource(EndlessFactory(), batch_size=8)
         loop = TrainingLoop(1, 1)
 
         def step(epoch, stepno):
@@ -244,7 +221,7 @@ class TestBufferAccounting:
         depth, chunk_walks, batch = 4, 10, 16
         source = PrefetchingPairSource(
             make_factory(small_graph, 3, chunk_walks=chunk_walks),
-            batch_size=batch, depth=depth, method="thread",
+            batch_size=batch, depth=depth,
         )
         try:
             drain(source)

@@ -376,6 +376,39 @@ class TestHttpSurface:
         with pytest.raises(ServiceError, match="invalid experiment spec"):
             client._json("POST", "/specs", {"spec": {"task": "nonsense"}})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("name", "no-such-model", "unknown model 'no-such-model'"),
+        ("overrides", {"learning_rat": 0.1}, r"unknown config field\(s\) \['learning_rat'\]"),
+        ("overrides", {"device": "cuda"}, "backend spec string"),
+        ("overrides", {"precision": "fast"}, "backend spec string"),
+        ("device", "cuda", "'device' is no longer"),
+        ("precision", "fast", "'precision' is no longer"),
+    ], ids=["unknown-model", "unknown-field", "device-override",
+            "precision-override", "device-field", "precision-field"])
+    def test_unbuildable_spec_is_400_and_enqueues_nothing(
+        self, server, field, value, message
+    ):
+        """A spec that could never build its model is refused at submission,
+        instead of failing on every worker lease until the retries run out."""
+        data = tiny_spec(repeats=1).to_dict()
+        if field in ("name", "overrides"):
+            data["models"][0][field] = value
+        else:
+            data[field] = value
+        client = ServiceClient(server.base_url)
+        with pytest.raises(ServiceError, match=f"400 invalid experiment spec: .*{message}") as excinfo:
+            client._json("POST", "/specs", {"spec": data})
+        assert "\n" not in str(excinfo.value)
+        assert client.status()["specs"] == []
+        assert server.scheduler.outstanding() == 0
+
+    def test_parent_format_spec_json_still_submits(self, server):
+        # Spec JSON written before the backend spec string became the only
+        # placement knob carries explicit null device/precision entries.
+        data = {**tiny_spec(repeats=1).to_dict(), "device": None, "precision": None}
+        outcome = ServiceClient(server.base_url)._json("POST", "/specs", {"spec": data})
+        assert outcome["cells"] == 1 and outcome["pending"] == 1
+
     def test_unknown_endpoint_is_404(self, server):
         client = ServiceClient(server.base_url)
         with pytest.raises(ServiceError, match="404"):

@@ -134,23 +134,19 @@ class TestPickling:
 
     @pytest.mark.timeout(120)
     def test_prefetch_process_mode_parity(self, ram_graph, disk_graph):
-        def batches(graph, method):
+        def batches(graph, prefetch):
             factory = WalkPairChunkFactory(
                 graph=graph, num_walks=2, walk_length=8, window_size=3,
                 chunk_walks=40, rng=11,
             )
-            if method is None:
+            if not prefetch:
                 source = StreamingPairSource(factory, batch_size=256)
                 return list(source.batches())
-            with PrefetchingPairSource(
-                factory, batch_size=256, method=method
-            ) as source:
-                got = list(source.batches())
-            assert source.method == method
-            return got
+            with PrefetchingPairSource(factory, batch_size=256) as source:
+                return list(source.batches())
 
-        inline = batches(ram_graph, None)
-        prefetched = batches(disk_graph, "process")
+        inline = batches(ram_graph, False)
+        prefetched = batches(disk_graph, True)
         assert len(inline) == len(prefetched)
         for a, b in zip(inline, prefetched):
             assert np.array_equal(a, b)

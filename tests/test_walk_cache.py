@@ -344,9 +344,8 @@ class TestTrainingParity:
         np.testing.assert_array_equal(baseline, warm)
 
     @pytest.mark.timeout(120)
-    @pytest.mark.parametrize("method", ["thread", "process"])
-    def test_prefetching_parity(self, small_graph, tmp_path, method):
-        kwargs = dict(pair_prefetch=True, prefetch_method=method)
+    def test_prefetching_parity(self, small_graph, tmp_path):
+        kwargs = dict(pair_prefetch=True)
         baseline = self.train(small_graph, **kwargs)
         cached = self.train(
             small_graph, walk_cache=str(tmp_path / "a"), **kwargs
