@@ -12,9 +12,11 @@ that workload alone:
 * **mmap vs in-RAM walk throughput** — the same walk corpus generated from
   ``ArrayStorage`` and from ``MmapStorage`` over the identical graph; the
   children also report a corpus sha256 and the parent asserts bit-parity.
-* **Frontier-sharded pass scaling** — ``walk_corpus(frontier_shard=...)``
-  at 1/2/4 workers, again with a corpus digest asserted identical to the
-  serial run (the sharding contract: worker count never changes bits).
+* **Walk-pool scaling** — ``walk_corpus(workers=...)`` over mmap storage at
+  1/2/4 workers, with one pass per worker at the largest count.  The 2- and
+  4-worker corpora (derived per-pass seeds) must have identical digests:
+  the worker count never changes bits.  The 1-worker row is the serial
+  shared-stream discipline, timed for reference.
 
 Peak RSS is sampled by a background thread walking the /proc process tree
 (see ``bench_pair_streaming.py`` for why a single end-of-run ``ru_maxrss``
@@ -86,6 +88,11 @@ def child_ingest(args: argparse.Namespace) -> dict:
     }
 
 
+#: Walk-pool sweep worker counts; the pooled corpus has one pass per worker
+#: at the largest count.
+POOL_WORKERS = (1, 2, 4)
+
+
 def child_walk(args: argparse.Namespace) -> dict:
     import numpy as np
 
@@ -108,7 +115,6 @@ def child_walk(args: argparse.Namespace) -> dict:
         walk_length=args.walk_length,
         rng=args.seed,
         workers=args.workers,
-        frontier_shard=args.frontier_shard,
     )
     seconds = time.perf_counter() - start
     sampled_kb = sampler.stop()
@@ -117,7 +123,7 @@ def child_walk(args: argparse.Namespace) -> dict:
     return {
         "storage": args.storage,
         "workers": args.workers,
-        "frontier_shard": args.frontier_shard,
+        "num_walks": args.num_walks,
         "walk_seconds": seconds,
         "walks_per_second": corpus.shape[0] / max(1e-9, seconds),
         "peak_rss_mb": max(sampled_kb, ru_kb) / 1024.0,
@@ -132,10 +138,9 @@ def run_child(mode: str, args: argparse.Namespace, **extra) -> dict:
         sys.executable, os.path.abspath(__file__), "--child", mode,
         "--workdir", args.workdir,
         "--nodes", str(args.nodes), "--chunk-edges", str(args.chunk_edges),
-        "--num-walks", str(args.num_walks),
-        "--walk-length", str(args.walk_length),
     ]
-    for key, value in extra.items():
+    options = {"num_walks": args.num_walks, "walk_length": args.walk_length}
+    for key, value in {**options, **extra}.items():
         cmd += [f"--{key.replace('_', '-')}", str(value)]
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -170,8 +175,6 @@ def main() -> None:
     parser.add_argument("--storage", choices=["ram", "mmap"],
                         help=argparse.SUPPRESS)
     parser.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
-    parser.add_argument("--frontier-shard", type=int, default=None,
-                        help=argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, default=7, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.quick:
@@ -229,23 +232,24 @@ def main() -> None:
         )
         print("  corpus parity: OK (identical sha256)")
 
-        # --- 3. frontier-sharded pass scaling ------------------------------
-        shard = max(256, args.nodes // 64)
-        shard_rows = []
-        print(f"frontier-sharded passes (shard={shard}), mmap storage:")
-        for workers in (1, 2, 4):
+        # --- 3. walk-pool scaling ------------------------------------------
+        pool_passes = max(POOL_WORKERS)
+        pool_rows = []
+        print(f"walk pool, {pool_passes} passes, mmap storage:")
+        for workers in POOL_WORKERS:
             row = run_child(
                 "walk", args, storage="mmap", workers=workers,
-                frontier_shard=shard,
+                num_walks=pool_passes,
             )
-            shard_rows.append(row)
+            pool_rows.append(row)
             print(f"  workers={workers}  {row['walk_seconds']:7.2f}s  "
-                  f"{row['walks_per_second']:>11,.0f} walks/s")
-        digests = {row["corpus_sha256"] for row in shard_rows}
+                  f"{row['walks_per_second']:>11,.0f} walks/s  "
+                  f"peak RSS {row['peak_rss_mb']:8.1f} MB")
+        digests = {row["corpus_sha256"] for row in pool_rows if row["workers"] > 1}
         assert len(digests) == 1, (
-            "frontier-sharded corpus digests differ across worker counts"
+            "pooled corpus digests differ across worker counts"
         )
-        print("  sharding parity: OK (identical sha256 at 1/2/4 workers)")
+        print("  pool parity: OK (identical sha256 at 2/4 workers)")
 
         payload = {
             "benchmark": "out_of_core",
@@ -256,7 +260,7 @@ def main() -> None:
                 "chunk_edges": args.chunk_edges,
                 "num_walks": args.num_walks,
                 "walk_length": args.walk_length,
-                "frontier_shard": shard,
+                "pool_passes": pool_passes,
                 "quick": args.quick,
             },
             "environment": {
@@ -270,7 +274,7 @@ def main() -> None:
                 "peak_rss_ratio": rss_ratio,
             },
             "walk_throughput": walk_rows,
-            "frontier_sharding": shard_rows,
+            "walk_pool": pool_rows,
         }
         args.output.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.output}")

@@ -1,25 +1,21 @@
-"""Benchmark the pair pipelines: materialised vs streaming vs prefetch.
+"""Benchmark the pair pipelines: materialised vs streaming.
 
-Trains DeepWalk three times on the same synthetic graph — with the default
-materialised ``ArrayPairSource``, with ``pair_streaming=True``, and with
-``pair_prefetch=True`` (streaming plus a background producer) — and records
-wall-clock (graph build, fit), peak RSS and the peak pair-buffer size.  Each
-mode runs in its own subprocess so the memory numbers measure that mode alone.
+Trains DeepWalk twice on the same synthetic graph — with the default
+materialised ``ArrayPairSource`` and with ``pair_streaming=True`` — and
+records wall-clock (graph build, fit), peak RSS, the peak pair-buffer size
+and ``pairs_per_second``.  Each mode runs in its own subprocess so the memory
+numbers measure that mode alone.
 
 Peak RSS is sampled by a background thread that walks the /proc process tree
-(self plus descendants): a single end-of-run ``ru_maxrss`` read would miss
-transient peaks in the prefetch producer, which is a *separate process* whose
-memory never shows up in the parent's counters.  The sampler's peak is
-combined with ``ru_maxrss`` (self + reaped children), so the reported number
-is never below the single-point read.
+(self plus descendants): with ``--walk-workers 2`` or more the walk pool's
+workers are *separate processes* whose memory never shows up in the parent's
+counters, and a single end-of-run ``ru_maxrss`` read would miss their
+transient peaks.  The sampler's peak is combined with ``ru_maxrss`` (self +
+reaped children), so the reported number is never below the single-point
+read.
 
-The points being measured: streaming keeps the peak pair buffer bounded by
-the chunk size regardless of corpus size; prefetch keeps that bound (queue
-depth included in the accounting) while overlapping walk generation,
-extraction and shuffling with SGD so the streaming wall-clock tax shrinks.
-The prefetch row reports ``consumer_wait_seconds`` (time the trainer spent
-blocked on the queue — near zero means the producer kept up) and every row
-reports ``pairs_per_second``.
+The point being measured: streaming keeps the peak pair buffer bounded by
+the chunk size regardless of corpus size.
 
 Usage::
 
@@ -40,7 +36,7 @@ import threading
 import time
 from pathlib import Path
 
-MODES = ("materialised", "streaming", "prefetch")
+MODES = ("materialised", "streaming")
 
 
 def _proc_tree_rss_kb(root_pid: int) -> int:
@@ -137,8 +133,6 @@ def child_main(args: argparse.Namespace) -> None:
         num_epochs=num_epochs,
         batch_size=args.batch_size,
         pair_streaming=args.child == "streaming",
-        pair_prefetch=args.child == "prefetch",
-        prefetch_depth=args.prefetch_depth,
         stream_chunk_walks=args.chunk_walks,
         walk_workers=args.walk_workers,
     ).fit()
@@ -166,9 +160,6 @@ def child_main(args: argparse.Namespace) -> None:
         "num_nodes": graph.num_nodes,
         "num_edges": graph.num_edges,
     }
-    if args.child == "prefetch":
-        result["prefetch_depth"] = source.depth
-        result["consumer_wait_seconds"] = source.consumer_wait_seconds
     print(json.dumps(result))
 
 
@@ -180,7 +171,6 @@ def run_child(mode: str, args: argparse.Namespace) -> dict:
         "--window", str(args.window), "--dim", str(args.dim),
         "--batch-size", str(args.batch_size), "--chunk-walks", str(args.chunk_walks),
         "--walk-workers", str(args.walk_workers),
-        "--prefetch-depth", str(args.prefetch_depth),
     ]
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -202,7 +192,6 @@ def main() -> None:
     parser.add_argument("--batch-size", type=int, default=8192)
     parser.add_argument("--chunk-walks", type=int, default=8192)
     parser.add_argument("--walk-workers", type=int, default=1)
-    parser.add_argument("--prefetch-depth", type=int, default=2)
     parser.add_argument("--quick", action="store_true",
                         help="tiny workload for CI smoke runs")
     parser.add_argument(
@@ -227,51 +216,28 @@ def main() -> None:
     for mode in MODES:
         results[mode] = run_child(mode, args)
         row = results[mode]
-        extra = ""
-        if mode == "prefetch":
-            extra = (f"  [depth {row['prefetch_depth']}, "
-                     f"waited {row['consumer_wait_seconds']:.2f}s]")
         print(f"  {mode:<13} fit {row['fit_seconds']:7.2f}s  "
               f"peak RSS {row['peak_rss_mb']:8.1f} MB  "
               f"pair buffer {row['peak_pair_buffer']:>12,}  "
-              f"{row['pairs_per_second']:>11,.0f} pairs/s{extra}")
+              f"{row['pairs_per_second']:>11,.0f} pairs/s")
 
-    mat, stream, pre = (results[m] for m in MODES)
-    streaming_tax = stream["fit_seconds"] - mat["fit_seconds"]
-    prefetch_tax = pre["fit_seconds"] - mat["fit_seconds"]
+    mat, stream = (results[m] for m in MODES)
     comparison = {
         "pair_buffer_reduction": mat["peak_pair_buffer"] / max(1, stream["peak_pair_buffer"]),
         "peak_rss_saved_mb": mat["peak_rss_mb"] - stream["peak_rss_mb"],
         "streaming_fit_slowdown": stream["fit_seconds"] / max(1e-9, mat["fit_seconds"]),
-        "prefetch_fit_slowdown": pre["fit_seconds"] / max(1e-9, mat["fit_seconds"]),
-        # Fraction of the streaming wall-clock tax that prefetching erased;
-        # meaningless when streaming was not measurably slower (tax ~ 0).
-        "overlap_ratio": (
-            max(0.0, min(1.0, 1.0 - prefetch_tax / streaming_tax))
-            if streaming_tax > 0.05 * mat["fit_seconds"]
-            else None
-        ),
     }
     print(f"  pair-buffer reduction: {comparison['pair_buffer_reduction']:.1f}x, "
           f"RSS saved: {comparison['peak_rss_saved_mb']:.1f} MB, "
-          f"fit slowdown: streaming {comparison['streaming_fit_slowdown']:.2f}x, "
-          f"prefetch {comparison['prefetch_fit_slowdown']:.2f}x")
-    if comparison["overlap_ratio"] is not None:
-        print(f"  overlap ratio: {comparison['overlap_ratio']:.0%} of the "
-              f"streaming tax erased")
+          f"fit slowdown: streaming {comparison['streaming_fit_slowdown']:.2f}x")
 
     # The whole point of streaming: the buffer is bounded by one chunk of
-    # walks' pairs plus one batch, not by the corpus.  Prefetch additionally
-    # holds up to `depth` chunks in the queue plus one at the producer.
+    # walks' pairs plus one batch, not by the corpus.
     chunk_pairs = args.chunk_walks * args.walk_length * 2 * args.window
     assert stream["peak_pair_buffer"] <= chunk_pairs + args.batch_size, (
         f"streaming buffer {stream['peak_pair_buffer']} exceeds bound"
     )
-    prefetch_bound = (args.prefetch_depth + 2) * chunk_pairs + args.batch_size
-    assert pre["peak_pair_buffer"] <= prefetch_bound, (
-        f"prefetch buffer {pre['peak_pair_buffer']} exceeds bound {prefetch_bound}"
-    )
-    assert mat["pairs_per_epoch"] == stream["pairs_per_epoch"] == pre["pairs_per_epoch"], (
+    assert mat["pairs_per_epoch"] == stream["pairs_per_epoch"], (
         "modes disagree on pairs per epoch"
     )
 
@@ -287,7 +253,6 @@ def main() -> None:
             "batch_size": args.batch_size,
             "stream_chunk_walks": args.chunk_walks,
             "walk_workers": args.walk_workers,
-            "prefetch_depth": args.prefetch_depth,
             "quick": args.quick,
         },
         "environment": {

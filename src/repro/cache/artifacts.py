@@ -13,8 +13,8 @@ fingerprint and the pass's full RNG derivation:
   the pass sequence is a deterministic function of that state, and each
   artifact's manifest records the *post-pass* state so a replay leaves the
   generator exactly where recomputation would have;
-* ``mode="derived"`` / ``mode="sharded"`` passes are keyed on their derived
-  per-pass seed (plus the frontier-shard size), of which they are pure
+* ``mode="derived"`` passes (the ``walk_workers >= 2`` pooled discipline)
+  are keyed on their derived per-pass seed, of which they are pure
   functions.
 
 Artifacts follow the :class:`~repro.graph.storage.MmapStorage` write
@@ -76,9 +76,8 @@ class WalkCorpusStore:
         corpus/<key[:2]>/<key>.json   # schema version, shape, key payload,
                                       # post-pass RNG state (stream mode)
 
-    The store is picklable (a path plus :class:`CacheStats` counters), so a
-    :class:`~repro.graph.random_walk.WalkPairChunkFactory` carrying one can
-    cross into a spawned prefetch producer.
+    Only the parent process reads and writes the store: pool workers walk
+    the missed passes and the parent persists them.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -98,7 +97,7 @@ class WalkCorpusStore:
         graph fingerprint, walk parameters (including the *resolved*
         second-order sampling mode, whose table and rejection variants
         consume the RNG differently), the RNG derivation (initial state +
-        pass index, or derived seed), and the frontier-shard size if any.
+        pass index, or derived seed).
         """
         body = canonical_json(
             {"schema": ARTIFACT_SCHEMA_VERSION, "pass": payload}

@@ -363,7 +363,7 @@ def _add_walk_cache_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _streaming_overrides(args: argparse.Namespace, model_name: str) -> Dict[str, Any]:
-    """Translate the streaming/sharding flags into config overrides.
+    """Translate the streaming and walk-pool flags into config overrides.
 
     Each flag maps onto a config field of the walk-corpus models; passing one
     for a model without the field is a one-line error, not a traceback.
@@ -375,9 +375,6 @@ def _streaming_overrides(args: argparse.Namespace, model_name: str) -> Dict[str,
         ("--stream-pairs", "pair_streaming", True if args.stream_pairs else None),
         ("--chunk-walks", "stream_chunk_walks", args.chunk_walks),
         ("--walk-workers", "walk_workers", args.walk_workers),
-        ("--prefetch-pairs", "pair_prefetch", True if args.prefetch_pairs else None),
-        ("--prefetch-depth", "prefetch_depth", args.prefetch_depth),
-        ("--frontier-shard", "frontier_shard", args.frontier_shard),
         ("--walk-cache", "walk_cache", walk_cache),
     ):
         if value is None:
@@ -826,18 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--chunk-walks", type=int, default=None,
                          help="walk rows per streamed pair chunk")
     p_train.add_argument("--walk-workers", type=int, default=None,
-                         help="process-pool size for sharded walk generation")
-    p_train.add_argument("--prefetch-pairs", action="store_true",
-                         help="generate and shuffle pair chunks in a "
-                              "background producer, overlapping walk "
-                              "generation with SGD (implies streaming)")
-    p_train.add_argument("--prefetch-depth", type=int, default=None,
-                         help="bounded prefetch queue depth in chunks "
-                              "(default 2: double buffering)")
-    p_train.add_argument("--frontier-shard", type=int, default=None,
-                         help="split each walk pass into contiguous frontier "
-                              "shards of this many start nodes (bit-identical "
-                              "to serial for any --walk-workers)")
+                         help="process-pool size for walk generation (>= 2 "
+                              "walks derived-seed passes in parallel)")
     p_train.add_argument("--on-disk", action="store_true",
                          help="train against a memory-mapped on-disk graph "
                               "(materialised once under the graph cache)")
@@ -997,7 +984,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # One line, like every other CLI error (a retired flag lands here).
+        raise SystemExit(f"unrecognized arguments: {' '.join(unknown)}")
     return args.func(args)
 
 

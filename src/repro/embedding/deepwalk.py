@@ -7,10 +7,9 @@ the default materialises the corpus once (:class:`~repro.train.ArrayPairSource`,
 bit-for-bit the historical behaviour), while ``pair_streaming=True`` streams
 shuffled chunks from :func:`repro.graph.random_walk.iter_walk_pairs` so the
 peak pair-buffer is bounded by the chunk size — and, as a side effect, every
-epoch trains on freshly sampled walks.  ``pair_prefetch=True`` additionally
-moves chunk generation to a background producer
-(:class:`~repro.train.PrefetchingPairSource`) so walk generation and SGD
-overlap, with the identical delivered pair multiset seed-for-seed.
+epoch trains on freshly sampled walks.  ``walk_workers >= 2`` walks the
+corpus passes in a process pool, which in streaming mode keeps passes in
+flight ahead of the trainer so walk generation and SGD overlap.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.nn.init import uniform_embedding
 from repro.train import (
     ArrayPairSource,
     PairSource,
-    PrefetchingPairSource,
     StreamingPairSource,
     TrainingLoop,
 )
@@ -51,20 +49,11 @@ class DeepWalkConfig:
     ``pair_streaming`` opts into the streaming pair pipeline (chunked
     ``iter_walk_pairs`` feeding a ``StreamingPairSource``; walks are resampled
     every epoch).  ``stream_chunk_walks`` is the walk rows per streamed chunk,
-    which bounds the pair buffer.  ``walk_workers > 1`` shards corpus
-    generation across a process pool (derived per-pass seeds) in both modes.
-    ``frontier_shard`` additionally splits each pass's start-node frontier
-    into contiguous shards of that many nodes with pre-derived per-shard RNG
-    streams — the corpus is then bit-identical for every ``walk_workers``
-    count, and a single pass can be spread across the pool.
-
-    ``pair_prefetch`` moves the streaming generation to a background producer
-    (:class:`~repro.train.PrefetchingPairSource`): chunks are generated and
-    shuffled ahead of SGD and delivered through a bounded queue of
-    ``prefetch_depth`` chunks, so walk generation overlaps training.  It
-    implies the streaming pipeline and delivers the identical pair multiset
-    seed-for-seed.  The producer is a spawned process, so the graph must
-    pickle (in-RAM and memory-mapped graphs both do).
+    which bounds the pair buffer.  ``walk_workers > 1`` distributes whole
+    corpus passes across a process pool (derived per-pass seeds) in both
+    modes; the corpus is then bit-identical for every ``walk_workers >= 2``
+    count.  The pool workers receive the graph by pickling (in-RAM and
+    memory-mapped graphs both pickle).
 
     ``walk_cache`` opts into the derived-artifact cache: corpus passes are
     content-addressed by (graph fingerprint, walk parameters, seed
@@ -89,20 +78,15 @@ class DeepWalkConfig:
     pair_streaming: bool = False
     stream_chunk_walks: int = 4096
     walk_workers: int = 1
-    frontier_shard: Optional[int] = None
-    pair_prefetch: bool = False
-    prefetch_depth: int = 2
     walk_cache: Union[bool, str, None] = None
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in ("embedding_dim", "num_walks", "walk_length", "window_size",
                      "num_negatives", "num_epochs", "batch_size",
-                     "stream_chunk_walks", "walk_workers", "prefetch_depth"):
+                     "stream_chunk_walks", "walk_workers"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.frontier_shard is not None and self.frontier_shard <= 0:
-            raise ValueError("frontier_shard must be positive")
         check_positive(self.learning_rate, "learning_rate")
         check_negative_distribution(self.negative_distribution)
         if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
@@ -170,26 +154,24 @@ class DeepWalk(EstimatorMixin):
         return {}
 
     def _make_pair_source(self) -> PairSource:
-        """Build the configured pair pipeline: materialised, streaming, or
-        streaming with a background prefetch producer.
+        """Build the configured pair pipeline: materialised or streaming.
 
-        The default (materialised) branch constructs no queue or worker
-        machinery at all — the golden digests depend on it staying exactly
-        the historical corpus-then-permute path.
+        The default (materialised) branch constructs no worker machinery at
+        all — the golden digests depend on it staying exactly the historical
+        corpus-then-permute path.
         """
         cfg = self.config
         bias = self._walk_bias()
-        # Resolve the walk-cache knob once so every epoch (and a prefetch
-        # producer holding a pickled copy) shares one store's counters; with
-        # the knob unset and $REPRO_WALK_CACHE empty this is None and no
-        # cache machinery exists on the golden path.
+        # Resolve the walk-cache knob once so every epoch shares one store's
+        # counters; with the knob unset and $REPRO_WALK_CACHE empty this is
+        # None and no cache machinery exists on the golden path.
         from repro.cache.artifacts import resolve_walk_cache
 
         self.walk_cache_ = resolve_walk_cache(cfg.walk_cache)
         # Resolution happened here; hand the engine the store itself (or an
         # explicit False) so it never consults the environment a second time.
         walk_cache = self.walk_cache_ if self.walk_cache_ is not None else False
-        if cfg.pair_streaming or cfg.pair_prefetch:
+        if cfg.pair_streaming:
             factory = WalkPairChunkFactory(
                 graph=self.graph,
                 num_walks=cfg.num_walks,
@@ -197,24 +179,16 @@ class DeepWalk(EstimatorMixin):
                 window_size=cfg.window_size,
                 chunk_walks=cfg.stream_chunk_walks,
                 workers=cfg.walk_workers,
-                frontier_shard=cfg.frontier_shard,
                 walk_cache=walk_cache,
                 rng=self._walk_rng,
                 **bias,
             )
-            if cfg.pair_prefetch:
-                return PrefetchingPairSource(
-                    factory,
-                    batch_size=cfg.batch_size,
-                    depth=cfg.prefetch_depth,
-                )
             return StreamingPairSource(factory, batch_size=cfg.batch_size)
         corpus = self.graph.walk_engine().walk_corpus(
             cfg.num_walks,
             cfg.walk_length,
             rng=self._walk_rng,
             workers=cfg.walk_workers,
-            frontier_shard=cfg.frontier_shard,
             walk_cache=walk_cache,
             **bias,
         )
@@ -272,13 +246,9 @@ class DeepWalk(EstimatorMixin):
         source = self._make_pair_source()
         self.pair_source_ = source
         loop = TrainingLoop(self.config.num_epochs, 1, callbacks=callbacks)
-        # The source rides the loop's resource list so its background
-        # producer (prefetch mode) is joined on every exit path — normal
-        # completion, a trainer exception, or KeyboardInterrupt.
         loop.run(
             lambda epoch, step: self._train_one_pass(source),
             lambda epoch, losses: self.history.record("loss", losses[0]),
-            resources=(source,),
         )
         return self
 

@@ -4,10 +4,9 @@ node2vec (Grover & Leskovec, 2016) generalises DeepWalk with two parameters:
 ``p`` (return) and ``q`` (in-out) that bias the walk towards BFS- or DFS-like
 exploration.  The training procedure is identical to DeepWalk once the walk
 corpus is produced, so this class subclasses :class:`DeepWalk` and only
-injects the bias parameters into the shared pair pipeline (materialised,
-streaming, or streaming with a background prefetch producer — see
-:meth:`DeepWalk._make_pair_source`); the ``pair_prefetch`` /
-``prefetch_depth`` knobs are inherited unchanged.
+injects the bias parameters into the shared pair pipeline (materialised or
+streaming — see :meth:`DeepWalk._make_pair_source`); the ``pair_streaming``
+and ``walk_workers`` knobs are inherited unchanged.
 """
 
 from __future__ import annotations

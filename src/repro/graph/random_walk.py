@@ -12,11 +12,16 @@ indexing.  ``walks_to_pairs`` is vectorized with stride tricks (a
 corpora); it emits exactly the same multiset of (centre, context) pairs as
 the original nested loops, but the emission *order* is an implementation
 detail — downstream trainers shuffle pairs before batching anyway.
+
+``iter_walk_pairs`` streams the same pairs chunk by chunk for the streaming
+pipeline.  Both paths inherit the engine's two corpus disciplines: one shared
+sequential stream for ``workers=1``, derived per-pass seeds walked by a
+process pool for ``workers >= 2``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, List, Sequence, Union
 
@@ -225,7 +230,6 @@ def iter_walk_pairs(
     shuffle: bool = True,
     rng: RngLike = None,
     workers: int = 1,
-    frontier_shard: int | None = None,
     walk_cache: object = None,
 ) -> Iterator[np.ndarray]:
     """Stream shuffled (centre, context) pair chunks, corpus never materialised.
@@ -268,7 +272,6 @@ def iter_walk_pairs(
         q=q,
         rng=rng,
         workers=workers,
-        frontier_shard=frontier_shard,
         walk_cache=walk_cache,
     )
     for matrix in passes:
@@ -285,17 +288,11 @@ def iter_walk_pairs(
 
 @dataclass
 class WalkPairChunkFactory:
-    """Picklable zero-argument factory over :func:`iter_walk_pairs`.
+    """Zero-argument factory over :func:`iter_walk_pairs`.
 
     One call is one corpus pass of shuffled pair chunks, advancing ``rng``
     exactly as calling :func:`iter_walk_pairs` inline would — so consecutive
-    calls stream fresh walks, epoch after epoch.  Being a plain dataclass
-    (graph buffers and ``numpy.random.Generator`` both pickle, the generator
-    keeping its bit-generator state *and* seed-sequence spawn counter), the
-    factory can be shipped to a spawned prefetch producer which then replays
-    the identical pass sequence the in-process streaming path would have
-    generated.  This is what lets ``PrefetchingPairSource`` promise the same
-    pair multiset seed-for-seed in both thread and process mode.
+    calls stream fresh walks, epoch after epoch.
     """
 
     graph: Graph
@@ -306,9 +303,8 @@ class WalkPairChunkFactory:
     q: float = 1.0
     chunk_walks: int = _STREAM_CHUNK_WALKS
     workers: int = 1
-    frontier_shard: int | None = None
     walk_cache: object = None
-    rng: RngLike = field(default=None)
+    rng: RngLike = None
 
     def __call__(self) -> Iterator[np.ndarray]:
         self.rng = ensure_rng(self.rng)  # keep state across calls
@@ -322,7 +318,6 @@ class WalkPairChunkFactory:
             chunk_walks=self.chunk_walks,
             rng=self.rng,
             workers=self.workers,
-            frontier_shard=self.frontier_shard,
             walk_cache=self.walk_cache,
         )
 

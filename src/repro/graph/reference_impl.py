@@ -1,13 +1,12 @@
 """Loop-based reference implementations of the graph kernels.
 
 These are the original (pre-vectorization) Python-loop implementations of
-edge dedup, CSR construction, connected components, random walks and
-skip-gram pair extraction.  They are kept verbatim for two purposes:
+edge dedup, CSR construction, connected components and skip-gram pair
+extraction.  They are kept verbatim for two purposes:
 
 * **parity tests** — ``tests/test_graph_kernels.py`` asserts that the
-  vectorized kernels in :mod:`repro.graph.graph`, :mod:`repro.graph.walk_engine`
-  and :mod:`repro.graph.random_walk` produce identical outputs on random
-  graphs;
+  vectorized kernels in :mod:`repro.graph.graph` and
+  :mod:`repro.graph.random_walk` produce identical outputs on random graphs;
 * **benchmarks** — ``benchmarks/bench_graph_kernels.py`` times them against
   the vectorized kernels and records the speedup in
   ``BENCH_graph_kernels.json``.
@@ -22,7 +21,6 @@ from typing import Iterable, List, Set, Tuple
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.utils.rng import RngLike, ensure_rng
 
 
 def reference_dedup_edges(
@@ -87,33 +85,6 @@ def reference_connected_components(graph: Graph) -> List[List[int]]:
                     queue.append(int(nb))
         components.append(sorted(comp))
     return components
-
-
-def reference_random_walks(
-    graph: Graph,
-    num_walks: int,
-    walk_length: int,
-    rng: RngLike = None,
-) -> List[List[int]]:
-    """Legacy one-walk-at-a-time uniform random walks."""
-    if num_walks <= 0 or walk_length <= 0:
-        raise ValueError("num_walks and walk_length must be positive")
-    rng = ensure_rng(rng)
-    walks: List[List[int]] = []
-    nodes = np.arange(graph.num_nodes)
-    for _ in range(num_walks):
-        rng.shuffle(nodes)
-        for start in nodes:
-            walk = [int(start)]
-            current = int(start)
-            for _ in range(walk_length - 1):
-                neigh = graph.neighbours(current)
-                if neigh.size == 0:
-                    break
-                current = int(neigh[int(rng.integers(0, neigh.size))])
-                walk.append(current)
-            walks.append(walk)
-    return walks
 
 
 def reference_walks_to_pairs(

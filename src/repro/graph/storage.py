@@ -10,8 +10,8 @@ protocol.  Two implementations exist:
 * :class:`MmapStorage` — a versioned on-disk directory format opened with
   ``np.load(mmap_mode="r")``, so a graph far larger than RAM costs only page
   cache.  It pickles as its *path* (``__reduce__``), which is what makes
-  spawn-based walk workers and prefetch producers reopen the map instead of
-  copying arrays through the pickle stream.
+  the walk pool's workers reopen the map instead of copying arrays through
+  the pickle stream.
 
 On-disk layout (``GRAPH_FORMAT_VERSION`` 1)::
 

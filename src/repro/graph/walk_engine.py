@@ -18,12 +18,14 @@ automatically falls back to rejection sampling: propose a uniform neighbour,
 accept with probability ``w / w_max`` where ``w`` is the p/q weight — O(2|E|)
 memory regardless of the degree distribution.
 
-``walk_corpus`` can shard its passes across a process pool: per-pass seeds
-are derived from the root generator *before* the fan-out (the same discipline
-as ``repro.experiments.runners.run_spec``), so the sharded corpus is
-deterministic, identical for every worker count, and equal to running the
-same derived-seed passes serially.  The default ``workers=1`` path keeps the
-historical shared-stream behaviour bit-for-bit.
+``walk_corpus`` has exactly two RNG disciplines.  The default ``workers=1``
+path walks every pass on one shared sequential stream, the historical
+behaviour kept bit-for-bit.  ``workers >= 2`` distributes whole passes across
+a process pool: per-pass seeds are derived from the root generator *before*
+the fan-out (the same discipline as ``repro.experiments.runners.run_spec``),
+so the pooled corpus is deterministic, identical for every worker count, and
+equal to running the same derived-seed passes serially through
+:meth:`WalkEngine.corpus_pass`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def derive_pass_seeds(rng: np.random.Generator, num_passes: int) -> np.ndarray:
     return rng.integers(0, 2**63 - 1, size=num_passes)
 
 
-#: Per-process engine used by the corpus-sharding pool workers; built once per
+#: Per-process engine used by the corpus pool workers; built once per
 #: worker by the pool initializer instead of being pickled with every task.
 _POOL_ENGINE: Optional["WalkEngine"] = None
 
@@ -62,13 +64,6 @@ def _init_pool_engine(graph: Graph) -> None:
 def _pool_corpus_pass(args: Tuple[int, int, float, float]) -> np.ndarray:
     seed, walk_length, p, q = args
     return _POOL_ENGINE.corpus_pass(seed, walk_length, p=p, q=q)
-
-
-def _pool_frontier_shard(args: Tuple[int, int, int, int, float, float]) -> np.ndarray:
-    seed, shard_index, frontier_shard, walk_length, p, q = args
-    return _POOL_ENGINE.frontier_shard_of_pass(
-        seed, shard_index, frontier_shard, walk_length, p=p, q=q
-    )
 
 
 @dataclass(frozen=True)
@@ -153,7 +148,6 @@ class WalkEngine:
         q: float = 1.0,
         rng: RngLike = None,
         workers: int = 1,
-        frontier_shard: Optional[int] = None,
         walk_cache: Any = None,
     ) -> np.ndarray:
         """DeepWalk/node2vec-style corpus: ``num_walks`` shuffled passes.
@@ -162,19 +156,12 @@ class WalkEngine:
         in the original DeepWalk/node2vec schedules; the passes are stacked
         into one ``(num_walks * num_nodes, walk_length)`` matrix.
 
-        ``workers > 1`` shards the passes across a process pool.  Per-pass
-        seeds are derived from ``rng`` before the fan-out, so the sharded
+        ``workers > 1`` distributes the passes across a process pool.  Per-pass
+        seeds are derived from ``rng`` before the fan-out, so the pooled
         corpus is the same for every worker count and equals executing the
         same :meth:`corpus_pass` schedule serially; it differs from the
         ``workers=1`` corpus, whose passes share one sequential stream (kept
         bit-for-bit for backwards reproducibility).
-
-        ``frontier_shard`` additionally splits *each pass's* start-node
-        frontier into contiguous shards of that many nodes, each walked with
-        a pre-derived RNG stream — the unit the pool distributes when one
-        pass is itself too large for a single process.  Any ``frontier_shard``
-        run (any worker count, including 1) uses the derived-seed discipline
-        and is bit-identical for every worker count.
 
         ``walk_cache`` (a :class:`~repro.cache.artifacts.WalkCorpusStore`, a
         directory, ``True`` for the default artifact directory, or ``None``
@@ -189,7 +176,6 @@ class WalkEngine:
             q=q,
             rng=rng,
             workers=workers,
-            frontier_shard=frontier_shard,
             walk_cache=walk_cache,
         )
         return np.vstack(list(passes))
@@ -202,7 +188,6 @@ class WalkEngine:
         q: float = 1.0,
         rng: RngLike = None,
         workers: int = 1,
-        frontier_shard: Optional[int] = None,
         walk_cache: Any = None,
     ):
         """Yield the ``walk_corpus`` passes one matrix at a time.
@@ -227,17 +212,10 @@ class WalkEngine:
         """
         if num_walks <= 0:
             raise ValueError(f"num_walks must be positive, got {num_walks}")
-        if frontier_shard is not None and frontier_shard <= 0:
-            raise ValueError(
-                f"frontier_shard must be positive, got {frontier_shard}"
-            )
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         rng = ensure_rng(rng)
         store = self._resolve_corpus_store(walk_cache)
-        if frontier_shard is not None:
-            return self._frontier_sharded_passes(
-                num_walks, walk_length, p, q, rng, workers, frontier_shard,
-                store=store,
-            )
         if workers > 1:
             return self._pooled_passes(
                 num_walks, walk_length, p, q, rng, workers, store=store
@@ -331,7 +309,7 @@ class WalkEngine:
         return np.array(matrix[:, 0], dtype=np.int64)
 
     def _pooled_passes(self, num_walks, walk_length, p, q, rng, workers, store=None):
-        """Derived-seed passes from a process pool, with bounded prefetch.
+        """Derived-seed passes from a process pool, a bounded window ahead.
 
         With a ``store``, each pass is keyed on its derived seed (the pass is
         a pure function of it); cached passes are served as mmap views and
@@ -392,158 +370,14 @@ class WalkEngine:
     ) -> np.ndarray:
         """One derived-seed corpus pass: shuffle the nodes, walk once from each.
 
-        This is the sharding unit of ``walk_corpus(workers > 1)``; running the
-        derived seeds through it serially reproduces the sharded corpus.
+        This is the pool's unit of work for ``walk_corpus(workers > 1)``;
+        running the derived seeds through it serially reproduces the pooled
+        corpus.
         """
         rng = np.random.default_rng(int(seed))
         nodes = np.arange(self.graph.num_nodes)
         rng.shuffle(nodes)
         return self.node2vec_walks(nodes, walk_length, p=p, q=q, rng=rng)
-
-    # ------------------------------------------------------------------
-    # in-pass frontier sharding
-    # ------------------------------------------------------------------
-    def num_frontier_shards(self, frontier_shard: int) -> int:
-        """Shards one pass splits into: ``ceil(num_nodes / frontier_shard)``."""
-        return -(-self.graph.num_nodes // int(frontier_shard))
-
-    def _frontier_plan(
-        self, seed: int, frontier_shard: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The deterministic layout of one sharded pass.
-
-        One generator seeded with the pass seed first shuffles the frontier,
-        then derives one seed per contiguous shard — all *before* any walking,
-        so the plan (and hence the pass) is a pure function of
-        ``(seed, num_nodes, frontier_shard)``, independent of how many
-        workers execute the shards or in what order they finish.
-        """
-        rng = np.random.default_rng(int(seed))
-        nodes = np.arange(self.graph.num_nodes)
-        rng.shuffle(nodes)
-        shard_seeds = derive_pass_seeds(rng, self.num_frontier_shards(frontier_shard))
-        return nodes, shard_seeds
-
-    def frontier_shard_of_pass(
-        self,
-        seed: int,
-        shard_index: int,
-        frontier_shard: int,
-        walk_length: int,
-        p: float = 1.0,
-        q: float = 1.0,
-    ) -> np.ndarray:
-        """Walk one shard of one sharded pass (the pool's unit of work).
-
-        Re-derives the pass plan from the seed — an O(num_nodes) shuffle per
-        task, deliberately redundant: it keeps the task payload O(bytes)
-        instead of shipping the permutation, and the shuffle is trivially
-        cheap next to walking ``frontier_shard`` nodes for ``walk_length``
-        steps.
-        """
-        nodes, shard_seeds = self._frontier_plan(seed, frontier_shard)
-        if not 0 <= shard_index < shard_seeds.size:
-            raise ValueError(
-                f"shard_index {shard_index} out of range [0, {shard_seeds.size})"
-            )
-        start = shard_index * int(frontier_shard)
-        starts = nodes[start : start + int(frontier_shard)]
-        shard_rng = np.random.default_rng(int(shard_seeds[shard_index]))
-        return self.node2vec_walks(starts, walk_length, p=p, q=q, rng=shard_rng)
-
-    def frontier_sharded_pass(
-        self,
-        seed: int,
-        walk_length: int,
-        p: float = 1.0,
-        q: float = 1.0,
-        frontier_shard: int = 1024,
-    ) -> np.ndarray:
-        """One sharded pass executed serially: the parity reference.
-
-        Stacking every :meth:`frontier_shard_of_pass` in shard order is, by
-        construction, what the pooled path produces for any worker count.
-        """
-        nodes, shard_seeds = self._frontier_plan(seed, frontier_shard)
-        size = int(frontier_shard)
-        return np.vstack(
-            [
-                self.node2vec_walks(
-                    nodes[i * size : (i + 1) * size],
-                    walk_length,
-                    p=p,
-                    q=q,
-                    rng=np.random.default_rng(int(shard_seeds[i])),
-                )
-                for i in range(shard_seeds.size)
-            ]
-        )
-
-    def _frontier_sharded_passes(
-        self, num_walks, walk_length, p, q, rng, workers, frontier_shard,
-        store=None,
-    ):
-        """Derived-seed sharded passes, serial or pooled — same bytes either way.
-
-        The artifact unit is the *assembled* pass (shards stacked in order),
-        keyed on the pass seed plus the shard size — the pass is a pure
-        function of both, identical for every worker count, so a corpus
-        cached by a pooled run replays bit-for-bit in a serial one and vice
-        versa.  Only the seeds whose pass misses are walked (or sent to the
-        pool) at all.
-        """
-        seeds = derive_pass_seeds(rng, num_walks)
-        cached: list = [None] * num_walks
-        keys: list = [None] * num_walks
-        payloads: list = [None] * num_walks
-        if store is not None:
-            params = self._corpus_params(walk_length, p, q)
-            for index, seed in enumerate(seeds):
-                payloads[index] = dict(
-                    params,
-                    mode="sharded",
-                    seed=int(seed),
-                    frontier_shard=int(frontier_shard),
-                )
-                keys[index] = store.corpus_key(payloads[index])
-                hit = store.load(keys[index])
-                if hit is not None:
-                    cached[index] = hit[0]
-        if workers <= 1 or all(m is not None for m in cached):
-            for index, seed in enumerate(seeds):
-                if cached[index] is not None:
-                    yield cached[index]
-                    continue
-                matrix = self.frontier_sharded_pass(
-                    int(seed), walk_length, p=p, q=q, frontier_shard=frontier_shard
-                )
-                if store is not None:
-                    store.save(keys[index], matrix, payloads[index])
-                yield matrix
-            return
-        num_shards = self.num_frontier_shards(frontier_shard)
-        with ProcessPoolExecutor(
-            max_workers=min(int(workers), num_shards),
-            initializer=_init_pool_engine,
-            initargs=(self.graph,),
-        ) as pool:
-            for index, seed in enumerate(seeds):
-                if cached[index] is not None:
-                    yield cached[index]
-                    continue
-                futures = [
-                    pool.submit(
-                        _pool_frontier_shard,
-                        (int(seed), i, int(frontier_shard), walk_length, p, q),
-                    )
-                    for i in range(num_shards)
-                ]
-                # Collect in shard order: the stacked pass is then identical
-                # to the serial reference regardless of completion order.
-                matrix = np.vstack([f.result() for f in futures])
-                if store is not None:
-                    store.save(keys[index], matrix, payloads[index])
-                yield matrix
 
     # ------------------------------------------------------------------
     # node2vec (second-order) walks

@@ -23,7 +23,6 @@ from repro.train.pair_source import (
     SampledBatchSource,
     StreamingPairSource,
 )
-from repro.train.prefetch import PrefetchingPairSource, ProducerError
 from repro.train.protocol import Trainer
 
 __all__ = [
@@ -32,9 +31,7 @@ __all__ = [
     "Callback",
     "LoopResult",
     "PairSource",
-    "PrefetchingPairSource",
     "PrivacyBudget",
-    "ProducerError",
     "ProgressCallback",
     "SampledBatchSource",
     "StreamingPairSource",

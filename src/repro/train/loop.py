@@ -124,29 +124,8 @@ class TrainingLoop:
         self.finish_epoch_on_stop = bool(finish_epoch_on_stop)
         self.callbacks = list(callbacks)
 
-    def run(
-        self,
-        step_fn: StepFn,
-        epoch_end: Optional[EpochEndFn] = None,
-        *,
-        resources: Sequence = (),
-    ) -> LoopResult:
-        """Drive the schedule; returns a :class:`LoopResult` summary.
-
-        ``resources`` are objects with a ``close()`` method (e.g. a
-        :class:`~repro.train.prefetch.PrefetchingPairSource` owning a
-        background producer) that must be released however the loop exits —
-        normal completion, a trainer exception, or ``KeyboardInterrupt``.
-        They are closed in order in a ``finally`` block, so no exit path can
-        leak a worker.
-        """
-        try:
-            return self._run(step_fn, epoch_end)
-        finally:
-            for resource in resources:
-                resource.close()
-
-    def _run(self, step_fn: StepFn, epoch_end: Optional[EpochEndFn]) -> LoopResult:
+    def run(self, step_fn: StepFn, epoch_end: Optional[EpochEndFn] = None) -> LoopResult:
+        """Drive the schedule; returns a :class:`LoopResult` summary."""
         for cb in self.callbacks:
             cb.on_train_begin(self)
         epochs_completed = 0

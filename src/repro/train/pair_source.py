@@ -10,20 +10,17 @@ skip-gram-style trainer, hiding *where* the batches come from:
 * :class:`StreamingPairSource` — batches carved from a chunked generator
   (:func:`repro.graph.random_walk.iter_walk_pairs`), so the full corpus is
   never held in memory; the peak buffered-pair count is tracked for the
-  memory benchmark and bounded by one chunk plus one batch.
-* :class:`~repro.train.prefetch.PrefetchingPairSource` — the streaming
-  source with a background producer: chunks are generated and shuffled ahead
-  of the trainer and delivered through a bounded queue, overlapping walk
-  generation with SGD.
+  memory benchmark and bounded by one chunk plus one batch.  With
+  ``walk_workers >= 2`` its chunk generator walks passes in a process pool
+  that runs ahead of the trainer; the pool lives inside the generator and
+  is shut down when the generator finishes or is closed.
 * :class:`SampledBatchSource` — an endless stream over a sampling callable
   (e.g. ``EdgeSampler.sample``), which is how the LINE-style trainers
   (SkipGram, AdvSGM-family) fit the same seam: each pull performs exactly one
   sampler draw, in step order.
 
 Trainers only ever iterate ``source.batches(rng)``; swapping the pipeline is
-a config flag, not a trainer change.  Sources that own background workers
-release them in :meth:`PairSource.close`, which trainers call (via
-``TrainingLoop.run(..., resources=...)``) even when training raises.
+a config flag, not a trainer change.
 """
 
 from __future__ import annotations
@@ -52,22 +49,6 @@ class PairSource(ABC):
     def peak_buffer_pairs(self) -> Optional[int]:
         """Largest number of pairs ever buffered by this source, if tracked."""
         return None
-
-    def close(self) -> None:
-        """Release any resources (background workers, queues); idempotent.
-
-        The default sources own nothing, so this is a no-op; prefetching
-        sources join their producer here.  Trainers must call it when the
-        pass loop ends — normally, on an exception, or on
-        ``KeyboardInterrupt`` — which :meth:`repro.train.TrainingLoop.run`
-        does for every source passed via its ``resources`` argument.
-        """
-
-    def __enter__(self) -> "PairSource":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 class ArrayPairSource(PairSource):
@@ -123,32 +104,15 @@ class StreamingPairSource(PairSource):
         self._peak_buffer = 0
         self.pairs_delivered = 0
 
-    def _chunks(self) -> Iterable[np.ndarray]:
-        """One pass's chunk stream; prefetching subclasses read a queue here."""
-        return self._chunk_factory()
-
-    def _external_buffered_pairs(self) -> int:
-        """Pairs buffered outside the consumer slice (e.g. a producer queue).
-
-        The peak-buffer metric must count every pair the pipeline holds
-        concurrently, not just the consumer-side carving buffer — otherwise
-        the memory benchmark would under-report a prefetching pipeline whose
-        queue holds several chunks.  Plain streaming buffers nothing else.
-        """
-        return 0
-
     def batches(self, rng: RngLike = None) -> Iterator[np.ndarray]:
         buffer: Optional[np.ndarray] = None
-        for chunk in self._chunks():
+        for chunk in self._chunk_factory():
             if chunk.shape[0] == 0:
                 continue
             buffer = (
                 chunk if buffer is None else np.concatenate([buffer, chunk], axis=0)
             )
-            self._peak_buffer = max(
-                self._peak_buffer,
-                buffer.shape[0] + self._external_buffered_pairs(),
-            )
+            self._peak_buffer = max(self._peak_buffer, buffer.shape[0])
             while buffer.shape[0] >= self.batch_size:
                 batch, buffer = (
                     buffer[: self.batch_size],

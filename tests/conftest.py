@@ -1,9 +1,9 @@
 """Shared pytest fixtures: small deterministic graphs and configurations.
 
 Also provides a dependency-free ``@pytest.mark.timeout(seconds)`` guard
-(SIGALRM-based, POSIX main thread only): tests that drive background
-producers and bounded queues must *fail fast* on a deadlock instead of
-hanging the whole suite or a CI job.  On platforms without ``SIGALRM`` the
+(SIGALRM-based, POSIX main thread only): tests that drive the walk process
+pool must *fail fast* on a deadlock instead of hanging the whole suite or a
+CI job.  On platforms without ``SIGALRM`` the
 marker is a no-op.
 """
 
@@ -43,7 +43,7 @@ def pytest_runtest_call(item: pytest.Item):
     def on_alarm(signum, frame):
         raise TimeoutError(
             f"{item.nodeid} exceeded its {seconds}s timeout "
-            "(deadlocked queue or leaked worker?)"
+            "(deadlocked pool or leaked worker?)"
         )
 
     previous = signal.signal(signal.SIGALRM, on_alarm)

@@ -104,6 +104,11 @@ class TestRegistry:
         with pytest.raises(TypeError):
             make_model("advsgm", not_a_field=1)
 
+    @pytest.mark.parametrize("field", ["frontier_shard", "pair_prefetch", "prefetch_depth"])
+    def test_retired_walk_knobs_are_unknown_fields(self, field):
+        with pytest.raises(TypeError, match=f"unknown config field\\(s\\) \\['{field}'\\]"):
+            make_model("deepwalk", **{field: 2})
+
     def test_epsilon_rejected_for_nonprivate(self):
         with pytest.raises(ValueError):
             make_model("deepwalk", epsilon=1.0)

@@ -125,6 +125,14 @@ class TestCli:
         assert "not supported" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flag", [
+        ("--frontier-shard", "64"), ("--prefetch-pairs",), ("--prefetch-depth", "2"),
+    ], ids=["frontier-shard", "prefetch-pairs", "prefetch-depth"])
+    def test_retired_walk_flags_are_one_line_errors(self, flag):
+        proc = run_cli("train", "--model", "deepwalk", "--dataset", "ppi", *flag)
+        assert proc.returncode != 0
+        assert proc.stderr.strip() == f"unrecognized arguments: {' '.join(flag)}"
+
     def test_train_streaming_deepwalk(self, tmp_path):
         out = tmp_path / "emb.npz"
         proc = run_cli(

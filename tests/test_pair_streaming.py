@@ -9,9 +9,13 @@ The key guarantees under test:
 * the default (materialised) trainer path is untouched — ``ArrayPairSource``
   replays the historical permutation/slice loop exactly;
 * streaming training bounds the peak pair buffer by roughly one chunk;
+* the walk pool, the only background component, is gone after every fit,
+  completed or interrupted;
 * the rejection-sampling second-order fallback draws from the same
   distribution as the transition table.
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -85,6 +89,10 @@ class TestIterWalkPairs:
             list(iter_walk_pairs(small_graph, 1, 5, window_size=0))
         with pytest.raises(ValueError):
             list(iter_walk_pairs(small_graph, 1, 5, chunk_walks=0))
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            list(iter_walk_pairs(small_graph, 1, 5, workers=0))
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            small_graph.walk_engine().walk_corpus(2, 5, workers=-3)
 
     def test_pairs_are_int32_for_small_graphs(self, small_graph):
         chunk = next(iter_walk_pairs(small_graph, 1, 8, window_size=2, rng=0))
@@ -252,3 +260,46 @@ class TestStreamingTraining:
             stream_chunk_walks=17,
         ).fit().embeddings_
         assert np.array_equal(base, other)
+
+
+class TestWalkPoolShutdown:
+    """The walk pool is the one background component: no exit path leaks it."""
+
+    KW = dict(
+        num_walks=6, walk_length=8, window_size=2, embedding_dim=8,
+        num_epochs=2, batch_size=32, pair_streaming=True, walk_workers=2,
+        stream_chunk_walks=40,
+    )
+
+    @pytest.mark.timeout(120)
+    def test_interrupt_mid_epoch_leaks_no_worker(self, small_graph, monkeypatch):
+        model = make_model("deepwalk", graph=small_graph, rng=3, **self.KW)
+        train_on_batch = model._train_on_batch
+        seen = []
+
+        def interrupt_on_third(batch):
+            seen.append(len(multiprocessing.active_children()))
+            if len(seen) == 3:
+                raise KeyboardInterrupt
+            return train_on_batch(batch)
+
+        monkeypatch.setattr(model, "_train_on_batch", interrupt_on_third)
+        with pytest.raises(KeyboardInterrupt):
+            model.fit()
+        assert seen[-1] > 0  # the pool was up when the trainer died
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.timeout(120)
+    def test_completed_fit_leaks_no_worker(self, small_graph):
+        model = make_model("deepwalk", graph=small_graph, rng=3, **self.KW).fit()
+        assert np.isfinite(model.embeddings_).all()
+        assert multiprocessing.active_children() == []
+
+    def test_default_mode_builds_no_machinery(self, small_graph):
+        model = make_model(
+            "deepwalk", graph=small_graph, rng=5, num_walks=1, walk_length=8,
+            window_size=2, embedding_dim=8, num_epochs=1, batch_size=32,
+        )
+        source = model._make_pair_source()
+        assert isinstance(source, ArrayPairSource)
+        assert multiprocessing.active_children() == []

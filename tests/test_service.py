@@ -383,8 +383,13 @@ class TestHttpSurface:
         ("overrides", {"precision": "fast"}, "backend spec string"),
         ("device", "cuda", "'device' is no longer"),
         ("precision", "fast", "'precision' is no longer"),
+        ("overrides", {"frontier_shard": 64}, r"unknown config field\(s\) \['frontier_shard'\]"),
+        ("overrides", {"pair_prefetch": True}, r"unknown config field\(s\) \['pair_prefetch'\]"),
+        ("overrides", {"prefetch_depth": 2}, r"unknown config field\(s\) \['prefetch_depth'\]"),
     ], ids=["unknown-model", "unknown-field", "device-override",
-            "precision-override", "device-field", "precision-field"])
+            "precision-override", "device-field", "precision-field",
+            "frontier-shard-override", "pair-prefetch-override",
+            "prefetch-depth-override"])
     def test_unbuildable_spec_is_400_and_enqueues_nothing(
         self, server, field, value, message
     ):

@@ -1,4 +1,4 @@
-"""Out-of-core graph storage tests: format, parity, pickling, sharding.
+"""Out-of-core graph storage tests: format, parity, pickling.
 
 The contract under test (see ``repro/graph/storage.py``):
 
@@ -8,8 +8,7 @@ The contract under test (see ``repro/graph/storage.py``):
 * a memory-mapped graph pickles as its *path* (O(bytes), not O(edges)), so
   process pools ship a directory name instead of copying CSR buffers;
 * walks, streamed pairs and trained embeddings are bit-identical between the
-  in-RAM and memory-mapped storages, including under process pools;
-* frontier-sharded walk passes equal the serial pass for every worker count;
+  in-RAM and memory-mapped storages, including under the walk pool;
 * corruption is detected: ``verify()`` recomputes digests, ``read_meta``
   rejects unknown format versions.
 """
@@ -31,7 +30,7 @@ from repro.graph.storage import (
     read_meta,
     storage_fingerprint,
 )
-from repro.train import PrefetchingPairSource, StreamingPairSource
+from repro.train import StreamingPairSource
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +124,7 @@ class TestPickling:
     def test_walk_corpus_process_pool_parity(self, ram_graph, disk_graph):
         kwargs = dict(num_walks=2, walk_length=8, rng=7)
         serial = ram_graph.walk_engine().walk_corpus(workers=1, **kwargs)
-        # Sharded passes derive per-pass seeds up front, so workers=2 on the
+        # Pooled passes derive per-pass seeds up front, so workers=2 on the
         # mmap graph must reproduce workers=2 on the RAM graph exactly.
         ram2 = ram_graph.walk_engine().walk_corpus(workers=2, **kwargs)
         disk2 = disk_graph.walk_engine().walk_corpus(workers=2, **kwargs)
@@ -133,56 +132,21 @@ class TestPickling:
         assert serial.shape == disk2.shape
 
     @pytest.mark.timeout(120)
-    def test_prefetch_process_mode_parity(self, ram_graph, disk_graph):
-        def batches(graph, prefetch):
+    def test_streaming_walk_pool_parity(self, ram_graph, disk_graph):
+        # The pool workers receive the mmap graph as a path and re-map it;
+        # the streamed batches must equal the RAM graph's, batch for batch.
+        def batches(graph):
             factory = WalkPairChunkFactory(
                 graph=graph, num_walks=2, walk_length=8, window_size=3,
-                chunk_walks=40, rng=11,
+                chunk_walks=40, workers=2, rng=11,
             )
-            if not prefetch:
-                source = StreamingPairSource(factory, batch_size=256)
-                return list(source.batches())
-            with PrefetchingPairSource(factory, batch_size=256) as source:
-                return list(source.batches())
+            return list(StreamingPairSource(factory, batch_size=256).batches())
 
-        inline = batches(ram_graph, False)
-        prefetched = batches(disk_graph, True)
-        assert len(inline) == len(prefetched)
-        for a, b in zip(inline, prefetched):
+        inline = batches(ram_graph)
+        mapped = batches(disk_graph)
+        assert len(inline) == len(mapped)
+        for a, b in zip(inline, mapped):
             assert np.array_equal(a, b)
-
-
-class TestFrontierSharding:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_sharded_pass_equals_serial(self, ram_graph, workers):
-        engine = ram_graph.walk_engine()
-        serial = list(
-            engine.iter_corpus_passes(
-                num_walks=2, walk_length=8, rng=13, frontier_shard=37
-            )
-        )
-        sharded = list(
-            engine.iter_corpus_passes(
-                num_walks=2, walk_length=8, rng=13,
-                workers=workers, frontier_shard=37,
-            )
-        )
-        assert len(serial) == len(sharded)
-        for a, b in zip(serial, sharded):
-            assert np.array_equal(a, b)
-
-    def test_sharded_pass_is_shard_size_invariant_per_shard_stream(self, ram_graph):
-        # Different shard sizes give different (each internally consistent)
-        # corpora: the schedule is a pure function of (seed, shard size).
-        engine = ram_graph.walk_engine()
-        a = engine.frontier_sharded_pass(5, 8, frontier_shard=16)
-        b = engine.frontier_sharded_pass(5, 8, frontier_shard=16)
-        assert np.array_equal(a, b)
-
-    def test_mmap_sharded_matches_ram(self, ram_graph, disk_graph):
-        a = ram_graph.walk_engine().frontier_sharded_pass(3, 8, frontier_shard=25)
-        b = disk_graph.walk_engine().frontier_sharded_pass(3, 8, frontier_shard=25)
-        assert np.array_equal(a, b)
 
 
 class TestEmbeddingParity:
@@ -197,12 +161,12 @@ class TestEmbeddingParity:
 
         assert np.array_equal(embed(ram_graph), embed(disk_graph))
 
-    def test_deepwalk_frontier_shard_config_parity(self, ram_graph, disk_graph):
+    def test_deepwalk_streaming_walk_pool_parity(self, ram_graph, disk_graph):
         def embed(graph):
             model = make_model(
                 "deepwalk", graph=graph, rng=3,
                 num_walks=2, walk_length=8, num_epochs=1, embedding_dim=16,
-                pair_streaming=True, frontier_shard=31,
+                pair_streaming=True, walk_workers=2,
             )
             model.fit()
             return model.embeddings_

@@ -6,14 +6,14 @@ plumbing in ``repro/graph/walk_engine.py``):
 * **bit-identical replay** — a corpus computed with ``walk_cache`` (cold or
   warm, any mix of hits and misses) equals the uncached corpus seed-for-seed,
   for every walk discipline: the sequential stream (uniform and node2vec),
-  the derived-seed process pool, and frontier sharding at any shard size;
+  and the derived-seed process pool;
 * **keys are content addresses** — artifacts key on the graph *fingerprint*
   plus the full RNG derivation, so an on-disk replica of a graph hits the
   artifacts its in-RAM twin wrote, while different seeds/params never alias;
 * **defensive reads** — truncated arrays, corrupt or stale manifests are
   misses (recompute + rewrite), never errors;
 * **placement only** — ``walk_cache`` never enters ``cell_key``; training
-  through the streaming/prefetching pipelines, ``run_spec`` and a
+  through the materialised and streaming pipelines, ``run_spec`` and a
   ``ServiceWorker`` produces bit-identical rows and embeddings either way;
 * **concurrent writers are safe** — two processes walking the same corpus
   into one store interleave without corrupting it.
@@ -137,29 +137,6 @@ class TestCorpusReplay:
         np.testing.assert_array_equal(baseline, cold)
         np.testing.assert_array_equal(baseline, warm)
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_sharded_replay_bit_identical(self, small_graph, tmp_path, shards):
-        # Shard sizes chosen so each pass splits into exactly `shards` shards.
-        size = -(-small_graph.num_nodes // shards)
-        store = store_in(tmp_path)
-        baseline = corpus(small_graph, p=0.5, q=2.0, frontier_shard=size)
-        cold = corpus(
-            small_graph, p=0.5, q=2.0, frontier_shard=size, walk_cache=store
-        )
-        warm = corpus(
-            small_graph, p=0.5, q=2.0, frontier_shard=size, walk_cache=store
-        )
-        assert store.stats.writes == 3 and store.stats.hits == 3
-        np.testing.assert_array_equal(baseline, cold)
-        np.testing.assert_array_equal(baseline, warm)
-
-    def test_shard_size_is_part_of_the_key(self, small_graph, tmp_path):
-        store = store_in(tmp_path)
-        a = corpus(small_graph, frontier_shard=30, walk_cache=store)
-        b = corpus(small_graph, frontier_shard=60, walk_cache=store)
-        assert store.stats.writes == 6 and store.stats.hits == 0
-        assert not np.array_equal(a, b)  # different RNG plans
-
     @pytest.mark.timeout(120)
     def test_pooled_replay_bit_identical(self, small_graph, tmp_path):
         store = store_in(tmp_path)
@@ -169,6 +146,20 @@ class TestCorpusReplay:
         assert store.stats.writes == 3 and store.stats.hits == 3
         np.testing.assert_array_equal(baseline, cold)
         np.testing.assert_array_equal(baseline, warm)
+
+    @pytest.mark.timeout(120)
+    def test_two_disciplines_two_key_layouts(self, small_graph, tmp_path):
+        # The shared stream and the pooled derived seeds never alias, and
+        # they are the only layouts the store ever holds.
+        store = store_in(tmp_path)
+        corpus(small_graph, walk_cache=store)
+        corpus(small_graph, workers=2, walk_cache=store)
+        assert store.stats.writes == 6 and store.stats.hits == 0
+        modes = {
+            json.loads(path.read_text())["pass"]["mode"]
+            for path in (store.root / "corpus").glob("*/*.json")
+        }
+        assert modes == {"stream", "derived"}
 
     def test_mixed_hit_miss_stream_replay(self, small_graph, tmp_path):
         """A partially evicted corpus still replays bit-for-bit.
@@ -301,7 +292,7 @@ class TestCorruption:
 
 
 # ---------------------------------------------------------------------------
-# training-path parity (streaming, prefetching, models)
+# training-path parity (materialised, streaming, walk pool, models)
 # ---------------------------------------------------------------------------
 class TestTrainingParity:
     KW = dict(
@@ -344,8 +335,8 @@ class TestTrainingParity:
         np.testing.assert_array_equal(baseline, warm)
 
     @pytest.mark.timeout(120)
-    def test_prefetching_parity(self, small_graph, tmp_path):
-        kwargs = dict(pair_prefetch=True)
+    def test_streaming_walk_pool_parity(self, small_graph, tmp_path):
+        kwargs = dict(pair_streaming=True, walk_workers=2)
         baseline = self.train(small_graph, **kwargs)
         cached = self.train(
             small_graph, walk_cache=str(tmp_path / "a"), **kwargs
