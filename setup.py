@@ -1,8 +1,7 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Setuptools stub; it declares no package metadata.
 
-The project metadata lives in ``pyproject.toml``; this file only exists so
-``pip install -e .`` can fall back to the legacy setuptools editable install
-when PEP 660 builds are unavailable (offline environments without ``wheel``).
+The supported way to run the project is from a checkout with
+``PYTHONPATH=src``.  Runtime dependencies: numpy and scipy (torch optional).
 """
 
 from setuptools import setup

@@ -39,7 +39,7 @@ this is an array-ops seam, not an autograd framework.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -121,12 +121,29 @@ class Backend(ABC):
         """Row selection ``x[idx]`` (``idx`` a numpy integer array)."""
 
     @abstractmethod
-    def index_add_(self, target: Array, idx: Any, rows: Array) -> None:
+    def index_add_(
+        self, target: Array, idx: Any, rows: Array, unique: bool = False
+    ) -> None:
         """In-place scatter-add of ``rows`` into ``target[idx]``.
 
         Repeated indices accumulate (``np.add.at`` semantics), which is what
-        the skip-gram family's sparse embedding updates rely on.
+        the skip-gram family's sparse embedding updates rely on.  A caller
+        whose ``idx`` has no repeats may pass ``unique=True``: the result is
+        the same, but a backend may then apply it as one vectorised
+        ``target[idx] += rows``.
         """
+
+    def segment_sum(self, slots: Any, rows: Array, n: int) -> Array:
+        """``(n, d)`` array whose row ``s`` sums the ``rows`` with ``slots == s``.
+
+        Each output row adds its contributions from ``0.0`` in the order
+        they occur in ``rows`` — exactly ``zeros((n, d))`` followed by
+        :meth:`index_add_`, which is this default.  ``slots`` is a numpy
+        integer array with values in ``[0, n)``, in any order.
+        """
+        out = self.zeros((int(n), rows.shape[1]))
+        self.index_add_(out, slots, rows)
+        return out
 
     # ------------------------------------------------------------------
     # linear algebra
@@ -220,8 +237,23 @@ class Backend(ABC):
     # norm-based row operations (shared by normalisation and DP clipping)
     # ------------------------------------------------------------------
     @abstractmethod
-    def normalize_rows_(self, x: Array, floor: float) -> None:
-        """In-place ``x[i] /= max(||x[i]||_2, floor)`` for every row."""
+    def normalize_rows_(
+        self, x: Array, floor: float, rows: Optional[Sequence[Any]] = None
+    ) -> Any:
+        """In-place ``x[i] /= max(||x[i]||_2, floor)`` for every row.
+
+        With ``rows`` (a sequence of row-index arrays, numpy or native, in
+        any order and with repeats) only the rows in their union are
+        rescaled.  The return value is then a native index array of the
+        rescaled rows a later pass can still move — those whose recomputed
+        norm is above ``floor`` — to hand back as one of the next call's
+        ``rows``.  Every other row is a fixed point: its norm is at most
+        ``floor``, so it is divided by ``floor``, which for ``floor = 1.0``
+        leaves it bit-for-bit unchanged.  A backend for which a full pass
+        is cheaper than an index set may rescale every row anyway and
+        return an empty carry.  Without ``rows`` every row is rescaled and
+        nothing is returned.
+        """
 
     @abstractmethod
     def clip_rows(self, x: Array, max_norm: float) -> Array:

@@ -9,9 +9,10 @@ through this backend changes no bytes: the golden-parity suite pins that.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse
 
 from repro.backend.base import Backend
 from repro.privacy.clipping import clip_by_l2_norm, clip_rows_by_l2_norm
@@ -80,8 +81,29 @@ class NumpyBackend(Backend):
     def gather(self, x: np.ndarray, idx: Any) -> np.ndarray:
         return x[idx]
 
-    def index_add_(self, target: np.ndarray, idx: Any, rows: np.ndarray) -> None:
-        np.add.at(target, np.asarray(idx, dtype=np.int64), rows)
+    def index_add_(
+        self, target: np.ndarray, idx: Any, rows: np.ndarray, unique: bool = False
+    ) -> None:
+        idx = np.asarray(idx, dtype=np.int64)
+        if unique:
+            target[idx] += rows
+        else:
+            np.add.at(target, idx, rows)
+
+    def segment_sum(self, slots: Any, rows: np.ndarray, n: int) -> np.ndarray:
+        # A 0/1 selection matrix whose row s lists, in ascending order, the
+        # positions of the rows with slot s.  scipy's CSR product adds them
+        # one at a time into a zeroed output — the same sequential sum as
+        # np.add.at into zeros.  (np.add.reduceat sums pairwise and differs
+        # in the last bits.)
+        slots = np.asarray(slots, dtype=np.int64)
+        indptr = np.zeros(int(n) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slots, minlength=int(n)), out=indptr[1:])
+        select = scipy.sparse.csr_matrix(
+            (np.ones(slots.shape[0]), np.argsort(slots, kind="stable"), indptr),
+            shape=(int(n), slots.shape[0]),
+        )
+        return select @ rows
 
     # ------------------------------------------------------------------
     # linear algebra
@@ -145,9 +167,22 @@ class NumpyBackend(Backend):
     # ------------------------------------------------------------------
     # norm-based row operations
     # ------------------------------------------------------------------
-    def normalize_rows_(self, x: np.ndarray, floor: float) -> None:
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        np.divide(x, np.maximum(norms, floor), out=x)
+    def normalize_rows_(
+        self, x: np.ndarray, floor: float, rows: Optional[Sequence[Any]] = None
+    ) -> Optional[np.ndarray]:
+        if rows is not None:
+            rows = np.unique(np.concatenate([np.ravel(r) for r in rows]))
+        # Distinct rows as many as x has are all of x: rescale in place
+        # rather than through a gathered copy of the whole matrix.
+        whole = rows is None or rows.shape[0] == x.shape[0]
+        block = x if whole else x[rows]
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        np.divide(block, np.maximum(norms, floor), out=block)
+        if rows is None:
+            return None
+        if not whole:
+            x[rows] = block
+        return rows[np.linalg.norm(block, axis=1) > floor]
 
     def clip_rows(self, x: np.ndarray, max_norm: float) -> np.ndarray:
         return clip_rows_by_l2_norm(x, max_norm)

@@ -24,7 +24,7 @@ Numerical contract (see :mod:`repro.backend.base`), per precision mode:
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import torch
@@ -144,7 +144,11 @@ class TorchBackend(Backend):
     def gather(self, x: "torch.Tensor", idx: Any) -> "torch.Tensor":
         return x[self._index(idx)]
 
-    def index_add_(self, target: "torch.Tensor", idx: Any, rows: "torch.Tensor") -> None:
+    def index_add_(
+        self, target: "torch.Tensor", idx: Any, rows: "torch.Tensor", unique: bool = False
+    ) -> None:
+        # ``index_add_`` is one kernel with or without repeats; ``unique``
+        # needs no separate path here.
         target.index_add_(0, self._index(idx), self.asarray(rows))
 
     # ------------------------------------------------------------------
@@ -222,9 +226,25 @@ class TorchBackend(Backend):
     # ------------------------------------------------------------------
     # norm-based row operations
     # ------------------------------------------------------------------
-    def normalize_rows_(self, x: "torch.Tensor", floor: float) -> None:
-        norms = torch.linalg.vector_norm(x, dim=1, keepdim=True)
-        x.div_(torch.clamp(norms, min=floor))
+    def normalize_rows_(
+        self, x: "torch.Tensor", floor: float, rows: Optional[Sequence[Any]] = None
+    ) -> Optional["torch.Tensor"]:
+        # Off the CPU a full pass is one sync-free kernel, while a touched-row
+        # set has a data-dependent size the host would wait for every batch.
+        if rows is None or self._device.type != "cpu":
+            norms = torch.linalg.vector_norm(x, dim=1, keepdim=True)
+            x.div_(torch.clamp(norms, min=floor))
+            if rows is None:
+                return None
+            return torch.empty(0, dtype=torch.int64, device=self._device)
+        idx = torch.unique(torch.cat([self._index(r).reshape(-1) for r in rows]))
+        whole = idx.shape[0] == x.shape[0]
+        block = x if whole else x[idx]
+        norms = torch.linalg.vector_norm(block, dim=1, keepdim=True)
+        block.div_(torch.clamp(norms, min=floor))
+        if not whole:
+            x[idx] = block
+        return idx[torch.linalg.vector_norm(block, dim=1) > floor]
 
     def clip_rows(self, x: "torch.Tensor", max_norm: float) -> "torch.Tensor":
         norms = torch.linalg.vector_norm(x, dim=1)

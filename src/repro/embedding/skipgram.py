@@ -107,15 +107,6 @@ class SkipGramModel(EstimatorMixin):
         self.w_out = uniform_embedding(
             graph.num_nodes, dim, rng=init_rng, backend=self.backend_
         )
-        if self.config.normalize_embeddings:
-            self._normalize()
-        self.sampler = EdgeSampler(
-            graph,
-            batch_size=self.config.batch_size,
-            num_negatives=self.config.num_negatives,
-            rng=sample_rng,
-            negative_distribution=self.config.negative_distribution,
-        )
         # Fast-precision backends run each batch through the fused
         # ``skipgram_step`` and draw their negatives device-side, so their
         # pair source pulls positives-only batches (the unigram alias table
@@ -123,6 +114,19 @@ class SkipGramModel(EstimatorMixin):
         self._fused = (
             self.backend_.precision == "fast"
             and self.config.negative_distribution == "uniform"
+        )
+        # Rows of (W_in, W_out) whose norm is still above 1 after their last
+        # rescale, as backend index arrays; see :meth:`_normalize`.
+        self._carry = (np.empty(0, dtype=np.int64),) * 2
+        if self.config.normalize_embeddings:
+            all_rows = (np.arange(graph.num_nodes),)
+            self._normalize((all_rows, all_rows))
+        self.sampler = EdgeSampler(
+            graph,
+            batch_size=self.config.batch_size,
+            num_negatives=self.config.num_negatives,
+            rng=sample_rng,
+            negative_distribution=self.config.negative_distribution,
         )
         # The LINE-style trainer consumes its edge batches through the same
         # PairSource seam as the walk-corpus trainers; each pulled batch is
@@ -139,10 +143,20 @@ class SkipGramModel(EstimatorMixin):
         """Released node embeddings (the input vectors ``W_in``), as numpy."""
         return self.backend_.to_numpy(self.w_in)
 
-    def _normalize(self) -> None:
-        """Project every embedding row onto the unit ball (ensures C = 1)."""
-        for matrix in (self.w_in, self.w_out):
-            self.backend_.normalize_rows_(matrix, 1.0)
+    def _normalize(self, touched: tuple) -> None:
+        """Project every embedding row onto the unit ball (ensures C = 1).
+
+        ``touched`` is ``(W_in rows, W_out rows)``, each a tuple of index
+        arrays naming the rows changed since the last call.  Only those rows
+        and the carry (rows whose norm was still above 1 after their last
+        rescale) are rescaled, and the carry is refreshed.  Every other row
+        has norm at most 1 and is an exact fixed point of
+        ``x / max(||x||, 1)``, so the result is bit-for-bit the full pass.
+        """
+        self._carry = tuple(
+            self.backend_.normalize_rows_(matrix, 1.0, (*rows, carry))
+            for matrix, rows, carry in zip((self.w_in, self.w_out), touched, self._carry)
+        )
 
     # ------------------------------------------------------------------
     # loss / gradients
@@ -178,39 +192,28 @@ class SkipGramModel(EstimatorMixin):
         """Ascent gradients for the touched rows of ``W_in`` and ``W_out``.
 
         Returns ``(grad_in, touched_in, grad_out, touched_out)`` where each
-        gradient is a compact ``(len(touched), dim)`` accumulator aligned
-        with its sorted-unique touched-row array.  Compact buffers replace
-        the historical dense ``(num_nodes, dim)`` per-batch accumulators
-        (two ~50 MB zero allocations per batch at 50k x 128 float64); the
-        per-row accumulation order is unchanged, so the update stays
-        bit-for-bit (pinned by the golden digests).
+        gradient is a compact ``(len(touched), dim)`` array aligned with its
+        sorted-unique touched-row array.  Each gradient row sums its pairs'
+        contributions positives first, then negatives, in batch order — the
+        historical ``np.add.at`` order, so the update stays bit-for-bit
+        (pinned by the golden digests).
         """
         be = self.backend_
-        pos = batch.positive_edges
-        neg = batch.negative_pairs
-        pos_scores = self.pair_scores(pos)
-        pos_coeff = 1.0 - sigmoid(pos_scores, backend=be)  # d log sigma(x) / dx
-        neg_scores = self.pair_scores(neg)
-        neg_coeff = -sigmoid(neg_scores, backend=be)  # d log sigma(-x) / dx
-
-        # Map every touched node to its slot in a compact buffer; the slots
-        # of the positive pairs come first, matching the historical add
-        # order (positives then negatives) per accumulator row.
-        touched_in, in_slots = np.unique(
-            np.concatenate([pos[:, 0], neg[:, 0]]), return_inverse=True
-        )
-        touched_out, out_slots = np.unique(
-            np.concatenate([pos[:, 1], neg[:, 1]]), return_inverse=True
-        )
-        dim = self.config.embedding_dim
-        grad_in = be.zeros((touched_in.shape[0], dim))
-        grad_out = be.zeros((touched_out.shape[0], dim))
+        pos, neg = batch.positive_edges, batch.negative_pairs
+        pos_coeff = 1.0 - sigmoid(self.pair_scores(pos), backend=be)  # d log sigma(x) / dx
+        neg_coeff = -sigmoid(self.pair_scores(neg), backend=be)  # d log sigma(-x) / dx
+        pairs = np.concatenate([pos, neg])
         split = pos.shape[0]
-        be.index_add_(grad_in, in_slots[:split], pos_coeff[:, None] * be.gather(self.w_out, pos[:, 1]))
-        be.index_add_(grad_out, out_slots[:split], pos_coeff[:, None] * be.gather(self.w_in, pos[:, 0]))
-        be.index_add_(grad_in, in_slots[split:], neg_coeff[:, None] * be.gather(self.w_out, neg[:, 1]))
-        be.index_add_(grad_out, out_slots[split:], neg_coeff[:, None] * be.gather(self.w_in, neg[:, 0]))
-        return grad_in, touched_in, grad_out, touched_out
+        grads = []
+        for side, other in ((0, self.w_out), (1, self.w_in)):
+            # A pair's gradient for its row on one side is the other side's
+            # vector scaled by the pair's coefficient.
+            touched, slots = np.unique(pairs[:, side], return_inverse=True)
+            rows = be.gather(other, pairs[:, 1 - side])
+            rows[:split] *= pos_coeff[:, None]
+            rows[split:] *= neg_coeff[:, None]
+            grads += [be.segment_sum(slots, rows, touched.shape[0]), touched]
+        return tuple(grads)
 
     # ------------------------------------------------------------------
     # training
@@ -237,8 +240,10 @@ class SkipGramModel(EstimatorMixin):
         are accumulated into their embedding rows and applied with the full
         learning rate (no division by the batch size), which is how word2vec,
         LINE and DeepWalk implementations behave.  On a fast backend
-        (``backend="torch:cuda:fast"``) the whole batch runs through the backend's fused
-        :meth:`~repro.backend.base.Backend.skipgram_step`.
+        (``backend="torch:cuda:fast"``) the whole batch runs through the
+        backend's fused :meth:`~repro.backend.base.Backend.skipgram_step`.
+        Either way only the rows the batch touched (plus the carry, see
+        :meth:`_normalize`) are renormalised afterwards.
         """
         if batch is None:
             batch = self._sample_fused_batch() if self._fused else self.sampler.sample()
@@ -258,16 +263,20 @@ class SkipGramModel(EstimatorMixin):
                     self.graph.num_nodes,
                 )
             loss = be.skipgram_step(self.w_in, self.w_out, pos, negatives, lr)
+            # The fused step moves the sources' W_in rows and the
+            # destinations' and negatives' W_out rows.
+            touched = ((pos[:, 0],), (pos[:, 1], negatives))
         else:
             loss = self.batch_loss(batch)
             grad_in, touched_in, grad_out, touched_out = self._accumulate_gradients(batch)
             # The touched indices are unique and aligned with the compact
-            # accumulators, so the scatter-add applies exactly the
-            # historical ``w[touched] += lr * grad[touched]`` update.
-            be.index_add_(self.w_in, touched_in, lr * grad_in)
-            be.index_add_(self.w_out, touched_out, lr * grad_out)
+            # accumulators, so this is exactly the historical
+            # ``w[touched] += lr * grad[touched]`` update.
+            be.index_add_(self.w_in, touched_in, lr * grad_in, unique=True)
+            be.index_add_(self.w_out, touched_out, lr * grad_out, unique=True)
+            touched = ((touched_in,), (touched_out,))
         if self.config.normalize_embeddings:
-            self._normalize()
+            self._normalize(touched)
         return loss
 
     def fit(self, graph: Optional[Graph] = None, callbacks=()) -> "SkipGramModel":

@@ -189,6 +189,10 @@ class TestNumpyBackendOps:
         np.add.at(expected, idx, rows)
         NUMPY_BACKEND.index_add_(target, idx, rows)
         assert np.array_equal(target, expected)
+        unique_idx = np.array([7, 0, 3])
+        np.add.at(expected, unique_idx, rows)
+        NUMPY_BACKEND.index_add_(target, unique_idx, rows, unique=True)
+        assert target.tobytes() == expected.tobytes()
 
     def test_dots_match_einsum(self):
         rng = np.random.default_rng(1)
@@ -233,6 +237,45 @@ class TestNumpyBackendOps:
         NUMPY_BACKEND.normalize_rows_(x, 1.0)
         assert np.array_equal(x, expected)
 
+    def test_segment_sum_is_add_at_into_zeros(self):
+        rng = np.random.default_rng(4)
+        # 12 slots x 16 contributions each, in shuffled order, some of them
+        # -0.0 and some whole rows of -0.0.
+        slots = rng.permutation(np.repeat(np.arange(12), 16))
+        rows = rng.normal(scale=10.0, size=(slots.shape[0], 5))
+        rows[rng.random(rows.shape) < 0.1] = -0.0
+        rows[slots == 3] = -0.0
+        expected = np.zeros((13, 5))
+        np.add.at(expected, slots, rows)
+        got = NUMPY_BACKEND.segment_sum(slots, rows, 13)
+        assert got.tobytes() == expected.tobytes()
+        # The data separates a sequential sum from numpy's pairwise one.
+        order = np.argsort(slots, kind="stable")
+        pairwise = np.add.reduceat(rows[order], np.arange(0, 192, 16))
+        assert pairwise.tobytes() != expected[:12].tobytes()
+
+    def test_touched_row_normalize_with_carry_is_the_full_pass(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-3.0, 3.0, size=(400, 128))
+        ref = x.copy()
+        NUMPY_BACKEND.normalize_rows_(ref, 1.0)
+        carry = NUMPY_BACKEND.normalize_rows_(x, 1.0, (np.arange(400),))
+        assert x.tobytes() == ref.tobytes()
+        carried = len(carry)
+        for _ in range(6):
+            # Unsorted, with repeats: the kernel rescales the union.
+            draws = rng.integers(0, 400, size=150)
+            touched = np.unique(draws)
+            step = rng.uniform(-3.0, 3.0, size=(touched.shape[0], 128))
+            x[touched] += step
+            ref[touched] += step
+            NUMPY_BACKEND.normalize_rows_(ref, 1.0)
+            carry = NUMPY_BACKEND.normalize_rows_(x, 1.0, (draws, carry))
+            assert x.tobytes() == ref.tobytes()
+            assert np.all(np.linalg.norm(np.delete(x, carry, axis=0), axis=1) <= 1.0)
+            carried += len(carry)
+        assert carried > 0
+
     def test_gaussian_is_the_raw_generator_stream(self):
         draws = NUMPY_BACKEND.gaussian(np.random.default_rng(42), 0.0, 2.0, (3, 2))
         assert np.array_equal(
@@ -276,6 +319,7 @@ class TestBackendProtocolConformance:
         b = rng.normal(size=(6, 4))
         bundle = rng.normal(size=(6, 5, 4))
         coeff = rng.normal(size=(6, 5))
+        slots = np.array([2, 0, 2, 2, 0, 1])
         checks = [
             (be.rowwise_dot(be.asarray(a), be.asarray(b)),
              NUMPY_BACKEND.rowwise_dot(a, b)),
@@ -292,6 +336,8 @@ class TestBackendProtocolConformance:
              NUMPY_BACKEND.clip_global(a * 3, 1.0)),
             (be.sum(be.asarray(a), axis=0), NUMPY_BACKEND.sum(a, axis=0)),
             (be.mean(be.asarray(a)), NUMPY_BACKEND.mean(a)),
+            (be.segment_sum(slots, be.asarray(bundle[:, 0]), 3),
+             NUMPY_BACKEND.segment_sum(slots, bundle[:, 0], 3)),
         ]
         rtol = CONFORMANCE_RTOL[precision]
         atol = CONFORMANCE_ATOL[precision]
@@ -330,6 +376,30 @@ class TestBackendProtocolConformance:
             assert np.array_equal(
                 first, np.random.default_rng(5).integers(0, 20, size=(7, 3))
             )
+
+    def test_touched_row_kernels_match_reference(self, family, precision):
+        be = self._backend(family, precision)
+        rng = np.random.default_rng(9)
+        x0 = rng.uniform(-3.0, 3.0, size=(8, 4))
+        rows = np.array([1, 4, 5])
+        # Index arrays in any order, with repeats, name their union.
+        parts = (np.array([5, 1]), np.array([[4, 1]]))
+        want = x0.copy()
+        want_carry = NUMPY_BACKEND.normalize_rows_(want, 1.0, parts)
+        got = be.parameter(x0)
+        before = be.to_numpy(got).copy()
+        got_carry = be.normalize_rows_(got, 1.0, parts)
+        rtol = CONFORMANCE_RTOL[precision]
+        atol = CONFORMANCE_ATOL[precision]
+        assert np.allclose(be.to_numpy(got), want, rtol=rtol, atol=atol)
+        untouched = [0, 2, 3, 6, 7]
+        assert np.array_equal(be.to_numpy(got)[untouched], before[untouched])
+        for carry in (be.to_numpy(got_carry), want_carry):
+            assert set(carry.tolist()) <= set(rows.tolist())
+        update = rng.normal(size=(3, 4))
+        NUMPY_BACKEND.index_add_(want, rows, update, unique=True)
+        be.index_add_(got, rows, be.asarray(update), unique=True)
+        assert np.allclose(be.to_numpy(got), want, rtol=rtol, atol=atol)
 
     def test_skipgram_step_matches_reference(self, family, precision):
         """The fused op equals reference loss + weight updates per precision."""

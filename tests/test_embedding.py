@@ -63,6 +63,54 @@ class TestSkipGramModel:
         assert np.allclose(m1.embeddings, m2.embeddings)
 
 
+def _reference_sgd_step(w_in, w_out, batch, lr):
+    """One skip-gram batch applied the historical way: dense ``np.add.at``
+    accumulators, the touched-row update, then a full-matrix normalise."""
+    from repro.nn.functional import sigmoid
+
+    pos, neg = batch.positive_edges, batch.negative_pairs
+    grad_in, grad_out = np.zeros_like(w_in), np.zeros_like(w_out)
+    pos_coeff = 1.0 - sigmoid(np.einsum("ij,ij->i", w_in[pos[:, 0]], w_out[pos[:, 1]]))
+    neg_coeff = -sigmoid(np.einsum("ij,ij->i", w_in[neg[:, 0]], w_out[neg[:, 1]]))
+    for pairs, coeff in ((pos, pos_coeff), (neg, neg_coeff)):
+        np.add.at(grad_in, pairs[:, 0], coeff[:, None] * w_out[pairs[:, 1]])
+        np.add.at(grad_out, pairs[:, 1], coeff[:, None] * w_in[pairs[:, 0]])
+    for w, grad, side in ((w_in, grad_in, 0), (w_out, grad_out, 1)):
+        touched = np.unique(np.concatenate([pos[:, side], neg[:, side]]))
+        np.add.at(w, touched, lr * grad[touched])
+        norms = np.linalg.norm(w, axis=1, keepdims=True)
+        np.divide(w, np.maximum(norms, 1.0), out=w)
+
+
+class TestTouchedRowUpdate:
+    """The touched-row update is bit-for-bit the full-matrix update.
+
+    Each batch touches only part of the 2k rows, and the large learning
+    rate pushes touched rows far outside the unit ball, so some rows keep
+    a norm above 1 after their rescale: the test fails unless those rows
+    are carried into the next batch's normalise.
+    """
+
+    def test_train_steps_replay_the_full_matrix_update(self):
+        from repro.graph.graph import Graph
+
+        rng = np.random.default_rng(0)
+        edges = rng.integers(0, 2000, size=(8000, 2))
+        graph = Graph(2000, edges[edges[:, 0] != edges[:, 1]])
+        cfg = SkipGramConfig(embedding_dim=64, batch_size=256, learning_rate=2.0)
+        model = SkipGramModel(graph, cfg, rng=1)
+        ref_in, ref_out = model.w_in.copy(), model.w_out.copy()
+        carried = 0
+        for _ in range(15):
+            batch = model.sampler.sample()
+            model.train_step(batch)
+            _reference_sgd_step(ref_in, ref_out, batch, cfg.learning_rate)
+            assert model.w_in.tobytes() == ref_in.tobytes()
+            assert model.w_out.tobytes() == ref_out.tobytes()
+            carried += sum(len(rows) for rows in model._carry)
+        assert carried > 0
+
+
 class TestRandomWalks:
     def test_walk_counts_and_lengths(self, small_graph):
         walks = random_walks(small_graph, num_walks=2, walk_length=5, rng=0)
