@@ -113,6 +113,10 @@ class Backend(ABC):
     def full_like(self, x: Array, value: float) -> Array:
         """A constant-filled native array shaped like ``x``."""
 
+    @abstractmethod
+    def copy(self, x: Array) -> Array:
+        """A native array with ``x``'s values that shares no memory with it."""
+
     # ------------------------------------------------------------------
     # rows: gather / scatter
     # ------------------------------------------------------------------

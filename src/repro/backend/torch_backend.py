@@ -128,6 +128,9 @@ class TorchBackend(Backend):
     def full_like(self, x: "torch.Tensor", value: float) -> "torch.Tensor":
         return torch.full_like(x, float(value))
 
+    def copy(self, x: "torch.Tensor") -> "torch.Tensor":
+        return self._native(x).clone()
+
     # ------------------------------------------------------------------
     # rows
     # ------------------------------------------------------------------

@@ -65,7 +65,7 @@ class FakeNeighbourGenerator:
             (embedding_dim, embedding_dim), rng=self._rng, backend=backend
         )
         self._last_noise: np.ndarray | None = None
-        self._last_pre_activation: np.ndarray | None = None
+        self._last_activation: np.ndarray | None = None
 
     @property
     def params(self) -> Dict[str, np.ndarray]:
@@ -75,8 +75,9 @@ class FakeNeighbourGenerator:
     def generate(self, count: int) -> np.ndarray:
         """Produce ``count`` fake-neighbour embeddings, caching intermediates.
 
-        The cached noise and pre-activation are needed by :meth:`backward` to
+        The cached noise and activation are needed by :meth:`backward` to
         compute the gradient of the generator loss with respect to ``theta``.
+        The caller gets a copy, so writing into it cannot change the gradient.
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
@@ -84,10 +85,10 @@ class FakeNeighbourGenerator:
         noise = be.gaussian(
             self._rng, 0.0, self.noise_std, (count, self.embedding_dim)
         )
-        pre = be.matmul(noise, self.theta)
+        act = be.sigmoid(be.matmul(noise, self.theta))
         self._last_noise = noise
-        self._last_pre_activation = pre
-        return be.sigmoid(pre)
+        self._last_activation = act
+        return be.copy(act)
 
     def backward(self, grad_fake: np.ndarray) -> Dict[str, np.ndarray]:
         """Gradient of the loss w.r.t. ``theta`` given d(loss)/d(fake embeddings).
@@ -99,16 +100,16 @@ class FakeNeighbourGenerator:
             respect to the fake embeddings returned by the latest
             :meth:`generate` call.
         """
-        if self._last_noise is None or self._last_pre_activation is None:
+        act = self._last_activation
+        if self._last_noise is None or act is None:
             raise RuntimeError("backward called before generate")
         be = self.backend
         grad_fake = be.asarray(grad_fake)
-        if tuple(grad_fake.shape) != tuple(self._last_pre_activation.shape):
+        if tuple(grad_fake.shape) != tuple(act.shape):
             raise ValueError(
                 "grad_fake shape does not match the last generated batch: "
-                f"{tuple(grad_fake.shape)} vs {tuple(self._last_pre_activation.shape)}"
+                f"{tuple(grad_fake.shape)} vs {tuple(act.shape)}"
             )
-        act = be.sigmoid(self._last_pre_activation)
         grad_pre = grad_fake * act * (1.0 - act)
         grad_theta = be.matmul(be.transpose(self._last_noise), grad_pre)
         return {"theta": grad_theta}

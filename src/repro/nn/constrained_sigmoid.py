@@ -92,6 +92,10 @@ class ConstrainedSigmoid:
         self.a = float(a)
         self.b = float(b)
         self.backend = backend
+        # Bounds on exp()'s argument: far enough outside [log a, log b] that
+        # the hard clip below decides the value, and exp() cannot overflow.
+        self._log_lower = np.log(self.a) - 30.0
+        self._log_upper = np.log(self.b) + 30.0
 
     def clipped_exp(self, x: np.ndarray) -> np.ndarray:
         """Return ``exp(x)`` confined to ``[a, b]``.
@@ -104,7 +108,7 @@ class ConstrainedSigmoid:
         available as :func:`exponential_clip` for narrow intervals.
         """
         be = self.backend
-        safe = be.clip(be.asarray(x), np.log(self.a) - 30.0, np.log(self.b) + 30.0)
+        safe = be.clip(be.asarray(x), self._log_lower, self._log_upper)
         return be.clip(be.exp(safe), self.a, self.b)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

@@ -53,22 +53,28 @@ class RdpAccountant:
         self.orders = tuple(int(o) for o in orders)
         if any(o < 2 for o in self.orders):
             raise ValueError("all RDP orders must be integers >= 2")
-        self._rdp: Dict[int, float] = {order: 0.0 for order in self.orders}
+        if len(set(self.orders)) != len(self.orders):
+            raise ValueError(f"RDP orders must be distinct, got {self.orders}")
+        # The running total and the cached per-rate curves are float64
+        # arrays aligned with ``orders``: a step is one vector add.
+        self._rdp = np.zeros(len(self.orders))
+        self._one_minus_order = 1.0 - np.array(self.orders, dtype=np.float64)
         self._steps = 0
-        self._curve_cache: Dict[float, Dict[int, float]] = {}
+        self._curve_cache: Dict[float, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # accumulation
     # ------------------------------------------------------------------
-    def _per_step_curve(self, sampling_rate: float) -> Dict[int, float]:
+    def _per_step_curve(self, sampling_rate: float) -> np.ndarray:
         """RDP curve of a single subsampled Gaussian step (cached per rate)."""
         key = round(float(sampling_rate), 12)
         cached = self._curve_cache.get(key)
         if cached is None:
-            cached = {
-                order: subsampled_gaussian_rdp(order, key, self.noise_multiplier)
-                for order in self.orders
-            }
+            cached = np.array(
+                [subsampled_gaussian_rdp(order, key, self.noise_multiplier)
+                 for order in self.orders],
+                dtype=np.float64,
+            )
             self._curve_cache[key] = cached
         return cached
 
@@ -79,9 +85,7 @@ class RdpAccountant:
             raise ValueError(f"num_steps must be >= 0, got {num_steps}")
         if num_steps == 0 or sampling_rate == 0:
             return
-        curve = self._per_step_curve(sampling_rate)
-        for order in self.orders:
-            self._rdp[order] += num_steps * curve[order]
+        self._rdp += num_steps * self._per_step_curve(sampling_rate)
         self._steps += num_steps
 
     @property
@@ -92,37 +96,35 @@ class RdpAccountant:
     @property
     def rdp(self) -> Dict[int, float]:
         """Copy of the accumulated per-order RDP epsilons."""
-        return dict(self._rdp)
+        return dict(zip(self.orders, self._rdp.tolist()))
 
     # ------------------------------------------------------------------
     # conversion / queries
     # ------------------------------------------------------------------
     def get_privacy_spent(self, delta: float) -> PrivacySpent:
         """Convert the accumulated RDP to the tightest (epsilon, delta)-DP."""
-        epsilon, order = rdp_to_dp(self._rdp, delta, self.orders)
+        epsilon, order = rdp_to_dp(self.rdp, delta, self.orders)
         return PrivacySpent(epsilon=epsilon, delta=delta, best_order=order)
 
     def get_delta_spent(self, target_epsilon: float) -> float:
         """Smallest delta achievable for ``target_epsilon`` (inverse query).
 
         Used by Algorithm 3 line 10: given the target epsilon, the trainer
-        checks whether the implied failure probability has exceeded delta.
+        checks whether the implied failure probability has reached delta.
         """
         check_positive(target_epsilon, "target_epsilon")
-        best_delta = 1.0
-        for order, eps in self._rdp.items():
-            if order <= 1:
-                continue
-            # From Theorem 3: epsilon = eps_rdp + log(1/delta)/(alpha-1)
-            #             =>  delta  = exp(-(alpha-1)(epsilon - eps_rdp))
-            exponent = -(order - 1) * (target_epsilon - eps)
-            delta = float(np.exp(min(exponent, 0.0))) if exponent < 700 else 1.0
-            best_delta = min(best_delta, delta)
-        return best_delta
+        # From Theorem 3: epsilon = eps_rdp + log(1/delta)/(alpha-1)
+        #             =>  delta  = exp(-(alpha-1)(epsilon - eps_rdp))
+        # Capping the exponent at 0 caps delta at 1 and keeps exp() finite.
+        exponent = self._one_minus_order * (target_epsilon - self._rdp)
+        return float(np.exp(np.minimum(exponent, 0.0)).min(initial=1.0))
 
-    def exceeds_budget(self, target_epsilon: float, target_delta: float) -> bool:
-        """Whether the accumulated spend violates (target_epsilon, target_delta)."""
-        return self.get_delta_spent(target_epsilon) > target_delta
+    def budget_exhausted(self, target_epsilon: float, target_delta: float) -> bool:
+        """Algorithm 3's stop rule: the implied delta has reached ``target_delta``.
+
+        True once ``get_delta_spent(target_epsilon) >= target_delta``.
+        """
+        return self.get_delta_spent(target_epsilon) >= target_delta
 
     # ------------------------------------------------------------------
     # calibration helpers

@@ -2,7 +2,8 @@
 
 Every DP trainer used to duplicate the same three lines: ask the RDP
 accountant for the failure probability implied by the target epsilon and
-compare it against delta.  :class:`PrivacyBudget` owns that check now; the
+compare it against delta.  :class:`PrivacyBudget` owns that check now (the
+comparison itself is :meth:`RdpAccountant.budget_exhausted`); the
 :class:`~repro.train.loop.TrainingLoop` polls it before every step, and
 trainers query it between the positive/negative sub-batches of a step.
 """
@@ -40,7 +41,7 @@ class PrivacyBudget:
 
     def exhausted(self) -> bool:
         """Line 10-11 of Algorithm 3: stop when delta-hat >= delta."""
-        return self.accountant.get_delta_spent(self.epsilon) >= self.delta
+        return self.accountant.budget_exhausted(self.epsilon, self.delta)
 
     def spent(self) -> PrivacySpent:
         """Converted ``(epsilon, delta)`` guarantee consumed so far."""

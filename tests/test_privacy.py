@@ -157,8 +157,8 @@ class TestAccountant:
         spent = acc.get_privacy_spent(1e-5)
         # The delta implied at the reported epsilon must not exceed the target.
         assert acc.get_delta_spent(spent.epsilon) <= 1e-5 * (1 + 1e-6)
-        assert acc.exceeds_budget(spent.epsilon * 0.5, 1e-5)
-        assert not acc.exceeds_budget(spent.epsilon * 1.01, 1e-5)
+        assert acc.budget_exhausted(spent.epsilon * 0.5, 1e-5)
+        assert not acc.budget_exhausted(spent.epsilon * 1.01, 1e-5)
 
     def test_max_steps_for_budget_monotone_in_epsilon(self):
         few = RdpAccountant.max_steps_for_budget(1.0, 1e-5, 5.0, 0.1)
