@@ -6,7 +6,7 @@ whole suite finishes in minutes).  Set ``REPRO_BENCH_PRESET=full`` to run the
 paper-scale schedule, or ``=smoke`` for a fast plumbing check.
 
 Each benchmark prints the regenerated rows/series so the output can be
-compared side-by-side with the paper (see EXPERIMENTS.md).
+compared side-by-side with the paper (README, "Paper figures/tables → code").
 """
 
 from __future__ import annotations

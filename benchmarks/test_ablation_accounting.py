@@ -1,6 +1,6 @@
 """Ablation: subsampled-RDP accounting vs naive sequential composition.
 
-DESIGN.md lists the accounting choice as a design decision to ablate: the
+The accounting choice is a design decision worth ablating: the
 subsampling amplification theorem (Theorem 4) is what allows AdvSGM to take
 hundreds of gradient steps within a single-digit budget; naive sequential
 composition of the unamplified Gaussian mechanism would exhaust the same

@@ -10,8 +10,7 @@
   PageRank-style propagation (Zhang et al. 2024).
 
 Each baseline captures the defining perturbation mechanism of the original
-method at a scale that runs on a laptop; see DESIGN.md for the substitution
-rationale.
+method at a scale that runs on a laptop.
 """
 
 from repro.baselines.dpsgm import DPSGM, DPSGMConfig

@@ -4,8 +4,7 @@ The paper sweeps B over {16, 32, 64, 128, 256, 512}.  Note on the
 reproduction: because the synthetic dataset analogues have roughly 4-10x
 fewer nodes and edges than the originals, the privacy-amplification rate
 ``B k / |V|`` for a given B is correspondingly larger, so the best batch size
-shifts towards smaller values than the paper's optimum of 128 (see
-EXPERIMENTS.md).
+shifts towards smaller values than the paper's optimum of 128.
 """
 
 from __future__ import annotations

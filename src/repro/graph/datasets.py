@@ -48,7 +48,7 @@ class DatasetSpec:
         Registry key (lower-case).
     paper_nodes, paper_edges:
         Size of the original dataset reported in the paper, kept for
-        documentation and for the EXPERIMENTS.md tables.
+        documentation.
     base_nodes:
         Node count of the synthetic analogue at ``scale=1.0``.
     labelled:

@@ -2,14 +2,10 @@
 
 These are the original (pre-vectorization) Python-loop implementations of
 edge dedup, CSR construction, connected components and skip-gram pair
-extraction.  They are kept verbatim for two purposes:
-
-* **parity tests** — ``tests/test_graph_kernels.py`` asserts that the
-  vectorized kernels in :mod:`repro.graph.graph` and
-  :mod:`repro.graph.random_walk` produce identical outputs on random graphs;
-* **benchmarks** — ``benchmarks/bench_graph_kernels.py`` times them against
-  the vectorized kernels and records the speedup in
-  ``BENCH_graph_kernels.json``.
+extraction.  They are kept verbatim as the oracle for the parity tests:
+``tests/test_graph_kernels.py`` asserts that the vectorized kernels in
+:mod:`repro.graph.graph` and :mod:`repro.graph.random_walk` produce identical
+outputs on random graphs.
 
 Nothing in the library's hot paths should import from this module.
 """

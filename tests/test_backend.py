@@ -8,6 +8,7 @@ touch torch.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.backend import (
 )
 from repro.cache import ResultStore, cell_backend_spec, cell_key
 from repro.golden import GOLDEN_CASES, golden_graph
+from repro.graph.graph import Graph
 
 TORCH_AVAILABLE = backend_available("torch")
 
@@ -800,7 +802,7 @@ class TestTorchModelParity:
 # ---------------------------------------------------------------------------
 @pytest.mark.skipif(not TORCH_AVAILABLE, reason="torch not installed")
 class TestTorchFastPath:
-    """The float32 fast path: identity, determinism, statistical parity.
+    """The float32 fast path: identity, determinism, statistical parity, speed.
 
     Fast mode trades bit-level parity for throughput, so unlike the exact
     torch rows it is held to *statistical* quality bars — downstream task
@@ -888,3 +890,24 @@ class TestTorchFastPath:
             for precision in ("exact", "fast")
         }
         assert abs(nmis["fast"] - nmis["exact"]) < 0.1
+
+    def test_fast_fit_at_least_2x_exact_on_50k_graph(self):
+        """The fast path must pay for its lost bit-parity: >= 2x on 50k nodes.
+
+        One seeded 50k-node, 250k-edge graph; each row is clocked from
+        ``make_model`` to the end of ``fit``, the exact row first.
+        """
+        rng = np.random.default_rng(0)
+        edges = rng.integers(0, 50_000, size=(250_000, 2))
+        graph = Graph(50_000, edges[edges[:, 0] != edges[:, 1]])
+        seconds = {}
+        for spec in ("torch:cpu", "torch:cpu:fast"):
+            start = time.perf_counter()
+            repro.make_model(
+                "sgm", graph=graph, rng=2025, backend=spec,
+                embedding_dim=128, num_epochs=5, batches_per_epoch=50,
+                batch_size=1024, num_negatives=5,
+            ).fit()
+            seconds[spec] = time.perf_counter() - start
+        speedup = seconds["torch:cpu"] / seconds["torch:cpu:fast"]
+        assert speedup >= 2.0, f"fast path only {speedup:.2f}x over exact"

@@ -11,8 +11,11 @@ The contract under test (see ``repro/graph/ingest.py``):
   ``Graph.__init__``; validation errors carry the same messages;
 * node-count inference (explicit > file header hint > max id + 1) and
   self-loop policy behave as documented;
-* repeated builds are bit-for-bit deterministic.
+* repeated builds are bit-for-bit deterministic;
+* peak memory stays flat while the edge count grows 10x.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +110,40 @@ class TestDeterminism:
         build_disk_graph(messy_edges, a, num_nodes=200, chunk_edges=97)
         build_disk_graph(shuffled, b, num_nodes=200, chunk_edges=97)
         assert built_files(a) == built_files(b)
+
+
+def edge_chunk_stream(num_nodes, num_edges, chunk, seed=0):
+    """Seeded random edge chunks; the full edge list never exists in RAM."""
+    rng = np.random.default_rng(seed)
+    remaining = num_edges
+    while remaining > 0:
+        take = min(chunk, remaining)
+        arr = rng.integers(0, num_nodes, size=(take, 2), dtype=np.int64)
+        yield arr[arr[:, 0] != arr[:, 1]]
+        remaining -= take
+
+
+class TestBoundedMemory:
+    def test_peak_memory_flat_over_10x_edges(self, tmp_path):
+        # tracemalloc counts numpy buffers and, unlike sampled RSS, is
+        # deterministic.  The external sort holds one chunk and fixed-size
+        # merge blocks, so a 10x larger edge stream must not grow the peak.
+        chunk_edges = 1 << 14
+        peaks = {}
+        for count in (40_000, 120_000, 400_000):
+            tracemalloc.start()
+            try:
+                build_disk_graph(
+                    edge_chunk_stream(8_000, count, chunk_edges),
+                    tmp_path / f"ingest-{count}",
+                    num_nodes=8_000,
+                    chunk_edges=chunk_edges,
+                )
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert read_meta(tmp_path / "ingest-400000")["num_edges"] > 300_000
+        assert peaks[400_000] <= 1.5 * peaks[40_000], peaks
 
 
 class TestValidationAndInference:

@@ -218,17 +218,23 @@ class TestPairSources:
 
 class TestStreamingTraining:
     def test_streaming_deepwalk_bounds_pair_buffer(self, small_graph):
-        model = make_model(
-            "deepwalk", graph=small_graph, rng=7, num_walks=2, walk_length=10,
+        kwargs = dict(
+            graph=small_graph, rng=7, num_walks=2, walk_length=10,
             window_size=3, embedding_dim=8, num_epochs=2, batch_size=64,
-            pair_streaming=True, stream_chunk_walks=30,
-        ).fit()
+            stream_chunk_walks=30,
+        )
+        model = make_model("deepwalk", pair_streaming=True, **kwargs).fit()
         assert np.isfinite(model.embeddings_).all()
         source = model.pair_source_
         assert source.pairs_delivered > 0
         # 30 walks of length 10 with window 3 emit < 30 * 10 * 6 pairs; the
         # buffer may additionally hold one partial batch.
         assert source.peak_buffer_pairs <= 30 * 10 * 6 + 64
+        # Streaming delivers every epoch the same number of pairs the
+        # materialised corpus holds, from a smaller buffer.
+        twin = make_model("deepwalk", **kwargs).fit().pair_source_
+        assert source.pairs_delivered == kwargs["num_epochs"] * twin.num_pairs
+        assert source.peak_buffer_pairs < twin.peak_buffer_pairs
 
     def test_streaming_node2vec_trains(self, small_graph):
         model = make_model(

@@ -122,13 +122,19 @@ class TestPickling:
         assert clone.fingerprint == disk_graph.fingerprint
 
     def test_walk_corpus_process_pool_parity(self, ram_graph, disk_graph):
-        kwargs = dict(num_walks=2, walk_length=8, rng=7)
+        # Four passes, so workers=4 really runs four pool processes.
+        kwargs = dict(num_walks=4, walk_length=8, rng=7)
         serial = ram_graph.walk_engine().walk_corpus(workers=1, **kwargs)
+        disk1 = disk_graph.walk_engine().walk_corpus(workers=1, **kwargs)
+        assert serial.tobytes() == disk1.tobytes()
         # Pooled passes derive per-pass seeds up front, so workers=2 on the
-        # mmap graph must reproduce workers=2 on the RAM graph exactly.
+        # mmap graph must reproduce workers=2 on the RAM graph exactly, and
+        # the worker count never changes a bit.
         ram2 = ram_graph.walk_engine().walk_corpus(workers=2, **kwargs)
         disk2 = disk_graph.walk_engine().walk_corpus(workers=2, **kwargs)
+        disk4 = disk_graph.walk_engine().walk_corpus(workers=4, **kwargs)
         assert np.array_equal(ram2, disk2)
+        assert disk4.tobytes() == disk2.tobytes()
         assert serial.shape == disk2.shape
 
     @pytest.mark.timeout(120)

@@ -379,15 +379,32 @@ def tiny_spec(walk_cache=None, repeats=2, model="deepwalk"):
 
 
 class TestSweepAndService:
-    def test_run_spec_rows_identical_and_artifacts_written(self, tmp_path):
+    def test_run_spec_rows_identical_and_artifacts_written(
+        self, tmp_path, monkeypatch
+    ):
+        # Every serial corpus pass goes through node2vec_walks (uniform
+        # walks dispatch inside it), so counting its calls counts the passes
+        # a sweep computed rather than replayed.
+        passes = []
+        original = WalkEngine.node2vec_walks
+
+        def counted(self, *args, **kwargs):
+            passes.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(WalkEngine, "node2vec_walks", counted)
         baseline = run_spec(tiny_spec())
         arts = tmp_path / "artifacts"
+        passes.clear()
         cached = run_spec(tiny_spec(walk_cache=str(arts)))
         assert cached == baseline
+        assert len(passes) > 0
         store = WalkCorpusStore(arts)
         assert store.report()["count"] >= 1
+        passes.clear()
         warm = run_spec(tiny_spec(walk_cache=str(arts)))
         assert warm == baseline
+        assert len(passes) == 0
 
     def test_non_walk_model_ignores_walk_cache(self, tmp_path):
         # The skipgram family has no walk corpus; a sweep-level walk_cache
