@@ -3,9 +3,12 @@
 Every operation here is the *exact* numpy expression the models used before
 the backend seam existed, or a rewrite of it that a test pins byte-equal
 (the stable activation implementations moved here from
-:mod:`repro.nn.functional`, which now delegates back).  ``asarray`` /
-``to_numpy`` are identities for float64 arrays, so routing the models
-through this backend changes no bytes: the golden-parity suite pins that.
+:mod:`repro.nn.functional`, which now delegates back).  The rewrites
+``tests/test_rewrite_parity.py`` pins against the code they replaced are
+``stable_sigmoid``, the flat scatter in ``index_add_`` and the ``np.take``
+in ``gather``.  ``asarray`` / ``to_numpy`` are identities for float64
+arrays, so routing the models through this backend changes no bytes: the
+golden-parity suite pins that.
 """
 
 from __future__ import annotations
@@ -83,7 +86,9 @@ class NumpyBackend(Backend):
     # rows
     # ------------------------------------------------------------------
     def gather(self, x: np.ndarray, idx: Any) -> np.ndarray:
-        return x[idx]
+        # The bytes of x[idx] as a fresh, writable array, without fancy
+        # indexing's per-call set-up (about 3x faster at narrow rows).
+        return np.take(x, idx, axis=0)
 
     def index_add_(
         self, target: np.ndarray, idx: Any, rows: np.ndarray, unique: bool = False
@@ -91,6 +96,22 @@ class NumpyBackend(Backend):
         idx = np.asarray(idx, dtype=np.int64)
         if unique:
             target[idx] += rows
+        elif (
+            target.ndim == 2
+            and idx.ndim == 1
+            and target.flags.c_contiguous
+            and not np.isnan(rows).any()
+        ):
+            # One 1-D np.add.at over the flat view, about 3x faster than the
+            # 2-D call.  Each element still receives its adds in row order, so
+            # the bytes match; negative rows map to the same elements, and an
+            # out-of-range row is still out of range, so it still raises.
+            # Only NaN onto NaN differs (the 1-D loop keeps the target's NaN,
+            # the 2-D loop the row's), hence the NaN check on the rows.
+            dim = target.shape[1]
+            flat_idx = (idx[:, None] * dim + np.arange(dim)).reshape(-1)
+            rows = np.broadcast_to(rows, (idx.size, dim)).reshape(-1)
+            np.add.at(target.reshape(-1), flat_idx, rows)
         else:
             np.add.at(target, idx, rows)
 

@@ -250,6 +250,7 @@ class DeepWalk(EstimatorMixin):
             lambda epoch, step: self._train_one_pass(source),
             lambda epoch, losses: self.history.record("loss", losses[0]),
         )
+        source.release()
         return self
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:

@@ -74,7 +74,12 @@ class SecondOrderTable:
     ----------
     arc_keys:
         Sorted encoded directed arcs ``src * num_nodes + dst``; the index of
-        an arc in this array is its arc id.
+        an arc in this array is its arc id.  The keys are built in CSR order
+        and are strictly increasing (the graph has no duplicate edges), so an
+        arc's id is also its CSR position: arc ``(t, v)`` is
+        ``offsets[t] + i`` where ``neighbours[offsets[t] + i] == v``.  The
+        table walk relies on this to carry each walk's arc from step to step
+        instead of searching for it.
     entry_offsets:
         ``(num_arcs + 1,)`` offsets into ``candidates`` / ``cum_weights``.
     candidates:
@@ -428,17 +433,51 @@ class WalkEngine:
         prev = starts[active]
         current = self._uniform_step(prev, rng)
         walks[active, 1] = current
+        if table is not None:
+            arc = np.searchsorted(table.arc_keys, prev * num_nodes + current)
+            for step in range(2, walk_length):
+                lo = np.take(table.entry_offsets, arc)
+                hi = np.take(table.entry_offsets, arc + 1)
+                draw = rng.random(arc.size)
+                target = np.take(table.base, arc) + draw * np.take(table.total, arc)
+                pos = self._segment_search(table.cum_weights, target, lo, hi)
+                # The hop to candidates[pos] is the arc at CSR position
+                # offsets[current] + (pos - lo), since arc id == CSR position.
+                arc = np.take(self._offsets, current) + (pos - lo)
+                current = np.take(table.candidates, pos)
+                walks[active, step] = current
+            return walks
         for step in range(2, walk_length):
-            if table is not None:
-                arc = np.searchsorted(table.arc_keys, prev * num_nodes + current)
-                target = table.base[arc] + rng.random(arc.size) * table.total[arc]
-                pos = np.searchsorted(table.cum_weights, target, side="right")
-                np.clip(pos, table.entry_offsets[arc], table.entry_offsets[arc + 1] - 1, out=pos)
-                prev, current = current, table.candidates[pos]
-            else:
-                prev, current = current, self._rejection_step(prev, current, p, q, rng)
+            prev, current = current, self._rejection_step(prev, current, p, q, rng)
             walks[active, step] = current
         return walks
+
+    @staticmethod
+    def _segment_search(
+        cum_weights: np.ndarray, target: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> np.ndarray:
+        """``clip(searchsorted(cum_weights, target, "right"), lo, hi - 1)``.
+
+        Vectorised bisection over each walk's own segment ``[lo, hi)`` (never
+        empty: ``hi - lo`` is the degree of a node a walk stands on).  Every
+        ``target >= cum_weights[lo - 1]`` and ``cum_weights`` never decreases,
+        so the global search never lands below ``lo``; searching the segment
+        alone gives the same clipped position in ``log2(max degree)`` rounds
+        instead of ``log2(num_entries)``.
+        """
+        base = lo.copy()
+        size = hi - lo
+        # Each round halves every segment (size -> ceil(size / 2)) and keeps
+        # the answer in [base, base + size]; a walk whose segment is down to
+        # one entry has half == 0 and stays put.
+        for _ in range(int(size.max() - 1).bit_length()):
+            half = size // 2
+            base += half * (np.take(cum_weights, base + half) <= target)
+            size -= half
+        # Step past the last candidate only if it is <= target; the clip to
+        # hi - 1 is the global search's.
+        past = np.take(cum_weights, base) <= target
+        return np.minimum(base + past, hi - 1)
 
     def second_order_entry_count(self) -> int:
         """Entries a second-order table would hold: ``sum_v degree(v)^2``.

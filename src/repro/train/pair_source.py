@@ -9,11 +9,11 @@ skip-gram-style trainer, hiding *where* the batches come from:
   bit-for-bit (same RNG call sequence, same batch boundaries).
 * :class:`StreamingPairSource` — batches carved from a chunked generator
   (:func:`repro.graph.random_walk.iter_walk_pairs`), so the full corpus is
-  never held in memory; the peak buffered-pair count is tracked for the
-  memory benchmark and bounded by one chunk plus one batch.  With
-  ``walk_workers >= 2`` its chunk generator walks passes in a process pool
-  that runs ahead of the trainer; the pool lives inside the generator and
-  is shut down when the generator finishes or is closed.
+  never held in memory; the peak buffered-pair count is tracked, and
+  ``tests/test_pair_streaming.py`` asserts it stays within one chunk plus
+  one batch.  With ``walk_workers >= 2`` its chunk generator walks passes in
+  a process pool that runs ahead of the trainer; the pool lives inside the
+  generator and is shut down when the generator finishes or is closed.
 * :class:`SampledBatchSource` — an endless stream over a sampling callable
   (e.g. ``EdgeSampler.sample``), which is how the LINE-style trainers
   (SkipGram, AdvSGM-family) fit the same seam: each pull performs exactly one
@@ -50,6 +50,13 @@ class PairSource(ABC):
         """Largest number of pairs ever buffered by this source, if tracked."""
         return None
 
+    def release(self) -> None:
+        """Drop the pairs held for the passes; the counts stay readable.
+
+        A trainer calls this after its last pass.  It keeps the source for
+        the counts, and must not keep the training corpus alive with it.
+        """
+
 
 class ArrayPairSource(PairSource):
     """Materialised pair array, permuted once per pass and sliced into batches."""
@@ -60,23 +67,29 @@ class ArrayPairSource(PairSource):
             raise ValueError(f"pairs must have shape (n, 2), got {pairs.shape}")
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.pairs = pairs
+        self.pairs: Optional[np.ndarray] = pairs
         self.batch_size = int(batch_size)
+        self._num_pairs = int(pairs.shape[0])
 
     def batches(self, rng: RngLike = None) -> Iterator[np.ndarray]:
+        if self.pairs is None:
+            raise RuntimeError("the pairs were released after the last pass")
         rng = ensure_rng(rng)
-        order = rng.permutation(self.pairs.shape[0])
-        for start in range(0, self.pairs.shape[0], self.batch_size):
-            yield self.pairs[order[start : start + self.batch_size]]
+        order = rng.permutation(self._num_pairs)
+        for start in range(0, self._num_pairs, self.batch_size):
+            yield np.take(self.pairs, order[start : start + self.batch_size], axis=0)
 
     @property
     def num_pairs(self) -> int:
-        return int(self.pairs.shape[0])
+        return self._num_pairs
 
     @property
     def peak_buffer_pairs(self) -> int:
         # The whole corpus is resident — that is exactly what streaming avoids.
-        return int(self.pairs.shape[0])
+        return self._num_pairs
+
+    def release(self) -> None:
+        self.pairs = None
 
 
 class StreamingPairSource(PairSource):

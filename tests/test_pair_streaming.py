@@ -185,6 +185,18 @@ class TestPairSources:
         assert source.num_pairs == 103
         assert source.peak_buffer_pairs == 103
 
+    def test_fit_releases_array_pairs(self, small_graph):
+        # A fitted model keeps its source for the counts, not the corpus.
+        model = make_model(
+            "deepwalk", graph=small_graph, rng=5, num_walks=1, walk_length=8,
+            window_size=2, embedding_dim=8, num_epochs=2, batch_size=32,
+        ).fit()
+        source = model.pair_source_
+        assert source.pairs is None
+        assert source.num_pairs == source.peak_buffer_pairs > 0
+        with pytest.raises(RuntimeError):
+            next(source.batches())
+
     def test_streaming_source_carves_batches(self):
         chunks = [np.arange(n * 2).reshape(n, 2) + offset
                   for n, offset in ((10, 0), (3, 100), (12, 200))]

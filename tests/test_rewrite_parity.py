@@ -1,8 +1,11 @@
-"""Byte-equality of AdvSGM's per-substep kernels against the code they replaced.
+"""Byte-equality of rewritten hot kernels against the code they replaced.
 
-The branch-free ``stable_sigmoid``, the array-backed ``RdpAccountant``, the
-generator's cached activation and the dispatch-free row clipping are
-rewrites for speed that must not move a single bit.  Each test keeps the
+AdvSGM's per-substep kernels (the branch-free ``stable_sigmoid``, the
+array-backed ``RdpAccountant``, the generator's cached activation and the
+dispatch-free row clipping) and the DeepWalk/node2vec path's kernels (the
+flat scatter in ``NumpyBackend.index_add_``, the ``np.take`` gathers and the
+node2vec table step that carries its arc and searches only its own segment)
+are rewrites for speed that must not move a single bit.  Each test keeps the
 replaced implementation as a reference and compares the two on the same
 host, so these checks are strict everywhere (unlike the golden digests,
 which hosted CI compares relaxed).
@@ -17,12 +20,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.backend.numpy_backend import SIGMOID_CLIP, stable_sigmoid
+from repro.backend.numpy_backend import SIGMOID_CLIP, NumpyBackend, stable_sigmoid
 from repro.core.generator import FakeNeighbourGenerator
+from repro.graph.graph import Graph
+from repro.graph.walk_engine import WalkEngine
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.privacy.clipping import clip_rows_by_l2_norm
 from repro.privacy.composition import DEFAULT_RDP_ORDERS, rdp_to_dp
 from repro.privacy.subsampling import subsampled_gaussian_rdp
+from repro.train import ArrayPairSource
 from repro.train.budget import PrivacyBudget
 
 
@@ -208,3 +214,230 @@ class TestCachedActivation:
 def test_row_clipping_matches_linalg_norm(grads, clip_norm):
     scales = np.maximum(1.0, np.linalg.norm(grads, axis=1) / clip_norm)
     assert_same_bytes(clip_rows_by_l2_norm(grads, clip_norm), grads / scales[:, None])
+
+
+# ---------------------------------------------------------------------------
+# DeepWalk / node2vec path
+# ---------------------------------------------------------------------------
+
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1e308, -1e308]
+
+
+def add_at_2d(target, idx, rows):
+    """The 2-D ``np.add.at`` the flat scatter in ``index_add_`` replaced."""
+    np.add.at(target, np.asarray(idx, dtype=np.int64), rows)
+
+
+def assert_scatter_matches(target, idx, rows):
+    got, want = target.copy(), target.copy()
+    NumpyBackend().index_add_(got, idx, rows)
+    add_at_2d(want, idx, rows)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def scatter_cases(draw):
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 9))
+    m = draw(st.integers(0, 80))  # up to ~7 adds per row at n = 12: heavy repeats
+    values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(SPECIAL_FLOATS), st.floats())
+    idx = draw(hnp.arrays(np.int64, m, elements=st.integers(-n, n - 1)))
+    row_shape = draw(st.sampled_from([(m, dim), (dim,)]))
+    rows = draw(hnp.arrays(np.float64, row_shape, elements=values))
+    target = draw(hnp.arrays(np.float64, (n, dim), elements=values))
+    return target, idx, rows
+
+
+class TestFlatScatterAdd:
+    @settings(max_examples=400, deadline=None)
+    @given(scatter_cases())
+    def test_matches_2d_add_at(self, case):
+        assert_scatter_matches(*case)
+
+    @pytest.mark.parametrize("dim", [1, 8, 128])
+    def test_shapes(self, dim):
+        rng = np.random.default_rng(dim)
+        target = rng.normal(size=(6, dim))
+        idx = rng.integers(-6, 6, size=500)
+        assert_scatter_matches(target, idx, rng.normal(size=(500, dim)))
+        assert_scatter_matches(target, idx, rng.normal(size=dim))  # one row for all
+        assert_scatter_matches(target, np.zeros(0, dtype=np.int64), np.zeros((0, dim)))
+        assert_scatter_matches(target, idx.astype(np.int32)[::2], rng.normal(size=(250, dim)))
+
+    def test_special_values_in_order(self):
+        target = np.array([[0.0, -0.0, 1.0], [-0.0, np.inf, 2.0]])
+        rows = np.array([
+            [-0.0, -0.0, np.inf], [np.inf, np.nan, -np.inf], [-np.inf, 1.0, np.nan],
+            [1e308, -0.0, 3.0], [1e308, 0.0, -np.nan],
+        ])
+        assert_scatter_matches(target, np.array([1, 0, -1, 0, 0]), rows)
+        # NaN onto a NaN of the other sign: the 1-D and 2-D loops keep
+        # different ones, so rows holding a NaN must take the 2-D path.
+        target = np.array([[np.nan, 1.0], [-np.nan, 2.0]])
+        assert_scatter_matches(target, np.array([0, 1, 1]), np.full((3, 2), -np.nan))
+        assert_scatter_matches(target, np.array([0, 1, 1]), np.full(2, np.nan))
+
+    @pytest.mark.parametrize(
+        "view", [lambda a: a[:, ::3], lambda a: a.T, lambda a: a[::2]],
+        ids=["columns", "transpose", "rows"],
+    )
+    def test_non_contiguous_target_takes_fallback(self, view):
+        # The flat view of a non-contiguous array would be a copy, dropping
+        # every add: these must run the 2-D np.add.at on the view itself.
+        rng = np.random.default_rng(7)
+        got_base = rng.normal(size=(10, 12))
+        want_base, before = got_base.copy(), got_base.tobytes()
+        got, want = view(got_base), view(want_base)
+        assert not got.flags.c_contiguous
+        idx = rng.integers(0, got.shape[0], size=40)
+        rows = rng.normal(size=(40, got.shape[1]))
+        NumpyBackend().index_add_(got, idx, rows)
+        add_at_2d(want, idx, rows)
+        assert got_base.tobytes() == want_base.tobytes() != before
+
+    @pytest.mark.parametrize("bad", [4, -5, 10**6, -(10**6)])
+    def test_out_of_range_raises_and_leaves_target(self, bad):
+        target = np.random.default_rng(3).normal(size=(4, 8))
+        before = target.tobytes()
+        with pytest.raises(IndexError):
+            NumpyBackend().index_add_(target, np.array([0, 1, bad, 2]), np.ones((4, 8)))
+        assert target.tobytes() == before
+
+
+class TestTakeGather:
+    def assert_same_copy(self, got, x, idx):
+        want = x[idx]
+        assert type(got) is np.ndarray
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable
+        assert not np.shares_memory(got, x)
+
+    def test_index_shapes(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(50, 8))
+        pairs = rng.integers(0, 50, size=(300, 2)).astype(np.int32)
+        be = NumpyBackend()
+        for idx in (
+            rng.integers(-50, 50, size=64),  # 1-D, with negatives
+            rng.integers(0, 50, size=(16, 5)),  # (B, k) negatives
+            pairs[:, 0],  # strided int32 column view
+            np.zeros(0, dtype=np.int64),
+        ):
+            self.assert_same_copy(be.gather(x, idx), x, idx)
+
+    def test_wide_rows(self):
+        x = np.random.default_rng(1).normal(size=(40, 128))
+        idx = np.array([3, 3, 39, 0, -1])
+        self.assert_same_copy(NumpyBackend().gather(x, idx), x, idx)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64, 1000])
+    def test_pair_source_batches(self, batch_size):
+        pairs = np.random.default_rng(2).integers(0, 90, size=(250, 2))
+        got = list(ArrayPairSource(pairs, batch_size).batches(np.random.default_rng(5)))
+        order = np.random.default_rng(5).permutation(pairs.shape[0])
+        want = [pairs[order[s : s + batch_size]] for s in range(0, pairs.shape[0], batch_size)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+            assert g.flags.writeable and not np.shares_memory(g, pairs)
+
+
+def two_search_node2vec_walks(engine, starts, walk_length, p, q, rng):
+    """The table walk ``node2vec_walks`` replaced: two global searches a step."""
+    table = engine.second_order_table(p, q)
+    num_nodes = np.int64(engine.graph.num_nodes)
+    starts = np.asarray(starts, dtype=np.int64)
+    walks = np.full((starts.size, walk_length), -1, dtype=np.int64)
+    walks[:, 0] = starts
+    if walk_length == 1:
+        return walks
+    active = np.flatnonzero(engine.graph.degrees[starts] > 0)
+    if active.size == 0:
+        return walks
+    prev = starts[active]
+    current = engine._uniform_step(prev, rng)
+    walks[active, 1] = current
+    for step in range(2, walk_length):
+        arc = np.searchsorted(table.arc_keys, prev * num_nodes + current)
+        target = table.base[arc] + rng.random(arc.size) * table.total[arc]
+        pos = np.searchsorted(table.cum_weights, target, side="right")
+        np.clip(pos, table.entry_offsets[arc], table.entry_offsets[arc + 1] - 1, out=pos)
+        prev, current = current, table.candidates[pos]
+        walks[active, step] = current
+    return walks
+
+
+def hub_graph(seed, hub_degree=300):
+    """A hub of degree >= 256 (8+ bisection rounds), leaves, a random core,
+    and isolated nodes."""
+    rng = np.random.default_rng(seed)
+    n = hub_degree + 60
+    leaves = np.arange(1, hub_degree + 1)
+    edges = [np.stack([np.zeros_like(leaves), leaves], axis=1)]
+    # Nodes below hub_degree // 2 stay leaves of the hub.
+    core = rng.integers(hub_degree // 2, hub_degree + 40, size=(400, 2))
+    edges.append(core[core[:, 0] != core[:, 1]])
+    graph = Graph(n, np.concatenate(edges))  # nodes 340..359 stay isolated
+    assert graph.degrees.max() >= 256 and (graph.degrees == 0).any() and (graph.degrees == 1).any()
+    return graph
+
+
+@pytest.fixture(scope="module", params=["ram", "mmap"])
+def walk_graph(request, tmp_path_factory):
+    graph = hub_graph(11)
+    if request.param == "mmap":
+        graph = Graph.open(graph.save(tmp_path_factory.mktemp("hub") / "graph"))
+    return graph
+
+
+PQ_GRID = [(1e-9, 1.0), (0.25, 4.0), (4.0, 0.25), (1.0, 2.0), (2.0, 1e-9)]
+
+
+class TestCarriedArcStep:
+    def test_arc_id_is_csr_position(self, walk_graph):
+        engine = WalkEngine(walk_graph)
+        keys = engine.second_order_table(0.25, 4.0).arc_keys
+        assert np.all(np.diff(keys) > 0)
+        src = np.repeat(np.arange(walk_graph.num_nodes), walk_graph.degrees)
+        assert np.array_equal(keys, src * walk_graph.num_nodes + walk_graph.csr_neighbours)
+
+    @pytest.mark.parametrize("p,q", PQ_GRID)
+    @pytest.mark.parametrize("walk_length", [1, 2, 3, 20])
+    def test_walks_match_two_search_step(self, walk_graph, walk_length, p, q):
+        engine = WalkEngine(walk_graph)
+        starts = np.random.default_rng(walk_length).permutation(
+            np.tile(np.arange(walk_graph.num_nodes), 3)
+        )
+        got = engine.node2vec_walks(
+            starts, walk_length, p=p, q=q, rng=np.random.default_rng(9), second_order="table"
+        )
+        want = two_search_node2vec_walks(
+            engine, starts, walk_length, p, q, np.random.default_rng(9)
+        )
+        assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("p,q", PQ_GRID)
+    def test_segment_search_at_edges(self, walk_graph, p, q):
+        # Targets sitting exactly on, just below and just past every entry of
+        # each segment, and past its end: the clip to hi - 1 and the <= of the
+        # side="right" search are both exercised, which random draws almost
+        # never are.
+        table = WalkEngine(walk_graph).second_order_table(p, q)
+        arcs = np.arange(table.arc_keys.size)
+        lo, hi = table.entry_offsets[arcs], table.entry_offsets[arcs + 1]
+        arc_of = np.repeat(arcs, hi - lo)  # the segment each entry lies in
+        cw = table.cum_weights
+        for target, seg in (
+            (table.base, arcs),
+            (table.base + 0.5 * table.total, arcs),
+            (cw, arc_of),
+            (np.nextafter(cw, -np.inf), arc_of),
+            (np.nextafter(cw, np.inf), arc_of),
+            (cw + 1e9, arc_of),
+        ):
+            seg_lo, seg_hi = lo[seg], hi[seg]
+            target = np.maximum(target, table.base[seg])  # the step's precondition
+            want = np.clip(np.searchsorted(cw, target, side="right"), seg_lo, seg_hi - 1)
+            got = WalkEngine._segment_search(cw, target, seg_lo, seg_hi)
+            assert_same_bytes(got, want)
