@@ -256,8 +256,23 @@ class Backend(ABC):
         leaves it bit-for-bit unchanged.  A backend for which a full pass
         is cheaper than an index set may rescale every row anyway and
         return an empty carry.  Without ``rows`` every row is rescaled and
-        nothing is returned.
+        nothing is returned.  The skip-gram trainer reaches the ``rows``
+        form through :meth:`add_rows_project_`'s default.
         """
+
+    def add_rows_project_(self, x: Array, idx: Any, rows: Array, carry: Any) -> Any:
+        """``x[idx] += rows``, then project ``idx`` and ``carry`` onto the unit ball.
+
+        ``idx`` holds no repeats.  Each row in ``idx`` or ``carry`` is
+        divided by ``max(||x[i]||_2, 1)``; the return value is the next
+        carry, as :meth:`normalize_rows_` with ``rows=(idx, carry)`` returns
+        it.  This default is exactly that pair of calls; a backend may
+        override it to skip what the pair does needlessly here: dedupe an
+        ``idx`` that has no repeats, and write back rows the projection
+        leaves unchanged.
+        """
+        self.index_add_(x, idx, rows, unique=True)
+        return self.normalize_rows_(x, 1.0, (idx, carry))
 
     @abstractmethod
     def clip_rows(self, x: Array, max_norm: float) -> Array:

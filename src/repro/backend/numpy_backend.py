@@ -5,10 +5,11 @@ the backend seam existed, or a rewrite of it that a test pins byte-equal
 (the stable activation implementations moved here from
 :mod:`repro.nn.functional`, which now delegates back).  The rewrites
 ``tests/test_rewrite_parity.py`` pins against the code they replaced are
-``stable_sigmoid``, the flat scatter in ``index_add_`` and the ``np.take``
-in ``gather``.  ``asarray`` / ``to_numpy`` are identities for float64
-arrays, so routing the models through this backend changes no bytes: the
-golden-parity suite pins that.
+``stable_sigmoid``, the flat scatter in ``index_add_``, the ``np.take`` in
+``gather`` and the fused update in ``add_rows_project_`` (against the
+``index_add_`` + ``normalize_rows_`` pair it replaces).  ``asarray`` /
+``to_numpy`` are identities for float64 arrays, so routing the models
+through this backend changes no bytes: the golden-parity suite pins that.
 """
 
 from __future__ import annotations
@@ -50,6 +51,20 @@ def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     ex = np.exp(shifted)
     return ex / np.sum(ex, axis=axis, keepdims=True)
+
+
+def _project_rows_(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Divide the rows ``x[ids]`` by ``max(||row||, 1)`` where that is not 1.0.
+
+    Returns the ``ids`` whose recomputed norm is still above 1.  A row left
+    alone has norm at most 1, so it is neither written back nor re-measured.
+    """
+    scale = np.maximum(np.linalg.norm(np.take(x, ids, axis=0), axis=1), 1.0)
+    move = scale != 1.0
+    moved = ids[move]
+    divided = np.take(x, moved, axis=0) / scale[move, None]
+    x[moved] = divided
+    return moved[np.linalg.norm(divided, axis=1) > 1.0]
 
 
 class NumpyBackend(Backend):
@@ -208,6 +223,24 @@ class NumpyBackend(Backend):
         if not whole:
             x[rows] = block
         return rows[np.linalg.norm(block, axis=1) > floor]
+
+    def add_rows_project_(
+        self, x: np.ndarray, idx: Any, rows: np.ndarray, carry: np.ndarray
+    ) -> np.ndarray:
+        # The add is index_add_'s; the projection is normalize_rows_'s
+        # without its np.unique (idx has no repeats, and carry \ idx is
+        # disjoint from it) and without rewriting fixed points: a row whose
+        # scale max(||x||, 1) is exactly 1.0 is left alone, since dividing by
+        # 1.0 is the identity on every float64, -0.0 and NaN included.  NaN
+        # and inf norms are not 1.0, so those rows are still divided, as
+        # normalize_rows_ divides them.
+        idx = np.asarray(idx, dtype=np.int64)
+        self.index_add_(x, idx, rows, unique=True)
+        kept = [_project_rows_(x, idx)]
+        if np.size(carry):
+            rest = np.setdiff1d(np.asarray(carry, dtype=np.int64), idx)
+            kept.append(_project_rows_(x, rest))
+        return np.sort(np.concatenate(kept))
 
     def clip_rows(self, x: np.ndarray, max_norm: float) -> np.ndarray:
         return clip_rows_by_l2_norm(x, max_norm)

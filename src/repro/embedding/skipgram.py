@@ -152,6 +152,11 @@ class SkipGramModel(EstimatorMixin):
         rescale) are rescaled, and the carry is refreshed.  Every other row
         has norm at most 1 and is an exact fixed point of
         ``x / max(||x||, 1)``, so the result is bit-for-bit the full pass.
+
+        Only set-up and the fused fast path call this; the exact path of
+        :meth:`train_step` renormalises inside
+        :meth:`~repro.backend.base.Backend.add_rows_project_`, which keeps
+        the same carry.
         """
         self._carry = tuple(
             self.backend_.normalize_rows_(matrix, 1.0, (*rows, carry))
@@ -169,6 +174,28 @@ class SkipGramModel(EstimatorMixin):
             be.gather(self.w_in, pairs[:, 0]), be.gather(self.w_out, pairs[:, 1])
         )
 
+    def _forward(self, batch: SampleBatch):
+        """Gather a batch's rows once per side and score its pairs.
+
+        Returns ``(loss, pairs, vi, vj, pos_scores, neg_scores)``: ``pairs``
+        stacks the positives over the negatives, ``vi``/``vj`` are its fresh
+        ``W_in``/``W_out`` rows, and the loss is :meth:`batch_loss`'s.
+        """
+        be = self.backend_
+        pos = batch.positive_edges
+        pairs = np.concatenate([pos, batch.negative_pairs])
+        split = pos.shape[0]
+        vi = be.gather(self.w_in, pairs[:, 0])
+        vj = be.gather(self.w_out, pairs[:, 1])
+        pos_scores = be.rowwise_dot(vi[:split], vj[:split])
+        neg_scores = be.rowwise_dot(vi[split:], vj[split:])
+        objective = (
+            log_sigmoid(pos_scores, backend=be).sum()
+            + log_sigmoid(-neg_scores, backend=be).sum()
+        )
+        loss = -objective / max(1, batch.batch_size)
+        return loss, pairs, vi, vj, pos_scores, neg_scores
+
     def batch_loss(self, batch: SampleBatch):
         """Negative mean skip-gram objective of a batch (lower is better).
 
@@ -177,43 +204,33 @@ class SkipGramModel(EstimatorMixin):
         epoch (:meth:`repro.backend.base.Backend.scalar`), so accelerator
         backends are never forced into a per-batch device sync.
         """
-        be = self.backend_
-        pos_scores = self.pair_scores(batch.positive_edges)
-        neg_scores = self.pair_scores(batch.negative_pairs)
-        objective = (
-            log_sigmoid(pos_scores, backend=be).sum()
-            + log_sigmoid(-neg_scores, backend=be).sum()
-        )
-        return -objective / max(1, batch.batch_size)
+        return self._forward(batch)[0]
 
-    def _accumulate_gradients(
-        self, batch: SampleBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Ascent gradients for the touched rows of ``W_in`` and ``W_out``.
+    def _loss_and_gradients(self, batch: SampleBatch) -> tuple:
+        """The batch loss and ascent gradients for the touched rows.
 
-        Returns ``(grad_in, touched_in, grad_out, touched_out)`` where each
-        gradient is a compact ``(len(touched), dim)`` array aligned with its
-        sorted-unique touched-row array.  Each gradient row sums its pairs'
-        contributions positives first, then negatives, in batch order — the
-        historical ``np.add.at`` order, so the update stays bit-for-bit
-        (pinned by the golden digests).
+        Returns ``(loss, grad_in, touched_in, grad_out, touched_out)`` where
+        each gradient is a compact ``(len(touched), dim)`` array aligned with
+        its sorted-unique touched-row array.  Each gradient row sums its
+        pairs' contributions positives first, then negatives, in batch
+        order — the historical ``np.add.at`` order, so the update stays
+        bit-for-bit (pinned by the golden digests).
         """
         be = self.backend_
-        pos, neg = batch.positive_edges, batch.negative_pairs
-        pos_coeff = 1.0 - sigmoid(self.pair_scores(pos), backend=be)  # d log sigma(x) / dx
-        neg_coeff = -sigmoid(self.pair_scores(neg), backend=be)  # d log sigma(-x) / dx
-        pairs = np.concatenate([pos, neg])
-        split = pos.shape[0]
+        loss, pairs, vi, vj, pos_scores, neg_scores = self._forward(batch)
+        split = pos_scores.shape[0]
+        pos_coeff = 1.0 - sigmoid(pos_scores, backend=be)  # d log sigma(x) / dx
+        neg_coeff = -sigmoid(neg_scores, backend=be)  # d log sigma(-x) / dx
         grads = []
-        for side, other in ((0, self.w_out), (1, self.w_in)):
+        for side, rows in ((0, vj), (1, vi)):
             # A pair's gradient for its row on one side is the other side's
-            # vector scaled by the pair's coefficient.
+            # vector scaled by the pair's coefficient.  The gathered rows
+            # are not needed after scoring, so they are scaled in place.
             touched, slots = np.unique(pairs[:, side], return_inverse=True)
-            rows = be.gather(other, pairs[:, 1 - side])
             rows[:split] *= pos_coeff[:, None]
             rows[split:] *= neg_coeff[:, None]
             grads += [be.segment_sum(slots, rows, touched.shape[0]), touched]
-        return tuple(grads)
+        return (loss, *grads)
 
     # ------------------------------------------------------------------
     # training
@@ -241,9 +258,11 @@ class SkipGramModel(EstimatorMixin):
         learning rate (no division by the batch size), which is how word2vec,
         LINE and DeepWalk implementations behave.  On a fast backend
         (``backend="torch:cuda:fast"``) the whole batch runs through the
-        backend's fused :meth:`~repro.backend.base.Backend.skipgram_step`.
-        Either way only the rows the batch touched (plus the carry, see
-        :meth:`_normalize`) are renormalised afterwards.
+        backend's fused :meth:`~repro.backend.base.Backend.skipgram_step`
+        and the rows it touched (plus the carry) are then renormalised by
+        :meth:`_normalize`.  On every other backend each matrix takes one
+        :meth:`~repro.backend.base.Backend.add_rows_project_` call, which
+        adds the update and renormalises the same rows.
         """
         if batch is None:
             batch = self._sample_fused_batch() if self._fused else self.sampler.sample()
@@ -266,17 +285,25 @@ class SkipGramModel(EstimatorMixin):
             # The fused step moves the sources' W_in rows and the
             # destinations' and negatives' W_out rows.
             touched = ((pos[:, 0],), (pos[:, 1], negatives))
-        else:
-            loss = self.batch_loss(batch)
-            grad_in, touched_in, grad_out, touched_out = self._accumulate_gradients(batch)
-            # The touched indices are unique and aligned with the compact
-            # accumulators, so this is exactly the historical
-            # ``w[touched] += lr * grad[touched]`` update.
-            be.index_add_(self.w_in, touched_in, lr * grad_in, unique=True)
-            be.index_add_(self.w_out, touched_out, lr * grad_out, unique=True)
-            touched = ((touched_in,), (touched_out,))
+            if self.config.normalize_embeddings:
+                self._normalize(touched)
+            return loss
+        loss, grad_in, touched_in, grad_out, touched_out = self._loss_and_gradients(batch)
+        # The touched indices are unique and aligned with the compact
+        # accumulators, so this is exactly the historical
+        # ``w[touched] += lr * grad[touched]`` update (the same multiply,
+        # done in place).
+        grad_in *= lr
+        grad_out *= lr
         if self.config.normalize_embeddings:
-            self._normalize(touched)
+            # The carry comes back from the same call (see :meth:`_normalize`).
+            self._carry = (
+                be.add_rows_project_(self.w_in, touched_in, grad_in, self._carry[0]),
+                be.add_rows_project_(self.w_out, touched_out, grad_out, self._carry[1]),
+            )
+        else:
+            be.index_add_(self.w_in, touched_in, grad_in, unique=True)
+            be.index_add_(self.w_out, touched_out, grad_out, unique=True)
         return loss
 
     def fit(self, graph: Optional[Graph] = None, callbacks=()) -> "SkipGramModel":

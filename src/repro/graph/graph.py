@@ -203,11 +203,14 @@ class Graph:
 
         The engine is created lazily and cached so node2vec transition tables
         survive across calls to :func:`repro.graph.random_walk.node2vec_walks`.
+        It is built over a second :class:`Graph` on the same storage, so it
+        holds no reference back to this one: a dropped graph and its tables
+        are freed by reference counting, without waiting for a collection.
         """
         if self._walk_engine is None:
             from repro.graph.walk_engine import WalkEngine
 
-            self._walk_engine = WalkEngine(self)
+            self._walk_engine = WalkEngine(Graph.from_storage(self._storage))
         return self._walk_engine
 
     def neighbours(self, node: int) -> np.ndarray:

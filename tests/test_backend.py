@@ -18,6 +18,7 @@ from repro.api.spec import ExperimentCell, ExperimentSpec, ModelSpec
 from repro.backend import (
     BACKEND_ENV_VAR,
     NUMPY_BACKEND,
+    Backend,
     BackendError,
     backend_available,
     canonical_backend_spec,
@@ -402,6 +403,21 @@ class TestBackendProtocolConformance:
         NUMPY_BACKEND.index_add_(want, rows, update, unique=True)
         be.index_add_(got, rows, be.asarray(update), unique=True)
         assert np.allclose(be.to_numpy(got), want, rtol=rtol, atol=atol)
+        # The fused add-and-project (inherited by torch, overridden by
+        # numpy) equals the add followed by the touched-row pass, with the
+        # carry overlapping the added rows, disjoint from them, and empty.
+        for carry in (np.array([4, 6]), np.array([0, 7]), np.zeros(0, dtype=np.int64)):
+            update = rng.normal(size=(3, 4))
+            before = be.to_numpy(got).copy()
+            want_carry = Backend.add_rows_project_(NUMPY_BACKEND, want, rows, update, carry)
+            got_carry = be.add_rows_project_(got, rows, be.asarray(update), carry)
+            assert np.allclose(be.to_numpy(got), want, rtol=rtol, atol=atol)
+            moved = sorted(set(rows.tolist()) | set(carry.tolist()))
+            untouched = [i for i in range(8) if i not in moved]
+            assert np.array_equal(be.to_numpy(got)[untouched], before[untouched])
+            # Which rows land a last-bit above norm 1 may differ by backend.
+            for returned in (be.to_numpy(got_carry), want_carry):
+                assert set(returned.tolist()) <= set(moved)
 
     def test_skipgram_step_matches_reference(self, family, precision):
         """The fused op equals reference loss + weight updates per precision."""
@@ -450,8 +466,7 @@ class TestBackendProtocolConformance:
             positive_edges=positive,
             negative_pairs=np.stack([sources, negatives.reshape(-1)], axis=1),
         )
-        loss = model.batch_loss(batch)
-        grad_in, touched_in, grad_out, touched_out = model._accumulate_gradients(batch)
+        loss, grad_in, touched_in, grad_out, touched_out = model._loss_and_gradients(batch)
         NUMPY_BACKEND.index_add_(model.w_in, touched_in, lr * grad_in)
         NUMPY_BACKEND.index_add_(model.w_out, touched_out, lr * grad_out)
         assert float(fused_loss) == pytest.approx(float(loss), rel=1e-12)

@@ -5,6 +5,9 @@ The vectorized CSR construction, connected components, walk engine and
 implementations preserved in :mod:`repro.graph.reference_impl`.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -190,6 +193,21 @@ class TestWalkEngine:
 
     def test_graph_walk_engine_is_cached(self, small_graph):
         assert small_graph.walk_engine() is small_graph.walk_engine()
+
+    def test_graph_with_engine_freed_by_refcount(self, small_graph):
+        # The cached engine must not point back at its graph: with the
+        # collector off, dropping the last reference frees both at once.
+        graph = Graph.from_storage(small_graph.storage)
+        engine = graph.walk_engine()
+        engine.second_order_table(0.5, 2.0)
+        graph_ref, engine_ref = weakref.ref(graph), weakref.ref(engine)
+        del engine
+        gc.disable()
+        try:
+            del graph
+            assert graph_ref() is None and engine_ref() is None
+        finally:
+            gc.enable()
 
     def test_walk_corpus_stacks_shuffled_passes(self, small_graph):
         engine = WalkEngine(small_graph)

@@ -2,10 +2,12 @@
 
 AdvSGM's per-substep kernels (the branch-free ``stable_sigmoid``, the
 array-backed ``RdpAccountant``, the generator's cached activation and the
-dispatch-free row clipping) and the DeepWalk/node2vec path's kernels (the
+dispatch-free row clipping), the DeepWalk/node2vec path's kernels (the
 flat scatter in ``NumpyBackend.index_add_``, the ``np.take`` gathers and the
 node2vec table step that carries its arc and searches only its own segment)
-are rewrites for speed that must not move a single bit.  Each test keeps the
+and the skip-gram update path (one gather per side, and the fused
+``NumpyBackend.add_rows_project_``) are rewrites for speed that must not
+move a single bit.  Each test keeps the
 replaced implementation as a reference and compares the two on the same
 host, so these checks are strict everywhere (unlike the golden digests,
 which hosted CI compares relaxed).
@@ -20,10 +22,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.backend.base import Backend
 from repro.backend.numpy_backend import SIGMOID_CLIP, NumpyBackend, stable_sigmoid
 from repro.core.generator import FakeNeighbourGenerator
+from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
 from repro.graph.graph import Graph
 from repro.graph.walk_engine import WalkEngine
+from repro.nn.functional import log_sigmoid, sigmoid
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.privacy.clipping import clip_rows_by_l2_norm
 from repro.privacy.composition import DEFAULT_RDP_ORDERS, rdp_to_dp
@@ -441,3 +446,210 @@ class TestCarriedArcStep:
             want = np.clip(np.searchsorted(cw, target, side="right"), seg_lo, seg_hi - 1)
             got = WalkEngine._segment_search(cw, target, seg_lo, seg_hi)
             assert_same_bytes(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Skip-gram update path
+# ---------------------------------------------------------------------------
+
+def assert_fused_matches(x, idx, rows, carry):
+    """NumPy's ``add_rows_project_`` against the ``index_add_`` +
+    ``normalize_rows_`` pair it fuses (the base default, on numpy's own
+    kernels); returns the carry."""
+    got, want = x.copy(), x.copy()
+    got_carry = NumpyBackend().add_rows_project_(got, idx, rows, carry)
+    want_carry = Backend.add_rows_project_(NumpyBackend(), want, idx, rows, carry)
+    assert got.tobytes() == want.tobytes()
+    assert_same_bytes(got_carry, want_carry)
+    return got_carry
+
+
+def _ulps_from_one(k):
+    x = 1.0
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.copysign(np.inf, k))
+    return float(x)
+
+
+#: Row norms to aim for: exactly 1, a few ulps either side, well inside and
+#: well outside the ball, and zero.
+NEAR_ONE = [1.0, 0.0, 0.5, 2.0, 1e-300] + [_ulps_from_one(k) for k in (-3, -2, -1, 1, 2, 3)]
+UPDATE_SCALES = [0.0, 1e-16, 1e-9, 1e-3, 1.0]
+ROW_SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, -0.0]
+
+
+@st.composite
+def fused_cases(draw):
+    dim = draw(st.sampled_from([1, 3, 17, 128]))
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, dim))
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    aims = np.array(draw(st.lists(st.sampled_from(NEAR_ONE), min_size=n, max_size=n)))
+    x = x / norms * aims[:, None]
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        x[row] = 0.0
+        x[row, rng.integers(dim)] = draw(st.sampled_from([1.0, -1.0]))  # norm exactly 1.0
+    idx = np.array(draw(st.permutations(range(n)))[: draw(st.integers(0, n))], dtype=np.int64)
+    rows = rng.normal(size=(idx.size, dim)) * draw(st.sampled_from(UPDATE_SCALES))
+    for target in (x, rows):
+        if target.size and draw(st.booleans()):
+            flat = target.reshape(-1)
+            spots = rng.integers(0, flat.size, size=draw(st.integers(1, 3)))
+            flat[spots] = draw(st.sampled_from(ROW_SPECIALS))
+    carry = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    return x, idx, rows, carry
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf / inf
+class TestFusedAddProject:
+    @settings(max_examples=400, deadline=None)
+    @given(fused_cases())
+    def test_matches_add_then_normalize(self, case):
+        assert_fused_matches(*case)
+
+    @pytest.mark.parametrize("dim", [1, 3, 17, 128])
+    @pytest.mark.parametrize("carry", ["overlapping", "disjoint", "empty"])
+    def test_carry_kinds(self, dim, carry):
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(12, dim))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)  # on the sphere, +- ulps
+        x[[2, 7, 9]] *= 3.0  # rows a previous update left outside the ball
+        idx = np.array([9, 0, 4, 5, 11])
+        carry_rows = {"overlapping": [2, 7, 9], "disjoint": [2, 7], "empty": []}[carry]
+        rows = rng.normal(size=(idx.size, dim)) * 2.0
+        assert_fused_matches(x, idx, rows, np.array(carry_rows, dtype=np.int64))
+
+    @pytest.mark.parametrize("dim", [3, 17, 128])
+    def test_carry_from_both_parts_is_sorted(self, dim):
+        # Rows that stay a last-bit above norm 1 after their rescale, both
+        # in idx and in carry \ idx, interleaved: the union must come back
+        # sorted, as normalize_rows_ returns it.
+        rng = np.random.default_rng(dim)
+        x = 3.0 * rng.normal(size=(4000, dim))
+        after = x / np.linalg.norm(x, axis=1, keepdims=True)
+        x = x[np.linalg.norm(after, axis=1) > 1.0][:6]
+        assert x.shape[0] == 6
+        idx, carry = np.array([4, 0, 2]), np.array([1, 3, 5])
+        assert assert_fused_matches(x, idx, np.zeros((3, dim)), carry).size == 6
+
+    @pytest.mark.parametrize("dim", [1, 3, 17, 128])
+    def test_empty_idx(self, dim):
+        x = np.random.default_rng(1).normal(size=(5, dim)) * 3.0
+        empty = np.zeros(0, dtype=np.int64)
+        assert_fused_matches(x, empty, np.zeros((0, dim)), empty)
+        assert_fused_matches(x, empty, np.zeros((0, dim)), np.array([1, 3]))
+
+    def test_special_values(self):
+        x = np.array([
+            [np.nan, 0.0], [-np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0],
+            [-0.0, -0.0], [0.0, -1.0], [0.6, 0.8], [3.0, 4.0],
+        ])
+        idx = np.arange(8)
+        for rows in (np.zeros((8, 2)), np.full((8, 2), -0.0), np.full((8, 2), -np.nan),
+                     np.full((8, 2), np.inf)):
+            assert_fused_matches(x, idx, rows, np.zeros(0, dtype=np.int64))
+            assert_fused_matches(x, idx[::2], rows[::2], idx[1::2])
+
+
+def pair_scores_reference(model, pairs):
+    """``SkipGramModel.pair_scores``: four gathers per batch, two per call."""
+    be = model.backend_
+    pairs = np.asarray(pairs, dtype=np.int64)
+    return be.rowwise_dot(be.gather(model.w_in, pairs[:, 0]), be.gather(model.w_out, pairs[:, 1]))
+
+
+def batch_loss_reference(model, batch):
+    """The ``batch_loss`` the single-gather helper replaced."""
+    be = model.backend_
+    pos_scores = pair_scores_reference(model, batch.positive_edges)
+    neg_scores = pair_scores_reference(model, batch.negative_pairs)
+    objective = (
+        log_sigmoid(pos_scores, backend=be).sum() + log_sigmoid(-neg_scores, backend=be).sum()
+    )
+    return -objective / max(1, batch.batch_size)
+
+
+def accumulate_gradients_reference(model, batch):
+    """The ``_accumulate_gradients`` the single-gather helper replaced:
+    scores again, then gathers the gradient rows a third time."""
+    be = model.backend_
+    pos, neg = batch.positive_edges, batch.negative_pairs
+    pos_coeff = 1.0 - sigmoid(pair_scores_reference(model, pos), backend=be)
+    neg_coeff = -sigmoid(pair_scores_reference(model, neg), backend=be)
+    pairs = np.concatenate([pos, neg])
+    split = pos.shape[0]
+    grads = []
+    for side, other in ((0, model.w_out), (1, model.w_in)):
+        touched, slots = np.unique(pairs[:, side], return_inverse=True)
+        rows = be.gather(other, pairs[:, 1 - side])
+        rows[:split] *= pos_coeff[:, None]
+        rows[split:] *= neg_coeff[:, None]
+        grads += [be.segment_sum(slots, rows, touched.shape[0]), touched]
+    return tuple(grads)
+
+
+def sgm_model(dim, batch_size, negatives, distribution="uniform", seed=0):
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, 60, size=(300, 2))
+    graph = Graph(60, edges[edges[:, 0] != edges[:, 1]])
+    config = SkipGramConfig(
+        embedding_dim=dim, batch_size=batch_size, num_negatives=negatives,
+        negative_distribution=distribution,
+    )
+    model = SkipGramModel(graph, config, rng=seed)
+    # Rows of mixed size, so scores and coefficients span the sigmoid.
+    model.w_in *= rng.uniform(0.1, 30.0, size=(60, 1))
+    model.w_out *= rng.uniform(0.1, 30.0, size=(60, 1))
+    return model
+
+
+class TestSingleGatherStep:
+    @pytest.mark.parametrize("distribution", ["uniform", "unigram075"])
+    @pytest.mark.parametrize("dim,batch_size,negatives", [
+        (1, 1, 1), (3, 3, 5), (7, 5, 2), (17, 13, 3), (128, 9, 5), (5, 64, 1),
+    ])
+    def test_matches_two_scoring_passes(self, dim, batch_size, negatives, distribution):
+        # Odd dims and batch sizes put the pos/neg split of the gathered
+        # block at offsets that are not a multiple of any SIMD width.
+        model = sgm_model(dim, batch_size, negatives, distribution, seed=dim + batch_size)
+        for _ in range(3):
+            batch = model.sampler.sample()
+            want_loss = batch_loss_reference(model, batch)
+            want = accumulate_gradients_reference(model, batch)
+            loss, *got = model._loss_and_gradients(batch)
+            assert_same_bytes(np.asarray(loss), np.asarray(want_loss))
+            assert_same_bytes(np.asarray(model.batch_loss(batch)), np.asarray(want_loss))
+            for g, w in zip(got, want):
+                assert_same_bytes(g, w)
+            model.train_step(batch)
+
+    def test_train_step_matches_separate_add_and_normalize(self):
+        # The whole exact step against the code it replaced: the reference
+        # loss and gradients, ``lr * grad`` added with index_add_, then
+        # normalize_rows_ over the touched rows and the carry.
+        model, ref = sgm_model(17, 13, 3, seed=4), sgm_model(17, 13, 3, seed=4)
+        lr = model.config.learning_rate = 5.0  # leaves rows outside the ball
+        be = NumpyBackend()
+        ref_in, ref_out, ref_carry = ref.w_in, ref.w_out, ref._carry
+        carried = 0
+        for _ in range(8):
+            batch = model.sampler.sample()
+            want_loss = batch_loss_reference(ref, batch)
+            grad_in, touched_in, grad_out, touched_out = accumulate_gradients_reference(ref, batch)
+            be.index_add_(ref_in, touched_in, lr * grad_in, unique=True)
+            be.index_add_(ref_out, touched_out, lr * grad_out, unique=True)
+            ref_carry = tuple(
+                be.normalize_rows_(matrix, 1.0, (touched, carry))
+                for matrix, touched, carry in zip(
+                    (ref_in, ref_out), (touched_in, touched_out), ref_carry
+                )
+            )
+            loss = model.train_step(batch)
+            assert_same_bytes(np.asarray(loss), np.asarray(want_loss))
+            assert model.w_in.tobytes() == ref_in.tobytes()
+            assert model.w_out.tobytes() == ref_out.tobytes()
+            for got, want in zip(model._carry, ref_carry):
+                assert_same_bytes(got, want)
+            carried += sum(c.size for c in ref_carry)
+        assert carried > 0
