@@ -158,7 +158,17 @@ class DPGVAE(EstimatorMixin):
 
     # ------------------------------------------------------------------
     def _train_step(self) -> None:
-        """One DPSGD update of the encoder mean weight."""
+        """One DPSGD update of the encoder mean weight.
+
+        Only the batch's latent means are computed: the aggregated rows of
+        both endpoints are gathered as one block (all ``i`` rows, then all
+        ``j`` rows) and multiplied by ``W_mu`` once, rather than projecting
+        every node through :meth:`_latent_means` and reading 2 * batch rows.
+        The gemm computes each output row from its own input row alone, so
+        the update is byte-equal to the full projection's
+        (``tests/test_rewrite_parity.py``), as in
+        :func:`~repro.train.heads.fit_link_prediction_head`.
+        """
         cfg = self.config
         be = self.backend_
         batch = self.sampler.sample()
@@ -167,25 +177,25 @@ class DPGVAE(EstimatorMixin):
         pairs = np.vstack([pos, neg])
         labels = be.asarray(np.concatenate([np.ones(len(pos)), np.zeros(len(neg))]))
 
-        emb = self._latent_means()
-        zi = be.gather(emb, pairs[:, 0])
-        zj = be.gather(emb, pairs[:, 1])
+        count = pairs.shape[0]
+        agg = be.gather(self._aggregated, pairs.T.reshape(-1))
+        z = be.matmul(agg, self.weight_mu)
+        zi, zj = z[:count], z[count:]
+        agg_i, agg_j = agg[:count], agg[count:]
         probs = sigmoid(be.rowwise_dot(zi, zj), backend=be)
         # d(BCE)/d(score) = probs - labels; chain through both endpoints.
         residual = (probs - labels)[:, None]
-        agg_i = be.gather(self._aggregated, pairs[:, 0])
-        agg_j = be.gather(self._aggregated, pairs[:, 1])
         grad_weight = be.matmul(be.transpose(agg_i), residual * zj) + be.matmul(
             be.transpose(agg_j), residual * zi
         )
-        grad_weight /= pairs.shape[0]
+        grad_weight /= count
         # KL regulariser towards a standard normal prior on the weights.
         grad_weight += cfg.kl_weight * self.weight_mu
 
         clipped = be.clip_global(grad_weight, cfg.clip_norm)
-        noise_std = pairs.shape[0] * cfg.clip_norm * cfg.noise_multiplier
+        noise_std = count * cfg.clip_norm * cfg.noise_multiplier
         noise = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(clipped.shape))
-        self.weight_mu -= cfg.learning_rate * (clipped + noise / pairs.shape[0])
+        self.weight_mu -= cfg.learning_rate * (clipped + noise / count)
         self.accountant.step(self.sampler.edge_sampling_probability)
 
     def fit(self, graph: Optional[Graph] = None, callbacks=()) -> "DPGVAE":

@@ -44,6 +44,17 @@ def fit_link_prediction_head(
     ``features`` and ``weight`` must be native arrays of ``backend`` (numpy
     by default); the batch schedule and edge split stay on numpy regardless,
     so every backend trains on the identical pair sequence.
+
+    A step projects only the batch's rows: it gathers the feature rows of
+    both endpoints in one block (all ``i`` rows, then all ``j`` rows) and
+    multiplies that block by ``weight`` once, instead of projecting all N
+    nodes and reading 2 * batch rows.  The gemm computes each output row
+    from its own input row alone, so the rows match the full projection's
+    bytes (``tests/test_rewrite_parity.py`` pins the weights against the
+    full projection).  The two endpoints stay stacked in one product on
+    purpose: it always has at least two rows, so BLAS takes its gemm path
+    even for a final batch of one pair, where a one-row product would go
+    through gemv and round differently.
     """
     be = backend
     split = train_test_split_edges(graph, test_fraction=test_fraction, rng=rng)
@@ -61,17 +72,17 @@ def fit_link_prediction_head(
         idx = epoch_state["order"][step_idx * batch_size : (step_idx + 1) * batch_size]
         batch_pairs = pairs[idx]
         batch_labels = be.asarray(labels[idx])
-        emb = be.matmul(features, weight)
-        zi = be.gather(emb, batch_pairs[:, 0])
-        zj = be.gather(emb, batch_pairs[:, 1])
+        count = batch_pairs.shape[0]
+        feats = be.gather(features, batch_pairs.T.reshape(-1))
+        z = be.matmul(feats, weight)
+        zi, zj = z[:count], z[count:]
+        feats_i, feats_j = feats[:count], feats[count:]
         probs = sigmoid(be.rowwise_dot(zi, zj), backend=be)
         residual = (probs - batch_labels)[:, None]
-        feats_i = be.gather(features, batch_pairs[:, 0])
-        feats_j = be.gather(features, batch_pairs[:, 1])
         grad_weight = (
             be.matmul(be.transpose(feats_i), residual * zj)
             + be.matmul(be.transpose(feats_j), residual * zi)
-        ) / batch_pairs.shape[0]
+        ) / count
         weight[...] = weight - learning_rate * grad_weight
         return float(
             be.mean(

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
 from repro.graph.splits import train_test_split_edges
 
@@ -122,3 +124,28 @@ class TestEdgeSplit:
         s2 = train_test_split_edges(small_graph, rng=3)
         assert np.array_equal(s1.test_edges, s2.test_edges)
         assert np.array_equal(s1.test_negatives, s2.test_negatives)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(3, 60),
+        st.floats(0.02, 0.45),
+        st.sampled_from([0.1, 0.25, 0.5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_negatives_are_distinct_canonical_non_edges(self, n, density, test_fraction, seed):
+        rng = np.random.default_rng(seed)
+        edges = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+        edges = edges[rng.random(len(edges)) < density]
+        if len(edges) < 2:
+            edges = np.array([[0, 1], [1, 2]])
+        graph = Graph(n, edges)
+        try:
+            split = train_test_split_edges(graph, test_fraction, rng=seed)
+        except RuntimeError:
+            return  # too dense for the requested negatives
+        negatives = np.vstack([split.test_negatives, split.train_negatives])
+        assert split.test_negatives.shape == split.test_edges.shape
+        assert split.train_negatives.shape == split.train_edges.shape
+        assert (negatives[:, 0] < negatives[:, 1]).all()
+        assert not any(graph.has_edge(int(u), int(v)) for u, v in negatives)
+        assert len({(int(u), int(v)) for u, v in negatives}) == len(negatives)
