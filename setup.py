@@ -1,7 +1,8 @@
 """Setuptools stub; it declares no package metadata beyond its extras.
 
 The supported way to run the project is from a checkout with
-``PYTHONPATH=src``.  Runtime dependencies: numpy and scipy (torch optional).
+``PYTHONPATH=src``.  Runtime dependencies: numpy and scipy (torch optional);
+scipy is used only for ``scipy.sparse`` in ``NumpyBackend.segment_sum``.
 The ``test`` extra lists what the test suite needs on top of them.
 """
 

@@ -6,13 +6,35 @@ scikit-learn dependency:
 * AUC via the Mann-Whitney U statistic (rank formulation, ties averaged);
 * mutual information from the contingency table of two labelings, in nats,
   matching ``sklearn.metrics.mutual_info_score``.
+
+The average ranks behind the AUC are computed here too (``average_ranks``),
+so the AUC does not depend on the installed scipy's version; they equal
+``scipy.stats.rankdata``'s default, NaN propagation included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from scipy.stats import rankdata
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of the flattened ``values``, ties given their mean rank.
+
+    A NaN anywhere makes every rank NaN (``rankdata``'s ``"propagate"``).
+    """
+    values = np.ravel(values)
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
+    )
+    ends = np.append(starts[1:], values.size)
+    # The tie group in sorted slots start..end-1 shares ranks start+1..end.
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
 
 
 def roc_auc_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
@@ -35,7 +57,7 @@ def roc_auc_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
     num_neg = int(y_true.size - num_pos)
     if num_pos == 0 or num_neg == 0:
         raise ValueError("roc_auc_score requires both positive and negative labels")
-    ranks = rankdata(y_score)  # average ranks handle ties correctly
+    ranks = average_ranks(y_score)
     rank_sum_pos = float(ranks[y_true].sum())
     u_statistic = rank_sum_pos - num_pos * (num_pos + 1) / 2.0
     return float(u_statistic / (num_pos * num_neg))

@@ -12,7 +12,9 @@ it on a uniformly subsampled fraction ``gamma`` of the data satisfies
 for integer ``alpha >= 2``.  For the Gaussian mechanism ``eps(inf)`` is
 unbounded, so the ``min{...}`` terms resolve to ``min{4(e^{eps(2)}-1), 2 e^{eps(2)}}``
 and ``2`` respectively.  All sums are evaluated in log space to avoid overflow
-at large orders.
+at large orders, by ``logsumexp`` below: a port of scipy 1.17.1's
+``scipy.special.logsumexp`` for real 1-D input, kept in the repository so
+the paper's epsilon does not depend on the installed scipy's version.
 """
 
 from __future__ import annotations
@@ -21,10 +23,29 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.privacy.gaussian import gaussian_rdp
 from repro.utils.validation import check_probability
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` of a non-empty real 1-D array, as scipy 1.17.1 does.
+
+    The maximum's copies are split out of the shifted sum for precision; a
+    non-finite result (all ``-inf``, a ``+inf`` or a NaN entry) is recomputed
+    directly, as scipy does.
+    """
+    a_max = a.max()
+    at_max = a == a_max
+    m = float(np.count_nonzero(at_max))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
+        if s != 0:
+            s /= m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
 
 
 def subsampled_rdp(
@@ -74,7 +95,7 @@ def subsampled_rdp(
             + (j - 1) * eps_j
             + math.log(2.0)
         )
-    log_total = float(logsumexp(np.array(log_terms)))
+    log_total = logsumexp(np.array(log_terms))
     amplified = log_total / (alpha - 1)
     # Amplification can never hurt: cap by the unsampled mechanism's epsilon.
     return float(min(amplified, base_rdp(alpha)))

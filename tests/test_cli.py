@@ -26,6 +26,37 @@ def run_cli(*args, timeout=120):
     )
 
 
+# Run in a fresh interpreter, then print which of scipy's stats/special
+# modules the run left in ``sys.modules`` (``import repro`` must load neither).
+LEAK_REPORT = (
+    "\nprint(sorted(m for m in sys.modules "
+    "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'special'])))"
+)
+COLD_START_RUNS = {
+    "import repro": "import sys\nimport repro",
+    "python -m repro models list": (
+        "import runpy, sys\n"
+        "sys.argv = ['repro', 'models', 'list']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code, exit.code"
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(COLD_START_RUNS))
+def test_cold_start_skips_scipy_stats_and_special(run):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_RUNS[run] + LEAK_REPORT],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestCli:
     def test_datasets_list(self):
         proc = run_cli("datasets", "list")

@@ -33,6 +33,29 @@ class TestRocAuc:
         scores = np.array([0.1, 0.4, 0.35, 0.8, 0.7])
         assert roc_auc_score(labels, scores) == roc_auc_score(labels, scores * 100 - 3)
 
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(roc_auc_score([0, 1, 0, 1], [0.1, np.nan, 0.3, 0.9]))
+
+    def test_all_tied_scores_give_half(self):
+        assert roc_auc_score([0, 1, 1, 0, 1], np.full(5, 0.25)) == 0.5
+
+    def test_signed_zeros_tie(self):
+        assert roc_auc_score([0, 1], [0.0, -0.0]) == 0.5
+        assert roc_auc_score([1, 0, 1, 0], [0.0, -0.0, -0.0, 0.0]) == 0.5
+
+    def test_infinite_scores_rank_at_the_ends(self):
+        assert roc_auc_score([0, 1, 0, 1], [-np.inf, np.inf, -1e308, 1e308]) == 1.0
+        assert roc_auc_score([1, 0, 1], [-np.inf, 0.0, 5.0]) == 0.5
+
+    def test_integer_and_bool_labels_agree(self):
+        rng = np.random.default_rng(1)
+        labels = rng.integers(0, 2, size=200)
+        scores = np.round(rng.normal(size=200), 1)  # with ties
+        want = roc_auc_score(labels.astype(bool), scores)
+        assert roc_auc_score(labels, scores) == want
+        assert roc_auc_score(labels.astype(np.int8), scores) == want
+        assert roc_auc_score(labels.tolist(), scores) == want
+
     def test_requires_both_classes(self):
         with pytest.raises(ValueError):
             roc_auc_score([1, 1], [0.1, 0.2])

@@ -8,7 +8,10 @@ node2vec table step that carries its arc and searches only its own segment)
 the skip-gram update path (one gather per side, and the fused
 ``NumpyBackend.add_rows_project_``), and the Fig. 3 cells' block-drawn
 non-edge sampler and row-projected GNN steps are rewrites for speed that
-must not move a single bit.  Each test keeps the
+must not move a single bit.  So are the in-repo ``average_ranks`` (the AUC's
+ranks) and ``logsumexp`` (the subsampled-RDP bound), which replaced
+``scipy.stats.rankdata`` and ``scipy.special.logsumexp`` to keep both scipy
+subpackages off ``import repro``.  Each test keeps the
 replaced implementation as a reference and compares the two on the same
 host, so these checks are strict everywhere (unlike the golden digests,
 which hosted CI compares relaxed).  The one exception is the row-projected
@@ -25,6 +28,8 @@ from typing import Dict
 
 import numpy as np
 import pytest
+import scipy.special
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -35,14 +40,16 @@ from repro.baselines.dpgvae import DPGVAE
 from repro.backend.numpy_backend import SIGMOID_CLIP, NumpyBackend, stable_sigmoid
 from repro.core.generator import FakeNeighbourGenerator
 from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
+from repro.evals.metrics import average_ranks
 from repro.graph.graph import Graph
 from repro.graph.splits import _edge_keys, _sample_non_edges, train_test_split_edges
 from repro.graph.walk_engine import WalkEngine
 from repro.nn.functional import log_sigmoid, sigmoid
+from repro.privacy import subsampling
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.privacy.clipping import clip_rows_by_l2_norm
 from repro.privacy.composition import DEFAULT_RDP_ORDERS, rdp_to_dp
-from repro.privacy.subsampling import subsampled_gaussian_rdp
+from repro.privacy.subsampling import logsumexp, subsampled_gaussian_rdp
 from repro.train import ArrayPairSource, TrainingLoop
 from repro.train.budget import PrivacyBudget
 
@@ -941,3 +948,81 @@ class TestRowProjectedSteps:
         want = make_model("dpgvae", graph=small_graph, rng=5, epsilon=6.0, **overrides).fit()
         assert_same_weights(got.weight_mu, want.weight_mu)
         assert_same_weights(got.embeddings_, want.embeddings_)
+
+
+# ---------------------------------------------------------------------------
+# Cold-start ports of scipy.stats.rankdata and scipy.special.logsumexp
+# ---------------------------------------------------------------------------
+
+RANK_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf]),  # ties
+    st.floats(allow_nan=False),
+    st.sampled_from([np.nan]),
+)
+
+
+class TestAverageRanks:
+    @settings(max_examples=400, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 500), elements=RANK_VALUES))
+    def test_matches_rankdata(self, x):
+        assert_same_bytes(average_ranks(x), scipy.stats.rankdata(x))
+
+    @pytest.mark.parametrize("x", [
+        [0.0, -0.0, 0.0, -0.0],
+        [np.inf, -np.inf, 0.0, np.inf, -np.inf],
+        [1.0, np.nan, 0.0],
+        [np.nan],
+        [3.0],
+        [5e-324, -5e-324, 0.0, 1e308, -1e308],
+    ])
+    def test_edge_values(self, x):
+        x = np.array(x)
+        assert_same_bytes(average_ranks(x), scipy.stats.rankdata(x))
+
+
+def scipy_logsumexp(a):
+    return float(scipy.special.logsumexp(a))
+
+
+LSE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 3.5, -np.inf]),  # repeated maxima, -inf
+    st.floats(-800.0, 800.0),
+    st.floats(),
+)
+
+
+class TestLogSumExp:
+    @settings(max_examples=400, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 80), elements=LSE_VALUES))
+    def test_matches_scipy(self, a):
+        assert same_float(logsumexp(a), scipy_logsumexp(a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 63), elements=st.one_of(
+        st.floats(-2000.0, 50.0), st.sampled_from([0.0, -np.inf]))))
+    def test_accountant_shaped_terms(self, tail):
+        # ``subsampled_rdp``'s terms: the leading ``1 +`` as 0.0, then one
+        # log-term per j = 2..alpha.
+        a = np.concatenate(([0.0], tail))
+        assert same_float(logsumexp(a), scipy_logsumexp(a))
+
+    @pytest.mark.parametrize("a", [
+        [0.0, 0.0, 0.0],
+        [2.0, -np.inf, 2.0, 1.0],
+        [-np.inf, -np.inf],
+        [np.inf, 1.0, np.inf],
+        [np.nan, 0.0],
+        [1e308, 1e308],
+        [-1e308, -1e308, -np.inf],
+    ])
+    def test_edge_values(self, a):
+        a = np.array(a)
+        assert same_float(logsumexp(a), scipy_logsumexp(a))
+
+    @pytest.mark.parametrize("rate", [8 / 7964, 0.01, 0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 5.0, 12.0])
+    def test_accountant_curves_match_scipy(self, monkeypatch, rate, sigma):
+        got = RdpAccountant(sigma)._per_step_curve(rate)
+        monkeypatch.setattr(subsampling, "logsumexp", scipy_logsumexp)
+        want = RdpAccountant(sigma)._per_step_curve(rate)
+        assert_same_bytes(got, want)
