@@ -49,15 +49,9 @@ contribution:
     One module per paper table/figure that regenerates the reported series,
     all running through ``run_spec`` (serially or across a process pool,
     optionally against a result cache).
-``repro.service``
-    The embedding service: a lease-based cell scheduler behind a stdlib
-    HTTP server (``serve``), remote worker loops (``worker``) that recompute
-    cells through the same runner path, and an etag'd embeddings read path
-    for lookup-heavy clients.
 
 The command line mirrors the library: ``python -m repro train / evaluate /
-experiment / serve / worker / submit / status / datasets list / models
-list``.
+experiment / cache / golden / datasets list / models list``.
 """
 
 from repro.api import (

@@ -178,9 +178,9 @@ def check_overrides(name: str, overrides: Iterable[str]) -> ModelEntry:
     """Resolve ``name`` and check that every override names a config field.
 
     Raises ``KeyError`` for an unknown model and ``TypeError`` for unknown
-    fields, each with a one-line message.  The embedding service runs this
-    at submission, so a spec that could never build its model is refused
-    up front instead of failing on every worker lease.
+    fields, each with a one-line message.  :func:`make_model` runs this
+    before it builds a config, so a typo fails with the list of valid
+    fields instead of a bare dataclass ``TypeError``.
     """
     entry = get_entry(name)
     field_names = {f.name for f in dataclasses.fields(entry.config_cls)}

@@ -11,15 +11,14 @@ Because per-cell seeds are derived before any fan-out, a cache hit is
 ``run_spec`` resumes exactly where it died — both properties are pinned by
 ``tests/test_cache.py`` and the golden-parity suite.
 
-This is the seam the ROADMAP's distributed runners and embedding service
-will schedule against; the key and manifest formats are versioned
-(:data:`CACHE_SCHEMA_VERSION`) and stable.
+The key and manifest formats are versioned (:data:`CACHE_SCHEMA_VERSION`)
+and stable, so a sweep resumes from a store written in an earlier session.
 
 One level below result rows, :mod:`repro.cache.artifacts` applies the same
 discipline to *derived* artifacts: :class:`WalkCorpusStore` content-addresses
 walk-corpus passes by graph fingerprint + walk parameters + RNG derivation,
 so the expensive intermediate of the walk-based models is computed once and
-replayed bit-for-bit across cells, sweeps and service workers.
+replayed bit-for-bit across cells and sweeps.
 """
 
 from repro.cache.artifacts import (
@@ -34,7 +33,6 @@ from repro.cache.keys import (
     canonical_cell_dict,
     cell_backend_spec,
     cell_key,
-    spec_key,
 )
 from repro.cache.manifest import CacheManifest
 from repro.cache.store import (
@@ -61,5 +59,4 @@ __all__ = [
     "default_cache_dir",
     "resolve_store",
     "resolve_walk_cache",
-    "spec_key",
 ]

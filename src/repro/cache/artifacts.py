@@ -2,8 +2,8 @@
 
 A walk corpus is a pure function of (graph content, walk parameters, seed
 derivation), so its passes can be computed once and replayed bit-for-bit
-everywhere the same function is evaluated — across the cells of one sweep,
-across sweeps, and across the embedding service's workers.  The
+everywhere the same function is evaluated — across the cells of one sweep
+and across sweeps.  The
 :class:`WalkCorpusStore` persists each corpus *pass* (one ``(starts,
 walk_length)`` int64 matrix) under a content-address derived from the graph's
 fingerprint and the pass's full RNG derivation:
@@ -217,9 +217,9 @@ class WalkCorpusStore:
     def report(self) -> Dict[str, Any]:
         """Machine-readable summary: corpus count, bytes on disk, counters.
 
-        Folded into :meth:`repro.cache.store.ResultStore.report`, so the
-        ``cache report`` CLI and the service's ``GET /cache`` expose one
-        artifacts section in the same shape.
+        Folded into :meth:`repro.cache.store.ResultStore.report`, so
+        ``cache report`` (text and ``--json``) shows it as the artifacts
+        section.
         """
         count = 0
         total_bytes = 0

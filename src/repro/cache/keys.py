@@ -109,16 +109,3 @@ def cell_key(cell: Union[ExperimentCell, Mapping[str, Any]]) -> str:
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-
-def spec_key(spec: Any) -> str:
-    """The content-address (sha256 hex digest) of one experiment spec.
-
-    Defined over the *sorted set of cell keys* the spec expands to — not the
-    spec dict itself — so it inherits every canonicalisation :func:`cell_key`
-    performs (model aliases, numpy scalars, backend resolution, ...), and two
-    specs describing the same work unit-for-unit share an id.  Used by the
-    embedding service to deduplicate submissions.
-    """
-    keys = sorted(cell_key(cell) for cell in spec.cells())
-    payload = canonical_json({"schema": CACHE_SCHEMA_VERSION, "cells": keys})
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -53,9 +53,12 @@ class CacheStats:
     ``stale`` counts entries that existed on disk but were ignored (schema
     mismatch or unreadable content).
 
-    The counters are guarded by a lock: the embedding service shares one
-    store across every request thread of its HTTP server, and an unguarded
-    ``+= 1`` is a read-modify-write that loses increments under contention.
+    The counters are guarded by a lock: a caller may share one store
+    between threads, and an unguarded ``+= 1`` is a read-modify-write that
+    loses increments under contention.  Separate processes, such as two
+    ``run_spec`` sessions resuming from one store directory, each count in
+    their own instance; what they share is the directory, whose atomic
+    writes keep every entry whole.
     """
 
     hits: int = 0
@@ -169,18 +172,12 @@ class ResultStore:
         return dict(entry["row"])
 
     def load_embeddings(self, cell: ExperimentCell) -> Optional[np.ndarray]:
-        """The embeddings stored with ``cell``'s entry, or ``None``."""
-        return self.load_embeddings_by_key(self.key(cell))
+        """The embeddings stored with ``cell``'s entry, or ``None``.
 
-    def load_embeddings_by_key(self, key: str) -> Optional[np.ndarray]:
-        """The embeddings stored under a raw content-address, or ``None``.
-
-        The read path of the embedding service: lookup-heavy clients hold
-        bare ``cell_key`` strings (they are the etags), not cells.  Same
-        defensive semantics as :meth:`load_embeddings` — an entry that does
-        not advertise embeddings, or whose ``.npz`` is unreadable, is a
-        miss, never an exception.
+        An entry that does not advertise embeddings, or whose ``.npz`` is
+        unreadable, is a miss, never an exception.
         """
+        key = self.key(cell)
         entry = self._load_entry(key)
         if entry is None or not entry["manifest"].get("has_embeddings"):
             return None
@@ -210,10 +207,9 @@ class ResultStore:
     def report(self) -> Dict[str, Any]:
         """Machine-readable report of the store: root, entries and stats.
 
-        One format shared by ``python -m repro cache report --json`` and the
-        service's ``GET /cache`` endpoint, so shell scripts and HTTP clients
-        parse the same shape.  The ``artifacts`` section summarises the
-        co-located walk-corpus store (count, bytes on disk, counters).
+        ``python -m repro cache report --json`` writes exactly this dict.
+        The ``artifacts`` section summarises the co-located walk-corpus store
+        (count, bytes on disk, counters).
         """
         manifests = list(self.entries())
         return {

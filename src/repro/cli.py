@@ -25,22 +25,13 @@ Subcommands
     parallelised over experiment cells with ``--workers``, and cached /
     resumed with ``--cache-dir`` / ``--resume`` / ``--force``.
 ``cache``
-    Inspect (``report``, with ``--json`` for the machine-readable report —
-    the same format the service serves at ``GET /cache``) or ``clear`` the
+    Inspect (``report``, with ``--json`` for the machine-readable report
+    that ``ResultStore.report()`` returns) or ``clear`` the
     content-addressed experiment cache, including its derived-artifact
     section (``clear --artifacts`` removes only the cached walk corpora).
 ``golden``
     Compute the golden-parity digests of the default models; ``--check``
     compares against the committed fixture, ``--update`` regenerates it.
-``serve``
-    Run the embedding service: accept specs over HTTP, lease cells to
-    workers, serve finished embeddings with etag revalidation.
-``worker``
-    Run one worker against a service: lease, compute, report, repeat.
-``submit``
-    Submit an ``ExperimentSpec`` JSON file to a running service.
-``status``
-    Per-spec progress of a running service (all specs, or one by id).
 
 Examples
 --------
@@ -56,10 +47,6 @@ Examples
     python -m repro experiment fig3 --dataset ppi --workers 4 --cache-dir .cache
     python -m repro cache report --cache-dir .cache
     python -m repro golden --check
-    python -m repro serve --port 8321 --cache-dir .cache
-    python -m repro submit spec.json --server http://127.0.0.1:8321
-    python -m repro worker --server http://127.0.0.1:8321 --drain
-    python -m repro status --server http://127.0.0.1:8321
 """
 
 from __future__ import annotations
@@ -622,131 +609,6 @@ def _cmd_golden(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# service subcommands
-# ---------------------------------------------------------------------------
-def _format_spec_progress(progress: Dict[str, Any]) -> str:
-    """One status line per spec, shared by ``status`` and ``submit``."""
-    return (
-        f"spec {progress['spec_id'][:12]} [{progress['status']}] "
-        f"{progress['done']}/{progress['cells']} done "
-        f"({progress['cached']} cached, {progress['leased']} leased, "
-        f"{progress['pending']} pending, {progress['failed']} failed)"
-    )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ServiceServer
-
-    if args.lease_seconds <= 0:
-        raise SystemExit("--lease-seconds must be positive")
-    try:
-        server = ServiceServer(
-            store=args.cache_dir,  # None selects the default cache directory
-            host=args.host,
-            port=args.port,
-            lease_seconds=args.lease_seconds,
-            max_attempts=args.max_attempts,
-            store_embeddings=not args.no_embeddings,
-            quiet=not args.verbose,
-        )
-    except OSError as exc:
-        raise SystemExit(f"cannot bind {args.host}:{args.port}: {exc}")
-    print(f"serving on {server.base_url} (store {server.store.root}, "
-          f"lease {args.lease_seconds:g}s)", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        server.server_close()
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.service import ServiceError, ServiceWorker
-
-    worker = ServiceWorker(
-        args.server,
-        name=args.name,
-        poll_interval=args.poll_interval,
-        max_cells=args.max_cells,
-        drain=args.drain,
-        lease_seconds=args.lease_seconds,
-        walk_cache=_walk_cache_value(args),
-    )
-    try:
-        worker.client.health()  # fail fast (one line) on an unreachable server
-        completed = worker.run()
-    except ServiceError as exc:
-        raise SystemExit(str(exc))
-    except KeyboardInterrupt:
-        completed = worker.completed
-    print(f"worker {worker.name}: {completed} cells computed, "
-          f"{worker.failed} failed")
-    return 0
-
-
-def _load_spec_or_exit(path_str: str):
-    from pathlib import Path
-
-    from repro.api import ExperimentSpec
-
-    path = Path(path_str)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SystemExit(f"cannot read spec file {path}: {exc.strerror or exc}")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"spec file {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise SystemExit(f"spec file {path} must hold a JSON object")
-    try:
-        return ExperimentSpec.from_dict(data.get("spec", data))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"invalid experiment spec in {path}: {exc}")
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    spec = _load_spec_or_exit(args.spec)
-    client = ServiceClient(args.server)
-    try:
-        outcome = client.submit(spec)
-    except ServiceError as exc:
-        raise SystemExit(str(exc))
-    text = (
-        f"submitted spec {outcome['spec_id'][:12]}: {outcome['cells']} cells "
-        f"({outcome['cached']} cached, {outcome['pending']} pending)"
-    )
-    _emit(outcome, text, args.json)
-    return 0
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.server)
-    try:
-        if args.spec_id:
-            payload: Any = client.status(args.spec_id)
-            rows = [payload]
-        else:
-            payload = client.status()
-            rows = payload["specs"]
-    except ServiceError as exc:
-        raise SystemExit(str(exc))
-    if not rows:
-        text = "no specs submitted"
-    else:
-        text = "\n".join(_format_spec_progress(row) for row in rows)
-    _emit(payload, text, args.json)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
@@ -892,78 +754,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cache directory (default: ~/.cache/repro)")
     p_cache.add_argument("--json",
                          help="write the machine-readable report as JSON "
-                              "('-' for stdout; same format as GET /cache)")
+                              "('-' for stdout)")
     p_cache.add_argument("--artifacts", action="store_true",
                          help="with `clear`: remove only the cached walk "
                               "corpora, leaving result entries intact")
     p_cache.set_defaults(func=_cmd_cache)
-
-    p_serve = sub.add_parser(
-        "serve", help="run the embedding service (scheduler + HTTP surface)"
-    )
-    p_serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    p_serve.add_argument("--port", type=int, default=8321,
-                         help="bind port (0 picks an ephemeral port)")
-    p_serve.add_argument("--cache-dir",
-                         help="shared result store directory "
-                              "(default: ~/.cache/repro)")
-    p_serve.add_argument("--lease-seconds", type=float, default=60.0,
-                         help="lease validity window; workers renew "
-                              "long computations")
-    p_serve.add_argument("--max-attempts", type=int, default=3,
-                         help="worker-reported failures before a cell is "
-                              "marked failed (lease expiries never count)")
-    p_serve.add_argument("--no-embeddings", action="store_true",
-                         help="do not ask workers for embeddings (disables "
-                              "the GET /embeddings read path for new cells)")
-    p_serve.add_argument("--verbose", action="store_true",
-                         help="log every request")
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_worker = sub.add_parser(
-        "worker", help="run one worker loop against a running service"
-    )
-    p_worker.add_argument("--server", required=True,
-                          help="service base URL (http://host:port)")
-    p_worker.add_argument("--name", default=None,
-                          help="worker identity recorded on leases "
-                               "(default: host:pid)")
-    p_worker.add_argument("--poll-interval", type=float, default=1.0,
-                          help="base idle backoff seconds (jittered, capped "
-                               "exponential growth while idle)")
-    p_worker.add_argument("--max-cells", type=int, default=None,
-                          help="exit after computing this many cells")
-    p_worker.add_argument("--drain", action="store_true",
-                          help="exit once the service has no pending or "
-                               "leased cells left")
-    p_worker.add_argument("--lease-seconds", type=float, default=None,
-                          help="per-lease window override (default: the "
-                               "server's)")
-    _add_walk_cache_flags(p_worker)
-    p_worker.set_defaults(func=_cmd_worker)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit an ExperimentSpec JSON file to a service"
-    )
-    p_submit.add_argument("spec", help="path to a spec JSON file "
-                                       "(ExperimentSpec.to_dict() format)")
-    p_submit.add_argument("--server", required=True,
-                          help="service base URL (http://host:port)")
-    p_submit.add_argument("--json",
-                          help="also write the submit outcome as JSON "
-                               "('-' for stdout)")
-    p_submit.set_defaults(func=_cmd_submit)
-
-    p_status = sub.add_parser(
-        "status", help="progress of a running service's specs"
-    )
-    p_status.add_argument("spec_id", nargs="?", default=None,
-                          help="spec id (or unique prefix); omit for all specs")
-    p_status.add_argument("--server", required=True,
-                          help="service base URL (http://host:port)")
-    p_status.add_argument("--json",
-                          help="also write the progress as JSON ('-' for stdout)")
-    p_status.set_defaults(func=_cmd_status)
 
     p_gold = sub.add_parser(
         "golden", help="golden-parity digests of the default models"

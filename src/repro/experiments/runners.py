@@ -244,11 +244,10 @@ def compute_cell(
 ) -> Tuple[Dict[str, Any], Optional[np.ndarray], float]:
     """Compute one cell from scratch: ``(row, embeddings-or-None, seconds)``.
 
-    This is the unit of work of the multiprocess runner *and* of the
-    embedding service's remote workers, so it is a plain module-level
-    function of picklable arguments.  The row is normalised to plain Python
-    scalars so it is identical whether it is consumed directly or after a
-    JSON round-trip through the cache or the service wire format.
+    This is the unit of work of the multiprocess runner, so it is a plain
+    module-level function of picklable arguments.  The row is normalised to
+    plain Python scalars so it is identical whether it is consumed directly
+    or after a JSON round-trip through the cache.
     """
     from repro.utils.serialization import to_plain
 
@@ -321,11 +320,6 @@ def compute_cell(
         raise ValueError(f"unknown cell task {cell.task!r}")
     embeddings = model.embeddings_ if capture_embeddings else None
     return to_plain(row), embeddings, time.perf_counter() - start
-
-
-#: Historical name; the function went public when the embedding service's
-#: workers started computing cells through it.
-_compute_cell = compute_cell
 
 
 def run_cell(

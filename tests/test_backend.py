@@ -88,6 +88,14 @@ class TestResolution:
         ).to_dict()
         with pytest.raises(ValueError, match=r"backend spec string.*torch:cuda:fast"):
             ExperimentSpec.from_dict({**data, "device": "cuda"})
+        # Old spec JSON carries "device": null and still loads.
+        old = json.loads(json.dumps({**data, "device": None, "precision": None}))
+        assert ExperimentSpec.from_dict(old).backend == "torch:cpu"
+        # One cell's dict takes the same path: nulls load, values are refused.
+        cell = _cell(backend="torch:cpu")
+        assert ExperimentCell.from_dict({**cell.to_dict(), "device": None}) == cell
+        with pytest.raises(ValueError, match=r"backend spec string.*torch:cuda:fast"):
+            ExperimentCell.from_dict({**cell.to_dict(), "device": "cuda"})
 
     def test_instance_passthrough(self):
         assert get_backend(NUMPY_BACKEND) is NUMPY_BACKEND
@@ -146,6 +154,10 @@ class TestPrecisionResolution:
         )
         with pytest.raises(ValueError, match="'precision' is no longer"):
             ExperimentSpec.from_dict({**data, "precision": "exact"})
+        cell = _cell(backend="torch:cpu:fast")
+        assert ExperimentCell.from_dict({**cell.to_dict(), "precision": None}) == cell
+        with pytest.raises(ValueError, match="'precision' is no longer"):
+            ExperimentCell.from_dict({**cell.to_dict(), "precision": "exact"})
 
     def test_agreeing_precisions_accepted(self, monkeypatch):
         # The short and the full spelling of one precision resolve to one
@@ -486,7 +498,7 @@ class TestCacheBackendIdentity:
         # A model-level override counts when the cell is silent...
         via_model = _cell(model=ModelSpec(name="sgm", overrides={"backend": "torch"}))
         assert cell_backend_spec(via_model) == "torch:cpu"
-        # ...but the cell-level field wins (mirrors _compute_cell).
+        # ...but the cell-level field wins (mirrors compute_cell).
         both = _cell(
             model=ModelSpec(name="sgm", overrides={"backend": "torch"}),
             backend="numpy",

@@ -26,9 +26,8 @@ from repro.cache import (
     cell_key,
     default_cache_dir,
     resolve_store,
-    spec_key,
 )
-from repro.experiments.runners import _compute_cell, run_cell, run_spec
+from repro.experiments.runners import compute_cell, run_cell, run_spec
 
 #: Tiny deepwalk schedule: one cell trains in well under a second.
 FAST_DEEPWALK = dict(
@@ -312,7 +311,7 @@ class TestRoundTripDeterminism:
 class TestResultStore:
     def test_put_get_roundtrip_bit_for_bit(self, tmp_path):
         cell = tiny_cell()
-        row, _, wall = _compute_cell(cell)
+        row, _, wall = compute_cell(cell)
         store = ResultStore(tmp_path)
         key = store.put(cell, row, wall_time=wall)
         loaded = store.get(cell)
@@ -331,7 +330,7 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         row = run_cell(cell, cache=store, store_embeddings=True)
         cached_embeddings = store.load_embeddings(cell)
-        recomputed_row, recomputed_embeddings, _ = _compute_cell(
+        recomputed_row, recomputed_embeddings, _ = compute_cell(
             cell, capture_embeddings=True
         )
         assert row == recomputed_row
@@ -588,8 +587,8 @@ class TestCacheCli:
                      "--json", str(report_json)]) == 0
         out = capsys.readouterr().out
         assert "1 entries" in out and "deepwalk" in out
-        # The --json format is the same report dict the service serves at
-        # GET /cache: root, schema version, count, entries, stats.
+        # The --json format is the store's report() dict: root, schema
+        # version, count, entries, stats.
         report = json.loads(report_json.read_text())
         assert report == ResultStore(tmp_path).report()
         assert report["count"] == 1
@@ -603,36 +602,7 @@ class TestCacheCli:
 
 
 # ---------------------------------------------------------------------------
-# spec identity
-# ---------------------------------------------------------------------------
-class TestSpecKey:
-    def test_stable_and_round_trips_through_dict(self):
-        spec = tiny_spec()
-        assert spec_key(spec) == spec_key(spec)
-        assert spec_key(ExperimentSpec.from_dict(spec.to_dict())) == spec_key(spec)
-        assert len(spec_key(spec)) == 64
-
-    def test_same_cell_set_same_id_regardless_of_model_order(self):
-        # Spec identity is the *set* of cell keys, so reordering the grid
-        # axes does not mint a new spec id (same work == same spec).
-        small = ModelSpec("deepwalk", overrides=FAST_DEEPWALK)
-        wide = ModelSpec(
-            "deepwalk", overrides={**FAST_DEEPWALK, "embedding_dim": 16}
-        )
-        forward = tiny_spec()
-        ab = ExperimentSpec(**{**forward.to_dict(), "models": (small, wide)})
-        ba = ExperimentSpec(**{**forward.to_dict(), "models": (wide, small)})
-        assert spec_key(ab) == spec_key(ba)
-
-    def test_different_work_different_id(self):
-        base = tiny_spec(repeats=2)
-        assert spec_key(base) != spec_key(tiny_spec(repeats=3))
-        reseeded = ExperimentSpec(**{**base.to_dict(), "base_seed": 12})
-        assert spec_key(base) != spec_key(reseeded)
-
-
-# ---------------------------------------------------------------------------
-# concurrent writers (the service's workers all report into one store)
+# concurrent writers (two sweeps resuming from one store directory)
 # ---------------------------------------------------------------------------
 def _hammer_put(root, cell, barrier, rounds):
     """Child-process body: repeatedly put the same cell into a shared store."""

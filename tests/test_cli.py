@@ -1,6 +1,5 @@
 """Smoke tests for the ``python -m repro`` command line."""
 
-import json
 import os
 import subprocess
 import sys
@@ -187,83 +186,3 @@ class TestCli:
         assert "Fig. 3" in proc.stdout
         assert "AdvSGM" in proc.stdout
 
-
-class TestServiceCli:
-    """Error handling of the service subcommands: one-line errors, no tracebacks."""
-
-    def write_spec(self, tmp_path):
-        from repro.api import ExperimentSpec, ModelSpec
-
-        spec = ExperimentSpec(
-            task="link_prediction",
-            datasets=("ppi",),
-            models=(ModelSpec("deepwalk"),),
-            epsilons=(None,),
-            repeats=1,
-            base_seed=11,
-            dataset_scale=0.1,
-        )
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_dict()))
-        return path
-
-    def assert_one_line_error(self, proc, fragment):
-        assert proc.returncode != 0
-        assert fragment in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert len(proc.stderr.strip().splitlines()) == 1
-
-    def test_submit_unknown_spec_file(self, tmp_path):
-        proc = run_cli("submit", str(tmp_path / "nosuch.json"),
-                       "--server", "http://127.0.0.1:1")
-        self.assert_one_line_error(proc, "cannot read spec file")
-
-    def test_submit_malformed_json_spec_file(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        proc = run_cli("submit", str(bad), "--server", "http://127.0.0.1:1")
-        self.assert_one_line_error(proc, "is not valid JSON")
-
-    def test_submit_valid_json_invalid_spec(self, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"task": "link_prediction"}))
-        proc = run_cli("submit", str(bogus), "--server", "http://127.0.0.1:1")
-        self.assert_one_line_error(proc, "invalid experiment spec")
-
-    @pytest.mark.parametrize("field", ["device", "precision"])
-    def test_submit_spec_with_retired_placement_field(self, tmp_path, field):
-        path = self.write_spec(tmp_path)
-        data = json.loads(path.read_text())
-        path.write_text(json.dumps({**data, field: "cuda"}))
-        proc = run_cli("submit", str(path), "--server", "http://127.0.0.1:1")
-        self.assert_one_line_error(proc, "name it in the backend spec string")
-
-    def test_submit_spec_with_null_placement_fields_still_loads(self, tmp_path):
-        # Older spec JSON carries explicit nulls; it loads and gets as far as
-        # contacting the (absent) server.
-        path = self.write_spec(tmp_path)
-        data = json.loads(path.read_text())
-        path.write_text(json.dumps({**data, "device": None, "precision": None}))
-        proc = run_cli("submit", str(path), "--server", "http://127.0.0.1:1")
-        self.assert_one_line_error(proc, "cannot reach server")
-
-    def test_submit_unreachable_server(self, tmp_path):
-        # Port 1 on loopback refuses instantly -- no server, no timeout.
-        proc = run_cli("submit", str(self.write_spec(tmp_path)),
-                       "--server", "http://127.0.0.1:1")
-        self.assert_one_line_error(proc, "cannot reach server")
-
-    def test_status_unreachable_server(self):
-        proc = run_cli("status", "--server", "http://127.0.0.1:1")
-        self.assert_one_line_error(proc, "cannot reach server")
-
-    def test_worker_unreachable_server_fails_fast(self):
-        proc = run_cli("worker", "--server", "http://127.0.0.1:1")
-        self.assert_one_line_error(proc, "cannot reach server")
-
-    def test_serve_unbindable_host(self, tmp_path):
-        proc = run_cli("serve", "--host", "256.0.0.1", "--port", "0",
-                       "--cache-dir", str(tmp_path))
-        assert proc.returncode != 0
-        assert "cannot" in proc.stderr
-        assert "Traceback" not in proc.stderr

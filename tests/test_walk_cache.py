@@ -13,8 +13,8 @@ plumbing in ``repro/graph/walk_engine.py``):
 * **defensive reads** — truncated arrays, corrupt or stale manifests are
   misses (recompute + rewrite), never errors;
 * **placement only** — ``walk_cache`` never enters ``cell_key``; training
-  through the materialised and streaming pipelines, ``run_spec`` and a
-  ``ServiceWorker`` produces bit-identical rows and embeddings either way;
+  through the materialised and streaming pipelines and ``run_spec``
+  produces bit-identical rows and embeddings either way;
 * **concurrent writers are safe** — two processes walking the same corpus
   into one store interleave without corrupting it.
 """
@@ -360,7 +360,7 @@ class TestTrainingParity:
 
 
 # ---------------------------------------------------------------------------
-# sweep and service parity
+# sweep parity
 # ---------------------------------------------------------------------------
 def tiny_spec(walk_cache=None, repeats=2, model="deepwalk"):
     overrides = dict(num_epochs=1, embedding_dim=8, batch_size=64)
@@ -412,26 +412,6 @@ class TestSweepAndService:
         spec = tiny_spec(walk_cache=str(tmp_path / "a"), repeats=1, model="sgm")
         rows = run_spec(spec)
         assert rows and rows == run_spec(tiny_spec(repeats=1, model="sgm"))
-
-    @pytest.mark.timeout(120)
-    def test_service_worker_with_walk_cache_matches_serial(self, tmp_path):
-        from repro.service import ServiceClient, ServiceServer, ServiceWorker
-
-        spec = tiny_spec(repeats=2)
-        serial_rows = run_spec(spec)
-        arts = tmp_path / "artifacts"
-        with ServiceServer(
-            store=ResultStore(tmp_path / "store"), lease_seconds=10.0
-        ) as srv:
-            ServiceClient(srv.base_url).submit(spec)
-            worker = ServiceWorker(
-                srv.base_url, name="w0", drain=True, poll_interval=0.05,
-                walk_cache=str(arts),
-            )
-            assert worker.run() == 2
-            for cell, serial_row in zip(spec.cells(), serial_rows):
-                assert srv.store.get(cell) == serial_row
-        assert WalkCorpusStore(arts).report()["count"] >= 1
 
 
 # ---------------------------------------------------------------------------
