@@ -15,7 +15,7 @@ through ``to_dict``/``from_dict`` (and therefore JSON) losslessly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -63,12 +63,23 @@ def _freeze_overrides(overrides: Union[Mapping[str, Any], Iterable, None]) -> Tu
     return tuple(sorted(frozen))
 
 
-def _drop_legacy_placement(data: Mapping[str, Any]) -> Dict[str, Any]:
-    """Copy ``data`` without the retired ``device``/``precision`` keys.
+def _check_no_walk_cache(value: Any) -> None:
+    """Refuse any ``walk_cache`` but the ``None``/``False`` that meant "off"."""
+    if value is not None and value is not False:
+        raise ValueError(
+            f"walk_cache={value!r}: the walk-corpus cache was deleted; "
+            "drop the argument"
+        )
 
-    Older ``to_dict`` output carries them as ``null`` and still loads; a
-    non-null value is refused, because the backend spec string is now the
-    only place a device or precision can be named.
+
+def _drop_legacy_placement(data: Mapping[str, Any]) -> Dict[str, Any]:
+    """Copy ``data`` without the retired ``device``/``precision``/``walk_cache``.
+
+    Older ``to_dict`` output carries them as ``null`` (``walk_cache`` also
+    as ``false``) and still loads.  A device or precision value is refused,
+    because the backend spec string is now the only place one can be
+    named; any other ``walk_cache`` value is refused because the walk-corpus
+    cache no longer exists.
     """
     kwargs = dict(data)
     for key in ("device", "precision"):
@@ -78,6 +89,7 @@ def _drop_legacy_placement(data: Mapping[str, Any]) -> Dict[str, Any]:
                 "backend spec string, backend='name[:device][:precision]' "
                 "(e.g. 'torch:cuda:fast')"
             )
+    _check_no_walk_cache(kwargs.pop("walk_cache", None))
     return kwargs
 
 
@@ -159,7 +171,6 @@ class ExperimentCell:
     backend: Optional[str] = None
     on_disk: bool = False
     graph_path: Optional[str] = None
-    walk_cache: Union[bool, str, None] = None
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
@@ -184,15 +195,13 @@ class ExperimentCell:
         object.__setattr__(self, "on_disk", bool(self.on_disk))
         if self.graph_path is not None:
             object.__setattr__(self, "graph_path", str(self.graph_path))
-        if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
-            object.__setattr__(self, "walk_cache", str(self.walk_cache))
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (JSON-able)."""
         data = {f: getattr(self, f) for f in (
             "task", "dataset", "epsilon", "repeat", "seed",
             "dataset_scale", "dataset_seed", "test_fraction",
-            "backend", "on_disk", "graph_path", "walk_cache",
+            "backend", "on_disk", "graph_path",
         )}
         data["model"] = self.model.to_dict()
         return data
@@ -247,12 +256,9 @@ class ExperimentSpec:
         The graph's content fingerprint is hashed into every cell key, so
         two different graphs submitted under one name never alias.
     walk_cache:
-        Derived-artifact cache for walk corpora (``True`` for the default
-        artifact directory, a directory path, ``False`` to force-disable,
-        ``None`` to defer to ``$REPRO_WALK_CACHE``).  Cells sharing a graph
-        and walk parameters then compute each corpus pass once and replay it
-        everywhere else.  Like ``on_disk``, a placement knob: results are
-        bit-identical and cache keys are unaffected.
+        Retired.  The walk-corpus cache it switched was deleted; ``None`` and
+        ``False`` (which meant "off") are still accepted and stored nowhere,
+        so callers that passed them keep working.  Any other value raises.
     """
 
     task: str
@@ -267,9 +273,10 @@ class ExperimentSpec:
     backend: Optional[str] = None
     on_disk: bool = False
     graph_path: Optional[str] = None
-    walk_cache: Union[bool, str, None] = None
+    walk_cache: InitVar[Optional[bool]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, walk_cache: Optional[bool]) -> None:
+        _check_no_walk_cache(walk_cache)
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         object.__setattr__(self, "datasets", tuple(self.datasets))
@@ -298,8 +305,6 @@ class ExperimentSpec:
         if self.backend is not None:
             object.__setattr__(self, "backend", str(self.backend))
         object.__setattr__(self, "on_disk", bool(self.on_disk))
-        if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
-            object.__setattr__(self, "walk_cache", str(self.walk_cache))
         if self.graph_path is not None:
             object.__setattr__(self, "graph_path", str(self.graph_path))
             if len(self.datasets) > 1:
@@ -333,7 +338,6 @@ class ExperimentSpec:
                                 backend=self.backend,
                                 on_disk=self.on_disk,
                                 graph_path=self.graph_path,
-                                walk_cache=self.walk_cache,
                             )
                         )
         return tuple(out)
@@ -358,7 +362,6 @@ class ExperimentSpec:
             "backend": self.backend,
             "on_disk": self.on_disk,
             "graph_path": self.graph_path,
-            "walk_cache": self.walk_cache,
         }
 
     @classmethod

@@ -13,21 +13,8 @@ Because per-cell seeds are derived before any fan-out, a cache hit is
 
 The key and manifest formats are versioned (:data:`CACHE_SCHEMA_VERSION`)
 and stable, so a sweep resumes from a store written in an earlier session.
-
-One level below result rows, :mod:`repro.cache.artifacts` applies the same
-discipline to *derived* artifacts: :class:`WalkCorpusStore` content-addresses
-walk-corpus passes by graph fingerprint + walk parameters + RNG derivation,
-so the expensive intermediate of the walk-based models is computed once and
-replayed bit-for-bit across cells and sweeps.
 """
 
-from repro.cache.artifacts import (
-    ARTIFACT_SCHEMA_VERSION,
-    WalkCacheLike,
-    WalkCorpusStore,
-    default_artifact_dir,
-    resolve_walk_cache,
-)
 from repro.cache.keys import (
     CACHE_SCHEMA_VERSION,
     canonical_cell_dict,
@@ -44,19 +31,14 @@ from repro.cache.store import (
 )
 
 __all__ = [
-    "ARTIFACT_SCHEMA_VERSION",
     "CACHE_SCHEMA_VERSION",
     "CacheLike",
     "CacheManifest",
     "CacheStats",
     "ResultStore",
-    "WalkCacheLike",
-    "WalkCorpusStore",
     "canonical_cell_dict",
     "cell_backend_spec",
     "cell_key",
-    "default_artifact_dir",
     "default_cache_dir",
     "resolve_store",
-    "resolve_walk_cache",
 ]

@@ -11,7 +11,10 @@ form (:func:`canonical_cell_dict`) fixes every source of key instability:
 * compute-backend identity: the *resolved* backend spec (cell field, model
   override, ``$REPRO_BACKEND``, then the numpy default — see
   :func:`cell_backend_spec`) is hashed into every key, so a torch run can
-  never be served a cached numpy row or vice versa.
+  never be served a cached numpy row or vice versa;
+* placement: only the fields that name the work (:data:`IDENTITY_FIELDS`)
+  are hashed, so ``on_disk`` — where bit-identical arrays live — never
+  moves a key.
 
 The schema version is hashed *into* the key, so entries written under an
 older layout can never shadow a current key; the store additionally verifies
@@ -36,6 +39,17 @@ from repro.utils.serialization import canonical_json, to_plain
 #: part of the hashed form (numpy/torch results can no longer alias).
 CACHE_SCHEMA_VERSION = 2
 
+#: The cell fields that name the work: the only ones hashed.  Placement
+#: fields (``on_disk``, and the retired walk-corpus cache knob that older
+#: ``to_dict`` output still carries) are left out.  ``graph_path`` is resolved to the graph's
+#: content fingerprint; ``graph_fingerprint`` is listed so a manifest's
+#: recorded (already canonical) cell re-hashes to its own key.
+IDENTITY_FIELDS = (
+    "task", "dataset", "model", "epsilon", "repeat", "seed",
+    "dataset_scale", "dataset_seed", "test_fraction", "backend",
+    "graph_path", "graph_fingerprint",
+)
+
 
 def cell_backend_spec(cell: Union[ExperimentCell, Mapping[str, Any]]) -> str:
     """The canonical backend spec one cell's computation resolves to.
@@ -58,10 +72,11 @@ def canonical_cell_dict(cell: Union[ExperimentCell, Mapping[str, Any]]) -> Dict[
 
     Accepts an :class:`ExperimentCell` or an equivalent mapping (e.g. the
     ``cell`` recorded in a manifest) and returns plain data that hashes
-    identically for every representation of the same work unit.
+    identically for every representation of the same work unit.  Only the
+    :data:`IDENTITY_FIELDS` present in the input are kept.
     """
     data = cell.to_dict() if isinstance(cell, ExperimentCell) else dict(cell)
-    plain = to_plain(data)
+    plain = to_plain({k: data[k] for k in IDENTITY_FIELDS if k in data})
     model = plain.get("model")
     if isinstance(model, dict) and "name" in model:
         model["name"] = canonical_name(str(model["name"]))
@@ -80,20 +95,10 @@ def canonical_cell_dict(cell: Union[ExperimentCell, Mapping[str, Any]]) -> Dict[
         overrides = model.get("overrides")
         if isinstance(overrides, dict):
             overrides.pop("backend", None)
-            overrides.pop("walk_cache", None)
-    # Graph placement, like compute placement, is canonicalised away or
-    # resolved to content: ``on_disk`` only changes *where* bit-identical
-    # arrays live (parity is pinned in tests), so it never enters the key;
-    # a ``graph_path`` is replaced by the referenced graph's content
+    # A ``graph_path`` is replaced by the referenced graph's content
     # fingerprint, so two different on-disk graphs submitted under the same
     # dataset name can never alias — and moving a graph directory never
-    # invalidates its cache entries.  ``walk_cache`` is the same kind of
-    # knob one level down — corpus passes replayed from the artifact store
-    # are bit-identical to recomputation (pinned in tests/test_walk_cache.py)
-    # — so cached and uncached cells alias, whether the knob rode in as a
-    # cell field or a model override.
-    plain.pop("walk_cache", None)
-    plain.pop("on_disk", None)
+    # invalidates its cache entries.
     graph_path = plain.pop("graph_path", None)
     if graph_path is not None:
         from repro.graph.storage import storage_fingerprint

@@ -110,7 +110,6 @@ class ResultStore:
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root).expanduser() if root is not None else default_cache_dir()
         self.stats = CacheStats()
-        self._artifacts = None
 
     # ------------------------------------------------------------------
     # paths and keys
@@ -188,28 +187,10 @@ class ResultStore:
             self.stats.count("stale")
             return None
 
-    @property
-    def artifacts(self):
-        """The derived-artifact store co-located under this cache root.
-
-        Lazily constructed (and cached, so hit/miss counters accumulate per
-        store instance) at ``<root>/artifacts`` — the directory
-        ``--walk-cache`` populates when the sweep's ``--cache-dir`` is this
-        root, and the default artifact directory when this is the default
-        cache root.
-        """
-        if self._artifacts is None:
-            from repro.cache.artifacts import WalkCorpusStore
-
-            self._artifacts = WalkCorpusStore(self.root / "artifacts")
-        return self._artifacts
-
     def report(self) -> Dict[str, Any]:
         """Machine-readable report of the store: root, entries and stats.
 
         ``python -m repro cache report --json`` writes exactly this dict.
-        The ``artifacts`` section summarises the co-located walk-corpus store
-        (count, bytes on disk, counters).
         """
         manifests = list(self.entries())
         return {
@@ -218,7 +199,6 @@ class ResultStore:
             "count": len(manifests),
             "entries": manifests,
             "stats": self.stats.as_dict(),
-            "artifacts": self.artifacts.report(),
         }
 
     def manifest(self, cell: ExperimentCell) -> Optional[CacheManifest]:

@@ -27,8 +27,7 @@ Subcommands
 ``cache``
     Inspect (``report``, with ``--json`` for the machine-readable report
     that ``ResultStore.report()`` returns) or ``clear`` the
-    content-addressed experiment cache, including its derived-artifact
-    section (``clear --artifacts`` removes only the cached walk corpora).
+    content-addressed experiment cache.
 ``golden``
     Compute the golden-parity digests of the default models; ``--check``
     compares against the committed fixture, ``--update`` regenerates it.
@@ -307,48 +306,6 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     return 0
 
 
-def _walk_cache_value(
-    args: argparse.Namespace, cache_root: Optional[str] = None
-) -> Any:
-    """Resolve the three walk-cache flags into one ``walk_cache`` value.
-
-    ``--no-walk-cache`` force-disables (overriding ``$REPRO_WALK_CACHE``),
-    ``--walk-cache-dir`` names the artifact directory, and bare
-    ``--walk-cache`` selects the default — except when the command also has
-    a ``--cache-dir`` (``cache_root``), whose ``artifacts/`` subdirectory is
-    used so ``cache report --cache-dir`` finds the corpora alongside the
-    result entries.  ``None`` (no flag) defers to the environment.
-    """
-    if args.no_walk_cache:
-        if args.walk_cache or args.walk_cache_dir:
-            raise SystemExit("--no-walk-cache conflicts with --walk-cache[-dir]")
-        return False
-    if args.walk_cache_dir:
-        return args.walk_cache_dir
-    if args.walk_cache:
-        if cache_root:
-            from pathlib import Path
-
-            return str(Path(cache_root) / "artifacts")
-        return True
-    return None
-
-
-def _add_walk_cache_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared walk-cache flag triple to one subcommand parser."""
-    parser.add_argument("--walk-cache", action="store_true",
-                        help="reuse walk corpora from the derived-artifact "
-                             "cache (content-addressed by graph fingerprint "
-                             "+ walk params + seeds; replay is bit-identical "
-                             "to recomputation)")
-    parser.add_argument("--walk-cache-dir", default=None, metavar="DIR",
-                        help="artifact directory for cached walk corpora "
-                             "(implies --walk-cache)")
-    parser.add_argument("--no-walk-cache", action="store_true",
-                        help="force walk caching off, overriding "
-                             "$REPRO_WALK_CACHE")
-
-
 def _streaming_overrides(args: argparse.Namespace, model_name: str) -> Dict[str, Any]:
     """Translate the streaming and walk-pool flags into config overrides.
 
@@ -357,12 +314,10 @@ def _streaming_overrides(args: argparse.Namespace, model_name: str) -> Dict[str,
     """
     fields = set(config_field_names(model_name))
     overrides: Dict[str, Any] = {}
-    walk_cache = _walk_cache_value(args)
     for flag, field_name, value in (
         ("--stream-pairs", "pair_streaming", True if args.stream_pairs else None),
         ("--chunk-walks", "stream_chunk_walks", args.chunk_walks),
         ("--walk-workers", "walk_workers", args.walk_workers),
-        ("--walk-cache", "walk_cache", walk_cache),
     ):
         if value is None:
             continue
@@ -431,9 +386,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         settings = dataclasses.replace(settings, backend=args.backend)
     if args.on_disk:
         settings = dataclasses.replace(settings, on_disk=True)
-    walk_cache = _walk_cache_value(args)
-    if walk_cache is not None:
-        settings = dataclasses.replace(settings, walk_cache=walk_cache)
     epsilon = args.epsilon if entry.private else None
     if args.epsilon is not None and not entry.private:
         raise SystemExit(f"model {entry.name!r} is not private; drop --epsilon")
@@ -478,12 +430,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         settings = dataclasses.replace(settings, backend=args.backend)
     if args.on_disk:
         settings = dataclasses.replace(settings, on_disk=True)
-    # A bare --walk-cache co-locates the artifacts under --cache-dir (when
-    # given), so `cache report --cache-dir X` sees corpora and results in one
-    # place; --walk-cache-dir still points anywhere.
-    walk_cache = _walk_cache_value(args, cache_root=args.cache_dir)
-    if walk_cache is not None:
-        settings = dataclasses.replace(settings, walk_cache=walk_cache)
     kwargs: Dict[str, Any] = {}
     if args.name in ("fig3", "fig4", "table2", "table3", "table4", "table5"):
         kwargs["workers"] = args.workers
@@ -539,14 +485,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "report":
         report = store.report()
         manifests = report["entries"]
-        artifacts = report.get("artifacts") or {}
         lines = [f"cache {store.root}: {len(manifests)} entries"]
-        if artifacts:
-            lines.append(
-                f"  artifacts: {int(artifacts.get('count') or 0)} walk corpora, "
-                f"{int(artifacts.get('bytes') or 0) / 1e6:.1f} MB "
-                f"({artifacts.get('root')})"
-            )
         for manifest in manifests:
             cell = manifest.get("cell") or {}
             model = cell.get("model") or {}
@@ -560,15 +499,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             )
         _emit(report, "\n".join(lines), args.json)
     elif args.action == "clear":
-        if args.artifacts:
-            # Scoped clear: walk corpora only, result entries untouched.
-            removed = store.artifacts.clear()
-            print(
-                f"removed {removed} walk corpora from {store.artifacts.root}"
-            )
-        else:
-            removed = store.clear()
-            print(f"removed {removed} entries from {store.root}")
+        removed = store.clear()
+        print(f"removed {removed} entries from {store.root}")
     return 0
 
 
@@ -690,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--on-disk", action="store_true",
                          help="train against a memory-mapped on-disk graph "
                               "(materialised once under the graph cache)")
-    _add_walk_cache_flags(p_train)
     p_train.add_argument("--backend", default=None, metavar="SPEC",
                          help="backend spec name[:device][:precision] (numpy "
                               "| torch:cuda | torch:cuda:fast; see "
@@ -714,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "| torch:cuda | torch:cuda:fast)")
     p_eval.add_argument("--on-disk", action="store_true",
                         help="load the dataset as a memory-mapped on-disk graph")
-    _add_walk_cache_flags(p_eval)
     p_eval.add_argument("--json", help="also write the result row as JSON ('-' for stdout)")
     p_eval.set_defaults(func=_cmd_evaluate)
 
@@ -744,7 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--on-disk", action="store_true",
                        help="load every cell's dataset as a memory-mapped "
                             "on-disk graph (cached under the graph cache root)")
-    _add_walk_cache_flags(p_exp)
     p_exp.add_argument("--json", help="also write results as JSON ('-' for stdout)")
     p_exp.set_defaults(func=_cmd_experiment)
 
@@ -755,9 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--json",
                          help="write the machine-readable report as JSON "
                               "('-' for stdout)")
-    p_cache.add_argument("--artifacts", action="store_true",
-                         help="with `clear`: remove only the cached walk "
-                              "corpora, leaving result entries intact")
     p_cache.set_defaults(func=_cmd_cache)
 
     p_gold = sub.add_parser(

@@ -15,7 +15,7 @@ flight ahead of the trainer so walk generation and SGD overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -54,16 +54,6 @@ class DeepWalkConfig:
     modes; the corpus is then bit-identical for every ``walk_workers >= 2``
     count.  The pool workers receive the graph by pickling (in-RAM and
     memory-mapped graphs both pickle).
-
-    ``walk_cache`` opts into the derived-artifact cache: corpus passes are
-    content-addressed by (graph fingerprint, walk parameters, seed
-    derivation) in a :class:`~repro.cache.artifacts.WalkCorpusStore` and
-    replayed as read-only mmaps instead of being rewalked — bit-identical
-    seed-for-seed, across every pair pipeline.  ``True`` selects the default
-    artifact directory, a string selects that directory, ``False`` disables
-    unconditionally, and ``None`` (the default) defers to
-    ``$REPRO_WALK_CACHE``.  A placement knob: it never affects results or
-    experiment cache keys.
     """
 
     embedding_dim: int = 128
@@ -78,7 +68,6 @@ class DeepWalkConfig:
     pair_streaming: bool = False
     stream_chunk_walks: int = 4096
     walk_workers: int = 1
-    walk_cache: Union[bool, str, None] = None
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -89,8 +78,6 @@ class DeepWalkConfig:
                 raise ValueError(f"{name} must be positive")
         check_positive(self.learning_rate, "learning_rate")
         check_negative_distribution(self.negative_distribution)
-        if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
-            self.walk_cache = str(self.walk_cache)
         if self.backend is not None:
             self.backend = str(self.backend)
 
@@ -162,15 +149,6 @@ class DeepWalk(EstimatorMixin):
         """
         cfg = self.config
         bias = self._walk_bias()
-        # Resolve the walk-cache knob once so every epoch shares one store's
-        # counters; with the knob unset and $REPRO_WALK_CACHE empty this is
-        # None and no cache machinery exists on the golden path.
-        from repro.cache.artifacts import resolve_walk_cache
-
-        self.walk_cache_ = resolve_walk_cache(cfg.walk_cache)
-        # Resolution happened here; hand the engine the store itself (or an
-        # explicit False) so it never consults the environment a second time.
-        walk_cache = self.walk_cache_ if self.walk_cache_ is not None else False
         if cfg.pair_streaming:
             factory = WalkPairChunkFactory(
                 graph=self.graph,
@@ -179,7 +157,6 @@ class DeepWalk(EstimatorMixin):
                 window_size=cfg.window_size,
                 chunk_walks=cfg.stream_chunk_walks,
                 workers=cfg.walk_workers,
-                walk_cache=walk_cache,
                 rng=self._walk_rng,
                 **bias,
             )
@@ -189,7 +166,6 @@ class DeepWalk(EstimatorMixin):
             cfg.walk_length,
             rng=self._walk_rng,
             workers=cfg.walk_workers,
-            walk_cache=walk_cache,
             **bias,
         )
         pairs = walks_to_pairs(corpus, window_size=cfg.window_size)

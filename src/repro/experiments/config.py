@@ -10,7 +10,7 @@ models use the paper's schedule scaled by ``epoch_scale``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.utils.validation import check_positive, check_probability
 
@@ -47,11 +47,6 @@ class ExperimentSettings:
     on_disk:
         Load every dataset as a memory-mapped on-disk graph (materialised
         once under the graph cache, bit-identical to the in-RAM build).
-    walk_cache:
-        Derived-artifact cache for walk corpora (``True`` = default artifact
-        directory, a path = that directory, ``False`` = force-disabled,
-        ``None`` = defer to ``$REPRO_WALK_CACHE``).  Placement only — cells
-        are bit-identical and cache keys unchanged either way.
     """
 
     dataset_scale: float = 1.0
@@ -73,7 +68,6 @@ class ExperimentSettings:
     seed: int = 2025
     backend: Optional[str] = None
     on_disk: bool = False
-    walk_cache: Union[bool, str, None] = None
 
     def __post_init__(self) -> None:
         check_positive(self.dataset_scale, "dataset_scale")
@@ -100,8 +94,6 @@ class ExperimentSettings:
             raise ValueError("epsilons must not be empty")
         if self.backend is not None:
             self.backend = str(self.backend)
-        if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
-            self.walk_cache = str(self.walk_cache)
 
     @classmethod
     def quick(cls) -> "ExperimentSettings":

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 import numpy as np
 
 from repro.api import ExperimentCell, ExperimentSpec, ModelSpec, SEED_STRIDE
-from repro.api.registry import config_field_names, get_entry, make_model
+from repro.api.registry import get_entry, make_model
 from repro.cache import CacheLike, resolve_store
 from repro.core.config import AdvSGMConfig
 from repro.evals.clustering import NodeClusteringTask
@@ -235,7 +235,6 @@ def spec_from_settings(
         test_fraction=settings.test_fraction,
         backend=settings.backend,
         on_disk=settings.on_disk,
-        walk_cache=settings.walk_cache,
     )
 
 
@@ -266,14 +265,6 @@ def compute_cell(
     # re-run under --backend torch:cuda:fast retrains every cell accordingly.
     if cell.backend is not None:
         overrides["backend"] = cell.backend
-    # The walk-corpus cache is a sweep-level placement knob: models whose
-    # config has the field (the walk-corpus family) receive it, everything
-    # else (edge-sampling trainers, GNN baselines) silently ignores it so
-    # one mixed sweep can carry the flag.
-    if cell.walk_cache is not None and "walk_cache" in config_field_names(
-        cell.model.name
-    ):
-        overrides["walk_cache"] = cell.walk_cache
     row: Dict[str, Any] = {
         "task": cell.task,
         "dataset": cell.dataset,
@@ -463,7 +454,6 @@ def _single_cell(
         test_fraction=settings.test_fraction,
         backend=settings.backend,
         on_disk=settings.on_disk,
-        walk_cache=settings.walk_cache,
     )
 
 

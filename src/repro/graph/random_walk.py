@@ -230,7 +230,6 @@ def iter_walk_pairs(
     shuffle: bool = True,
     rng: RngLike = None,
     workers: int = 1,
-    walk_cache: object = None,
 ) -> Iterator[np.ndarray]:
     """Stream shuffled (centre, context) pair chunks, corpus never materialised.
 
@@ -247,12 +246,6 @@ def iter_walk_pairs(
     Peak memory is one pass's walk matrix (``num_nodes * walk_length``) plus
     one chunk of pairs (about ``chunk_walks * walk_length * 2 * window_size``
     entries) — independent of ``num_walks`` and of the corpus size.
-
-    ``walk_cache`` (a :class:`~repro.cache.artifacts.WalkCorpusStore`, a
-    directory, ``True``, or ``None`` to defer to ``$REPRO_WALK_CACHE``)
-    replays cached corpus passes as read-only mmaps instead of walking;
-    the pair chunks — and the chunk-shuffle stream, which is spawned off
-    ``rng`` before walking either way — are bit-identical regardless.
     """
     if num_walks <= 0 or walk_length <= 0:
         raise ValueError("num_walks and walk_length must be positive")
@@ -266,13 +259,7 @@ def iter_walk_pairs(
     dtype = np.int32 if graph.num_nodes < 2**31 else np.int64
 
     passes = engine.iter_corpus_passes(
-        num_walks,
-        walk_length,
-        p=p,
-        q=q,
-        rng=rng,
-        workers=workers,
-        walk_cache=walk_cache,
+        num_walks, walk_length, p=p, q=q, rng=rng, workers=workers
     )
     for matrix in passes:
         for start in range(0, matrix.shape[0], chunk_walks):
@@ -303,7 +290,6 @@ class WalkPairChunkFactory:
     q: float = 1.0
     chunk_walks: int = _STREAM_CHUNK_WALKS
     workers: int = 1
-    walk_cache: object = None
     rng: RngLike = None
 
     def __call__(self) -> Iterator[np.ndarray]:
@@ -318,7 +304,6 @@ class WalkPairChunkFactory:
             chunk_walks=self.chunk_walks,
             rng=self.rng,
             workers=self.workers,
-            walk_cache=self.walk_cache,
         )
 
 

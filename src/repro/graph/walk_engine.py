@@ -32,15 +32,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Graph
 from repro.utils.rng import RngLike, ensure_rng
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard (cache -> api -> graph)
-    from repro.cache.artifacts import WalkCorpusStore
 
 #: Second-order modes accepted by :meth:`WalkEngine.node2vec_walks`.
 SECOND_ORDER_MODES = ("auto", "table", "rejection")
@@ -153,7 +150,6 @@ class WalkEngine:
         q: float = 1.0,
         rng: RngLike = None,
         workers: int = 1,
-        walk_cache: Any = None,
     ) -> np.ndarray:
         """DeepWalk/node2vec-style corpus: ``num_walks`` shuffled passes.
 
@@ -167,21 +163,9 @@ class WalkEngine:
         same :meth:`corpus_pass` schedule serially; it differs from the
         ``workers=1`` corpus, whose passes share one sequential stream (kept
         bit-for-bit for backwards reproducibility).
-
-        ``walk_cache`` (a :class:`~repro.cache.artifacts.WalkCorpusStore`, a
-        directory, ``True`` for the default artifact directory, or ``None``
-        to defer to ``$REPRO_WALK_CACHE``) replays previously computed passes
-        from content-addressed ``.npy`` artifacts and persists freshly
-        computed ones — the corpus is bit-identical either way, seed-for-seed.
         """
         passes = self.iter_corpus_passes(
-            num_walks,
-            walk_length,
-            p=p,
-            q=q,
-            rng=rng,
-            workers=workers,
-            walk_cache=walk_cache,
+            num_walks, walk_length, p=p, q=q, rng=rng, workers=workers
         )
         return np.vstack(list(passes))
 
@@ -193,7 +177,6 @@ class WalkEngine:
         q: float = 1.0,
         rng: RngLike = None,
         workers: int = 1,
-        walk_cache: Any = None,
     ):
         """Yield the ``walk_corpus`` passes one matrix at a time.
 
@@ -204,166 +187,44 @@ class WalkEngine:
         produce the same walks seed-for-seed.  With ``workers > 1`` at most
         ``workers + 1`` pass matrices are in flight, so a slow consumer
         bounds the producer's memory.
-
-        With a ``walk_cache``, each pass is first looked up in the artifact
-        store under its content-address (graph fingerprint + canonical walk
-        parameters + the pass's RNG derivation); hits are yielded as
-        read-only ``mmap_mode="r"`` views with no walking at all, misses are
-        computed exactly as without the cache and persisted.  Mixed
-        hit/miss sequences stay bit-identical: stream-mode artifacts record
-        the post-pass generator state, so a replayed pass leaves ``rng``
-        (and the node ordering, recovered from the artifact's first column)
-        exactly where recomputation would have.
         """
         if num_walks <= 0:
             raise ValueError(f"num_walks must be positive, got {num_walks}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         rng = ensure_rng(rng)
-        store = self._resolve_corpus_store(walk_cache)
         if workers > 1:
-            return self._pooled_passes(
-                num_walks, walk_length, p, q, rng, workers, store=store
-            )
-        return self._stream_passes(num_walks, walk_length, p, q, rng, store=store)
+            return self._pooled_passes(num_walks, walk_length, p, q, rng, workers)
+        return self._stream_passes(num_walks, walk_length, p, q, rng)
 
-    # ------------------------------------------------------------------
-    # corpus artifact cache
-    # ------------------------------------------------------------------
-    def _resolve_corpus_store(self, walk_cache: Any) -> Optional["WalkCorpusStore"]:
-        """Coerce the ``walk_cache`` knob; disabled when unfingerprintable.
-
-        Imported lazily so the cache-off hot path (and ``repro.graph`` as a
-        whole) never pays for — or cyclically imports — the cache package.
-        """
-        if walk_cache is False:
-            return None
-        from repro.cache.artifacts import resolve_walk_cache
-
-        store = resolve_walk_cache(walk_cache)
-        if store is not None and self.graph.fingerprint is None:
-            return None
-        return store
-
-    def _corpus_params(self, walk_length: int, p: float, q: float) -> Dict[str, Any]:
-        """The parameter block shared by every pass key of one corpus."""
-        return {
-            "graph": self.graph.fingerprint,
-            "walk_length": int(walk_length),
-            "p": float(p),
-            "q": float(q),
-            "second_order": self.resolved_second_order(p, q),
-        }
-
-    def _stream_passes(self, num_walks, walk_length, p, q, rng, store=None):
-        """Passes on the shared sequential stream (the legacy discipline).
-
-        With a ``store``, passes are keyed on the generator's *initial*
-        bit-generator state plus the pass index — the whole sequence is a
-        deterministic function of that state, including the cumulative node
-        ordering (each pass shuffles the previous pass's order in place).
-        A hit restores both pieces of evolving state from the artifact: the
-        node order is the artifact's first column (``walks[:, 0]`` is the
-        shuffled frontier, recorded even for isolated nodes), and the
-        post-pass generator state is in its manifest — so any later miss
-        recomputes from exactly the position recomputing every pass would
-        have reached.
-        """
+    def _stream_passes(self, num_walks, walk_length, p, q, rng):
+        """Passes on the shared sequential stream (the legacy discipline)."""
         nodes = np.arange(self.graph.num_nodes)
-        if store is None:
-            for _ in range(num_walks):
-                rng.shuffle(nodes)
-                yield self.node2vec_walks(nodes, walk_length, p=p, q=q, rng=rng)
-            return
-        params = self._corpus_params(walk_length, p, q)
-        init_state = rng.bit_generator.state
-        for index in range(num_walks):
-            payload = dict(
-                params, mode="stream", init_state=init_state, index=index
-            )
-            key = store.corpus_key(payload)
-            hit = store.load(key)
-            if hit is not None:
-                matrix, manifest = hit
-                restored = self._restore_stream_state(rng, matrix, manifest)
-                if restored is not None:
-                    nodes = restored
-                    yield matrix
-                    continue
+        for _ in range(num_walks):
             rng.shuffle(nodes)
-            matrix = self.node2vec_walks(nodes, walk_length, p=p, q=q, rng=rng)
-            store.save(key, matrix, payload, post_state=rng.bit_generator.state)
-            yield matrix
+            yield self.node2vec_walks(nodes, walk_length, p=p, q=q, rng=rng)
 
-    @staticmethod
-    def _restore_stream_state(rng, matrix, manifest) -> Optional[np.ndarray]:
-        """Apply one stream artifact's side effects; node order or ``None``.
-
-        Returns the recovered (writable) node ordering on success; ``None``
-        means the manifest cannot drive a replay (missing or incompatible
-        post-pass state — e.g. written under a different bit generator) and
-        the caller falls back to recomputing the pass.
-        """
-        post_state = manifest.get("post_state")
-        if not isinstance(post_state, dict):
-            return None
-        try:
-            rng.bit_generator.state = post_state
-        except (KeyError, TypeError, ValueError, RuntimeError):
-            return None
-        return np.array(matrix[:, 0], dtype=np.int64)
-
-    def _pooled_passes(self, num_walks, walk_length, p, q, rng, workers, store=None):
-        """Derived-seed passes from a process pool, a bounded window ahead.
-
-        With a ``store``, each pass is keyed on its derived seed (the pass is
-        a pure function of it); cached passes are served as mmap views and
-        only the misses are submitted to the pool — when every pass hits, no
-        pool is created at all.  The parent persists freshly computed passes,
-        keeping the write discipline single-process.
-        """
+    def _pooled_passes(self, num_walks, walk_length, p, q, rng, workers):
+        """Derived-seed passes from a process pool, a bounded window ahead."""
         from collections import deque
 
         seeds = derive_pass_seeds(rng, num_walks)
-        cached: list = [None] * num_walks
-        keys: list = [None] * num_walks
-        if store is not None:
-            params = self._corpus_params(walk_length, p, q)
-            payloads = [
-                dict(params, mode="derived", seed=int(seed)) for seed in seeds
-            ]
-            keys = [store.corpus_key(payload) for payload in payloads]
-            for index, key in enumerate(keys):
-                hit = store.load(key)
-                if hit is not None:
-                    cached[index] = hit[0]
-        missing = deque(i for i in range(num_walks) if cached[i] is None)
-        if not missing:
-            yield from cached
-            return
         with ProcessPoolExecutor(
-            max_workers=min(int(workers), len(missing)),
+            max_workers=min(int(workers), num_walks),
             initializer=_init_pool_engine,
             initargs=(self.graph,),
         ) as pool:
 
             def submit(index):
                 task = (int(seeds[index]), walk_length, p, q)
-                return index, pool.submit(_pool_corpus_pass, task)
+                return pool.submit(_pool_corpus_pass, task)
 
-            prime = min(int(workers) + 1, len(missing))
-            in_flight = deque(submit(missing.popleft()) for _ in range(prime))
-            for index in range(num_walks):
-                if cached[index] is not None:
-                    yield cached[index]
-                    continue
-                ready, future = in_flight.popleft()
-                assert ready == index  # hits never enter the submit queue
-                matrix = future.result()
-                if missing:
-                    in_flight.append(submit(missing.popleft()))
-                if store is not None:
-                    store.save(keys[index], matrix, payloads[index])
+            prime = min(int(workers) + 1, num_walks)
+            in_flight = deque(submit(index) for index in range(prime))
+            for index in range(prime, num_walks + prime):
+                matrix = in_flight.popleft().result()
+                if index < num_walks:
+                    in_flight.append(submit(index))
                 yield matrix
 
     def corpus_pass(
@@ -495,10 +356,9 @@ class WalkEngine:
         """The sampling mode a walk with these parameters actually uses.
 
         ``"uniform"`` for ``p = q = 1`` (dispatched to first-order walks),
-        otherwise the table/rejection choice ``"auto"`` resolves to.  Part of
-        every corpus artifact key: the two biased modes draw the same
-        distribution but consume the RNG differently, so their passes must
-        never alias.
+        otherwise the table/rejection choice ``"auto"`` resolves to.  The
+        two biased modes draw the same distribution but consume the RNG
+        differently, so their walks differ seed-for-seed.
         """
         if float(p) == 1.0 and float(q) == 1.0:
             return "uniform"

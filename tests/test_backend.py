@@ -97,6 +97,28 @@ class TestResolution:
         with pytest.raises(ValueError, match=r"backend spec string.*torch:cuda:fast"):
             ExperimentCell.from_dict({**cell.to_dict(), "device": "cuda"})
 
+    def test_retired_walk_cache_accepts_only_off(self):
+        # The walk-corpus cache is gone: "off" (None/False) is still accepted
+        # and stored nowhere, anything else is refused in one line.
+        base = dict(task="none", datasets=("ppi",), models=("sgm",))
+        spec = ExperimentSpec(**base, walk_cache=False)
+        assert spec == ExperimentSpec(**base)
+        assert "walk_cache" not in spec.to_dict()
+        with pytest.raises(ValueError, match="walk-corpus cache was deleted"):
+            ExperimentSpec(**base, walk_cache=True)
+        # Old spec and cell dicts carry it as null or false and still load.
+        data = spec.to_dict()
+        for off in (None, False):
+            old = json.loads(json.dumps({**data, "walk_cache": off}))
+            assert ExperimentSpec.from_dict(old) == spec
+        with pytest.raises(ValueError, match="walk-corpus cache was deleted"):
+            ExperimentSpec.from_dict({**data, "walk_cache": ".artifacts"})
+        cell = _cell()
+        for off in (None, False):
+            assert ExperimentCell.from_dict({**cell.to_dict(), "walk_cache": off}) == cell
+        with pytest.raises(ValueError, match="walk-corpus cache was deleted"):
+            ExperimentCell.from_dict({**cell.to_dict(), "walk_cache": True})
+
     def test_instance_passthrough(self):
         assert get_backend(NUMPY_BACKEND) is NUMPY_BACKEND
 

@@ -207,6 +207,16 @@ class TestGraphPlacementKeys:
         canon = canonical_cell_dict(tiny_cell(graph_path=str(tmp_path / "a")))
         assert "graph_path" not in canon
         assert len(canon["graph_fingerprint"]) == 64
+        # A manifest records the canonical dict; it re-hashes to its own key.
+        assert cell_key(canon) == cell_key(tiny_cell(graph_path=str(tmp_path / "a")))
+
+    def test_only_identity_fields_are_hashed(self):
+        # Older to_dict output also carried the walk-corpus cache knob; placement
+        # fields never enter the key, whatever their value.
+        cell = tiny_cell(model=ModelSpec("node2vec"), epsilon=None)
+        old = {**cell.to_dict(), "walk_cache": True, "on_disk": True}
+        assert cell_key(old) == cell_key(cell)
+        assert set(canonical_cell_dict(old)) == set(canonical_cell_dict(cell))
 
 
 def _paper_cell(**changes):
@@ -243,7 +253,7 @@ class TestPinnedKeys:
                 "walk_length": 20, "num_walks": 4, "window_size": 3,
                 "p": 0.5, "q": 2.0,
             }),
-            epsilon=None, walk_cache=True, on_disk=True,
+            epsilon=None, on_disk=True,
         )
         assert cell_key(cell) == (
             "3a6b27939b2385765c4f1068978b2141fd09732da1709e02f6665599f47e057e"

@@ -325,3 +325,43 @@ class TestWalksToPairsParity:
         got = walks_to_pairs(matrix, 3)
         ref = reference_walks_to_pairs(matrix_to_walks(matrix), 3)
         assert np.array_equal(sort_pairs(got.astype(np.int64)), sort_pairs(ref))
+
+
+# ---------------------------------------------------------------------------
+# engine-side derived caches (transition tables, entry count)
+# ---------------------------------------------------------------------------
+class TestEngineCaches:
+    def test_second_order_entry_count_cached_and_correct(self, small_graph):
+        engine = WalkEngine(small_graph)
+        expected = int(
+            (small_graph.degrees.astype(np.float64) ** 2).sum()
+        )
+        assert engine.second_order_entry_count() == expected
+        assert engine._entry_count == expected  # memoised
+        assert engine.second_order_entry_count() == expected
+
+    def test_second_order_table_cached_per_pq(self, small_graph):
+        engine = WalkEngine(small_graph)
+        table = engine.second_order_table(0.5, 2.0)
+        assert engine.second_order_table(0.5, 2.0) is table
+        assert engine.second_order_table(2.0, 0.5) is not table
+
+    def test_resolved_second_order_modes(self, small_graph):
+        engine = WalkEngine(small_graph)
+        assert engine.resolved_second_order(1.0, 1.0) == "uniform"
+        assert engine.resolved_second_order(0.5, 2.0) in ("table", "rejection")
+        assert engine.resolved_second_order(0.5, 2.0, "rejection") == "rejection"
+
+    def test_cached_table_walks_match_fresh_engine(self, small_graph):
+        """Reusing a cached table across passes changes nothing numerically."""
+        warm = WalkEngine(small_graph)
+        warm.second_order_table(0.5, 2.0)  # pre-warm
+        a = warm.node2vec_walks(
+            np.arange(20), 8, p=0.5, q=2.0, rng=np.random.default_rng(3),
+            second_order="table",
+        )
+        b = WalkEngine(small_graph).node2vec_walks(
+            np.arange(20), 8, p=0.5, q=2.0, rng=np.random.default_rng(3),
+            second_order="table",
+        )
+        np.testing.assert_array_equal(a, b)
