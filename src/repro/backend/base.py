@@ -179,6 +179,10 @@ class Backend(ABC):
     def sigmoid(self, x: Array) -> Array:
         """Numerically stable logistic sigmoid."""
 
+    def sigmoid_pair(self, x: Array) -> Tuple[Array, Array]:
+        """``(sigmoid(x), sigmoid(-x))``; a backend may share their work."""
+        return self.sigmoid(x), self.sigmoid(-x)
+
     @abstractmethod
     def log_sigmoid(self, x: Array) -> Array:
         """``log(sigmoid(x))`` without intermediate underflow."""

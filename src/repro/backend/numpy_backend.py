@@ -5,37 +5,105 @@ the backend seam existed, or a rewrite of it that a test pins byte-equal
 (the stable activation implementations moved here from
 :mod:`repro.nn.functional`, which now delegates back).  The rewrites
 ``tests/test_rewrite_parity.py`` pins against the code they replaced are
-``stable_sigmoid``, the flat scatter in ``index_add_``, the ``np.take`` in
-``gather`` and the fused update in ``add_rows_project_`` (against the
-``index_add_`` + ``normalize_rows_`` pair it replaces).  ``asarray`` /
-``to_numpy`` are identities for float64 arrays, so routing the models
-through this backend changes no bytes: the golden-parity suite pins that.
+``stable_sigmoid`` and ``stable_sigmoid_pair``, the flat scatter in
+``index_add_``, the ``np.take`` in ``gather`` and the fused update in
+``add_rows_project_`` (against the ``index_add_`` + ``normalize_rows_`` pair
+it replaces).  ``asarray`` / ``to_numpy`` are identities for float64 arrays,
+so routing the models through this backend changes no bytes: the
+golden-parity suite pins that.
+
+scipy is imported on first use, by ``segment_sum`` (the ``sgm`` exact
+update), so ``import repro`` loads numpy and no scipy module.  Importing this
+module pins glibc's malloc thresholds (``_pin_malloc_thresholds``).
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse
 
 from repro.backend.base import Backend
 from repro.privacy.clipping import clip_by_l2_norm, clip_rows_by_l2_norm
+
+# glibc's mallopt parameters (malloc.h) and the values they are pinned to.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at 32 MiB and 64 MiB.
+
+    glibc starts both thresholds low (128 KiB) and raises them when the
+    program frees a large mmapped block, so whether the skip-gram step's
+    multi-MB temporaries are reused from the heap or trimmed and faulted
+    back in on every step would depend on what happened to be imported
+    first.  On a 50k-node ``sgm`` fit the latter costs about 1,800 minor
+    page faults per step and 1.2-1.6x the step time.  Both thresholds are
+    set, because setting either one freezes the other at its default.
+
+    Runs only on glibc, and not at all when the environment already tunes
+    malloc: set ``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` or a
+    ``glibc.malloc.*`` entry of ``GLIBC_TUNABLES`` to keep your own values.
+    Never raises.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        env = os.environ
+        if (
+            "MALLOC_MMAP_THRESHOLD_" in env
+            or "MALLOC_TRIM_THRESHOLD_" in env
+            or "glibc.malloc." in env.get("GLIBC_TUNABLES", "")
+        ):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    except Exception:  # no confstr name, no mallopt symbol, ...: keep glibc's
+        pass
+
+
+_pin_malloc_thresholds()
 
 # Sigmoid saturates numerically past |x| ~ 36 in float64; clipping the input
 # keeps exp() away from overflow without changing the value of the output.
 SIGMOID_CLIP = 500.0
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, stable for large positive and negative inputs."""
+def _sigmoid_branches(x: Any) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clipped ``x`` and the sigmoid's two branches, ``1 / d`` and ``e / d``.
+
+    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: both
+    branches share e = exp(-|x|) and d = 1 + e, so one pass over x computes
+    either.  min(x, -x) is -|x| but keeps a NaN's sign, as exp(x) did.
+    """
     x = np.clip(np.asarray(x, dtype=np.float64), -SIGMOID_CLIP, SIGMOID_CLIP)
-    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: both
-    # branches share e = exp(-|x|), so one pass over x computes either.
-    # min(x, -x) is -|x| but keeps a NaN's sign, as exp(x) did.
     e = np.exp(np.minimum(x, -x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return x, 1.0 / d, e / d
+
+
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid, stable for large positive and negative inputs."""
+    x, upper, lower = _sigmoid_branches(x)
+    return np.where(x >= 0, upper, lower)
+
+
+def stable_sigmoid_pair(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(stable_sigmoid(x), stable_sigmoid(-x))`` from one pass over ``x``.
+
+    The clip is symmetric and ``-|x|`` is the same for ``-x``, so the second
+    is the first with its branches swapped: the same bytes, except that a NaN
+    input gives a NaN of the other sign.
+    """
+    x, upper, lower = _sigmoid_branches(x)
+    return np.where(x >= 0, upper, lower), np.where(x <= 0, upper, lower)
 
 
 def stable_log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -136,6 +204,8 @@ class NumpyBackend(Backend):
         # one at a time into a zeroed output — the same sequential sum as
         # np.add.at into zeros.  (np.add.reduceat sums pairwise and differs
         # in the last bits.)
+        import scipy.sparse
+
         slots = np.asarray(slots, dtype=np.int64)
         indptr = np.zeros(int(n) + 1, dtype=np.int64)
         np.cumsum(np.bincount(slots, minlength=int(n)), out=indptr[1:])
@@ -168,6 +238,9 @@ class NumpyBackend(Backend):
     # ------------------------------------------------------------------
     def sigmoid(self, x: np.ndarray) -> np.ndarray:
         return stable_sigmoid(x)
+
+    def sigmoid_pair(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return stable_sigmoid_pair(x)
 
     def log_sigmoid(self, x: np.ndarray) -> np.ndarray:
         return stable_log_sigmoid(x)

@@ -180,14 +180,15 @@ class DeepWalk(EstimatorMixin):
 
         v_c = be.gather(self.w_in, centres)
         v_o = be.gather(self.w_out, contexts)
-        pos_scores = be.rowwise_dot(v_c, v_o)
-        pos_coeff = 1.0 - sigmoid(pos_scores, backend=be)
+        pos_sigmoid = sigmoid(be.rowwise_dot(v_c, v_o), backend=be)
+        pos_coeff = 1.0 - pos_sigmoid
 
         grad_centre = pos_coeff[:, None] * v_o
         grad_context = pos_coeff[:, None] * v_c
         neg_vectors = be.gather(self.w_out, negatives)  # (B, k, dim)
         neg_scores = be.batched_rowwise_dot(v_c, neg_vectors)
-        neg_coeff = -sigmoid(neg_scores, backend=be)
+        neg_sigmoid, neg_flipped = be.sigmoid_pair(neg_scores)
+        neg_coeff = -neg_sigmoid
         grad_centre = grad_centre + be.weighted_rows_sum(neg_coeff, neg_vectors)
 
         lr = cfg.learning_rate
@@ -199,10 +200,7 @@ class DeepWalk(EstimatorMixin):
             lr * (neg_coeff[:, :, None] * v_c[:, None, :]).reshape(-1, v_c.shape[1]),
         )
 
-        with np.errstate(over="ignore"):
-            batch_obj = be.sum(be.log(sigmoid(pos_scores, backend=be) + 1e-12)) + be.sum(
-                be.log(sigmoid(-neg_scores, backend=be) + 1e-12)
-            )
+        batch_obj = be.sum(be.log(pos_sigmoid + 1e-12)) + be.sum(be.log(neg_flipped + 1e-12))
         return float(-batch_obj / batch.shape[0])
 
     def _train_one_pass(self, source: PairSource) -> float:
@@ -222,11 +220,13 @@ class DeepWalk(EstimatorMixin):
         source = self._make_pair_source()
         self.pair_source_ = source
         loop = TrainingLoop(self.config.num_epochs, 1, callbacks=callbacks)
-        loop.run(
-            lambda epoch, step: self._train_one_pass(source),
-            lambda epoch, losses: self.history.record("loss", losses[0]),
-        )
-        source.release()
+        try:
+            loop.run(
+                lambda epoch, step: self._train_one_pass(source),
+                lambda epoch, losses: self.history.record("loss", losses[0]),
+            )
+        finally:
+            source.release()
         return self
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:

@@ -8,13 +8,19 @@ touch torch.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import repro
 from repro.api.spec import ExperimentCell, ExperimentSpec, ModelSpec
+from repro.backend import numpy_backend
 from repro.backend import (
     BACKEND_ENV_VAR,
     NUMPY_BACKEND,
@@ -321,6 +327,128 @@ class TestNumpyBackendOps:
 
 
 # ---------------------------------------------------------------------------
+# glibc's malloc thresholds, pinned when the numpy backend is imported
+# ---------------------------------------------------------------------------
+MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def _on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class _Mallopt:
+    """Stands in for libc's ``mallopt``; records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.fixture()
+def mallopt(monkeypatch):
+    """A fake glibc with an untuned environment; yields its ``mallopt``."""
+    fake = _Mallopt()
+    monkeypatch.setattr(numpy_backend.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=fake))
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+    for var in MALLOC_ENV:
+        monkeypatch.delenv(var, raising=False)
+    return fake
+
+
+#: Three ``sgm`` fits of 30 steps on a 50k-node, 250k-edge graph, dim 128,
+#: in one interpreter; prints each fit's minor page faults per step.  The
+#: multi-MB step temporaries fault the heap back in on every step when glibc
+#: trims it (about 1,800 faults per step without the pin); a 20k-node graph
+#: does not show it.
+FAULT_PROBE = """
+import resource
+import numpy as np
+import repro
+from repro.api.registry import make_model
+from repro.graph.graph import Graph
+from repro.train import Callback
+
+STEPS = 30
+
+class Faults(Callback):
+    def on_train_begin(self, loop):
+        self.start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    def on_train_end(self, result):
+        self.per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - self.start) / STEPS
+
+pairs = np.random.default_rng(0).integers(0, 50_000, size=(250_000, 2))
+graph = Graph(50_000, pairs[pairs[:, 0] != pairs[:, 1]])
+for seed in range(3):
+    faults = Faults()
+    model = make_model("sgm", graph=graph, rng=seed, embedding_dim=128, num_epochs=1,
+                       batches_per_epoch=STEPS, batch_size=1024, num_negatives=5)
+    model.fit(callbacks=[faults])
+    print(faults.per_step)
+"""
+
+
+class TestMallocPin:
+    def test_sets_both_thresholds(self, mallopt):
+        numpy_backend._pin_malloc_thresholds()
+        assert mallopt.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_other_tunables_do_not_count(self, mallopt, monkeypatch):
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.optional_static_tls=2048")
+        numpy_backend._pin_malloc_thresholds()
+        assert len(mallopt.calls) == 2
+
+    @pytest.mark.parametrize("var,value", [
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("GLIBC_TUNABLES", "glibc.rtld.nns=2:glibc.malloc.arena_max=1"),
+    ])
+    def test_environment_tuning_wins(self, mallopt, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        numpy_backend._pin_malloc_thresholds()
+        assert mallopt.calls == []
+
+    def test_only_on_glibc(self, mallopt, monkeypatch):
+        def unknown_name(name):
+            raise ValueError("unrecognized configuration name")
+
+        monkeypatch.setattr(os, "confstr", lambda name: None)
+        numpy_backend._pin_malloc_thresholds()
+        monkeypatch.setattr(os, "confstr", unknown_name)
+        numpy_backend._pin_malloc_thresholds()
+        assert mallopt.calls == []
+
+    def test_never_raises(self, mallopt, monkeypatch):
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(numpy_backend.ctypes, "CDLL", no_libc)
+        numpy_backend._pin_malloc_thresholds()
+        monkeypatch.setattr(numpy_backend.ctypes, "CDLL", lambda name: SimpleNamespace())
+        numpy_backend._pin_malloc_thresholds()
+
+    @pytest.mark.skipif(not _on_glibc(), reason="pins glibc's malloc only")
+    def test_sgm_steps_do_not_refault_the_heap(self):
+        env = {k: v for k, v in os.environ.items() if k not in MALLOC_ENV}
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        per_step = [float(line) for line in proc.stdout.split()]
+        # The first fit also pays for first touches and the scipy.sparse import.
+        assert len(per_step) == 3 and sum(per_step[1:]) / 2 < 100, per_step
+
+
+# ---------------------------------------------------------------------------
 # protocol conformance: every (backend, precision) vs the numpy reference
 # ---------------------------------------------------------------------------
 def _precisioned_backends():
@@ -365,6 +493,8 @@ class TestBackendProtocolConformance:
             (be.weighted_rows_sum(be.asarray(coeff), be.asarray(bundle)),
              NUMPY_BACKEND.weighted_rows_sum(coeff, bundle)),
             (be.sigmoid(be.asarray(a)), NUMPY_BACKEND.sigmoid(a)),
+            (be.sigmoid_pair(be.asarray(a))[0], NUMPY_BACKEND.sigmoid(a)),
+            (be.sigmoid_pair(be.asarray(a))[1], NUMPY_BACKEND.sigmoid(-a)),
             (be.log_sigmoid(be.asarray(a)), NUMPY_BACKEND.log_sigmoid(a)),
             (be.softmax(be.asarray(a), axis=1), NUMPY_BACKEND.softmax(a, axis=1)),
             (be.clip(be.asarray(a), -0.5, 0.5), NUMPY_BACKEND.clip(a, -0.5, 0.5)),
@@ -754,6 +884,8 @@ class TestTorchBackendOps:
             (be.weighted_rows_sum(be.asarray(coeff), be.asarray(bundle)),
              NUMPY_BACKEND.weighted_rows_sum(coeff, bundle)),
             (be.sigmoid(be.asarray(a)), NUMPY_BACKEND.sigmoid(a)),
+            (be.sigmoid_pair(be.asarray(a))[0], NUMPY_BACKEND.sigmoid(a)),
+            (be.sigmoid_pair(be.asarray(a))[1], NUMPY_BACKEND.sigmoid(-a)),
             (be.log_sigmoid(be.asarray(a)), NUMPY_BACKEND.log_sigmoid(a)),
             (be.softmax(be.asarray(a), axis=1), NUMPY_BACKEND.softmax(a, axis=1)),
             (be.clip(be.asarray(a), -0.5, None), NUMPY_BACKEND.clip(a, -0.5, None)),

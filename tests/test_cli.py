@@ -1,5 +1,6 @@
 """Smoke tests for the ``python -m repro`` command line."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,15 +10,18 @@ import numpy as np
 import pytest
 
 import repro
+from repro import golden
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
+# Hosted CI compares the golden metrics within rtol (see test_golden_parity).
+GOLDEN_RELAXED = os.environ.get("REPRO_GOLDEN_RELAXED", "") not in ("", "0")
 
 
-def run_cli(*args, timeout=120):
+def run_python(*args, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -25,12 +29,14 @@ def run_cli(*args, timeout=120):
     )
 
 
-# Run in a fresh interpreter, then print which of scipy's stats/special
-# modules the run left in ``sys.modules`` (``import repro`` must load neither).
-LEAK_REPORT = (
-    "\nprint(sorted(m for m in sys.modules "
-    "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'special'])))"
-)
+def run_cli(*args, timeout=120):
+    return run_python("-m", "repro", *args, timeout=timeout)
+
+
+# Run in a fresh interpreter, then print which scipy modules the run left in
+# ``sys.modules``: ``import repro`` must load none (scipy.sparse is imported on
+# first use, by the sgm exact update).
+LEAK_REPORT = "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 COLD_START_RUNS = {
     "import repro": "import sys\nimport repro",
     "python -m repro models list": (
@@ -46,14 +52,33 @@ COLD_START_RUNS = {
 
 @pytest.mark.parametrize("run", sorted(COLD_START_RUNS))
 def test_cold_start_skips_scipy_stats_and_special(run):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START_RUNS[run] + LEAK_REPORT],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
+    proc = run_python("-c", COLD_START_RUNS[run] + LEAK_REPORT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_sgm_fit_imports_scipy_sparse_on_first_use():
+    # The lazy import end to end: nothing of scipy after ``import repro``,
+    # scipy.sparse after the sgm golden case, and the case's digest unchanged.
+    code = (
+        "import json, sys\n"
+        "from repro import golden\n"
+        "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "case = golden.compute_case('sgm')\n"
+        "print(json.dumps([before, 'scipy.sparse' in sys.modules, case]))"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    before, sparse_loaded, case = json.loads(proc.stdout.splitlines()[-1])
+    assert before == []
+    assert sparse_loaded
+    expected = golden.load_digests()
+    problems = golden.compare_digests(
+        {"schema": expected["schema"], "cases": {"sgm": expected["cases"]["sgm"]}},
+        {"schema": golden.GOLDEN_SCHEMA, "cases": {"sgm": case}},
+        relaxed=GOLDEN_RELAXED,
+    )
+    assert problems == []
 
 
 class TestCli:

@@ -24,7 +24,7 @@ from repro.api.registry import make_model
 from repro.graph.graph import Graph
 from repro.graph.random_walk import iter_walk_pairs, walks_to_pairs
 from repro.graph.walk_engine import WalkEngine, derive_pass_seeds
-from repro.train import ArrayPairSource, SampledBatchSource, StreamingPairSource
+from repro.train import ArrayPairSource, Callback, SampledBatchSource, StreamingPairSource
 
 
 def pair_multiset(pairs):
@@ -196,6 +196,19 @@ class TestPairSources:
         assert source.num_pairs == source.peak_buffer_pairs > 0
         with pytest.raises(RuntimeError):
             next(source.batches())
+
+    def test_fit_releases_array_pairs_when_a_callback_raises(self, small_graph):
+        class Interrupt(Callback):
+            def on_epoch_end(self, epoch, losses):
+                raise RuntimeError("interrupted")
+
+        model = make_model(
+            "deepwalk", graph=small_graph, rng=5, num_walks=1, walk_length=8,
+            window_size=2, embedding_dim=8, num_epochs=2, batch_size=32,
+        )
+        with pytest.raises(RuntimeError, match="interrupted"):
+            model.fit(callbacks=[Interrupt()])
+        assert model.pair_source_.pairs is None
 
     def test_streaming_source_carves_batches(self):
         chunks = [np.arange(n * 2).reshape(n, 2) + offset

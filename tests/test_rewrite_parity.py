@@ -4,8 +4,9 @@ AdvSGM's per-substep kernels (the branch-free ``stable_sigmoid``, the
 array-backed ``RdpAccountant``, the generator's cached activation and the
 dispatch-free row clipping), the DeepWalk/node2vec path's kernels (the
 flat scatter in ``NumpyBackend.index_add_``, the ``np.take`` gathers and the
-node2vec table step that carries its arc and searches only its own segment)
-the skip-gram update path (one gather per side, and the fused
+node2vec table step that carries its arc and searches only its own segment,
+and DeepWalk's batch step, which evaluates each sigmoid once through
+``stable_sigmoid_pair``), the skip-gram update path (one gather per side, and the fused
 ``NumpyBackend.add_rows_project_``), and the Fig. 3 cells' block-drawn
 non-edge sampler and row-projected GNN steps are rewrites for speed that
 must not move a single bit.  So are the in-repo ``average_ranks`` (the AUC's
@@ -37,8 +38,14 @@ from repro.api.registry import make_model
 from repro.backend import NUMPY_BACKEND
 from repro.backend.base import Backend
 from repro.baselines.dpgvae import DPGVAE
-from repro.backend.numpy_backend import SIGMOID_CLIP, NumpyBackend, stable_sigmoid
+from repro.backend.numpy_backend import (
+    SIGMOID_CLIP,
+    NumpyBackend,
+    stable_sigmoid,
+    stable_sigmoid_pair,
+)
 from repro.core.generator import FakeNeighbourGenerator
+from repro.embedding.deepwalk import DeepWalk
 from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
 from repro.evals.metrics import average_ranks
 from repro.graph.graph import Graph
@@ -110,6 +117,93 @@ class TestBranchFreeSigmoid:
     @given(hnp.arrays(np.float64, st.integers(0, 70)))
     def test_any_float64(self, x):
         assert_same_bytes(stable_sigmoid(x), masked_sigmoid(x))
+
+
+def assert_pair_matches_two_sigmoids(x):
+    got_pos, got_neg = stable_sigmoid_pair(x)
+    want_pos, want_neg = stable_sigmoid(x), stable_sigmoid(-np.asarray(x, dtype=np.float64))
+    assert_same_bytes(got_pos, want_pos)
+    # A NaN input comes out as a NaN of the other sign on the flipped side;
+    # every other value, -0.0 and the infinities included, is byte-equal.
+    nan = np.isnan(np.asarray(x, dtype=np.float64))
+    assert type(got_neg) is type(want_neg) and got_neg.shape == want_neg.shape
+    assert np.array_equal(np.isnan(got_neg), nan)
+    assert got_neg[~nan].tobytes() == want_neg[~nan].tobytes()
+
+
+class TestSigmoidPair:
+    def test_edge_values(self):
+        assert_pair_matches_two_sigmoids(np.array(TestBranchFreeSigmoid.EDGES))
+
+    @pytest.mark.parametrize("x", [0.5, -3.0, np.float64(-0.0), [], np.zeros((0, 4))])
+    def test_zero_d_and_empty(self, x):
+        assert_pair_matches_two_sigmoids(x)
+
+    def test_strided_block(self):
+        x = np.random.default_rng(0).normal(size=(40, 128)) * 30.0
+        x[::7, ::3] = np.nan
+        assert_pair_matches_two_sigmoids(x.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 70)))
+    def test_any_float64(self, x):
+        assert_pair_matches_two_sigmoids(x)
+
+
+def two_sigmoid_train_on_batch(self, batch):
+    """DeepWalk's batch step before ``sigmoid_pair``: each sigmoid twice."""
+    cfg = self.config
+    be = self.backend_
+    centres, contexts = batch[:, 0], batch[:, 1]
+    negatives = self._draw_negatives(batch.shape[0], cfg.num_negatives)
+
+    v_c = be.gather(self.w_in, centres)
+    v_o = be.gather(self.w_out, contexts)
+    pos_scores = be.rowwise_dot(v_c, v_o)
+    pos_coeff = 1.0 - sigmoid(pos_scores, backend=be)
+
+    grad_centre = pos_coeff[:, None] * v_o
+    grad_context = pos_coeff[:, None] * v_c
+    neg_vectors = be.gather(self.w_out, negatives)
+    neg_scores = be.batched_rowwise_dot(v_c, neg_vectors)
+    neg_coeff = -sigmoid(neg_scores, backend=be)
+    grad_centre = grad_centre + be.weighted_rows_sum(neg_coeff, neg_vectors)
+
+    lr = cfg.learning_rate
+    be.index_add_(self.w_in, centres, lr * grad_centre)
+    be.index_add_(self.w_out, contexts, lr * grad_context)
+    be.index_add_(
+        self.w_out,
+        negatives.ravel(),
+        lr * (neg_coeff[:, :, None] * v_c[:, None, :]).reshape(-1, v_c.shape[1]),
+    )
+
+    with np.errstate(over="ignore"):
+        batch_obj = be.sum(be.log(sigmoid(pos_scores, backend=be) + 1e-12)) + be.sum(
+            be.log(sigmoid(-neg_scores, backend=be) + 1e-12)
+        )
+    return float(-batch_obj / batch.shape[0])
+
+
+class TestDeepWalkBatch:
+    @pytest.mark.parametrize("model", ["deepwalk", "node2vec"])
+    @pytest.mark.parametrize("distribution", ["uniform", "unigram075"])
+    # At 0.5 the scores saturate the sigmoid (weights reach 1e18) and stay
+    # finite; a NaN loss would differ in its sign bit only.
+    @pytest.mark.parametrize("learning_rate", [0.05, 0.5])
+    def test_matches_two_sigmoid_step(self, small_graph, monkeypatch, model,
+                                      distribution, learning_rate):
+        config = dict(num_walks=2, walk_length=10, window_size=3, embedding_dim=16,
+                      num_epochs=3, batch_size=64, learning_rate=learning_rate,
+                      negative_distribution=distribution)
+        got = make_model(model, graph=small_graph, rng=9, **config).fit()
+        monkeypatch.setattr(DeepWalk, "_train_on_batch", two_sigmoid_train_on_batch)
+        want = make_model(model, graph=small_graph, rng=9, **config).fit()
+        assert np.isfinite(got.w_in).all()
+        assert_same_bytes(got.w_in, want.w_in)
+        assert_same_bytes(got.w_out, want.w_out)
+        assert_same_bytes(np.array(got.history.series["loss"]),
+                          np.array(want.history.series["loss"]))
 
 
 class DictAccountant:
