@@ -6,7 +6,8 @@ the backend seam existed, or a rewrite of it that a test pins byte-equal
 :mod:`repro.nn.functional`, which now delegates back).  The rewrites
 ``tests/test_rewrite_parity.py`` pins against the code they replaced are
 ``stable_sigmoid`` and ``stable_sigmoid_pair``, the flat scatter in
-``index_add_``, the ``np.take`` in ``gather`` and the fused update in
+``index_add_`` (which adds float64 rows of even width as complex128 pairs),
+the ``np.take`` in ``gather`` and the fused update in
 ``add_rows_project_`` (against the ``index_add_`` + ``normalize_rows_`` pair
 it replaces).  ``asarray`` / ``to_numpy`` are identities for float64 arrays,
 so routing the models through this backend changes no bytes: the
@@ -192,9 +193,21 @@ class NumpyBackend(Backend):
             # Only NaN onto NaN differs (the 1-D loop keeps the target's NaN,
             # the 2-D loop the row's), hence the NaN check on the rows.
             dim = target.shape[1]
+            rows = np.asarray(rows)
+            if rows.shape != (idx.size, dim):
+                rows = np.broadcast_to(rows, (idx.size, dim))
+            flat = target.reshape(-1)
+            if dim % 2 == 0 and target.dtype == np.float64 and target.flags.aligned:
+                # A complex add is two independent float64 adds, so adding
+                # (re, im) pairs keeps every element's adds in row order
+                # with half the indices to build and walk.
+                rows = np.ascontiguousarray(rows, dtype=np.float64)
+                if rows.flags.aligned:
+                    dim //= 2
+                    flat = flat.view(np.complex128)
+                    rows = rows.view(np.complex128)
             flat_idx = (idx[:, None] * dim + np.arange(dim)).reshape(-1)
-            rows = np.broadcast_to(rows, (idx.size, dim)).reshape(-1)
-            np.add.at(target.reshape(-1), flat_idx, rows)
+            np.add.at(flat, flat_idx, rows.reshape(-1))
         else:
             np.add.at(target, idx, rows)
 

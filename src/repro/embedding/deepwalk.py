@@ -145,7 +145,11 @@ class DeepWalk(EstimatorMixin):
 
         The default (materialised) branch constructs no worker machinery at
         all — the golden digests depend on it staying exactly the historical
-        corpus-then-permute path.
+        corpus-then-permute path.  It drops the engine's second-order tables
+        as soon as the walks are drawn, and hands the pair array to the
+        source, whose last pass shuffles it in place: the walk corpus and
+        the pairs are the only corpus-sized arrays, and only the pairs
+        survive extraction.
         """
         cfg = self.config
         bias = self._walk_bias()
@@ -161,15 +165,19 @@ class DeepWalk(EstimatorMixin):
                 **bias,
             )
             return StreamingPairSource(factory, batch_size=cfg.batch_size)
-        corpus = self.graph.walk_engine().walk_corpus(
+        engine = self.graph.walk_engine()
+        corpus = engine.walk_corpus(
             cfg.num_walks,
             cfg.walk_length,
             rng=self._walk_rng,
             workers=cfg.walk_workers,
             **bias,
         )
+        engine.release_tables()
         pairs = walks_to_pairs(corpus, window_size=cfg.window_size)
-        return ArrayPairSource(pairs, batch_size=cfg.batch_size)
+        return ArrayPairSource(
+            pairs, batch_size=cfg.batch_size, passes=cfg.num_epochs
+        )
 
     def _train_on_batch(self, batch: np.ndarray) -> float:
         """One mini-batch of skip-gram updates; returns the batch loss."""
@@ -192,13 +200,13 @@ class DeepWalk(EstimatorMixin):
         grad_centre = grad_centre + be.weighted_rows_sum(neg_coeff, neg_vectors)
 
         lr = cfg.learning_rate
-        be.index_add_(self.w_in, centres, lr * grad_centre)
-        be.index_add_(self.w_out, contexts, lr * grad_context)
-        be.index_add_(
-            self.w_out,
-            negatives.ravel(),
-            lr * (neg_coeff[:, :, None] * v_c[:, None, :]).reshape(-1, v_c.shape[1]),
-        )
+        neg_rows = (neg_coeff[:, :, None] * v_c[:, None, :]).reshape(-1, v_c.shape[1])
+        grad_centre *= lr
+        grad_context *= lr
+        neg_rows *= lr
+        be.index_add_(self.w_in, centres, grad_centre)
+        be.index_add_(self.w_out, contexts, grad_context)
+        be.index_add_(self.w_out, negatives.ravel(), neg_rows)
 
         batch_obj = be.sum(be.log(pos_sigmoid + 1e-12)) + be.sum(be.log(neg_flipped + 1e-12))
         return float(-batch_obj / batch.shape[0])
@@ -227,6 +235,8 @@ class DeepWalk(EstimatorMixin):
             )
         finally:
             source.release()
+            # Streaming fits walk every epoch, so their tables live until here.
+            self.graph.walk_engine().release_tables()
         return self
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:

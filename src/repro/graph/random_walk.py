@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, List, Sequence, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,8 +32,11 @@ from repro.utils.rng import RngLike, ensure_rng, independent_child
 
 WalkCorpus = Union[np.ndarray, Sequence[Sequence[int]]]
 
-#: Walk rows processed per chunk in ``walks_to_pairs`` — bounds the peak size
-#: of the (rows, walk_length, 2 * window) index grid to a few hundred MB.
+#: Walk rows processed per chunk in ``walks_to_pairs``.  A chunk without
+#: padding writes its interior pairs straight into the output, so this bounds
+#: only the temporaries beside it: a ragged chunk's (rows, walk_length,
+#: 2 * window) index grid, or a full chunk's boundary pairs
+#: (``rows * window * (3 * window - 1)`` of them).
 _PAIR_CHUNK_ROWS = 16384
 
 #: Default walk rows per yielded chunk in ``iter_walk_pairs``.
@@ -112,79 +115,116 @@ def _pad_walks(walks: Sequence[Sequence[int]]) -> np.ndarray:
     return matrix
 
 
-def _pairs_from_ragged_matrix(
-    matrix: np.ndarray,
-    window_size: int,
-    centre_lo: int = 0,
-    centre_hi: int | None = None,
-    dtype: np.dtype = np.int64,
-) -> np.ndarray:
-    """Index-grid pair extraction handling ``-1`` padding (ragged corpora).
+def _full_pair_count(rows: int, length: int, window_size: int) -> int:
+    """Pairs of ``rows`` unpadded walks of ``length``: ``w (2 L - w - 1)`` each.
 
-    Only centres with column index in ``[centre_lo, centre_hi)`` are emitted,
-    which lets the full-matrix fast path reuse this routine for its boundary
-    columns.
+    ``w = min(window_size, length - 1)``: every offset ``1 <= d <= w`` pairs
+    ``length - d`` positions, in both directions.
+    """
+    w = min(window_size, length - 1)
+    return rows * w * (2 * length - w - 1)
+
+
+def _ragged_grid(
+    matrix: np.ndarray, window_size: int, centre_lo: int, centre_hi: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Context columns and validity mask of the index-grid extraction.
+
+    ``valid[r, c, k]`` says whether centre ``centre_lo + c`` of row ``r`` and
+    its ``k``-th context (column ``cols[c, k]``) are both walk steps.
     """
     length = matrix.shape[1]
-    if centre_hi is None:
-        centre_hi = length
     deltas = np.concatenate(
         [np.arange(-window_size, 0), np.arange(1, window_size + 1)]
     )
     context_idx = np.arange(centre_lo, centre_hi)[:, None] + deltas[None, :]
     in_range = (context_idx >= 0) & (context_idx < length)
-    contexts = matrix[:, np.where(in_range, context_idx, 0)]
+    cols = np.where(in_range, context_idx, 0)
+    stepped = matrix >= 0
+    valid = in_range[None, :, :] & stepped[:, centre_lo:centre_hi, None] & stepped[:, cols]
+    return cols, valid
+
+
+def _pairs_from_ragged_matrix(
+    matrix: np.ndarray,
+    window_size: int,
+    out: np.ndarray,
+    centre_lo: int = 0,
+    centre_hi: int | None = None,
+) -> None:
+    """Index-grid pair extraction handling ``-1`` padding (ragged corpora).
+
+    Writes the pairs of the centres with column index in
+    ``[centre_lo, centre_hi)`` into ``out``, which must hold exactly as many
+    rows as ``valid`` has true entries; the full-matrix path uses this for
+    its boundary columns.
+    """
+    if centre_hi is None:
+        centre_hi = matrix.shape[1]
+    cols, valid = _ragged_grid(matrix, window_size, centre_lo, centre_hi)
+    contexts = matrix[:, cols]
     centres = np.broadcast_to(matrix[:, centre_lo:centre_hi, None], contexts.shape)
-    valid = in_range[None, :, :] & (centres >= 0) & (contexts >= 0)
-    return np.column_stack([centres[valid], contexts[valid]]).astype(dtype, copy=False)
+    out[:, 0] = centres[valid]
+    out[:, 1] = contexts[valid]
 
 
 def _pairs_from_full_matrix(
-    matrix: np.ndarray, window_size: int, dtype: np.dtype = np.int64
-) -> np.ndarray:
+    matrix: np.ndarray, window_size: int, out: np.ndarray
+) -> None:
     """Stride-tricks pair extraction for matrices without ``-1`` padding.
 
     Interior centres (those with a complete window on both sides) are read
-    through a zero-copy ``sliding_window_view`` and written straight into a
-    contiguous (centre, context) block; the up-to-``2 * window_size`` boundary
-    centres go through the index-grid path on a narrow slice.
+    through a zero-copy ``sliding_window_view`` and written straight into
+    ``out`` as a (rows, centres, contexts, 2) block; the pairs of the ``w``
+    left and ``w`` right boundary centres follow it, through the index-grid
+    path on a narrow slice.
     """
     rows, length = matrix.shape
     w = min(window_size, length - 1)
     interior = length - 2 * w
     if interior <= 0:
-        return _pairs_from_ragged_matrix(matrix, window_size, dtype=dtype)
+        _pairs_from_ragged_matrix(matrix, window_size, out)
+        return
     windows = np.lib.stride_tricks.sliding_window_view(matrix, 2 * w + 1, axis=1)
-    block = np.empty((rows, interior, 2 * w, 2), dtype=dtype)
+    inner = rows * interior * 2 * w
+    block = out[:inner].reshape(rows, interior, 2 * w, 2)
     block[..., 0] = windows[:, :, w, None]
     block[:, :, :w, 1] = windows[:, :, :w]
     block[:, :, w:, 1] = windows[:, :, w + 1 :]
-    pieces = [block.reshape(-1, 2)]
-    if w:
-        # Left boundary: centres 0..w-1 only reach contexts < 2w; right
-        # boundary mirrors it.  Both slices are exactly wide enough.
-        pieces.append(
-            _pairs_from_ragged_matrix(
-                matrix[:, : 2 * w], w, centre_lo=0, centre_hi=w, dtype=dtype
-            )
-        )
-        pieces.append(
-            _pairs_from_ragged_matrix(
-                matrix[:, -2 * w :], w, centre_lo=w, centre_hi=2 * w, dtype=dtype
-            )
-        )
-    return np.concatenate(pieces, axis=0)
+    # Left boundary: centres 0..w-1 only reach contexts < 2w, w + i of them
+    # for centre i; the right boundary mirrors it.  Both slices are exactly
+    # wide enough.
+    edge = inner + rows * w * (3 * w - 1) // 2
+    _pairs_from_ragged_matrix(matrix[:, : 2 * w], w, out[inner:edge], 0, w)
+    _pairs_from_ragged_matrix(matrix[:, -2 * w :], w, out[edge:], w, 2 * w)
+
+
+def _chunk_pair_count(chunk: np.ndarray, window_size: int) -> int:
+    """Number of pairs ``_write_chunk_pairs`` writes for one walk-matrix chunk."""
+    if chunk.size == 0 or chunk.shape[1] < 2:
+        return 0
+    if chunk.min() >= 0:
+        return _full_pair_count(*chunk.shape, window_size)
+    return int(np.count_nonzero(_ragged_grid(chunk, window_size, 0, chunk.shape[1])[1]))
+
+
+def _write_chunk_pairs(chunk: np.ndarray, window_size: int, out: np.ndarray) -> None:
+    """Pair extraction for one walk-matrix chunk (full or ragged dispatch)."""
+    if out.shape[0] == 0:
+        return
+    if chunk.min() >= 0:
+        _pairs_from_full_matrix(chunk, window_size, out)
+    else:
+        _pairs_from_ragged_matrix(chunk, window_size, out)
 
 
 def _chunk_to_pairs(
     chunk: np.ndarray, window_size: int, dtype: np.dtype
 ) -> np.ndarray:
-    """Pair extraction for one walk-matrix chunk (full or ragged dispatch)."""
-    if chunk.size == 0 or chunk.shape[1] < 2:
-        return np.zeros((0, 2), dtype=dtype)
-    if chunk.min() >= 0:
-        return _pairs_from_full_matrix(chunk, window_size, dtype=dtype)
-    return _pairs_from_ragged_matrix(chunk, window_size, dtype=dtype)
+    """One chunk's pairs as a fresh ``(n, 2)`` array."""
+    pairs = np.empty((_chunk_pair_count(chunk, window_size), 2), dtype=dtype)
+    _write_chunk_pairs(chunk, window_size, pairs)
+    return pairs
 
 
 def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
@@ -199,6 +239,11 @@ def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
     emitted as int32, halving the size of the materialised corpus.  NumPy
     fancy indexing accepts int32 indices, so downstream trainers are
     unaffected.
+
+    The pair count is worked out first (a closed form for chunks without
+    padding, the validity mask for ragged ones), and each chunk of
+    ``_PAIR_CHUNK_ROWS`` walks then writes its pairs straight into its slice
+    of one output array: the corpus is allocated once and never copied.
     """
     if window_size <= 0:
         raise ValueError(f"window_size must be positive, got {window_size}")
@@ -212,10 +257,16 @@ def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
         return np.zeros((0, 2), dtype=np.int64)
     dtype = np.int32 if matrix.max() < 2**31 else np.int64
     chunks = [
-        _chunk_to_pairs(matrix[start : start + _PAIR_CHUNK_ROWS], window_size, dtype)
+        matrix[start : start + _PAIR_CHUNK_ROWS]
         for start in range(0, matrix.shape[0], _PAIR_CHUNK_ROWS)
     ]
-    return np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
+    counts = [_chunk_pair_count(chunk, window_size) for chunk in chunks]
+    pairs = np.empty((sum(counts), 2), dtype=dtype)
+    end = 0
+    for chunk, count in zip(chunks, counts):
+        _write_chunk_pairs(chunk, window_size, pairs[end : end + count])
+        end += count
+    return pairs
 
 
 def iter_walk_pairs(

@@ -101,7 +101,9 @@ class WalkEngine:
 
     #: Above this many second-order table entries (``sum_v degree(v)^2``) the
     #: ``"auto"`` mode switches to rejection sampling instead of building the
-    #: table.  2**25 entries keep the table under ~0.5 GB.
+    #: table.  2**25 entries keep the table under ~0.5 GB.  The table lives
+    #: only while walking: DeepWalk/node2vec call :meth:`release_tables` once
+    #: their walks are drawn, so a fitted model does not pin it.
     second_order_entry_limit: int = 2**25
 
     def __init__(self, graph: Graph) -> None:
@@ -413,6 +415,16 @@ class WalkEngine:
             out[pending[accept]] = candidate[accept]
             pending = pending[~accept]
         return out
+
+    def release_tables(self) -> None:
+        """Drop the cached second-order tables and arc keys.
+
+        The engine is shared by every model on a graph, so its caches outlive
+        any one walk.  A trainer calls this once its walks are drawn; the
+        next biased walk rebuilds what it needs, with the same result.
+        """
+        self._tables.clear()
+        self._arc_keys_cache = None
 
     def second_order_table(self, p: float, q: float) -> SecondOrderTable:
         """Return (building and caching on first use) the p/q transition table."""

@@ -3,10 +3,13 @@
 A :class:`PairSource` supplies the training batches for one pass (epoch) of a
 skip-gram-style trainer, hiding *where* the batches come from:
 
-* :class:`ArrayPairSource` — a materialised ``(n, 2)`` pair array, shuffled
-  with one ``rng.permutation`` per pass and sliced into batches.  This is the
-  default for DeepWalk/node2vec and reproduces the historical in-trainer loop
-  bit-for-bit (same RNG call sequence, same batch boundaries).
+* :class:`ArrayPairSource` — a materialised ``(n, 2)`` pair array, its rows
+  shuffled once per pass (the draws of one ``rng.permutation``) and sliced
+  into contiguous batches.  This is the default for DeepWalk/node2vec and
+  reproduces the historical permute-and-gather loop bit-for-bit (same RNG
+  call sequence, same batches).  Each pass shuffles a copy; told how many
+  passes it serves, the source shuffles the array itself on the last one,
+  so a one-epoch fit holds exactly one pair corpus.
 * :class:`StreamingPairSource` — batches carved from a chunked generator
   (:func:`repro.graph.random_walk.iter_walk_pairs`), so the full corpus is
   never held in memory; the peak buffered-pair count is tracked, and
@@ -58,26 +61,58 @@ class PairSource(ABC):
         """
 
 
-class ArrayPairSource(PairSource):
-    """Materialised pair array, permuted once per pass and sliced into batches."""
+def _shuffle_rows(pairs: np.ndarray, rng: np.random.Generator) -> None:
+    """Shuffle the rows of a C-contiguous ``(n, 2)`` array in place.
 
-    def __init__(self, pairs: np.ndarray, batch_size: int) -> None:
+    Viewed as one opaque item per row, the array is shuffled by the same
+    Fisher-Yates draws ``rng.permutation(n)`` makes, so the rows land where
+    ``np.take(pairs, rng.permutation(n), axis=0)`` puts them and ``rng``
+    ends in the same state, without an index array or a gathered copy.
+    """
+    row = np.dtype((np.void, pairs.dtype.itemsize * pairs.shape[1]))
+    rng.shuffle(pairs.view(row).ravel())
+
+
+class ArrayPairSource(PairSource):
+    """Materialised pair array, shuffled once per pass and sliced into batches.
+
+    Each pass shuffles a copy of the pairs (the draws of one
+    ``rng.permutation`` per pass) and yields contiguous slices of it, so the
+    caller's array is never written.  ``passes`` hands the array over
+    instead: the last of ``passes`` passes shuffles the source's own array in
+    place, and a further pass raises.  A one-pass trainer then holds one
+    copy of the corpus, not a corpus plus its shuffled copy.
+    """
+
+    def __init__(
+        self, pairs: np.ndarray, batch_size: int, passes: Optional[int] = None
+    ) -> None:
         pairs = np.asarray(pairs)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"pairs must have shape (n, 2), got {pairs.shape}")
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
+        if passes is not None:
+            if passes <= 0:
+                raise ValueError(f"passes must be positive, got {passes}")
+            pairs = np.require(pairs, requirements="CW")
         self.pairs: Optional[np.ndarray] = pairs
         self.batch_size = int(batch_size)
         self._num_pairs = int(pairs.shape[0])
+        self._passes_left = passes
 
     def batches(self, rng: RngLike = None) -> Iterator[np.ndarray]:
         if self.pairs is None:
             raise RuntimeError("the pairs were released after the last pass")
+        if self._passes_left == 0:
+            raise RuntimeError("the pairs were shuffled in place by the last pass")
         rng = ensure_rng(rng)
-        order = rng.permutation(self._num_pairs)
+        if self._passes_left is not None:
+            self._passes_left -= 1
+        shuffled = self.pairs if self._passes_left == 0 else self.pairs.copy()
+        _shuffle_rows(shuffled, rng)
         for start in range(0, self._num_pairs, self.batch_size):
-            yield np.take(self.pairs, order[start : start + self.batch_size], axis=0)
+            yield shuffled[start : start + self.batch_size]
 
     @property
     def num_pairs(self) -> int:

@@ -9,6 +9,8 @@ The key guarantees under test:
 * the default (materialised) trainer path is untouched — ``ArrayPairSource``
   replays the historical permutation/slice loop exactly;
 * streaming training bounds the peak pair buffer by roughly one chunk;
+* a materialised fit holds one pair corpus at its peak and leaves no
+  second-order table on the graph's walk engine;
 * the walk pool, the only background component, is gone after every fit,
   completed or interrupted;
 * the rejection-sampling second-order fallback draws from the same
@@ -16,11 +18,13 @@ The key guarantees under test:
 """
 
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.api.registry import make_model
+from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.graph import Graph
 from repro.graph.random_walk import iter_walk_pairs, walks_to_pairs
 from repro.graph.walk_engine import WalkEngine, derive_pass_seeds
@@ -334,3 +338,57 @@ class TestWalkPoolShutdown:
         source = model._make_pair_source()
         assert isinstance(source, ArrayPairSource)
         assert multiprocessing.active_children() == []
+
+
+class TestMaterialisedMemory:
+    """A materialised fit holds one pair corpus and pins no walk table."""
+
+    def test_fit_drops_second_order_table(self, small_graph):
+        def fit(**overrides):
+            return make_model(
+                "node2vec", graph=small_graph, rng=9, p=0.5, q=2.0, num_walks=2,
+                walk_length=8, window_size=2, embedding_dim=8, num_epochs=2,
+                batch_size=64, **overrides,
+            ).fit()
+
+        engine = small_graph.walk_engine()
+        assert engine.resolved_second_order(0.5, 2.0) == "table"
+        first = fit()
+        assert not engine._tables
+        # The next fit on the same graph object rebuilds the table it needs.
+        assert fit().embeddings_.tobytes() == first.embeddings_.tobytes()
+        assert not engine._tables
+        fit(pair_streaming=True, stream_chunk_walks=16)
+        assert not engine._tables
+
+    def test_fit_peak_is_one_pair_corpus(self):
+        # One epoch, so the source's only pass shuffles the pairs in place.
+        # 8,000 walks fit in one extraction chunk, and the pair array is
+        # about four times the walk corpus.
+        graph = powerlaw_cluster_graph(2000, attachment=3, triangle_prob=0.3, rng=4)
+        num_walks, walk_length, window, batch = 4, 40, 2, 1024
+        model = make_model(
+            "deepwalk", graph=graph, rng=3, num_walks=num_walks,
+            walk_length=walk_length, window_size=window, embedding_dim=8,
+            num_negatives=1, num_epochs=1, batch_size=batch,
+        )
+        graph.walk_engine()
+        rows = num_walks * graph.num_nodes
+        corpus_bytes = rows * walk_length * 8  # int64 walk matrix
+        pair_bytes = rows * window * (2 * walk_length - window - 1) * 2 * 4  # int32
+        # Beside the two corpus-sized arrays, extraction holds one chunk's
+        # boundary grid (int64 contexts of rows * window * 2 * window
+        # entries, three bool masks of that shape and one gathered column:
+        # under 48 * rows * window**2 bytes), and training one batch's
+        # temporaries and the interpreter's bookkeeping (1 MiB).
+        slack = 48 * rows * window**2 + (1 << 20)
+        tracemalloc.start()
+        try:
+            model.fit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.pair_source_.num_pairs * 8 == pair_bytes
+        assert peak <= pair_bytes + corpus_bytes + slack, (
+            peak, pair_bytes, corpus_bytes, slack
+        )

@@ -3,9 +3,11 @@
 AdvSGM's per-substep kernels (the branch-free ``stable_sigmoid``, the
 array-backed ``RdpAccountant``, the generator's cached activation and the
 dispatch-free row clipping), the DeepWalk/node2vec path's kernels (the
-flat scatter in ``NumpyBackend.index_add_``, the ``np.take`` gathers and the
-node2vec table step that carries its arc and searches only its own segment,
-and DeepWalk's batch step, which evaluates each sigmoid once through
+flat scatter in ``NumpyBackend.index_add_`` and its complex128 pair form,
+the ``np.take`` gathers, ``ArrayPairSource``'s in-place row shuffle,
+``walks_to_pairs`` writing every chunk into one array, the node2vec table
+step that carries its arc and searches only its own segment, and DeepWalk's
+batch step, which evaluates each sigmoid once through
 ``stable_sigmoid_pair``), the skip-gram update path (one gather per side, and the fused
 ``NumpyBackend.add_rows_project_``), and the Fig. 3 cells' block-drawn
 non-edge sampler and row-projected GNN steps are rewrites for speed that
@@ -48,7 +50,9 @@ from repro.core.generator import FakeNeighbourGenerator
 from repro.embedding.deepwalk import DeepWalk
 from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
 from repro.evals.metrics import average_ranks
+from repro.graph import random_walk
 from repro.graph.graph import Graph
+from repro.graph.random_walk import walks_to_pairs
 from repro.graph.splits import _edge_keys, _sample_non_edges, train_test_split_edges
 from repro.graph.walk_engine import WalkEngine
 from repro.nn.functional import log_sigmoid, sigmoid
@@ -413,6 +417,43 @@ class TestFlatScatterAdd:
         add_at_2d(want, idx, rows)
         assert got_base.tobytes() == want_base.tobytes() != before
 
+    @pytest.mark.parametrize("offset", [8, 1], ids=["8-byte", "1-byte"])
+    @pytest.mark.parametrize("dim", [2, 7, 8])
+    def test_offset_buffers(self, dim, offset):
+        # Target and rows starting 8 bytes off a 16-byte boundary, and
+        # float64 buffers misaligned by one byte (those take the float64
+        # path: numpy flags them unaligned).
+        rng = np.random.default_rng(dim)
+
+        def shifted(shape):
+            count = int(np.prod(shape))
+            buf = bytearray(8 * count + 32)
+            start = -np.frombuffer(buf, np.uint8).ctypes.data % 16 + offset
+            out = np.frombuffer(buf, np.float64, count, start).reshape(shape)
+            assert out.ctypes.data % 16 == offset
+            assert out.flags.aligned == (offset == 8) and out.flags.writeable
+            out[...] = rng.normal(size=shape)
+            return out
+
+        idx = rng.integers(-6, 6, size=300)
+        for rows in (rng.normal(size=(300, dim)), shifted((300, dim))):
+            got = shifted((6, dim))
+            want = got.copy()
+            NumpyBackend().index_add_(got, idx, rows)
+            add_at_2d(want, idx, rows)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 8, 9])
+    def test_float32_rows_and_targets(self, dim):
+        rng = np.random.default_rng(dim)
+        idx = rng.integers(-6, 6, size=300)
+        rows32 = rng.normal(size=(300, dim)).astype(np.float32)
+        assert_scatter_matches(rng.normal(size=(6, dim)), idx, rows32)
+        assert_scatter_matches(rng.normal(size=(6, dim)), idx, rows32[0])
+        target32 = rng.normal(size=(6, dim)).astype(np.float32)
+        assert_scatter_matches(target32, idx, rows32)
+        assert_scatter_matches(target32, idx, rng.normal(size=(300, dim)))
+
     @pytest.mark.parametrize("bad", [4, -5, 10**6, -(10**6)])
     def test_out_of_range_raises_and_leaves_target(self, bad):
         target = np.random.default_rng(3).normal(size=(4, 8))
@@ -459,6 +500,137 @@ class TestTakeGather:
         for g, w in zip(got, want):
             assert_same_bytes(g, w)
             assert g.flags.writeable and not np.shares_memory(g, pairs)
+
+
+def permute_and_take(pairs, batch_size, rng):
+    """The batches of the permute-and-gather pass ``ArrayPairSource`` replaced."""
+    order = rng.permutation(pairs.shape[0])
+    return [
+        np.take(pairs, order[start : start + batch_size], axis=0)
+        for start in range(0, pairs.shape[0], batch_size)
+    ]
+
+
+class TestInPlaceShuffle:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n", [0, 1, 250])
+    @pytest.mark.parametrize("batch_size", [1, 7, 1000])
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    @pytest.mark.parametrize("hand_over", [False, True], ids=["copy", "passes"])
+    def test_matches_permute_and_take(self, dtype, n, batch_size, passes, hand_over):
+        pairs = np.random.default_rng(n).integers(-90, 90, size=(n, 2)).astype(dtype)
+        original = pairs.copy()
+        source = ArrayPairSource(pairs, batch_size, passes=passes if hand_over else None)
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(passes):
+            got = list(source.batches(got_rng))
+            want = permute_and_take(original, batch_size, want_rng)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same_bytes(g, w)
+                assert g.flags.writeable
+                if not hand_over:
+                    assert not np.shares_memory(g, pairs)
+            # The generator ends each pass where the permutation left it.
+            assert got_rng.integers(2**62) == want_rng.integers(2**62)
+        if hand_over:
+            with pytest.raises(RuntimeError):
+                next(source.batches(got_rng))
+        else:
+            assert pairs.tobytes() == original.tobytes()
+
+    def test_hand_over_copies_read_only_and_strided_pairs(self):
+        base = np.random.default_rng(1).integers(0, 90, size=(40, 4))
+        for pairs in (base[:, ::2], np.broadcast_to(base[:1, :2], (40, 2))):
+            before = pairs.copy()
+            got = list(ArrayPairSource(pairs, 16, passes=1).batches(np.random.default_rng(2)))
+            want = permute_and_take(before, 16, np.random.default_rng(2))
+            for g, w in zip(got, want):
+                assert_same_bytes(g, w)
+            assert pairs.tobytes() == before.tobytes()
+        with pytest.raises(ValueError):
+            ArrayPairSource(base[:, :2], 16, passes=0)
+
+
+def ragged_pairs_reference(matrix, window_size, centre_lo=0, centre_hi=None, dtype=np.int64):
+    """The index-grid extraction before it wrote into a given output."""
+    length = matrix.shape[1]
+    if centre_hi is None:
+        centre_hi = length
+    deltas = np.concatenate([np.arange(-window_size, 0), np.arange(1, window_size + 1)])
+    context_idx = np.arange(centre_lo, centre_hi)[:, None] + deltas[None, :]
+    in_range = (context_idx >= 0) & (context_idx < length)
+    contexts = matrix[:, np.where(in_range, context_idx, 0)]
+    centres = np.broadcast_to(matrix[:, centre_lo:centre_hi, None], contexts.shape)
+    valid = in_range[None, :, :] & (centres >= 0) & (contexts >= 0)
+    return np.column_stack([centres[valid], contexts[valid]]).astype(dtype, copy=False)
+
+
+def full_pairs_reference(matrix, window_size, dtype):
+    """The stride-tricks extraction before it wrote into a given output."""
+    rows, length = matrix.shape
+    w = min(window_size, length - 1)
+    interior = length - 2 * w
+    if interior <= 0:
+        return ragged_pairs_reference(matrix, window_size, dtype=dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(matrix, 2 * w + 1, axis=1)
+    block = np.empty((rows, interior, 2 * w, 2), dtype=dtype)
+    block[..., 0] = windows[:, :, w, None]
+    block[:, :, :w, 1] = windows[:, :, :w]
+    block[:, :, w:, 1] = windows[:, :, w + 1 :]
+    return np.concatenate([
+        block.reshape(-1, 2),
+        ragged_pairs_reference(matrix[:, : 2 * w], w, 0, w, dtype),
+        ragged_pairs_reference(matrix[:, -2 * w :], w, w, 2 * w, dtype),
+    ])
+
+
+def concatenated_walks_to_pairs(walks, window_size, chunk_rows):
+    """The chunk-then-concatenate ``walks_to_pairs`` the one-array version replaced."""
+    if isinstance(walks, np.ndarray):
+        matrix = walks.astype(np.int64, copy=False)
+    else:
+        matrix = random_walk._pad_walks(walks)
+    if matrix.size == 0 or matrix.shape[1] < 2:
+        return np.zeros((0, 2), dtype=np.int64)
+    dtype = np.int32 if matrix.max() < 2**31 else np.int64
+    chunks = []
+    for start in range(0, matrix.shape[0], chunk_rows):
+        chunk = matrix[start : start + chunk_rows]
+        if chunk.min() >= 0:
+            chunks.append(full_pairs_reference(chunk, window_size, dtype))
+        else:
+            chunks.append(ragged_pairs_reference(chunk, window_size, dtype=dtype))
+    return np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
+
+
+class TestOneArrayPairs:
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 16384])
+    @pytest.mark.parametrize("length", [1, 2, 3, 6, 11])
+    @pytest.mark.parametrize("window", [1, 2, 4, 12])
+    def test_matches_chunk_then_concatenate(self, monkeypatch, chunk_rows, length, window):
+        # Windows of 4 and 12 reach past every walk of length <= 6 and 11.
+        monkeypatch.setattr(random_walk, "_PAIR_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(length * 100 + window)
+        full = rng.integers(0, 40, size=(7, length))
+        suffix = full.copy()
+        suffix[np.arange(length)[None, :] >= rng.integers(0, length + 1, size=(7, 1))] = -1
+        holes = np.where(rng.random(full.shape) < 0.3, -1, full)
+        lists = [list(row[row >= 0]) for row in suffix]
+        wide = full.astype(np.int64) << 32  # node ids past int32: int64 pairs
+        for walks in (full, full.astype(np.int32), suffix, holes, lists, wide, full[:0]):
+            got = walks_to_pairs(walks, window)
+            assert_same_bytes(got, concatenated_walks_to_pairs(walks, window, chunk_rows))
+
+    def test_ragged_chunks_beside_full_ones(self, monkeypatch):
+        monkeypatch.setattr(random_walk, "_PAIR_CHUNK_ROWS", 4)
+        walks = np.random.default_rng(0).integers(0, 30, size=(18, 9))
+        walks[5, 3:] = -1  # only the second chunk is ragged
+        walks[17, 1:] = -1  # and the last, a one-row chunk
+        for window in (1, 3, 9):
+            assert_same_bytes(
+                walks_to_pairs(walks, window), concatenated_walks_to_pairs(walks, window, 4)
+            )
 
 
 def two_search_node2vec_walks(engine, starts, walk_length, p, q, rng):
