@@ -9,16 +9,14 @@ contribution:
     paper's public datasets, sampling routines (Algorithm 2) and edge-split
     utilities.
 ``repro.backend``
-    Pluggable compute backends: the ``Backend`` array-ops protocol, the
-    bit-for-bit default ``NumpyBackend`` and the optional, import-gated
-    ``TorchBackend`` (CPU/GPU).  All models route their tensor math through
-    the seam; randomness stays on seeded numpy streams so one seed
-    reproduces a run on every backend.
+    The compute backend: the ``Backend`` array-ops protocol and its one
+    implementation, ``NumpyBackend``.  All models route their tensor math
+    through it; randomness stays on seeded numpy streams.
 ``repro.nn``
     Minimal neural-network substrate: numerically stable activations, the
     constrained sigmoid built from exponential clipping (Algorithm 1),
     parameter initialisers, optimizers and the dense/GCN layers used by the
-    GNN baselines — all backend-aware.
+    GNN baselines.
 ``repro.privacy``
     Differential-privacy substrate: Gaussian mechanism, gradient clipping,
     RDP of the subsampled Gaussian mechanism, composition, conversion to
@@ -64,7 +62,7 @@ from repro.api import (
     make_model,
     register_model,
 )
-from repro.backend import Backend, BackendError, get_backend, list_backends
+from repro.backend import Backend
 from repro.cache import ResultStore, cell_key
 from repro.core.advsgm import AdvSGM
 from repro.core.config import AdvSGMConfig
@@ -89,9 +87,6 @@ __all__ = [
     "AdvSGM",
     "AdvSGMConfig",
     "Backend",
-    "BackendError",
-    "get_backend",
-    "list_backends",
     "SkipGramModel",
     "AdversarialSkipGram",
     "Graph",

@@ -187,9 +187,8 @@ def check_overrides(name: str, overrides: Iterable[str]) -> ModelEntry:
     unknown = set(overrides) - field_names
     if unknown:
         hint = ""
-        if unknown & {"device", "precision"}:
-            hint = (" (name the device and precision in the backend spec "
-                    "string, e.g. backend='torch:cuda:fast')")
+        if unknown & {"backend", "device", "precision"}:
+            hint = " (numpy on the CPU is the only compute backend)"
         raise TypeError(
             f"unknown config field(s) {sorted(unknown)} for model "
             f"{entry.name!r}{hint}; valid fields: {sorted(field_names)}"
@@ -203,7 +202,6 @@ def make_model(
     epsilon: Optional[float] = None,
     graph=None,
     rng: RngLike = None,
-    backend: Optional[str] = None,
     **overrides: Any,
 ):
     """Construct a registered estimator by name.
@@ -221,12 +219,6 @@ def make_model(
         unbound — pass the graph to ``fit(graph)`` instead.
     rng:
         Seed or generator forwarded to the model.
-    backend:
-        Backend spec ``name[:device][:precision]``, shorthand for the
-        ``backend`` config field every registered model carries
-        (``"numpy"`` default; ``"torch"``, ``"torch:cuda"`` or
-        ``"torch:cuda:fast"`` for the float32 device-resident path — see
-        :mod:`repro.backend`).
     **overrides:
         Config dataclass fields to override (validated against the model's
         config class so typos fail fast).
@@ -235,8 +227,6 @@ def make_model(
     -------
     A :class:`repro.api.GraphEmbedder` estimator (untrained).
     """
-    if backend is not None:
-        overrides = {**overrides, "backend": str(backend)}
     entry = check_overrides(name, overrides)
     if epsilon is not None:
         if not entry.private:

@@ -73,21 +73,21 @@ def _check_no_walk_cache(value: Any) -> None:
 
 
 def _drop_legacy_placement(data: Mapping[str, Any]) -> Dict[str, Any]:
-    """Copy ``data`` without the retired ``device``/``precision``/``walk_cache``.
+    """Copy ``data`` without the retired placement fields.
 
-    Older ``to_dict`` output carries them as ``null`` (``walk_cache`` also
-    as ``false``) and still loads.  A device or precision value is refused,
-    because the backend spec string is now the only place one can be
-    named; any other ``walk_cache`` value is refused because the walk-corpus
-    cache no longer exists.
+    Older ``to_dict`` output carries ``backend`` (``"numpy"`` or ``null``),
+    ``device`` and ``precision`` (``null``) and ``walk_cache`` (``null`` or
+    ``false``).  Those values name what always runs now, so they still load
+    and are stored nowhere.  Any other value is refused in one line, because
+    it names a compute backend or a cache that was deleted.
     """
     kwargs = dict(data)
-    for key in ("device", "precision"):
-        if kwargs.pop(key, None) is not None:
+    for key in ("backend", "device", "precision"):
+        value = kwargs.pop(key, None)
+        if value is not None and not (key == "backend" and value == "numpy"):
             raise ValueError(
-                f"{key!r} is no longer a separate field; name it in the "
-                "backend spec string, backend='name[:device][:precision]' "
-                "(e.g. 'torch:cuda:fast')"
+                f"{key}={value!r}: numpy on the CPU is the only compute "
+                f"backend; drop the {key!r} field"
             )
     _check_no_walk_cache(kwargs.pop("walk_cache", None))
     return kwargs
@@ -168,7 +168,6 @@ class ExperimentCell:
     dataset_scale: float = 1.0
     dataset_seed: Optional[int] = None
     test_fraction: float = 0.1
-    backend: Optional[str] = None
     on_disk: bool = False
     graph_path: Optional[str] = None
 
@@ -190,8 +189,6 @@ class ExperimentCell:
         if self.dataset_seed is not None:
             object.__setattr__(self, "dataset_seed", int(self.dataset_seed))
         object.__setattr__(self, "test_fraction", float(self.test_fraction))
-        if self.backend is not None:
-            object.__setattr__(self, "backend", str(self.backend))
         object.__setattr__(self, "on_disk", bool(self.on_disk))
         if self.graph_path is not None:
             object.__setattr__(self, "graph_path", str(self.graph_path))
@@ -201,7 +198,7 @@ class ExperimentCell:
         data = {f: getattr(self, f) for f in (
             "task", "dataset", "epsilon", "repeat", "seed",
             "dataset_scale", "dataset_seed", "test_fraction",
-            "backend", "on_disk", "graph_path",
+            "on_disk", "graph_path",
         )}
         data["model"] = self.model.to_dict()
         return data
@@ -239,13 +236,6 @@ class ExperimentSpec:
         ``base_seed`` (the historical runners' convention).
     test_fraction:
         Held-out edge fraction for link prediction.
-    backend:
-        Backend spec every cell of the grid trains on,
-        ``name[:device][:precision]`` (``"torch:cuda:fast"``; ``None`` defers
-        to each model's config and then the ambient default — see
-        :mod:`repro.backend`).  Carried per cell so a worker process, or a
-        remote runner reading the cell from a cache manifest, reproduces the
-        same placement and arithmetic.
     on_disk:
         Load every dataset as a memory-mapped on-disk graph
         (``load_dataset(..., on_disk=True)``) instead of in RAM.  The arrays
@@ -270,7 +260,6 @@ class ExperimentSpec:
     dataset_scale: float = 1.0
     dataset_seed: Optional[int] = field(default=None)
     test_fraction: float = 0.1
-    backend: Optional[str] = None
     on_disk: bool = False
     graph_path: Optional[str] = None
     walk_cache: InitVar[Optional[bool]] = None
@@ -302,8 +291,6 @@ class ExperimentSpec:
             raise ValueError("dataset_scale must be positive")
         if self.dataset_seed is None:
             object.__setattr__(self, "dataset_seed", self.base_seed)
-        if self.backend is not None:
-            object.__setattr__(self, "backend", str(self.backend))
         object.__setattr__(self, "on_disk", bool(self.on_disk))
         if self.graph_path is not None:
             object.__setattr__(self, "graph_path", str(self.graph_path))
@@ -335,7 +322,6 @@ class ExperimentSpec:
                                 dataset_scale=self.dataset_scale,
                                 dataset_seed=self.dataset_seed,
                                 test_fraction=self.test_fraction,
-                                backend=self.backend,
                                 on_disk=self.on_disk,
                                 graph_path=self.graph_path,
                             )
@@ -359,7 +345,6 @@ class ExperimentSpec:
             "dataset_scale": self.dataset_scale,
             "dataset_seed": self.dataset_seed,
             "test_fraction": self.test_fraction,
-            "backend": self.backend,
             "on_disk": self.on_disk,
             "graph_path": self.graph_path,
         }

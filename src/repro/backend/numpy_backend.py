@@ -1,4 +1,4 @@
-"""The default NumPy compute backend — bit-for-bit the historical code.
+"""The NumPy compute backend — bit-for-bit the historical code.
 
 Every operation here is the *exact* numpy expression the models used before
 the backend seam existed, or a rewrite of it that a test pins byte-equal
@@ -13,7 +13,7 @@ it replaces).  ``asarray`` / ``to_numpy`` are identities for float64 arrays,
 so routing the models through this backend changes no bytes: the
 golden-parity suite pins that.
 
-scipy is imported on first use, by ``segment_sum`` (the ``sgm`` exact
+scipy is imported on first use, by ``segment_sum`` (the ``sgm``
 update), so ``import repro`` loads numpy and no scipy module.  Importing this
 module pins glibc's malloc thresholds (``_pin_malloc_thresholds``).
 """
@@ -138,12 +138,6 @@ def _project_rows_(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 class NumpyBackend(Backend):
     """CPU numpy backend; the reference implementation of the protocol."""
-
-    name = "numpy"
-
-    @property
-    def device(self) -> str:
-        return "cpu"
 
     # ------------------------------------------------------------------
     # conversion and allocation

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
-from repro.backend import get_backend
+from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.nn.init import normal_init, xavier_uniform
 from repro.privacy.accountant import RdpAccountant
@@ -52,11 +52,8 @@ class DPARConfig:
     batch_size: int = 256
     epsilon: float = 6.0
     delta: float = 1e-5
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            self.backend = str(self.backend)
         for name in (
             "feature_dim",
             "embedding_dim",
@@ -99,7 +96,7 @@ class DPAR(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: split the seed stream and calibrate the noise."""
         self.graph = graph
-        self.backend_ = get_backend(self.config.backend)
+        self.backend_ = NUMPY_BACKEND
         feat_rng, noise_rng, weight_rng, train_rng = spawn_rngs(self._rng, 4)
         self._feat_rng = feat_rng
         self._noise_rng = noise_rng
@@ -168,8 +165,6 @@ class DPAR(EstimatorMixin):
             noisy = current + self._noise_rng.normal(0.0, noise_std, size=current.shape)
             self.accountant.step(1.0)
             stages.append(noisy)
-        # Propagation runs on numpy (one-shot preprocessing, identical noise
-        # on every backend); the released features become backend-native.
         return self.backend_.asarray(np.concatenate(stages, axis=1))
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
-from repro.backend import get_backend
+from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
 from repro.nn.functional import sigmoid
@@ -50,11 +50,8 @@ class DPGGANConfig:
     noise_multiplier: float = 5.0
     epsilon: float = 6.0
     delta: float = 1e-5
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            self.backend = str(self.backend)
         for name in ("embedding_dim", "batch_size", "num_epochs", "batches_per_epoch"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -92,7 +89,7 @@ class DPGGAN(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: initialise latents, generator, sampler, budget."""
         self.graph = graph
-        self.backend_ = get_backend(self.config.backend)
+        self.backend_ = NUMPY_BACKEND
         init_rng, sample_rng, noise_rng, gen_rng = spawn_rngs(self._rng, 4)
         dim = self.config.embedding_dim
         self.latent = normal_init(

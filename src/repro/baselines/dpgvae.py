@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
-from repro.backend import get_backend
+from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
 from repro.nn.functional import sigmoid
@@ -47,11 +47,8 @@ class DPGVAEConfig:
     epsilon: float = 6.0
     delta: float = 1e-5
     kl_weight: float = 1e-3
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            self.backend = str(self.backend)
         for name in (
             "feature_dim",
             "embedding_dim",
@@ -95,7 +92,7 @@ class DPGVAE(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``; the (privatised) GCN aggregation happens here."""
         self.graph = graph
-        self.backend_ = get_backend(self.config.backend)
+        self.backend_ = NUMPY_BACKEND
         be = self.backend_
         feat_rng, weight_rng, sample_rng, noise_rng = spawn_rngs(self._rng, 4)
         cfg = self.config

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
-from repro.backend import get_backend
+from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler, check_negative_distribution
 from repro.nn.functional import sigmoid
@@ -45,12 +45,9 @@ class DPSGMConfig:
     epsilon: float = 6.0
     delta: float = 1e-5
     negative_distribution: str = "uniform"
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_negative_distribution(self.negative_distribution)
-        if self.backend is not None:
-            self.backend = str(self.backend)
         for name in (
             "embedding_dim",
             "num_negatives",
@@ -94,7 +91,7 @@ class DPSGM(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: initialise embeddings, sampler and accountant."""
         self.graph = graph
-        self.backend_ = get_backend(self.config.backend)
+        self.backend_ = NUMPY_BACKEND
         init_rng, sample_rng, noise_rng = spawn_rngs(self._rng, 3)
         dim = self.config.embedding_dim
         self.w_in = uniform_embedding(

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
-from repro.backend import get_backend
+from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.nn.init import normal_init, xavier_uniform
 from repro.privacy.accountant import RdpAccountant
@@ -50,11 +50,8 @@ class GAPConfig:
     batch_size: int = 256
     epsilon: float = 6.0
     delta: float = 1e-5
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            self.backend = str(self.backend)
         for name in (
             "feature_dim",
             "embedding_dim",
@@ -96,7 +93,7 @@ class GAP(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: split the seed stream and calibrate the noise."""
         self.graph = graph
-        self.backend_ = get_backend(self.config.backend)
+        self.backend_ = NUMPY_BACKEND
         feat_rng, noise_rng, weight_rng, train_rng = spawn_rngs(self._rng, 4)
         self._feat_rng = feat_rng
         self._noise_rng = noise_rng
@@ -150,9 +147,6 @@ class GAP(EstimatorMixin):
             norms = np.linalg.norm(noisy, axis=1, keepdims=True)
             current = noisy / np.maximum(norms, 1e-12)
             stages.append(current)
-        # The perturbation pipeline itself runs on numpy (it is one-shot
-        # preprocessing whose noise draws must be identical on every
-        # backend); only the released aggregate becomes backend-native.
         return self.backend_.asarray(np.concatenate(stages, axis=1))
 
     # ------------------------------------------------------------------

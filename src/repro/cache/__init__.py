@@ -18,7 +18,6 @@ and stable, so a sweep resumes from a store written in an earlier session.
 from repro.cache.keys import (
     CACHE_SCHEMA_VERSION,
     canonical_cell_dict,
-    cell_backend_spec,
     cell_key,
 )
 from repro.cache.manifest import CacheManifest
@@ -37,7 +36,6 @@ __all__ = [
     "CacheStats",
     "ResultStore",
     "canonical_cell_dict",
-    "cell_backend_spec",
     "cell_key",
     "default_cache_dir",
     "resolve_store",

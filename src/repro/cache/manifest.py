@@ -39,10 +39,8 @@ class CacheManifest:
     has_embeddings:
         Whether an embeddings array is stored alongside the row.
     backend:
-        Canonical compute-backend spec the result was computed under
-        (``"numpy"``, ``"torch:cpu"``, ...).  Also hashed into the key via
-        the canonical cell dict; recorded here so a report can show it
-        without recomputing the resolution.
+        The compute backend the result was computed under: always
+        ``"numpy"``, the only one.  Kept so the manifest layout is unchanged.
     """
 
     key: str

@@ -28,7 +28,6 @@ from repro.api.spec import ExperimentCell
 from repro.cache.keys import (
     CACHE_SCHEMA_VERSION,
     canonical_cell_dict,
-    cell_backend_spec,
     cell_key,
 )
 from repro.cache.manifest import CacheManifest, package_version
@@ -255,7 +254,6 @@ class ResultStore:
             package_version=package_version(),
             wall_time_s=float(wall_time),
             has_embeddings=embeddings is not None,
-            backend=cell_backend_spec(cell),
         )
         payload = json.dumps(
             {"manifest": manifest.to_dict(), "row": to_plain(row)},

@@ -9,10 +9,7 @@ Subcommands
     or a text edge list, via the bounded-RAM external-sort ingest) and
     inspect/verify one.
 ``models list``
-    Every registered estimator with its paper section (plus which compute
-    backends are usable in this environment).
-``backends list``
-    The compute backends (numpy / torch) and their availability here.
+    Every registered estimator with its paper section.
 ``train``
     Train one registered model on one dataset (``--set field=value`` overrides
     any config dataclass field; ``--out`` saves the embeddings as ``.npz``).
@@ -37,10 +34,8 @@ Examples
 ::
 
     python -m repro datasets list
-    python -m repro backends list
     python -m repro train --model advsgm --dataset ppi --epsilon 6 \
         --set num_epochs=2 --scale 0.15 --out emb.npz
-    python -m repro train --model sgm --dataset ppi --backend torch:cpu:fast
     python -m repro evaluate --model dpar --dataset wiki --epsilon 4 \
         --task node_clustering --preset smoke
     python -m repro experiment fig3 --dataset ppi --workers 4 --cache-dir .cache
@@ -57,13 +52,6 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.api.registry import config_field_names, get_entry, list_models, make_model
-from repro.backend import (
-    BackendError,
-    backend_unavailable_reason,
-    default_backend_spec,
-    get_backend,
-    list_backends,
-)
 from repro.graph.datasets import get_spec as get_dataset_spec
 from repro.graph.datasets import list_datasets, load_dataset
 
@@ -92,32 +80,6 @@ def _check_dataset_or_exit(name: str) -> None:
         get_dataset_spec(name)
     except KeyError as exc:
         raise SystemExit(exc.args[0])
-
-
-def _check_backend_or_exit(args: argparse.Namespace) -> None:
-    """Validate the backend spec early, with a one-line message.
-
-    Runs for every command that will train: an explicit ``--backend`` (or an
-    ambient ``$REPRO_BACKEND``) that names an unknown, uninstalled or
-    incompatible backend, device or precision must fail before any dataset
-    or model work starts — and without a traceback.
-    """
-    try:
-        get_backend(args.backend)
-    except BackendError as exc:
-        raise SystemExit(str(exc))
-
-
-def _backend_availability_lines() -> list:
-    """Human-readable availability of every registered backend."""
-    lines = []
-    default_family = default_backend_spec().partition(":")[0].lower()
-    for name in list_backends():
-        reason = backend_unavailable_reason(name)
-        status = "available" if reason is None else f"unavailable ({reason})"
-        marker = "  [default]" if name == default_family else ""
-        lines.append(f"{name:<8}{status}{marker}")
-    return lines
 
 
 def _make_model_or_exit(name: str, **kwargs):
@@ -289,20 +251,6 @@ def _cmd_models(args: argparse.Namespace) -> int:
                 f"{entry.name:<14}{entry.cls.__name__:<22}"
                 f"{'yes' if entry.private else 'no':<9}{entry.paper}"
             )
-        print()
-        print("backends: " + "; ".join(_backend_availability_lines()))
-    return 0
-
-
-def _cmd_backends(args: argparse.Namespace) -> int:
-    if args.action == "list":
-        print(f"default backend: {default_backend_spec()} "
-              f"(precedence: --backend > config > $REPRO_BACKEND > numpy)")
-        for line in _backend_availability_lines():
-            print(f"  {line}")
-        print("spec: name[:device][:precision], e.g. torch:cuda:fast; "
-              "precisions: exact (float64, default; bit-for-bit reference) "
-              "| fast (float32 device-resident, accelerator backends only)")
     return 0
 
 
@@ -332,7 +280,6 @@ def _streaming_overrides(args: argparse.Namespace, model_name: str) -> Dict[str,
 
 def _cmd_train(args: argparse.Namespace) -> int:
     entry = _entry_or_exit(args.model)
-    _check_backend_or_exit(args)
     overrides = _parse_overrides(args.model, args.set or [])
     overrides.update(_streaming_overrides(args, entry.name))
     graph = _load_dataset_or_exit(
@@ -341,11 +288,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     epsilon = args.epsilon if entry.private else None
     if args.epsilon is not None and not entry.private:
         raise SystemExit(f"model {entry.name!r} is not private; drop --epsilon")
-    # Fold the flag into the overrides dict (rather than a separate kwarg)
-    # so `--set backend=...` and `--backend ...` cannot collide; the
-    # explicit flag wins, per the documented precedence.
-    if args.backend is not None:
-        overrides["backend"] = args.backend
     model = _make_model_or_exit(
         entry.name, epsilon=epsilon, graph=graph, rng=args.seed, **overrides
     )
@@ -376,14 +318,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     entry = _entry_or_exit(args.model)
     _check_dataset_or_exit(args.dataset)
-    _check_backend_or_exit(args)
     settings = ExperimentSettings.preset(args.preset)
     if args.scale is not None:
         settings = dataclasses.replace(settings, dataset_scale=args.scale)
     if args.seed is not None:
         settings = dataclasses.replace(settings, seed=args.seed)
-    if args.backend is not None:
-        settings = dataclasses.replace(settings, backend=args.backend)
     if args.on_disk:
         settings = dataclasses.replace(settings, on_disk=True)
     epsilon = args.epsilon if entry.private else None
@@ -424,10 +363,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         "table5": table5_private_skipgram_comparison,
     }
     module = modules[args.name]
-    _check_backend_or_exit(args)
     settings = ExperimentSettings.preset(args.preset)
-    if args.backend is not None:
-        settings = dataclasses.replace(settings, backend=args.backend)
     if args.on_disk:
         settings = dataclasses.replace(settings, on_disk=True)
     kwargs: Dict[str, Any] = {}
@@ -599,10 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_models.add_argument("action", choices=["list"], help="what to do")
     p_models.set_defaults(func=_cmd_models)
 
-    p_backends = sub.add_parser("backends", help="compute backend availability")
-    p_backends.add_argument("action", choices=["list"], help="what to do")
-    p_backends.set_defaults(func=_cmd_backends)
-
     p_train = sub.add_parser("train", help="train one model on one dataset")
     p_train.add_argument("--model", required=True, help="registry name (see `models list`)")
     p_train.add_argument("--dataset", required=True, help="dataset name (see `datasets list`)")
@@ -622,10 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--on-disk", action="store_true",
                          help="train against a memory-mapped on-disk graph "
                               "(materialised once under the graph cache)")
-    p_train.add_argument("--backend", default=None, metavar="SPEC",
-                         help="backend spec name[:device][:precision] (numpy "
-                              "| torch:cuda | torch:cuda:fast; see "
-                              "`backends list`)")
     p_train.add_argument("--out", help="save embeddings to this .npz file")
     p_train.set_defaults(func=_cmd_train)
 
@@ -640,9 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--scale", type=float, default=None, help="override dataset scale")
     p_eval.add_argument("--seed", type=int, default=None, help="override the root seed")
     p_eval.add_argument("--repeat", type=int, default=0, help="repeat index (derives the seed)")
-    p_eval.add_argument("--backend", default=None, metavar="SPEC",
-                        help="backend spec name[:device][:precision] (numpy "
-                             "| torch:cuda | torch:cuda:fast)")
     p_eval.add_argument("--on-disk", action="store_true",
                         help="load the dataset as a memory-mapped on-disk graph")
     p_eval.add_argument("--json", help="also write the result row as JSON ('-' for stdout)")
@@ -667,10 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "--cache-dir the default ~/.cache/repro is used")
     p_exp.add_argument("--force", action="store_true",
                        help="recompute every cell, overwriting cached entries")
-    p_exp.add_argument("--backend", default=None, metavar="SPEC",
-                       help="backend spec for every cell, name[:device]"
-                            "[:precision] (numpy | torch:cuda | "
-                            "torch:cuda:fast); cached separately per spec")
     p_exp.add_argument("--on-disk", action="store_true",
                        help="load every cell's dataset as a memory-mapped "
                             "on-disk graph (cached under the graph cache root)")

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
-from repro.backend import get_backend
+from repro.backend import NUMPY_BACKEND
 from repro.core.config import AdvSGMConfig
 from repro.core.discriminator import AdvSGMDiscriminator
 from repro.core.generator import GeneratorPair
@@ -58,10 +58,7 @@ class AdvSGM(EstimatorMixin):
         :class:`AdvSGMConfig`; defaults follow the paper.
     rng:
         Seed or generator; all stochastic subcomponents derive their streams
-        from it, so a fixed seed makes the whole run reproducible — on every
-        compute backend, since noise is always drawn from numpy streams
-        (``config.backend`` selects where the tensor math executes, not what
-        is computed).
+        from it, so a fixed seed makes the whole run reproducible.
 
     Examples
     --------
@@ -93,7 +90,7 @@ class AdvSGM(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: build discriminator, generators, sampler, budget."""
         self.graph = graph
-        self.backend_ = get_backend(self.config.backend)
+        self.backend_ = NUMPY_BACKEND
         disc_rng, gen_rng, sample_rng = spawn_rngs(self._rng, 3)
 
         self.discriminator = AdvSGMDiscriminator(

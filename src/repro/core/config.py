@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.graph.sampling import check_negative_distribution
 from repro.utils.validation import check_positive, check_probability
@@ -55,20 +55,6 @@ class AdvSGMConfig:
         factor absorbed into the learning rate), which is what makes the
         paper's learning rates (0.01-0.3) produce visible progress within the
         step counts the privacy budget allows.
-    backend:
-        Compute backend spec ``name[:device][:precision]`` (``"numpy"``
-        default, ``"torch"``, ``"torch:cuda"``, ``"torch:cuda:fast"``;
-        ``None`` defers to ``$REPRO_BACKEND`` and then numpy — see
-        :mod:`repro.backend`).  The choice affects *only* where matmuls and
-        activations execute and at what width (``exact`` float64, the
-        default and bit-for-bit with the numpy reference, or ``fast``
-        float32 device-resident arithmetic): the DP guarantee is
-        backend-independent, because the RDP accountant is charged from the
-        sampling probabilities and the noise multiplier alone — and the
-        Gaussian noise itself is drawn from the same seeded numpy stream on
-        every backend before being transferred, so a fixed seed yields the
-        same mechanism invocations (and the same budget-driven early stop)
-        under every backend and precision.
     """
 
     embedding_dim: int = 128
@@ -91,7 +77,6 @@ class AdvSGMConfig:
     normalize_embeddings: bool = True
     average_gradients: bool = False
     rdp_orders: Tuple[int, ...] = field(default_factory=lambda: tuple(range(2, 65)))
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -121,8 +106,6 @@ class AdvSGMConfig:
             )
         if any(int(o) != o or o < 2 for o in self.rdp_orders):
             raise ValueError("rdp_orders must all be integers >= 2")
-        if self.backend is not None:
-            self.backend = str(self.backend)
 
     def without_privacy(self) -> "AdvSGMConfig":
         """Return a copy of this config with differential privacy disabled."""

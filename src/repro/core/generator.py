@@ -13,9 +13,8 @@ discriminant probability of the fake pair towards 1.  The generators never
 touch the private graph directly — they only see discriminator embeddings that
 are already differentially private, so their updates are post-processing.
 
-Like the discriminator, the generators keep ``theta`` as backend-native state
-and draw all randomness from seeded numpy streams, so one seed reproduces the
-run on every backend.
+Like the discriminator, the generators draw all randomness from seeded numpy
+streams, so one seed reproduces the run.
 """
 
 from __future__ import annotations

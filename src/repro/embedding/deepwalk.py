@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
-from repro.backend import get_backend
+from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.random_walk import WalkPairChunkFactory, walks_to_pairs
 from repro.graph.sampling import (
@@ -68,7 +68,6 @@ class DeepWalkConfig:
     pair_streaming: bool = False
     stream_chunk_walks: int = 4096
     walk_workers: int = 1
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in ("embedding_dim", "num_walks", "walk_length", "window_size",
@@ -78,8 +77,6 @@ class DeepWalkConfig:
                 raise ValueError(f"{name} must be positive")
         check_positive(self.learning_rate, "learning_rate")
         check_negative_distribution(self.negative_distribution)
-        if self.backend is not None:
-            self.backend = str(self.backend)
 
 
 @register_model(
@@ -106,7 +103,7 @@ class DeepWalk(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: initialise embeddings and the negative table."""
         self.graph = graph
-        self.backend_ = get_backend(self.config.backend)
+        self.backend_ = NUMPY_BACKEND
         self._init_rng, self._walk_rng, self._train_rng = spawn_rngs(self._rng, 3)
         dim = self.config.embedding_dim
         self.w_in = uniform_embedding(

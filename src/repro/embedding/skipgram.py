@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
-from repro.backend import get_backend
+from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler, SampleBatch, check_negative_distribution
 from repro.nn.functional import log_sigmoid, sigmoid
@@ -45,7 +45,6 @@ class SkipGramConfig:
     batches_per_epoch: int = 15
     normalize_embeddings: bool = True
     negative_distribution: str = "uniform"
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.embedding_dim <= 0:
@@ -58,8 +57,6 @@ class SkipGramConfig:
         if self.num_epochs <= 0 or self.batches_per_epoch <= 0:
             raise ValueError("num_epochs and batches_per_epoch must be positive")
         check_negative_distribution(self.negative_distribution)
-        if self.backend is not None:
-            self.backend = str(self.backend)
 
 
 @register_model(
@@ -98,7 +95,7 @@ class SkipGramModel(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: initialise embeddings and the batch sampler."""
         self.graph = graph
-        self.backend_ = get_backend(self.config.backend)
+        self.backend_ = NUMPY_BACKEND
         init_rng, sample_rng = spawn_rngs(self._rng, 2)
         dim = self.config.embedding_dim
         self.w_in = uniform_embedding(
@@ -107,20 +104,18 @@ class SkipGramModel(EstimatorMixin):
         self.w_out = uniform_embedding(
             graph.num_nodes, dim, rng=init_rng, backend=self.backend_
         )
-        # Fast-precision backends run each batch through the fused
-        # ``skipgram_step`` and draw their negatives device-side, so their
-        # pair source pulls positives-only batches (the unigram alias table
-        # is a host-side structure; it stays on the generic path).
-        self._fused = (
-            self.backend_.precision == "fast"
-            and self.config.negative_distribution == "uniform"
-        )
-        # Rows of (W_in, W_out) whose norm is still above 1 after their last
-        # rescale, as backend index arrays; see :meth:`_normalize`.
+        # Project every row onto the unit ball (ensures C = 1).  The carry
+        # holds the rows of (W_in, W_out) whose norm is still above 1 after
+        # their last rescale: train_step rescales them with the rows its
+        # batch touched, and every other row is an exact fixed point of
+        # x / max(||x||, 1), so each step is bit-for-bit the full pass.
         self._carry = (np.empty(0, dtype=np.int64),) * 2
         if self.config.normalize_embeddings:
             all_rows = (np.arange(graph.num_nodes),)
-            self._normalize((all_rows, all_rows))
+            self._carry = tuple(
+                self.backend_.normalize_rows_(matrix, 1.0, all_rows)
+                for matrix in (self.w_in, self.w_out)
+            )
         self.sampler = EdgeSampler(
             graph,
             batch_size=self.config.batch_size,
@@ -131,9 +126,7 @@ class SkipGramModel(EstimatorMixin):
         # The LINE-style trainer consumes its edge batches through the same
         # PairSource seam as the walk-corpus trainers; each pulled batch is
         # exactly one sampler draw, so the stream order is unchanged.
-        self.pair_source_ = SampledBatchSource(
-            self._sample_fused_batch if self._fused else self.sampler.sample
-        )
+        self.pair_source_ = SampledBatchSource(self.sampler.sample)
 
     # ------------------------------------------------------------------
     # embedding access
@@ -142,26 +135,6 @@ class SkipGramModel(EstimatorMixin):
     def embeddings(self) -> np.ndarray:
         """Released node embeddings (the input vectors ``W_in``), as numpy."""
         return self.backend_.to_numpy(self.w_in)
-
-    def _normalize(self, touched: tuple) -> None:
-        """Project every embedding row onto the unit ball (ensures C = 1).
-
-        ``touched`` is ``(W_in rows, W_out rows)``, each a tuple of index
-        arrays naming the rows changed since the last call.  Only those rows
-        and the carry (rows whose norm was still above 1 after their last
-        rescale) are rescaled, and the carry is refreshed.  Every other row
-        has norm at most 1 and is an exact fixed point of
-        ``x / max(||x||, 1)``, so the result is bit-for-bit the full pass.
-
-        Only set-up and the fused fast path call this; the exact path of
-        :meth:`train_step` renormalises inside
-        :meth:`~repro.backend.base.Backend.add_rows_project_`, which keeps
-        the same carry.
-        """
-        self._carry = tuple(
-            self.backend_.normalize_rows_(matrix, 1.0, (*rows, carry))
-            for matrix, rows, carry in zip((self.w_in, self.w_out), touched, self._carry)
-        )
 
     # ------------------------------------------------------------------
     # loss / gradients
@@ -199,10 +172,9 @@ class SkipGramModel(EstimatorMixin):
     def batch_loss(self, batch: SampleBatch):
         """Negative mean skip-gram objective of a batch (lower is better).
 
-        Returned as a backend-native 0-d value, not a Python float: the
-        training loop accumulates losses natively and scalarises once per
-        epoch (:meth:`repro.backend.base.Backend.scalar`), so accelerator
-        backends are never forced into a per-batch device sync.
+        Returned as a 0-d array, not a Python float: the training loop
+        sums the losses and scalarises once per epoch
+        (:meth:`repro.backend.base.Backend.scalar`).
         """
         return self._forward(batch)[0]
 
@@ -235,59 +207,24 @@ class SkipGramModel(EstimatorMixin):
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
-    def _sample_fused_batch(self) -> SampleBatch:
-        """A positives-only batch for the fused fast path.
-
-        Negatives are drawn device-side inside :meth:`train_step`, so none
-        are pulled from the host stream here.
-        """
-        return SampleBatch(
-            positive_edges=self.sampler.sample_positives(),
-            negative_pairs=np.empty((0, 2), dtype=np.int64),
-        )
-
     def train_step(self, batch: Optional[SampleBatch] = None):
         """One batch of gradient-ascent updates; returns the batch loss.
 
         ``batch`` defaults to one fresh sampler draw (the historical
         behaviour); :meth:`fit` passes batches pulled from ``pair_source_``.
-        The loss is backend-native (see :meth:`batch_loss`).
+        The loss is a 0-d array (see :meth:`batch_loss`).
 
         Updates follow the usual skip-gram/SGD convention: per-pair gradients
         are accumulated into their embedding rows and applied with the full
         learning rate (no division by the batch size), which is how word2vec,
-        LINE and DeepWalk implementations behave.  On a fast backend
-        (``backend="torch:cuda:fast"``) the whole batch runs through the
-        backend's fused :meth:`~repro.backend.base.Backend.skipgram_step`
-        and the rows it touched (plus the carry) are then renormalised by
-        :meth:`_normalize`.  On every other backend each matrix takes one
+        LINE and DeepWalk implementations behave.  Each matrix takes one
         :meth:`~repro.backend.base.Backend.add_rows_project_` call, which
-        adds the update and renormalises the same rows.
+        adds the update and renormalises the rows it touched plus the carry.
         """
         if batch is None:
-            batch = self._sample_fused_batch() if self._fused else self.sampler.sample()
+            batch = self.sampler.sample()
         be = self.backend_
         lr = self.config.learning_rate
-        if self._fused:
-            pos = batch.positive_edges
-            if batch.negative_pairs.shape[0]:
-                # A caller-supplied full batch: reuse its negative nodes
-                # (each row of negative_pairs is (source, negative) with the
-                # sources repeating positive[:, 0] in order).
-                negatives = batch.negative_pairs[:, 1].reshape(pos.shape[0], -1)
-            else:
-                negatives = be.sample_negatives(
-                    self.sampler.rng,
-                    (pos.shape[0], self.config.num_negatives),
-                    self.graph.num_nodes,
-                )
-            loss = be.skipgram_step(self.w_in, self.w_out, pos, negatives, lr)
-            # The fused step moves the sources' W_in rows and the
-            # destinations' and negatives' W_out rows.
-            touched = ((pos[:, 0],), (pos[:, 1], negatives))
-            if self.config.normalize_embeddings:
-                self._normalize(touched)
-            return loss
         loss, grad_in, touched_in, grad_out, touched_out = self._loss_and_gradients(batch)
         # The touched indices are unique and aligned with the compact
         # accumulators, so this is exactly the historical
@@ -296,7 +233,7 @@ class SkipGramModel(EstimatorMixin):
         grad_in *= lr
         grad_out *= lr
         if self.config.normalize_embeddings:
-            # The carry comes back from the same call (see :meth:`_normalize`).
+            # The carry comes back from the same call (see :meth:`_setup`).
             self._carry = (
                 be.add_rows_project_(self.w_in, touched_in, grad_in, self._carry[0]),
                 be.add_rows_project_(self.w_out, touched_out, grad_out, self._carry[1]),
@@ -314,8 +251,7 @@ class SkipGramModel(EstimatorMixin):
         )
 
         def epoch_end(epoch: int, losses) -> None:
-            # Losses are backend-native 0-d values: one scalarisation per
-            # epoch, not one device sync per batch.
+            # Losses are 0-d arrays: one scalarisation per epoch.
             self.history.record(
                 "loss",
                 self.backend_.scalar(sum(losses)) / self.config.batches_per_epoch,

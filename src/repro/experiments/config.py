@@ -10,7 +10,7 @@ models use the paper's schedule scaled by ``epoch_scale``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.utils.validation import check_positive, check_probability
 
@@ -40,10 +40,6 @@ class ExperimentSettings:
         Privacy budgets swept by the comparison experiments.
     seed:
         Base seed; every experiment derives per-run seeds from it.
-    backend:
-        Backend spec every cell trains on, ``name[:device][:precision]``
-        (``None`` defers to the model configs and then the ambient default;
-        see :mod:`repro.backend`).
     on_disk:
         Load every dataset as a memory-mapped on-disk graph (materialised
         once under the graph cache, bit-identical to the in-RAM build).
@@ -66,7 +62,6 @@ class ExperimentSettings:
     epsilons: Tuple[float, ...] = field(default_factory=lambda: DEFAULT_EPSILONS)
     num_repeats: int = 1
     seed: int = 2025
-    backend: Optional[str] = None
     on_disk: bool = False
 
     def __post_init__(self) -> None:
@@ -92,8 +87,6 @@ class ExperimentSettings:
             raise ValueError("test_fraction must lie in (0, 1)")
         if not self.epsilons:
             raise ValueError("epsilons must not be empty")
-        if self.backend is not None:
-            self.backend = str(self.backend)
 
     @classmethod
     def quick(cls) -> "ExperimentSettings":

@@ -233,7 +233,6 @@ def spec_from_settings(
         base_seed=settings.seed,
         dataset_scale=settings.dataset_scale,
         test_fraction=settings.test_fraction,
-        backend=settings.backend,
         on_disk=settings.on_disk,
     )
 
@@ -261,10 +260,6 @@ def compute_cell(
             on_disk=cell.on_disk,
         )
     overrides = dict(cell.model.overrides)
-    # The cell-level backend wins over any model-spec override, so a sweep
-    # re-run under --backend torch:cuda:fast retrains every cell accordingly.
-    if cell.backend is not None:
-        overrides["backend"] = cell.backend
     row: Dict[str, Any] = {
         "task": cell.task,
         "dataset": cell.dataset,
@@ -452,7 +447,6 @@ def _single_cell(
         dataset_scale=settings.dataset_scale,
         dataset_seed=settings.seed,
         test_fraction=settings.test_fraction,
-        backend=settings.backend,
         on_disk=settings.on_disk,
     )
 

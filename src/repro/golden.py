@@ -16,11 +16,10 @@ Regenerate the fixture after an *intentional* numerical change with::
 and review the diff: every changed digest is a behaviour change that
 invalidates previously cached results for that model.
 
-The digests are **explicitly pinned to the NumPy backend**: every golden
-case trains with ``backend="numpy"`` regardless of ``$REPRO_BACKEND``,
-because raw-byte sha256 equality is a numpy-reference property.  Other
-backends (torch) are held to the parity suite's rtol instead
-(``tests/test_backend.py``), never to these digests.
+Every fixture entry records ``"backend": "numpy"``, the one compute
+backend; the field is kept so the fixture layout is unchanged.  Raw-byte
+sha256 equality also depends on the numpy/BLAS build, which is what
+``--check --relaxed`` is for.
 """
 
 from __future__ import annotations
@@ -43,9 +42,6 @@ GOLDEN_SCALE = 0.15
 GOLDEN_DATASET_SEED = 7
 #: Seed passed to every model (initialisation + sampling streams).
 GOLDEN_SEED = 1234
-#: The compute backend the digests are pinned to.  Always numpy: byte-exact
-#: sha256 is a property of the reference backend only.
-GOLDEN_BACKEND = "numpy"
 #: Fixed node pairs whose link scores are recorded alongside the digest.
 GOLDEN_SCORE_PAIRS = ((0, 1), (1, 2), (2, 3), (5, 8))
 
@@ -109,7 +105,6 @@ def compute_case(name: str, graph=None) -> Dict[str, Any]:
         epsilon=case["epsilon"],
         graph=graph,
         rng=GOLDEN_SEED,
-        backend=GOLDEN_BACKEND,
         **case["overrides"],
     )
     model.fit()
@@ -127,7 +122,7 @@ def compute_case(name: str, graph=None) -> Dict[str, Any]:
             metrics["privacy_delta"] = float(spent.delta)
     return {
         "model": case["model"],
-        "backend": GOLDEN_BACKEND,
+        "backend": "numpy",
         "embeddings_sha256": _sha256_array(embeddings),
         "shape": list(embeddings.shape),
         "dtype": str(embeddings.dtype),

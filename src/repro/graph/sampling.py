@@ -208,22 +208,11 @@ class EdgeSampler:
             self.positive_batch_size * self.num_negatives / self.graph.num_nodes,
         )
 
-    @property
-    def rng(self) -> np.random.Generator:
-        """The sampler's generator (the model's sampling stream).
-
-        Exposed so fast-precision backends can derive device-side negative
-        draws from the same seeded stream (see
-        :meth:`repro.backend.base.Backend.sample_negatives`).
-        """
-        return self._rng
-
     def sample_positives(self) -> np.ndarray:
         """Draw the ``(B, 2)`` positive-edge half of one batch.
 
-        The fast-precision skip-gram path draws its negatives device-side,
-        so it pulls only positives from the numpy stream; :meth:`sample`
-        composes this with the host-side negative draw.
+        :meth:`sample` composes this with the negative draw, from the same
+        stream.
         """
         take = self.positive_batch_size
         # Sampling without replacement matches the subsampled-RDP analysis.

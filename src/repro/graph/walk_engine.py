@@ -157,7 +157,9 @@ class WalkEngine:
 
         Each pass shuffles the node order and starts one walk per node, as
         in the original DeepWalk/node2vec schedules; the passes are stacked
-        into one ``(num_walks * num_nodes, walk_length)`` matrix.
+        into one ``(num_walks * num_nodes, walk_length)`` matrix.  Each pass
+        is written into its slice of that matrix as it arrives, so walking
+        holds the corpus and about one pass.
 
         ``workers > 1`` distributes the passes across a process pool.  Per-pass
         seeds are derived from ``rng`` before the fan-out, so the pooled
@@ -169,7 +171,17 @@ class WalkEngine:
         passes = self.iter_corpus_passes(
             num_walks, walk_length, p=p, q=q, rng=rng, workers=workers
         )
-        return np.vstack(list(passes))
+        corpus, start = None, 0
+        for walks in passes:
+            rows = walks.shape[0]
+            if corpus is None:
+                corpus = np.empty((num_walks * rows, walks.shape[1]), dtype=walks.dtype)
+            corpus[start:start + rows] = walks
+            start += rows
+            # Let the pass go before the next one is walked.  (enumerate()
+            # would hold it in its cached result tuple until then.)
+            del walks
+        return corpus
 
     def iter_corpus_passes(
         self,

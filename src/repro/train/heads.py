@@ -41,9 +41,8 @@ def fit_link_prediction_head(
     behaviour.  Uses only ``features`` (already privatised by the caller) and
     the public edge split, so the whole stage is DP post-processing.
 
-    ``features`` and ``weight`` must be native arrays of ``backend`` (numpy
-    by default); the batch schedule and edge split stay on numpy regardless,
-    so every backend trains on the identical pair sequence.
+    ``features`` and ``weight`` are float64 numpy arrays, updated through
+    ``backend``.
 
     A step projects only the batch's rows: it gathers the feature rows of
     both endpoints in one block (all ``i`` rows, then all ``j`` rows) and

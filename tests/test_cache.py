@@ -27,7 +27,9 @@ from repro.cache import (
     default_cache_dir,
     resolve_store,
 )
+from repro.api.registry import make_model
 from repro.experiments.runners import compute_cell, run_cell, run_spec
+from repro.golden import GOLDEN_CASES, golden_graph
 
 #: Tiny deepwalk schedule: one cell trains in well under a second.
 FAST_DEEPWALK = dict(
@@ -238,10 +240,6 @@ class TestPinnedKeys:
     pass; a deliberate key change bumps ``CACHE_SCHEMA_VERSION`` instead.
     """
 
-    @pytest.fixture(autouse=True)
-    def _no_ambient_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-
     def test_default_advsgm_cell(self):
         assert cell_key(_paper_cell()) == (
             "25b421c88e7b68f40a5039dad3c70d9eb8c08cc827ffe1035463a4d085099b9b"
@@ -259,12 +257,32 @@ class TestPinnedKeys:
             "3a6b27939b2385765c4f1068978b2141fd09732da1709e02f6665599f47e057e"
         )
 
-    def test_torch_fast_cell(self):
-        # The same work unit was once spelled backend="torch", device="cuda",
-        # precision="fast"; the spec string keeps its key.
-        assert cell_key(_paper_cell(backend="torch:cuda:fast")) == (
-            "2e7f51dc3432aa6db9201a38559b46d26c591241b965700d6ac3c885f7b608b3"
+    def test_retired_backend_variable_changes_nothing(self, monkeypatch):
+        # REPRO_BACKEND once chose the compute backend.  Nothing reads it
+        # now: the keys keep their literals and a fit keeps its bytes.
+        graph = golden_graph()
+        overrides = GOLDEN_CASES["sgm"]["overrides"]
+        before = make_model("sgm", graph=graph, rng=11, **overrides).fit()
+        monkeypatch.setenv("REPRO_BACKEND", "torch:cuda:fast")
+        self.test_default_advsgm_cell()
+        self.test_node2vec_walk_cell_with_placement_knobs()
+        after = make_model("sgm", graph=graph, rng=11, **overrides).fit()
+        assert after.embeddings_.tobytes() == before.embeddings_.tobytes()
+
+    @pytest.mark.parametrize("legacy", ["numpy", None])
+    def test_legacy_numpy_backend_field_loads_to_the_same_key(self, legacy):
+        cell = _paper_cell()
+        spec = ExperimentSpec(
+            task="link_prediction", datasets=("ppi",), models=("advsgm",),
+            epsilons=(6.0,), base_seed=2025,
         )
+        old_cell = json.loads(json.dumps({**cell.to_dict(), "backend": legacy}))
+        assert cell_key(ExperimentCell.from_dict(old_cell)) == cell_key(cell)
+        old_spec = json.loads(json.dumps({**spec.to_dict(), "backend": legacy}))
+        assert ExperimentSpec.from_dict(old_spec) == spec
+        assert [cell_key(c) for c in ExperimentSpec.from_dict(old_spec).cells()] == [
+            cell_key(cell)
+        ]
 
 
 class TestRoundTripDeterminism:

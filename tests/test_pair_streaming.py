@@ -11,6 +11,8 @@ The key guarantees under test:
 * streaming training bounds the peak pair buffer by roughly one chunk;
 * a materialised fit holds one pair corpus at its peak and leaves no
   second-order table on the graph's walk engine;
+* ``walk_corpus`` writes its passes into one matrix, byte-equal to stacking
+  them, and peaks at the corpus plus about one pass;
 * the walk pool, the only background component, is gone after every fit,
   completed or interrupted;
 * the rejection-sampling second-order fallback draws from the same
@@ -338,6 +340,49 @@ class TestWalkPoolShutdown:
         source = model._make_pair_source()
         assert isinstance(source, ArrayPairSource)
         assert multiprocessing.active_children() == []
+
+
+class TestCorpusAssembly:
+    """``walk_corpus`` writes each pass into its slice of one matrix."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (0.5, 2.0)], ids=["uniform", "biased"])
+    def test_equals_stacked_passes(self, small_graph, p, q, workers):
+        engine = small_graph.walk_engine()
+        corpus = engine.walk_corpus(3, 9, p=p, q=q, rng=31, workers=workers)
+        stacked = np.vstack(list(
+            engine.iter_corpus_passes(3, 9, p=p, q=q, rng=31, workers=workers)
+        ))
+        assert corpus.dtype == stacked.dtype and corpus.shape == stacked.shape
+        assert corpus.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (0.5, 2.0)], ids=["uniform", "table"])
+    def test_peak_is_corpus_plus_one_pass(self, p, q):
+        graph = powerlaw_cluster_graph(3000, attachment=3, triangle_prob=0.3, rng=4)
+        engine = graph.walk_engine()
+        # The node2vec table is the engine's cache, built on first use; it
+        # is built before the trace, which measures walking only.
+        if engine.resolved_second_order(p, q) == "table":
+            engine.second_order_table(p, q)
+        num_walks, walk_length, n = 10, 80, graph.num_nodes
+        pass_bytes = n * walk_length * 8  # one int64 pass matrix
+        corpus_bytes = num_walks * pass_bytes
+        # Beside the corpus and the pass being walked, a step holds arrays
+        # of one 8-byte value per walk: the shuffled start order, the active
+        # walks and their nodes and, on the table path, the arcs, segment
+        # bounds, draws and the bisection's working arrays.  Fewer than 32
+        # are alive at once; 256 KiB covers the interpreter's bookkeeping.
+        slack = 32 * n * 8 + (256 << 10)
+        tracemalloc.start()
+        try:
+            corpus = engine.walk_corpus(num_walks, walk_length, p=p, q=q, rng=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.nbytes == corpus_bytes
+        assert peak <= corpus_bytes + pass_bytes + slack, (
+            peak, corpus_bytes, pass_bytes, slack
+        )
 
 
 class TestMaterialisedMemory:
