@@ -474,12 +474,12 @@ class TestCacheBackendIdentity:
 # model plumbing: configs, make_model, the import gate
 # ---------------------------------------------------------------------------
 class TestModelPlumbing:
-    def test_no_config_carries_placement_fields(self):
+    @pytest.mark.parametrize("name", repro.list_models())
+    def test_no_config_carries_placement_fields(self, name):
         # numpy on the CPU is the only backend: no model config names a
         # backend, a device or a precision.
-        for name in repro.list_models():
-            fields = config_field_names(name)
-            assert not {"backend", "device", "precision"} & set(fields), name
+        fields = config_field_names(name)
+        assert not {"backend", "device", "precision"} & set(fields)
 
     def test_make_model_refuses_device_and_precision(self):
         for field in ("device", "precision"):

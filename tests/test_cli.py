@@ -174,6 +174,14 @@ class TestCli:
         assert proc.returncode != 0
         assert proc.stderr.strip() == "unrecognized arguments: --backend numpy"
 
+    def test_numpy_fast_spec_is_one_line_error(self):
+        # The old "name:precision" spec fails like any retired flag: before
+        # any work, in one line, without a traceback.
+        proc = run_cli("train", "--model", "sgm", "--dataset", "ppi",
+                       "--backend", "numpy:fast")
+        assert proc.returncode != 0
+        assert proc.stderr.strip() == "unrecognized arguments: --backend numpy:fast"
+
     def test_stream_flags_rejected_for_non_walk_models(self):
         proc = run_cli("train", "--model", "sgm", "--dataset", "ppi",
                        "--stream-pairs")
