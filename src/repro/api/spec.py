@@ -63,23 +63,21 @@ def _freeze_overrides(overrides: Union[Mapping[str, Any], Iterable, None]) -> Tu
     return tuple(sorted(frozen))
 
 
-def _check_no_walk_cache(value: Any) -> None:
-    """Refuse any ``walk_cache`` but the ``None``/``False`` that meant "off"."""
+def _check_off(key: str, value: Any, feature: str) -> None:
+    """Refuse any ``key`` value but the ``None``/``False`` that meant "off"."""
     if value is not None and value is not False:
-        raise ValueError(
-            f"walk_cache={value!r}: the walk-corpus cache was deleted; "
-            "drop the argument"
-        )
+        raise ValueError(f"{key}={value!r}: {feature} was deleted; drop {key!r}")
 
 
 def _drop_legacy_placement(data: Mapping[str, Any]) -> Dict[str, Any]:
     """Copy ``data`` without the retired placement fields.
 
     Older ``to_dict`` output carries ``backend`` (``"numpy"`` or ``null``),
-    ``device`` and ``precision`` (``null``) and ``walk_cache`` (``null`` or
-    ``false``).  Those values name what always runs now, so they still load
-    and are stored nowhere.  Any other value is refused in one line, because
-    it names a compute backend or a cache that was deleted.
+    ``device`` and ``precision`` (``null``), ``walk_cache`` (``null`` or
+    ``false``), ``on_disk`` (``false``) and ``graph_path`` (``null``).  Those
+    values name what always runs now, so they still load and are stored
+    nowhere.  Any other value is refused in one line, because it names a
+    compute backend, a cache or an on-disk graph that was deleted.
     """
     kwargs = dict(data)
     for key in ("backend", "device", "precision"):
@@ -89,7 +87,9 @@ def _drop_legacy_placement(data: Mapping[str, Any]) -> Dict[str, Any]:
                 f"{key}={value!r}: numpy on the CPU is the only compute "
                 f"backend; drop the {key!r} field"
             )
-    _check_no_walk_cache(kwargs.pop("walk_cache", None))
+    _check_off("walk_cache", kwargs.pop("walk_cache", None), "the walk-corpus cache")
+    for key in ("on_disk", "graph_path"):
+        _check_off(key, kwargs.pop(key, None), "the on-disk graph path")
     return kwargs
 
 
@@ -168,8 +168,6 @@ class ExperimentCell:
     dataset_scale: float = 1.0
     dataset_seed: Optional[int] = None
     test_fraction: float = 0.1
-    on_disk: bool = False
-    graph_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
@@ -189,16 +187,12 @@ class ExperimentCell:
         if self.dataset_seed is not None:
             object.__setattr__(self, "dataset_seed", int(self.dataset_seed))
         object.__setattr__(self, "test_fraction", float(self.test_fraction))
-        object.__setattr__(self, "on_disk", bool(self.on_disk))
-        if self.graph_path is not None:
-            object.__setattr__(self, "graph_path", str(self.graph_path))
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (JSON-able)."""
         data = {f: getattr(self, f) for f in (
             "task", "dataset", "epsilon", "repeat", "seed",
             "dataset_scale", "dataset_seed", "test_fraction",
-            "on_disk", "graph_path",
         )}
         data["model"] = self.model.to_dict()
         return data
@@ -236,15 +230,6 @@ class ExperimentSpec:
         ``base_seed`` (the historical runners' convention).
     test_fraction:
         Held-out edge fraction for link prediction.
-    on_disk:
-        Load every dataset as a memory-mapped on-disk graph
-        (``load_dataset(..., on_disk=True)``) instead of in RAM.  The arrays
-        are bit-identical either way, and cache keys are unaffected.
-    graph_path:
-        Path to a pre-built on-disk graph directory used *instead of* the
-        dataset registry (the ``datasets`` entry then only labels the runs).
-        The graph's content fingerprint is hashed into every cell key, so
-        two different graphs submitted under one name never alias.
     walk_cache:
         Retired.  The walk-corpus cache it switched was deleted; ``None`` and
         ``False`` (which meant "off") are still accepted and stored nowhere,
@@ -260,12 +245,10 @@ class ExperimentSpec:
     dataset_scale: float = 1.0
     dataset_seed: Optional[int] = field(default=None)
     test_fraction: float = 0.1
-    on_disk: bool = False
-    graph_path: Optional[str] = None
     walk_cache: InitVar[Optional[bool]] = None
 
     def __post_init__(self, walk_cache: Optional[bool]) -> None:
-        _check_no_walk_cache(walk_cache)
+        _check_off("walk_cache", walk_cache, "the walk-corpus cache")
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         object.__setattr__(self, "datasets", tuple(self.datasets))
@@ -291,13 +274,6 @@ class ExperimentSpec:
             raise ValueError("dataset_scale must be positive")
         if self.dataset_seed is None:
             object.__setattr__(self, "dataset_seed", self.base_seed)
-        object.__setattr__(self, "on_disk", bool(self.on_disk))
-        if self.graph_path is not None:
-            object.__setattr__(self, "graph_path", str(self.graph_path))
-            if len(self.datasets) > 1:
-                raise ValueError(
-                    "graph_path pins one graph; use a single dataset label"
-                )
 
     # ------------------------------------------------------------------
     def seed_for_repeat(self, repeat: int) -> int:
@@ -322,8 +298,6 @@ class ExperimentSpec:
                                 dataset_scale=self.dataset_scale,
                                 dataset_seed=self.dataset_seed,
                                 test_fraction=self.test_fraction,
-                                on_disk=self.on_disk,
-                                graph_path=self.graph_path,
                             )
                         )
         return tuple(out)
@@ -345,8 +319,6 @@ class ExperimentSpec:
             "dataset_scale": self.dataset_scale,
             "dataset_seed": self.dataset_seed,
             "test_fraction": self.test_fraction,
-            "on_disk": self.on_disk,
-            "graph_path": self.graph_path,
         }
 
     @classmethod

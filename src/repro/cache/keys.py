@@ -11,9 +11,9 @@ form (:func:`canonical_cell_dict`) fixes every source of key instability:
 * the compute backend: every key hashes the constant ``"backend": "numpy"``,
   the one backend there is, so keys written while others existed still
   match;
-* placement: only the fields that name the work (:data:`IDENTITY_FIELDS`)
-  are hashed, so ``on_disk`` — where bit-identical arrays live — never
-  moves a key.
+* retired placement knobs: only the fields that name the work
+  (:data:`IDENTITY_FIELDS`) are hashed, so the graph-placement and
+  walk-cache values older manifests still record never move a key.
 
 The schema version is hashed *into* the key, so entries written under an
 older layout can never shadow a current key; the store additionally verifies
@@ -37,15 +37,15 @@ from repro.utils.serialization import canonical_json, to_plain
 #: form.
 CACHE_SCHEMA_VERSION = 2
 
-#: The cell fields that name the work: the only ones hashed.  Placement
-#: fields (``on_disk``, and the retired walk-corpus cache knob that older
-#: ``to_dict`` output still carries) are left out.  ``graph_path`` is resolved to the graph's
-#: content fingerprint; ``graph_fingerprint`` is listed so a manifest's
-#: recorded (already canonical) cell re-hashes to its own key.
+#: The cell fields that name the work: the only ones hashed.  The retired
+#: placement fields older ``to_dict`` output still carries are left out.
+#: ``graph_fingerprint`` stays: a manifest written for a cell on a
+#: since-deleted on-disk graph recorded the graph's content fingerprint
+#: there, and must re-hash to its own key, never to a registry cell's.
 IDENTITY_FIELDS = (
     "task", "dataset", "model", "epsilon", "repeat", "seed",
     "dataset_scale", "dataset_seed", "test_fraction", "backend",
-    "graph_path", "graph_fingerprint",
+    "graph_fingerprint",
 )
 
 
@@ -56,7 +56,8 @@ def canonical_cell_dict(cell: Union[ExperimentCell, Mapping[str, Any]]) -> Dict[
     ``cell`` recorded in a manifest) and returns plain data that hashes
     identically for every representation of the same work unit.  Only the
     :data:`IDENTITY_FIELDS` present in the input are kept.  A mapping whose
-    ``backend`` is neither ``"numpy"`` nor ``None`` raises ``ValueError``.
+    ``backend`` is neither ``"numpy"`` nor ``None``, or whose ``graph_path``
+    is not ``None``, raises ``ValueError``.
     """
     data = cell.to_dict() if isinstance(cell, ExperimentCell) else dict(cell)
     plain = to_plain({k: data[k] for k in IDENTITY_FIELDS if k in data})
@@ -73,15 +74,12 @@ def canonical_cell_dict(cell: Union[ExperimentCell, Mapping[str, Any]]) -> Dict[
             f"backend={plain['backend']!r}: numpy is the only compute backend"
         )
     plain["backend"] = "numpy"
-    # A ``graph_path`` is replaced by the referenced graph's content
-    # fingerprint, so two different on-disk graphs submitted under the same
-    # dataset name can never alias — and moving a graph directory never
-    # invalidates its cache entries.
-    graph_path = plain.pop("graph_path", None)
-    if graph_path is not None:
-        from repro.graph.storage import storage_fingerprint
-
-        plain["graph_fingerprint"] = storage_fingerprint(graph_path)
+    # A cell naming an on-disk graph directory cannot be keyed: the graph's
+    # content is no longer read from disk, and its path alone would alias.
+    if data.get("graph_path") is not None:
+        raise ValueError(
+            f"graph_path={data['graph_path']!r}: the on-disk graph path was deleted"
+        )
     return plain
 
 

@@ -4,10 +4,6 @@ Subcommands
 -----------
 ``datasets list``
     The synthetic dataset analogues and the paper datasets they stand in for.
-``graph build`` / ``graph info``
-    Build an on-disk memory-mapped graph directory (from a dataset analogue
-    or a text edge list, via the bounded-RAM external-sort ingest) and
-    inspect/verify one.
 ``models list``
     Every registered estimator with its paper section.
 ``train``
@@ -64,10 +60,10 @@ def _entry_or_exit(name: str):
         raise SystemExit(exc.args[0])
 
 
-def _load_dataset_or_exit(name: str, scale: float, seed: Any, on_disk: bool = False):
+def _load_dataset_or_exit(name: str, scale: float, seed: Any):
     """Load a dataset, exiting with a one-line message on bad name/params."""
     try:
-        return load_dataset(name, scale=scale, seed=seed, on_disk=on_disk)
+        return load_dataset(name, scale=scale, seed=seed)
     except KeyError as exc:
         raise SystemExit(exc.args[0])
     except ValueError as exc:
@@ -163,85 +159,6 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.graph import Graph, GraphFormatError, MmapStorage, build_disk_graph
-    from repro.graph.storage import ARRAY_FILES, META_FILENAME, read_meta
-
-    if args.action == "build":
-        if (args.dataset is None) == (args.edges is None):
-            raise SystemExit("graph build needs exactly one of --dataset / --edges")
-        out = Path(args.out)
-        try:
-            if args.dataset is not None:
-                graph = _load_dataset_or_exit(args.dataset, args.scale, args.seed)
-                graph.save(out, overwrite=args.force)
-            else:
-                kwargs: Dict[str, Any] = {}
-                if args.chunk_edges is not None:
-                    kwargs["chunk_edges"] = args.chunk_edges
-                build_disk_graph(
-                    args.edges,
-                    out,
-                    num_nodes=args.num_nodes,
-                    name=args.name or Path(args.edges).stem,
-                    self_loops="drop" if args.drop_self_loops else "error",
-                    overwrite=args.force,
-                    **kwargs,
-                )
-        except (FileExistsError, FileNotFoundError, ValueError) as exc:
-            raise SystemExit(str(exc))
-        meta = read_meta(out)
-        print(f"graph written to {out}: {meta['num_nodes']} nodes, "
-              f"{meta['num_edges']} edges (name={meta['name']!r})")
-        return 0
-
-    # action == "info"
-    path = Path(args.path)
-    try:
-        meta = read_meta(path)
-    except (FileNotFoundError, GraphFormatError) as exc:
-        raise SystemExit(str(exc))
-    sizes = {
-        role: (path / filename).stat().st_size
-        for role, filename in ARRAY_FILES.items()
-        if (path / filename).is_file()
-    }
-    info = {
-        "path": str(path),
-        "format_version": meta["format_version"],
-        "name": meta["name"],
-        "num_nodes": meta["num_nodes"],
-        "num_edges": meta["num_edges"],
-        "fingerprint": meta["fingerprint"],
-        "labelled": "labels" in sizes,
-        "bytes": sizes,
-    }
-    lines = [
-        f"graph {path} (format v{meta['format_version']})",
-        f"  name:        {meta['name']}",
-        f"  nodes:       {meta['num_nodes']}",
-        f"  edges:       {meta['num_edges']}",
-        f"  labelled:    {'yes' if 'labels' in sizes else 'no'}",
-        f"  fingerprint: {meta['fingerprint']}",
-    ]
-    for role in sorted(sizes):
-        lines.append(f"  {ARRAY_FILES[role]:<15} {sizes[role]:>12} bytes")
-    if args.verify:
-        try:
-            MmapStorage(path).verify()
-        except GraphFormatError as exc:
-            print("\n".join(lines))
-            raise SystemExit(f"VERIFY FAILED: {exc}")
-        lines.append("  verify:      OK (all array digests match the manifest)")
-        info["verified"] = True
-        # Opening via Graph proves the arrays also pass structural validation.
-        Graph.open(path)
-    _emit(info, "\n".join(lines), args.json)
-    return 0
-
-
 def _cmd_models(args: argparse.Namespace) -> int:
     if args.action == "list":
         print(f"{'name':<14}{'class':<22}{'private':<9}paper")
@@ -282,9 +199,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     entry = _entry_or_exit(args.model)
     overrides = _parse_overrides(args.model, args.set or [])
     overrides.update(_streaming_overrides(args, entry.name))
-    graph = _load_dataset_or_exit(
-        args.dataset, args.scale, args.seed, on_disk=args.on_disk
-    )
+    graph = _load_dataset_or_exit(args.dataset, args.scale, args.seed)
     epsilon = args.epsilon if entry.private else None
     if args.epsilon is not None and not entry.private:
         raise SystemExit(f"model {entry.name!r} is not private; drop --epsilon")
@@ -323,8 +238,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         settings = dataclasses.replace(settings, dataset_scale=args.scale)
     if args.seed is not None:
         settings = dataclasses.replace(settings, seed=args.seed)
-    if args.on_disk:
-        settings = dataclasses.replace(settings, on_disk=True)
     epsilon = args.epsilon if entry.private else None
     if args.epsilon is not None and not entry.private:
         raise SystemExit(f"model {entry.name!r} is not private; drop --epsilon")
@@ -364,8 +277,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     }
     module = modules[args.name]
     settings = ExperimentSettings.preset(args.preset)
-    if args.on_disk:
-        settings = dataclasses.replace(settings, on_disk=True)
     kwargs: Dict[str, Any] = {}
     if args.name in ("fig3", "fig4", "table2", "table3", "table4", "table5"):
         kwargs["workers"] = args.workers
@@ -491,46 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_datasets.add_argument("action", choices=["list"], help="what to do")
     p_datasets.set_defaults(func=_cmd_datasets)
 
-    p_graph = sub.add_parser(
-        "graph", help="build or inspect an on-disk memory-mapped graph"
-    )
-    graph_sub = p_graph.add_subparsers(dest="action", required=True)
-    p_gbuild = graph_sub.add_parser(
-        "build", help="materialise a graph directory (meta.json + .npy arrays)"
-    )
-    p_gbuild.add_argument("--dataset", default=None,
-                          help="dataset analogue to materialise (see `datasets list`)")
-    p_gbuild.add_argument("--edges", default=None,
-                          help="text edge list to ingest with the bounded-RAM "
-                               "external sort (alternative to --dataset)")
-    p_gbuild.add_argument("--out", required=True, help="output graph directory")
-    p_gbuild.add_argument("--scale", type=float, default=1.0,
-                          help="dataset scale multiplier (with --dataset)")
-    p_gbuild.add_argument("--seed", type=int, default=None,
-                          help="dataset generator seed (with --dataset)")
-    p_gbuild.add_argument("--num-nodes", type=int, default=None,
-                          help="node count for --edges (default: inferred "
-                               "from a `# nodes=N` header or max id + 1)")
-    p_gbuild.add_argument("--name", default=None,
-                          help="graph name recorded in the manifest "
-                               "(default: the edge-list file stem)")
-    p_gbuild.add_argument("--chunk-edges", type=int, default=None,
-                          help="ingest chunk size in edges (bounds peak RAM)")
-    p_gbuild.add_argument("--drop-self-loops", action="store_true",
-                          help="silently drop self-loops instead of erroring")
-    p_gbuild.add_argument("--force", action="store_true",
-                          help="overwrite an existing graph directory")
-    p_gbuild.set_defaults(func=_cmd_graph)
-    p_ginfo = graph_sub.add_parser(
-        "info", help="summarise (and optionally verify) a graph directory"
-    )
-    p_ginfo.add_argument("path", help="graph directory to inspect")
-    p_ginfo.add_argument("--verify", action="store_true",
-                         help="recompute every array digest against the manifest")
-    p_ginfo.add_argument("--json",
-                         help="also write the summary as JSON ('-' for stdout)")
-    p_ginfo.set_defaults(func=_cmd_graph)
-
     p_models = sub.add_parser("models", help="model registry operations")
     p_models.add_argument("action", choices=["list"], help="what to do")
     p_models.set_defaults(func=_cmd_models)
@@ -551,9 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--walk-workers", type=int, default=None,
                          help="process-pool size for walk generation (>= 2 "
                               "walks derived-seed passes in parallel)")
-    p_train.add_argument("--on-disk", action="store_true",
-                         help="train against a memory-mapped on-disk graph "
-                              "(materialised once under the graph cache)")
     p_train.add_argument("--out", help="save embeddings to this .npz file")
     p_train.set_defaults(func=_cmd_train)
 
@@ -568,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--scale", type=float, default=None, help="override dataset scale")
     p_eval.add_argument("--seed", type=int, default=None, help="override the root seed")
     p_eval.add_argument("--repeat", type=int, default=0, help="repeat index (derives the seed)")
-    p_eval.add_argument("--on-disk", action="store_true",
-                        help="load the dataset as a memory-mapped on-disk graph")
     p_eval.add_argument("--json", help="also write the result row as JSON ('-' for stdout)")
     p_eval.set_defaults(func=_cmd_evaluate)
 
@@ -592,9 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "--cache-dir the default ~/.cache/repro is used")
     p_exp.add_argument("--force", action="store_true",
                        help="recompute every cell, overwriting cached entries")
-    p_exp.add_argument("--on-disk", action="store_true",
-                       help="load every cell's dataset as a memory-mapped "
-                            "on-disk graph (cached under the graph cache root)")
     p_exp.add_argument("--json", help="also write results as JSON ('-' for stdout)")
     p_exp.set_defaults(func=_cmd_experiment)
 
@@ -628,8 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:
-        # One line, like every other CLI error (a retired flag lands here).
-        raise SystemExit(f"unrecognized arguments: {' '.join(unknown)}")
+        # One line, like every other CLI error (a retired flag lands here),
+        # and argparse's usage-error status.
+        print(f"unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
+        raise SystemExit(2)
     return args.func(args)
 
 

@@ -52,8 +52,7 @@ class DeepWalkConfig:
     which bounds the pair buffer.  ``walk_workers > 1`` distributes whole
     corpus passes across a process pool (derived per-pass seeds) in both
     modes; the corpus is then bit-identical for every ``walk_workers >= 2``
-    count.  The pool workers receive the graph by pickling (in-RAM and
-    memory-mapped graphs both pickle).
+    count.  The pool workers receive the graph by pickling.
     """
 
     embedding_dim: int = 128

@@ -40,9 +40,6 @@ class ExperimentSettings:
         Privacy budgets swept by the comparison experiments.
     seed:
         Base seed; every experiment derives per-run seeds from it.
-    on_disk:
-        Load every dataset as a memory-mapped on-disk graph (materialised
-        once under the graph cache, bit-identical to the in-RAM build).
     """
 
     dataset_scale: float = 1.0
@@ -62,7 +59,6 @@ class ExperimentSettings:
     epsilons: Tuple[float, ...] = field(default_factory=lambda: DEFAULT_EPSILONS)
     num_repeats: int = 1
     seed: int = 2025
-    on_disk: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.dataset_scale, "dataset_scale")

@@ -233,7 +233,6 @@ def spec_from_settings(
         base_seed=settings.seed,
         dataset_scale=settings.dataset_scale,
         test_fraction=settings.test_fraction,
-        on_disk=settings.on_disk,
     )
 
 
@@ -250,15 +249,9 @@ def compute_cell(
     from repro.utils.serialization import to_plain
 
     start = time.perf_counter()
-    if cell.graph_path is not None:
-        graph = Graph.open(cell.graph_path)
-    else:
-        graph = load_dataset(
-            cell.dataset,
-            scale=cell.dataset_scale,
-            seed=cell.dataset_seed,
-            on_disk=cell.on_disk,
-        )
+    graph = load_dataset(
+        cell.dataset, scale=cell.dataset_scale, seed=cell.dataset_seed
+    )
     overrides = dict(cell.model.overrides)
     row: Dict[str, Any] = {
         "task": cell.task,
@@ -447,7 +440,6 @@ def _single_cell(
         dataset_scale=settings.dataset_scale,
         dataset_seed=settings.seed,
         test_fraction=settings.test_fraction,
-        on_disk=settings.on_disk,
     )
 
 

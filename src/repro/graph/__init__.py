@@ -1,15 +1,7 @@
 """Graph substrate: data structure, synthetic datasets, sampling and splits."""
 
 from repro.graph.graph import Graph
-from repro.graph.storage import (
-    GraphStorage,
-    ArrayStorage,
-    MmapStorage,
-    GraphFormatError,
-    read_meta,
-    storage_fingerprint,
-)
-from repro.graph.ingest import build_disk_graph
+from repro.graph.storage import ArrayStorage
 from repro.graph.datasets import load_dataset, list_datasets, DatasetSpec
 from repro.graph.generators import (
     powerlaw_cluster_graph,
@@ -24,13 +16,7 @@ from repro.graph.io import write_edge_list, read_edge_list
 
 __all__ = [
     "Graph",
-    "GraphStorage",
     "ArrayStorage",
-    "MmapStorage",
-    "GraphFormatError",
-    "read_meta",
-    "storage_fingerprint",
-    "build_disk_graph",
     "load_dataset",
     "list_datasets",
     "DatasetSpec",

@@ -17,12 +17,8 @@ enlarge them.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -31,11 +27,7 @@ from repro.graph.generators import (
     powerlaw_cluster_graph,
 )
 from repro.graph.graph import Graph
-from repro.graph.storage import META_FILENAME
 from repro.utils.rng import ensure_rng
-
-#: Environment variable overriding the default on-disk graph cache root.
-GRAPH_CACHE_ENV = "REPRO_GRAPH_CACHE"
 
 
 @dataclass(frozen=True)
@@ -165,26 +157,10 @@ def get_spec(name: str) -> DatasetSpec:
     return _REGISTRY[key]
 
 
-def graph_cache_root(cache_dir: Optional[Union[str, Path]] = None) -> Path:
-    """Root directory for on-disk dataset graphs.
-
-    ``cache_dir`` argument wins, then ``$REPRO_GRAPH_CACHE``, then the
-    default ``~/.cache/repro/graphs``.
-    """
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get(GRAPH_CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro" / "graphs"
-
-
 def load_dataset(
     name: str,
     scale: float = 1.0,
     seed: Optional[int] = None,
-    on_disk: bool = False,
-    cache_dir: Optional[Union[str, Path]] = None,
 ) -> Graph:
     """Build the synthetic analogue of dataset ``name``.
 
@@ -198,13 +174,6 @@ def load_dataset(
     seed:
         Seed for the generator.  Defaults to a stable per-dataset seed so two
         calls with the same arguments return identical graphs.
-    on_disk:
-        Return a memory-mapped graph instead of an in-RAM one.  The graph is
-        materialised once under the cache root (keyed by name/scale/seed) and
-        reopened with ``Graph.open`` on subsequent calls; its arrays are
-        bit-identical to the in-RAM build.
-    cache_dir:
-        Cache root for ``on_disk=True`` (see :func:`graph_cache_root`).
     """
     spec = get_spec(name)
     if scale <= 0:
@@ -214,36 +183,5 @@ def load_dataset(
         # Stable per-dataset default seed derived from the name (hash() is
         # salted per interpreter run, so a character sum is used instead).
         seed = sum(ord(c) for c in spec.name) * 7919
-    if on_disk:
-        return _load_on_disk(spec, num_nodes, scale, int(seed), cache_dir)
-    rng = ensure_rng(seed)
-    graph = spec.builder(num_nodes, rng)
-    return graph
+    return spec.builder(num_nodes, ensure_rng(seed))
 
-
-def _load_on_disk(
-    spec: DatasetSpec,
-    num_nodes: int,
-    scale: float,
-    seed: int,
-    cache_dir: Optional[Union[str, Path]],
-) -> Graph:
-    """Materialise (once) and open the on-disk copy of one dataset cell."""
-    target = graph_cache_root(cache_dir) / f"{spec.name}-s{scale:g}-seed{seed}"
-    if (target / META_FILENAME).is_file():
-        return Graph.open(target)
-    graph = spec.builder(num_nodes, ensure_rng(seed))
-    target.parent.mkdir(parents=True, exist_ok=True)
-    # Build into a temp sibling and rename: concurrent callers race benignly
-    # (whoever renames first wins, everyone opens a complete directory).
-    tmp = Path(tempfile.mkdtemp(prefix=f".{target.name}-", dir=target.parent))
-    try:
-        graph.save(tmp, overwrite=True)
-        try:
-            os.replace(tmp, target)
-        except OSError:
-            if not (target / META_FILENAME).is_file():
-                raise
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return Graph.open(target)

@@ -1,29 +1,18 @@
 """Undirected graph container used throughout the library.
 
-The class delegates its arrays to a :class:`~repro.graph.storage.GraphStorage`
-backend: :class:`~repro.graph.storage.ArrayStorage` holds the edge list, a
-CSR-like adjacency (offsets + neighbour array) for O(degree) neighbourhood
-queries, and optional node labels in RAM;
-:class:`~repro.graph.storage.MmapStorage` maps the same arrays from an
-on-disk graph directory (see :meth:`Graph.open` / :meth:`Graph.save`), so a
-graph larger than RAM costs only page cache.  Nodes are integers
-``0 .. num_nodes - 1`` either way.
+The class delegates its arrays to an in-RAM
+:class:`~repro.graph.storage.ArrayStorage`: the edge list, a CSR-like
+adjacency (offsets + neighbour array) for O(degree) neighbourhood queries,
+and optional node labels.  Nodes are integers ``0 .. num_nodes - 1``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.graph.storage import (
-    DEFAULT_CHUNK_EDGES,
-    ArrayStorage,
-    GraphStorage,
-    MmapStorage,
-    write_storage,
-)
+from repro.graph.storage import ArrayStorage
 
 #: Node count above which dense adjacency materialisation is refused by
 #: default — a dense float64 matrix at this size is already ~3.2 GB.
@@ -90,43 +79,22 @@ class Graph:
         else:
             labels_arr = None
 
-        self._storage: GraphStorage = ArrayStorage.from_edge_array(
+        self._storage = ArrayStorage.from_edge_array(
             num_nodes, edge_arr, labels=labels_arr, name=str(name)
         )
         self._walk_engine = None
 
     @classmethod
-    def from_storage(cls, storage: GraphStorage) -> "Graph":
-        """Wrap an existing storage backend without re-validating its arrays."""
+    def from_storage(cls, storage: ArrayStorage) -> "Graph":
+        """Wrap an existing storage without re-validating its arrays."""
         graph = object.__new__(cls)
         graph._storage = storage
         graph._walk_engine = None
         return graph
 
-    @classmethod
-    def open(cls, path: Union[str, Path]) -> "Graph":
-        """Open an on-disk graph directory, memory-mapping its arrays.
-
-        The arrays are never loaded into RAM; reads fault pages on demand.
-        Build a directory with :meth:`save` or
-        :func:`repro.graph.ingest.build_disk_graph`.
-        """
-        return cls.from_storage(MmapStorage(path))
-
-    def save(self, path: Union[str, Path], overwrite: bool = False) -> Path:
-        """Write this graph as an on-disk graph directory; returns the path.
-
-        Streams the arrays in bounded-RAM chunks and writes ``meta.json``
-        (with the content fingerprint) last, so an interrupted save never
-        looks like a finished graph.
-        """
-        return write_storage(self._storage, path, overwrite=overwrite)
-
     def __getstate__(self) -> Dict:
         # The cached walk engine (and its node2vec tables) can dwarf the graph
         # itself; worker processes rebuild it lazily instead of unpickling it.
-        # A memory-mapped storage pickles as its path (MmapStorage.__reduce__),
-        # so spawned workers reopen the map instead of copying arrays.
         state = self.__dict__.copy()
         state["_walk_engine"] = None
         return state
@@ -135,8 +103,8 @@ class Graph:
     # basic properties
     # ------------------------------------------------------------------
     @property
-    def storage(self) -> GraphStorage:
-        """The storage backend holding this graph's arrays."""
+    def storage(self) -> ArrayStorage:
+        """The storage holding this graph's arrays."""
         return self._storage
 
     @property
@@ -183,20 +151,6 @@ class Graph:
     def csr_neighbours(self) -> np.ndarray:
         """CSR neighbour array of length ``2 * num_edges`` (read-only view)."""
         return self._storage.csr_neighbours
-
-    @property
-    def fingerprint(self) -> Optional[str]:
-        """Content fingerprint of the graph's arrays (sha256 hex digest).
-
-        Stable across the in-RAM / on-disk boundary: saving and reopening a
-        graph preserves it.  The experiment cache hashes it into ``cell_key``
-        for on-disk graph cells.
-        """
-        return self._storage.fingerprint
-
-    def iter_edges(self, chunk_edges: int = DEFAULT_CHUNK_EDGES) -> Iterator[np.ndarray]:
-        """Yield the edge array in row chunks of at most ``chunk_edges``."""
-        return self._storage.iter_edges(chunk_edges)
 
     def walk_engine(self) -> "WalkEngine":
         """Shared :class:`~repro.graph.walk_engine.WalkEngine` for this graph.

@@ -12,99 +12,77 @@ be exchanged with external tools:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.storage import DEFAULT_CHUNK_EDGES
 
 PathLike = Union[str, Path]
 
 #: Bytes of text pulled per ``readlines`` batch while scanning an edge list.
 _READ_BATCH_BYTES = 1 << 22
 
+#: Edges formatted per write while dumping an edge list.
+_WRITE_CHUNK_EDGES = 1 << 20
+
 
 def write_edge_list(graph: Graph, path: PathLike) -> None:
     """Write ``graph`` edges as a whitespace-separated edge list.
 
-    Edges are formatted in numpy chunks (one ``str`` conversion per column,
-    one write per chunk) rather than one f-string per edge, which is what
-    makes dumping a multi-million-edge graph IO-bound instead of
-    interpreter-bound.
+    A ``# nodes=N edges=M`` header comes first, so isolated nodes survive a
+    round trip through :func:`read_edge_list`.  Edges are formatted in numpy
+    chunks (one ``str`` conversion per column, one write per chunk) rather
+    than one f-string per edge, which is what makes dumping a
+    multi-million-edge graph IO-bound instead of interpreter-bound.
     """
     path = Path(path)
+    edges = graph.edges
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"# nodes={graph.num_nodes} edges={graph.num_edges}\n")
-        for chunk in graph.iter_edges():
-            cols = chunk.astype(str)
+        for start in range(0, edges.shape[0], _WRITE_CHUNK_EDGES):
+            cols = edges[start : start + _WRITE_CHUNK_EDGES].astype(str)
             lines = np.char.add(np.char.add(cols[:, 0], " "), cols[:, 1])
             handle.write("\n".join(lines.tolist()) + "\n")
-
-
-class EdgeListFile:
-    """Chunked reader over a whitespace-separated edge-list file.
-
-    Yields ``(k, 2)`` int64 numpy chunks without ever holding the whole edge
-    list — the entry point the external-sort ingest
-    (:func:`repro.graph.ingest.build_disk_graph`) streams from.  Comment
-    lines (``#``) and blank lines are skipped; the first ``nodes=N`` hint
-    found in a comment is recorded on :attr:`declared_nodes` as the file is
-    consumed (matching the historical reader, which honoured the hint
-    wherever it appeared).
-    """
-
-    def __init__(self, path: PathLike, num_nodes: Optional[int] = None) -> None:
-        self.path = Path(path)
-        #: Node-count hint: the explicit ``num_nodes`` argument, else the
-        #: first ``nodes=N`` comment hint once the file has been scanned.
-        self.declared_nodes: Optional[int] = num_nodes
-
-    def _record_hint(self, comment: str) -> None:
-        for token in comment[1:].split():
-            if token.startswith("nodes=") and self.declared_nodes is None:
-                self.declared_nodes = int(token.split("=", 1)[1])
-
-    def chunks(self, chunk_edges: int = DEFAULT_CHUNK_EDGES) -> Iterator[np.ndarray]:
-        """Yield ``(k, 2)`` int64 chunks with ``k <= chunk_edges``."""
-        if chunk_edges <= 0:
-            raise ValueError(f"chunk size must be positive, got {chunk_edges}")
-        with self.path.open("r", encoding="utf-8") as handle:
-            while True:
-                lines = handle.readlines(_READ_BATCH_BYTES)
-                if not lines:
-                    return
-                tokens = []
-                for line in lines:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if line.startswith("#"):
-                        self._record_hint(line)
-                        continue
-                    parts = line.split()
-                    if len(parts) < 2:
-                        raise ValueError(f"malformed edge line: {line!r}")
-                    tokens.append(parts[:2])
-                if not tokens:
-                    continue
-                # One C-level string->int64 conversion for the whole batch
-                # instead of two Python int() calls per line.
-                batch = np.array(tokens, dtype="U").astype(np.int64)
-                for start in range(0, batch.shape[0], chunk_edges):
-                    yield batch[start : start + chunk_edges]
 
 
 def read_edge_list(
     path: PathLike, num_nodes: Optional[int] = None, name: str = "graph"
 ) -> Graph:
-    """Read an edge list written by :func:`write_edge_list` (or compatible)."""
-    reader = EdgeListFile(path, num_nodes=num_nodes)
-    parts = list(reader.chunks())
-    edges = (
-        np.concatenate(parts) if parts else np.zeros((0, 2), dtype=np.int64)
-    )
-    declared = reader.declared_nodes
+    """Read an edge list written by :func:`write_edge_list` (or compatible).
+
+    One ``u v`` pair per line; blank lines and ``#`` comments are skipped.
+    The node count is ``num_nodes`` if given, else the first ``nodes=N``
+    comment hint anywhere in the file, else the largest node id plus one.
+    The result is an in-RAM :class:`Graph`, so a user's own graph trains
+    like any dataset: ``make_model(name, graph=read_edge_list(path)).fit()``.
+    """
+    declared = num_nodes
+    parts = []
+    with Path(path).open("r", encoding="utf-8") as handle:
+        while True:
+            lines = handle.readlines(_READ_BATCH_BYTES)
+            if not lines:
+                break
+            tokens = []
+            for line in lines:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    for token in line[1:].split():
+                        if token.startswith("nodes=") and declared is None:
+                            declared = int(token.split("=", 1)[1])
+                    continue
+                fields = line.split()
+                if len(fields) < 2:
+                    raise ValueError(f"malformed edge line: {line!r}")
+                tokens.append(fields[:2])
+            if tokens:
+                # One C-level string->int64 conversion for the whole batch
+                # instead of two Python int() calls per line.
+                parts.append(np.array(tokens, dtype="U").astype(np.int64))
+    edges = np.concatenate(parts) if parts else np.zeros((0, 2), dtype=np.int64)
     if declared is None:
         if not edges.shape[0]:
             raise ValueError("cannot infer num_nodes from an empty edge list")

@@ -28,7 +28,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.utils.rng import RngLike, ensure_rng, independent_child
+from repro.utils.rng import RngLike, ensure_rng, independent_child, shuffle_rows
 
 WalkCorpus = Union[np.ndarray, Sequence[Sequence[int]]]
 
@@ -290,9 +290,9 @@ def iter_walk_pairs(
     for ``workers > 1``), so for a given seed the union of the yielded chunks
     is the *same pair multiset* as ``walks_to_pairs(walk_corpus(...))`` — only
     the emission order differs.  Each pass is sliced into ``chunk_walks``-row
-    blocks, converted to pairs, and (by default) shuffled within the chunk
-    with a generator spawned off ``rng``, which never consumes draws from the
-    walk stream.
+    blocks, converted to pairs, and (by default) shuffled in place within the
+    chunk with a generator spawned off ``rng``, which never consumes draws
+    from the walk stream.
 
     Peak memory is one pass's walk matrix (``num_nodes * walk_length``) plus
     one chunk of pairs (about ``chunk_walks * walk_length * 2 * window_size``
@@ -320,7 +320,7 @@ def iter_walk_pairs(
             if pairs.shape[0] == 0:
                 continue
             if shuffle_rng is not None:
-                pairs = pairs[shuffle_rng.permutation(pairs.shape[0])]
+                shuffle_rows(pairs, shuffle_rng)
             yield pairs
 
 

@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, ensure_rng, shuffle_rows
 
 
 class PairSource(ABC):
@@ -59,18 +59,6 @@ class PairSource(ABC):
         A trainer calls this after its last pass.  It keeps the source for
         the counts, and must not keep the training corpus alive with it.
         """
-
-
-def _shuffle_rows(pairs: np.ndarray, rng: np.random.Generator) -> None:
-    """Shuffle the rows of a C-contiguous ``(n, 2)`` array in place.
-
-    Viewed as one opaque item per row, the array is shuffled by the same
-    Fisher-Yates draws ``rng.permutation(n)`` makes, so the rows land where
-    ``np.take(pairs, rng.permutation(n), axis=0)`` puts them and ``rng``
-    ends in the same state, without an index array or a gathered copy.
-    """
-    row = np.dtype((np.void, pairs.dtype.itemsize * pairs.shape[1]))
-    rng.shuffle(pairs.view(row).ravel())
 
 
 class ArrayPairSource(PairSource):
@@ -110,7 +98,7 @@ class ArrayPairSource(PairSource):
         if self._passes_left is not None:
             self._passes_left -= 1
         shuffled = self.pairs if self._passes_left == 0 else self.pairs.copy()
-        _shuffle_rows(shuffled, rng)
+        shuffle_rows(shuffled, rng)
         for start in range(0, self._num_pairs, self.batch_size):
             yield shuffled[start : start + self.batch_size]
 

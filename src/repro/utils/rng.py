@@ -49,6 +49,18 @@ def independent_child(rng: np.random.Generator) -> np.random.Generator:
         return np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
 
 
+def shuffle_rows(pairs: np.ndarray, rng: np.random.Generator) -> None:
+    """Shuffle the rows of a C-contiguous ``(n, 2)`` array in place.
+
+    Viewed as one opaque item per row, the array is shuffled by the same
+    Fisher-Yates draws ``rng.permutation(n)`` makes, so the rows land where
+    ``np.take(pairs, rng.permutation(n), axis=0)`` puts them and ``rng``
+    ends in the same state, without an index array or a gathered copy.
+    """
+    row = np.dtype((np.void, pairs.dtype.itemsize * pairs.shape[1]))
+    rng.shuffle(pairs.view(row).ravel())
+
+
 def spawn_rngs(seed: RngLike, count: int) -> list[np.random.Generator]:
     """Derive ``count`` independent child generators from one seed.
 

@@ -173,44 +173,13 @@ class TestCellKey:
 
 
 class TestGraphPlacementKeys:
-    """Graph placement is canonicalised like compute placement.
+    """Retired graph placement never moves a key.
 
-    ``on_disk`` moves bit-identical arrays to mmap buffers (parity is pinned
-    in tests/test_storage.py), so it must never split the cache; a
-    ``graph_path`` resolves to the referenced graph's *content* fingerprint,
-    so two different graphs filed under the same dataset name can never
-    alias — and moving a graph directory never invalidates its entries.
+    Older manifests record ``on_disk`` (where bit-identical arrays lived),
+    which is not hashed; a cell naming an on-disk graph directory
+    (``graph_path``) cannot be keyed any more, and is refused rather than
+    aliased to a registry cell.
     """
-
-    def test_on_disk_flag_does_not_change_the_key(self):
-        assert cell_key(tiny_cell(on_disk=True)) == cell_key(tiny_cell())
-        assert "on_disk" not in canonical_cell_dict(tiny_cell(on_disk=True))
-
-    def test_same_name_different_graphs_never_alias(self, tmp_path):
-        from repro.graph.datasets import load_dataset
-
-        for sub, scale in (("a", 0.1), ("b", 0.12)):
-            load_dataset("ppi", scale=scale).save(tmp_path / sub)
-        cell_a = tiny_cell(graph_path=str(tmp_path / "a"))
-        cell_b = tiny_cell(graph_path=str(tmp_path / "b"))
-        assert cell_a.dataset == cell_b.dataset == "ppi"
-        assert cell_key(cell_a) != cell_key(cell_b)
-
-    def test_graph_path_hashes_by_content_not_location(self, tmp_path):
-        import shutil
-
-        from repro.graph.datasets import load_dataset
-
-        load_dataset("ppi", scale=0.1).save(tmp_path / "a")
-        shutil.copytree(tmp_path / "a", tmp_path / "moved")
-        assert cell_key(tiny_cell(graph_path=str(tmp_path / "a"))) == cell_key(
-            tiny_cell(graph_path=str(tmp_path / "moved"))
-        )
-        canon = canonical_cell_dict(tiny_cell(graph_path=str(tmp_path / "a")))
-        assert "graph_path" not in canon
-        assert len(canon["graph_fingerprint"]) == 64
-        # A manifest records the canonical dict; it re-hashes to its own key.
-        assert cell_key(canon) == cell_key(tiny_cell(graph_path=str(tmp_path / "a")))
 
     def test_only_identity_fields_are_hashed(self):
         # Older to_dict output also carried the walk-corpus cache knob; placement
@@ -219,6 +188,15 @@ class TestGraphPlacementKeys:
         old = {**cell.to_dict(), "walk_cache": True, "on_disk": True}
         assert cell_key(old) == cell_key(cell)
         assert set(canonical_cell_dict(old)) == set(canonical_cell_dict(cell))
+        assert cell_key({**old, "graph_path": None}) == cell_key(cell)
+        with pytest.raises(ValueError, match="on-disk graph path was deleted") as info:
+            canonical_cell_dict({**old, "graph_path": "graphs/ppi"})
+        assert "\n" not in str(info.value)
+        # A manifest of an on-disk graph cell recorded its content
+        # fingerprint: it re-hashes to its own key, never to a registry cell's.
+        recorded = {**canonical_cell_dict(cell), "graph_fingerprint": "ab" * 32}
+        assert cell_key(canonical_cell_dict(recorded)) == cell_key(recorded)
+        assert cell_key(recorded) != cell_key(cell)
 
 
 def _paper_cell(**changes):
@@ -251,7 +229,7 @@ class TestPinnedKeys:
                 "walk_length": 20, "num_walks": 4, "window_size": 3,
                 "p": 0.5, "q": 2.0,
             }),
-            epsilon=None, on_disk=True,
+            epsilon=None,
         )
         assert cell_key(cell) == (
             "3a6b27939b2385765c4f1068978b2141fd09732da1709e02f6665599f47e057e"
@@ -276,13 +254,22 @@ class TestPinnedKeys:
             task="link_prediction", datasets=("ppi",), models=("advsgm",),
             epsilons=(6.0,), base_seed=2025,
         )
-        old_cell = json.loads(json.dumps({**cell.to_dict(), "backend": legacy}))
+        # Old dicts also carry the retired graph placement, switched off.
+        placement = {"backend": legacy, "on_disk": False, "graph_path": None}
+        old_cell = json.loads(json.dumps({**cell.to_dict(), **placement}))
         assert cell_key(ExperimentCell.from_dict(old_cell)) == cell_key(cell)
-        old_spec = json.loads(json.dumps({**spec.to_dict(), "backend": legacy}))
+        old_spec = json.loads(json.dumps({**spec.to_dict(), **placement}))
         assert ExperimentSpec.from_dict(old_spec) == spec
         assert [cell_key(c) for c in ExperimentSpec.from_dict(old_spec).cells()] == [
             cell_key(cell)
         ]
+        # A graph placed on disk is refused in one line, not run from RAM.
+        for field, value in (("on_disk", True), ("graph_path", "graphs/ppi")):
+            for load, old in ((ExperimentCell.from_dict, old_cell),
+                              (ExperimentSpec.from_dict, old_spec)):
+                with pytest.raises(ValueError, match="on-disk graph path was deleted") as info:
+                    load({**old, field: value})
+                assert "\n" not in str(info.value)
 
 
 class TestRoundTripDeterminism:

@@ -182,6 +182,18 @@ class TestCli:
         assert proc.returncode != 0
         assert proc.stderr.strip() == "unrecognized arguments: --backend numpy:fast"
 
+    def test_graph_command_is_gone(self):
+        # Graphs are held in RAM only: no command builds or inspects an
+        # on-disk graph directory.
+        proc = run_cli("graph", "info", "x")
+        assert proc.returncode == 2
+        assert "invalid choice: 'graph'" in proc.stderr
+
+    def test_on_disk_flag_is_one_line_error(self):
+        proc = run_cli("train", "--model", "sgm", "--dataset", "ppi", "--on-disk")
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "unrecognized arguments: --on-disk"
+
     def test_stream_flags_rejected_for_non_walk_models(self):
         proc = run_cli("train", "--model", "sgm", "--dataset", "ppi",
                        "--stream-pairs")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.registry import make_model
 from repro.graph.io import (
     read_edge_list,
     read_embeddings,
@@ -29,6 +30,20 @@ class TestGraphIO:
         loaded = read_edge_list(path)
         assert loaded.num_nodes == small_graph.num_nodes
         assert np.array_equal(loaded.edges, small_graph.edges)
+
+    def test_own_edge_list_trains_in_ram(self, tmp_path):
+        # A user's own graph: read_edge_list gives an in-RAM Graph that any
+        # registered model fits (the flow of examples/export_embeddings.py).
+        path = tmp_path / "edges.txt"
+        path.write_text("# nodes=7\n0 1\n1 2\n2 3\n3 0\n4 5\n5 0\n")
+        graph = read_edge_list(path, name="mine")
+        assert (graph.num_nodes, graph.num_edges, graph.name) == (7, 6, "mine")
+        assert graph.degree(6) == 0  # isolated: known only from the header
+        model = make_model(
+            "sgm", graph=graph, rng=0, embedding_dim=4, batch_size=4, num_epochs=2
+        ).fit()
+        assert model.embeddings_.shape == (7, 4)
+        assert np.isfinite(model.embeddings_).all()
 
     def test_edge_list_malformed_line(self, tmp_path):
         path = tmp_path / "bad.txt"
