@@ -163,17 +163,6 @@ def canonical_name(name: str) -> str:
     return _ALIASES.get(key, key)
 
 
-def config_field_names(name: str) -> Tuple[str, ...]:
-    """Sorted config-dataclass field names of a registered model.
-
-    The CLI uses this to translate feature flags (``--stream-pairs``,
-    ``--walk-workers``) into config overrides only for models whose config
-    actually has the field, failing with a one-line message otherwise.
-    """
-    entry = get_entry(name)
-    return tuple(sorted(f.name for f in dataclasses.fields(entry.config_cls)))
-
-
 def check_overrides(name: str, overrides: Iterable[str]) -> ModelEntry:
     """Resolve ``name`` and check that every override names a config field.
 

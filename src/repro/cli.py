@@ -47,7 +47,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.api.registry import config_field_names, get_entry, list_models, make_model
+from repro.api.registry import get_entry, list_models, make_model
 from repro.graph.datasets import get_spec as get_dataset_spec
 from repro.graph.datasets import list_datasets, load_dataset
 
@@ -171,34 +171,9 @@ def _cmd_models(args: argparse.Namespace) -> int:
     return 0
 
 
-def _streaming_overrides(args: argparse.Namespace, model_name: str) -> Dict[str, Any]:
-    """Translate the streaming and walk-pool flags into config overrides.
-
-    Each flag maps onto a config field of the walk-corpus models; passing one
-    for a model without the field is a one-line error, not a traceback.
-    """
-    fields = set(config_field_names(model_name))
-    overrides: Dict[str, Any] = {}
-    for flag, field_name, value in (
-        ("--stream-pairs", "pair_streaming", True if args.stream_pairs else None),
-        ("--chunk-walks", "stream_chunk_walks", args.chunk_walks),
-        ("--walk-workers", "walk_workers", args.walk_workers),
-    ):
-        if value is None:
-            continue
-        if field_name not in fields:
-            raise SystemExit(
-                f"{flag} is not supported by model {model_name!r} "
-                f"(no {field_name!r} config field)"
-            )
-        overrides[field_name] = value
-    return overrides
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     entry = _entry_or_exit(args.model)
     overrides = _parse_overrides(args.model, args.set or [])
-    overrides.update(_streaming_overrides(args, entry.name))
     graph = _load_dataset_or_exit(args.dataset, args.scale, args.seed)
     epsilon = args.epsilon if entry.private else None
     if args.epsilon is not None and not entry.private:
@@ -414,14 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=2025, help="root seed")
     p_train.add_argument("--set", action="append", metavar="FIELD=VALUE",
                          help="override a config field (repeatable)")
-    p_train.add_argument("--stream-pairs", action="store_true",
-                         help="stream walk pairs into the trainer instead of "
-                              "materialising the corpus (walk-corpus models)")
-    p_train.add_argument("--chunk-walks", type=int, default=None,
-                         help="walk rows per streamed pair chunk")
-    p_train.add_argument("--walk-workers", type=int, default=None,
-                         help="process-pool size for walk generation (>= 2 "
-                              "walks derived-seed passes in parallel)")
     p_train.add_argument("--out", help="save embeddings to this .npz file")
     p_train.set_defaults(func=_cmd_train)
 

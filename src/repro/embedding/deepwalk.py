@@ -2,14 +2,11 @@
 
 DeepWalk (Perozzi et al., 2014) treats truncated random walks as sentences and
 trains a skip-gram model over (centre, context) pairs drawn from a sliding
-window.  Pairs reach the trainer through a :class:`~repro.train.PairSource`:
-the default materialises the corpus once (:class:`~repro.train.ArrayPairSource`,
-bit-for-bit the historical behaviour), while ``pair_streaming=True`` streams
-shuffled chunks from :func:`repro.graph.random_walk.iter_walk_pairs` so the
-peak pair-buffer is bounded by the chunk size — and, as a side effect, every
-epoch trains on freshly sampled walks.  ``walk_workers >= 2`` walks the
-corpus passes in a process pool, which in streaming mode keeps passes in
-flight ahead of the trainer so walk generation and SGD overlap.
+window.  A fit has one pair pipeline: it walks the corpus once on one
+stream (:meth:`~repro.graph.walk_engine.WalkEngine.walk_corpus`), extracts
+the pairs with :func:`~repro.graph.random_walk.walks_to_pairs` and trains
+from an :class:`~repro.train.ArrayPairSource`, which reshuffles the same
+pairs every epoch.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
-from repro.graph.random_walk import WalkPairChunkFactory, walks_to_pairs
+from repro.graph.random_walk import walks_to_pairs
 from repro.graph.sampling import (
     AliasTable,
     check_negative_distribution,
@@ -31,12 +28,7 @@ from repro.graph.sampling import (
 )
 from repro.nn.functional import sigmoid
 from repro.nn.init import uniform_embedding
-from repro.train import (
-    ArrayPairSource,
-    PairSource,
-    StreamingPairSource,
-    TrainingLoop,
-)
+from repro.train import ArrayPairSource, PairSource, TrainingLoop
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_positive
@@ -44,16 +36,7 @@ from repro.utils.validation import check_positive
 
 @dataclass
 class DeepWalkConfig:
-    """Hyper-parameters of DeepWalk.
-
-    ``pair_streaming`` opts into the streaming pair pipeline (chunked
-    ``iter_walk_pairs`` feeding a ``StreamingPairSource``; walks are resampled
-    every epoch).  ``stream_chunk_walks`` is the walk rows per streamed chunk,
-    which bounds the pair buffer.  ``walk_workers > 1`` distributes whole
-    corpus passes across a process pool (derived per-pass seeds) in both
-    modes; the corpus is then bit-identical for every ``walk_workers >= 2``
-    count.  The pool workers receive the graph by pickling.
-    """
+    """Hyper-parameters of DeepWalk."""
 
     embedding_dim: int = 128
     num_walks: int = 5
@@ -64,14 +47,10 @@ class DeepWalkConfig:
     num_epochs: int = 2
     batch_size: int = 512
     negative_distribution: str = "uniform"
-    pair_streaming: bool = False
-    stream_chunk_walks: int = 4096
-    walk_workers: int = 1
 
     def __post_init__(self) -> None:
         for name in ("embedding_dim", "num_walks", "walk_length", "window_size",
-                     "num_negatives", "num_epochs", "batch_size",
-                     "stream_chunk_walks", "walk_workers"):
+                     "num_negatives", "num_epochs", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         check_positive(self.learning_rate, "learning_rate")
@@ -137,37 +116,18 @@ class DeepWalk(EstimatorMixin):
         return {}
 
     def _make_pair_source(self) -> PairSource:
-        """Build the configured pair pipeline: materialised or streaming.
+        """Walk the corpus, extract its pairs and wrap them in a source.
 
-        The default (materialised) branch constructs no worker machinery at
-        all — the golden digests depend on it staying exactly the historical
-        corpus-then-permute path.  It drops the engine's second-order tables
-        as soon as the walks are drawn, and hands the pair array to the
-        source, whose last pass shuffles it in place: the walk corpus and
-        the pairs are the only corpus-sized arrays, and only the pairs
-        survive extraction.
+        The golden digests pin this corpus-then-shuffle path bit for bit.
+        It drops the engine's second-order tables as soon as the walks are
+        drawn, and hands the pair array to the source, whose last pass
+        shuffles it in place: the walk corpus and the pairs are the only
+        corpus-sized arrays, and only the pairs survive extraction.
         """
         cfg = self.config
-        bias = self._walk_bias()
-        if cfg.pair_streaming:
-            factory = WalkPairChunkFactory(
-                graph=self.graph,
-                num_walks=cfg.num_walks,
-                walk_length=cfg.walk_length,
-                window_size=cfg.window_size,
-                chunk_walks=cfg.stream_chunk_walks,
-                workers=cfg.walk_workers,
-                rng=self._walk_rng,
-                **bias,
-            )
-            return StreamingPairSource(factory, batch_size=cfg.batch_size)
         engine = self.graph.walk_engine()
         corpus = engine.walk_corpus(
-            cfg.num_walks,
-            cfg.walk_length,
-            rng=self._walk_rng,
-            workers=cfg.walk_workers,
-            **bias,
+            cfg.num_walks, cfg.walk_length, rng=self._walk_rng, **self._walk_bias()
         )
         engine.release_tables()
         pairs = walks_to_pairs(corpus, window_size=cfg.window_size)
@@ -231,8 +191,6 @@ class DeepWalk(EstimatorMixin):
             )
         finally:
             source.release()
-            # Streaming fits walk every epoch, so their tables live until here.
-            self.graph.walk_engine().release_tables()
         return self
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:

@@ -92,13 +92,6 @@ class Graph:
         graph._walk_engine = None
         return graph
 
-    def __getstate__(self) -> Dict:
-        # The cached walk engine (and its node2vec tables) can dwarf the graph
-        # itself; worker processes rebuild it lazily instead of unpickling it.
-        state = self.__dict__.copy()
-        state["_walk_engine"] = None
-        return state
-
     # ------------------------------------------------------------------
     # basic properties
     # ------------------------------------------------------------------

@@ -12,23 +12,17 @@ indexing.  ``walks_to_pairs`` is vectorized with stride tricks (a
 corpora); it emits exactly the same multiset of (centre, context) pairs as
 the original nested loops, but the emission *order* is an implementation
 detail — downstream trainers shuffle pairs before batching anyway.
-
-``iter_walk_pairs`` streams the same pairs chunk by chunk for the streaming
-pipeline.  Both paths inherit the engine's two corpus disciplines: one shared
-sequential stream for ``workers=1``, derived per-pass seeds walked by a
-process pool for ``workers >= 2``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.utils.rng import RngLike, ensure_rng, independent_child, shuffle_rows
+from repro.utils.rng import RngLike
 
 WalkCorpus = Union[np.ndarray, Sequence[Sequence[int]]]
 
@@ -38,9 +32,6 @@ WalkCorpus = Union[np.ndarray, Sequence[Sequence[int]]]
 #: 2 * window) index grid, or a full chunk's boundary pairs
 #: (``rows * window * (3 * window - 1)`` of them).
 _PAIR_CHUNK_ROWS = 16384
-
-#: Default walk rows per yielded chunk in ``iter_walk_pairs``.
-_STREAM_CHUNK_WALKS = 4096
 
 
 def random_walks(
@@ -218,15 +209,6 @@ def _write_chunk_pairs(chunk: np.ndarray, window_size: int, out: np.ndarray) -> 
         _pairs_from_ragged_matrix(chunk, window_size, out)
 
 
-def _chunk_to_pairs(
-    chunk: np.ndarray, window_size: int, dtype: np.dtype
-) -> np.ndarray:
-    """One chunk's pairs as a fresh ``(n, 2)`` array."""
-    pairs = np.empty((_chunk_pair_count(chunk, window_size), 2), dtype=dtype)
-    _write_chunk_pairs(chunk, window_size, pairs)
-    return pairs
-
-
 def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
     """Convert walk corpora to (centre, context) skip-gram training pairs.
 
@@ -267,94 +249,3 @@ def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
         _write_chunk_pairs(chunk, window_size, pairs[end : end + count])
         end += count
     return pairs
-
-
-def iter_walk_pairs(
-    graph: Graph,
-    num_walks: int,
-    walk_length: int,
-    window_size: int = 5,
-    *,
-    p: float = 1.0,
-    q: float = 1.0,
-    chunk_walks: int = _STREAM_CHUNK_WALKS,
-    shuffle: bool = True,
-    rng: RngLike = None,
-    workers: int = 1,
-) -> Iterator[np.ndarray]:
-    """Stream shuffled (centre, context) pair chunks, corpus never materialised.
-
-    The walk stream is generated one corpus pass at a time with exactly the
-    same RNG discipline as :meth:`~repro.graph.walk_engine.WalkEngine.walk_corpus`
-    (shared sequential stream for ``workers=1``, pre-derived per-pass seeds
-    for ``workers > 1``), so for a given seed the union of the yielded chunks
-    is the *same pair multiset* as ``walks_to_pairs(walk_corpus(...))`` — only
-    the emission order differs.  Each pass is sliced into ``chunk_walks``-row
-    blocks, converted to pairs, and (by default) shuffled in place within the
-    chunk with a generator spawned off ``rng``, which never consumes draws
-    from the walk stream.
-
-    Peak memory is one pass's walk matrix (``num_nodes * walk_length``) plus
-    one chunk of pairs (about ``chunk_walks * walk_length * 2 * window_size``
-    entries) — independent of ``num_walks`` and of the corpus size.
-    """
-    if num_walks <= 0 or walk_length <= 0:
-        raise ValueError("num_walks and walk_length must be positive")
-    if window_size <= 0:
-        raise ValueError(f"window_size must be positive, got {window_size}")
-    if chunk_walks <= 0:
-        raise ValueError(f"chunk_walks must be positive, got {chunk_walks}")
-    engine = graph.walk_engine()
-    rng = ensure_rng(rng)
-    shuffle_rng = independent_child(rng) if shuffle else None
-    dtype = np.int32 if graph.num_nodes < 2**31 else np.int64
-
-    passes = engine.iter_corpus_passes(
-        num_walks, walk_length, p=p, q=q, rng=rng, workers=workers
-    )
-    for matrix in passes:
-        for start in range(0, matrix.shape[0], chunk_walks):
-            pairs = _chunk_to_pairs(
-                matrix[start : start + chunk_walks], window_size, dtype
-            )
-            if pairs.shape[0] == 0:
-                continue
-            if shuffle_rng is not None:
-                shuffle_rows(pairs, shuffle_rng)
-            yield pairs
-
-
-@dataclass
-class WalkPairChunkFactory:
-    """Zero-argument factory over :func:`iter_walk_pairs`.
-
-    One call is one corpus pass of shuffled pair chunks, advancing ``rng``
-    exactly as calling :func:`iter_walk_pairs` inline would — so consecutive
-    calls stream fresh walks, epoch after epoch.
-    """
-
-    graph: Graph
-    num_walks: int
-    walk_length: int
-    window_size: int = 5
-    p: float = 1.0
-    q: float = 1.0
-    chunk_walks: int = _STREAM_CHUNK_WALKS
-    workers: int = 1
-    rng: RngLike = None
-
-    def __call__(self) -> Iterator[np.ndarray]:
-        self.rng = ensure_rng(self.rng)  # keep state across calls
-        return iter_walk_pairs(
-            self.graph,
-            self.num_walks,
-            self.walk_length,
-            window_size=self.window_size,
-            p=self.p,
-            q=self.q,
-            chunk_walks=self.chunk_walks,
-            rng=self.rng,
-            workers=self.workers,
-        )
-
-

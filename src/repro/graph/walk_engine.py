@@ -18,19 +18,13 @@ automatically falls back to rejection sampling: propose a uniform neighbour,
 accept with probability ``w / w_max`` where ``w`` is the p/q weight — O(2|E|)
 memory regardless of the degree distribution.
 
-``walk_corpus`` has exactly two RNG disciplines.  The default ``workers=1``
-path walks every pass on one shared sequential stream, the historical
-behaviour kept bit-for-bit.  ``workers >= 2`` distributes whole passes across
-a process pool: per-pass seeds are derived from the root generator *before*
-the fan-out (the same discipline as ``repro.experiments.runners.run_spec``),
-so the pooled corpus is deterministic, identical for every worker count, and
-equal to running the same derived-seed passes serially through
-:meth:`WalkEngine.corpus_pass`.
+``walk_corpus`` has one RNG discipline: every pass shuffles the node order
+and walks once from each node, all on one shared sequential stream, so a
+seed fixes the corpus bit for bit (the golden digests pin it).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -41,26 +35,6 @@ from repro.utils.rng import RngLike, ensure_rng
 
 #: Second-order modes accepted by :meth:`WalkEngine.node2vec_walks`.
 SECOND_ORDER_MODES = ("auto", "table", "rejection")
-
-
-def derive_pass_seeds(rng: np.random.Generator, num_passes: int) -> np.ndarray:
-    """Per-pass seeds drawn up front, before any fan-out (run_spec discipline)."""
-    return rng.integers(0, 2**63 - 1, size=num_passes)
-
-
-#: Per-process engine used by the corpus pool workers; built once per
-#: worker by the pool initializer instead of being pickled with every task.
-_POOL_ENGINE: Optional["WalkEngine"] = None
-
-
-def _init_pool_engine(graph: Graph) -> None:
-    global _POOL_ENGINE
-    _POOL_ENGINE = WalkEngine(graph)
-
-
-def _pool_corpus_pass(args: Tuple[int, int, float, float]) -> np.ndarray:
-    seed, walk_length, p, q = args
-    return _POOL_ENGINE.corpus_pass(seed, walk_length, p=p, q=q)
 
 
 @dataclass(frozen=True)
@@ -151,113 +125,31 @@ class WalkEngine:
         p: float = 1.0,
         q: float = 1.0,
         rng: RngLike = None,
-        workers: int = 1,
     ) -> np.ndarray:
         """DeepWalk/node2vec-style corpus: ``num_walks`` shuffled passes.
 
         Each pass shuffles the node order and starts one walk per node, as
-        in the original DeepWalk/node2vec schedules; the passes are stacked
-        into one ``(num_walks * num_nodes, walk_length)`` matrix.  Each pass
-        is written into its slice of that matrix as it arrives, so walking
+        in the original DeepWalk/node2vec schedules, on the one stream
+        ``rng``; the passes are stacked into one
+        ``(num_walks * num_nodes, walk_length)`` matrix.  Each pass is
+        written into its slice of that matrix as it is walked, so walking
         holds the corpus and about one pass.
-
-        ``workers > 1`` distributes the passes across a process pool.  Per-pass
-        seeds are derived from ``rng`` before the fan-out, so the pooled
-        corpus is the same for every worker count and equals executing the
-        same :meth:`corpus_pass` schedule serially; it differs from the
-        ``workers=1`` corpus, whose passes share one sequential stream (kept
-        bit-for-bit for backwards reproducibility).
-        """
-        passes = self.iter_corpus_passes(
-            num_walks, walk_length, p=p, q=q, rng=rng, workers=workers
-        )
-        corpus, start = None, 0
-        for walks in passes:
-            rows = walks.shape[0]
-            if corpus is None:
-                corpus = np.empty((num_walks * rows, walks.shape[1]), dtype=walks.dtype)
-            corpus[start:start + rows] = walks
-            start += rows
-            # Let the pass go before the next one is walked.  (enumerate()
-            # would hold it in its cached result tuple until then.)
-            del walks
-        return corpus
-
-    def iter_corpus_passes(
-        self,
-        num_walks: int,
-        walk_length: int,
-        p: float = 1.0,
-        q: float = 1.0,
-        rng: RngLike = None,
-        workers: int = 1,
-    ):
-        """Yield the ``walk_corpus`` passes one matrix at a time.
-
-        This is the single definition of the corpus schedule and its RNG
-        discipline: ``walk_corpus`` stacks these passes, and the streaming
-        pair pipeline (:func:`repro.graph.random_walk.iter_walk_pairs`)
-        consumes them incrementally — which is what makes the two paths
-        produce the same walks seed-for-seed.  With ``workers > 1`` at most
-        ``workers + 1`` pass matrices are in flight, so a slow consumer
-        bounds the producer's memory.
         """
         if num_walks <= 0:
             raise ValueError(f"num_walks must be positive, got {num_walks}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         rng = ensure_rng(rng)
-        if workers > 1:
-            return self._pooled_passes(num_walks, walk_length, p, q, rng, workers)
-        return self._stream_passes(num_walks, walk_length, p, q, rng)
-
-    def _stream_passes(self, num_walks, walk_length, p, q, rng):
-        """Passes on the shared sequential stream (the legacy discipline)."""
         nodes = np.arange(self.graph.num_nodes)
-        for _ in range(num_walks):
+        corpus = None
+        for index in range(num_walks):
             rng.shuffle(nodes)
-            yield self.node2vec_walks(nodes, walk_length, p=p, q=q, rng=rng)
-
-    def _pooled_passes(self, num_walks, walk_length, p, q, rng, workers):
-        """Derived-seed passes from a process pool, a bounded window ahead."""
-        from collections import deque
-
-        seeds = derive_pass_seeds(rng, num_walks)
-        with ProcessPoolExecutor(
-            max_workers=min(int(workers), num_walks),
-            initializer=_init_pool_engine,
-            initargs=(self.graph,),
-        ) as pool:
-
-            def submit(index):
-                task = (int(seeds[index]), walk_length, p, q)
-                return pool.submit(_pool_corpus_pass, task)
-
-            prime = min(int(workers) + 1, num_walks)
-            in_flight = deque(submit(index) for index in range(prime))
-            for index in range(prime, num_walks + prime):
-                matrix = in_flight.popleft().result()
-                if index < num_walks:
-                    in_flight.append(submit(index))
-                yield matrix
-
-    def corpus_pass(
-        self,
-        seed: int,
-        walk_length: int,
-        p: float = 1.0,
-        q: float = 1.0,
-    ) -> np.ndarray:
-        """One derived-seed corpus pass: shuffle the nodes, walk once from each.
-
-        This is the pool's unit of work for ``walk_corpus(workers > 1)``;
-        running the derived seeds through it serially reproduces the pooled
-        corpus.
-        """
-        rng = np.random.default_rng(int(seed))
-        nodes = np.arange(self.graph.num_nodes)
-        rng.shuffle(nodes)
-        return self.node2vec_walks(nodes, walk_length, p=p, q=q, rng=rng)
+            walks = self.node2vec_walks(nodes, walk_length, p=p, q=q, rng=rng)
+            rows = walks.shape[0]
+            if corpus is None:
+                corpus = np.empty((num_walks * rows, walks.shape[1]), dtype=walks.dtype)
+            corpus[index * rows:(index + 1) * rows] = walks
+            # Let the pass go before the next one is walked.
+            del walks
+        return corpus
 
     # ------------------------------------------------------------------
     # node2vec (second-order) walks

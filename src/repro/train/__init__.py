@@ -21,7 +21,6 @@ from repro.train.pair_source import (
     ArrayPairSource,
     PairSource,
     SampledBatchSource,
-    StreamingPairSource,
 )
 from repro.train.protocol import Trainer
 
@@ -34,7 +33,6 @@ __all__ = [
     "PrivacyBudget",
     "ProgressCallback",
     "SampledBatchSource",
-    "StreamingPairSource",
     "Trainer",
     "TrainingLoop",
     "fit_link_prediction_head",

@@ -5,31 +5,23 @@ skip-gram-style trainer, hiding *where* the batches come from:
 
 * :class:`ArrayPairSource` — a materialised ``(n, 2)`` pair array, its rows
   shuffled once per pass (the draws of one ``rng.permutation``) and sliced
-  into contiguous batches.  This is the default for DeepWalk/node2vec and
+  into contiguous batches.  DeepWalk/node2vec train from it; it
   reproduces the historical permute-and-gather loop bit-for-bit (same RNG
   call sequence, same batches).  Each pass shuffles a copy; told how many
   passes it serves, the source shuffles the array itself on the last one,
   so a one-epoch fit holds exactly one pair corpus.
-* :class:`StreamingPairSource` — batches carved from a chunked generator
-  (:func:`repro.graph.random_walk.iter_walk_pairs`), so the full corpus is
-  never held in memory; the peak buffered-pair count is tracked, and
-  ``tests/test_pair_streaming.py`` asserts it stays within one chunk plus
-  one batch.  With ``walk_workers >= 2`` its chunk generator walks passes in
-  a process pool that runs ahead of the trainer; the pool lives inside the
-  generator and is shut down when the generator finishes or is closed.
 * :class:`SampledBatchSource` — an endless stream over a sampling callable
   (e.g. ``EdgeSampler.sample``), which is how the LINE-style trainers
   (SkipGram, AdvSGM-family) fit the same seam: each pull performs exactly one
   sampler draw, in step order.
 
-Trainers only ever iterate ``source.batches(rng)``; swapping the pipeline is
-a config flag, not a trainer change.
+Trainers only ever iterate ``source.batches(rng)``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -46,11 +38,6 @@ class PairSource(ABC):
     @property
     def num_pairs(self) -> Optional[int]:
         """Total pairs per pass when known up front, else ``None``."""
-        return None
-
-    @property
-    def peak_buffer_pairs(self) -> Optional[int]:
-        """Largest number of pairs ever buffered by this source, if tracked."""
         return None
 
     def release(self) -> None:
@@ -106,65 +93,8 @@ class ArrayPairSource(PairSource):
     def num_pairs(self) -> int:
         return self._num_pairs
 
-    @property
-    def peak_buffer_pairs(self) -> int:
-        # The whole corpus is resident — that is exactly what streaming avoids.
-        return self._num_pairs
-
     def release(self) -> None:
         self.pairs = None
-
-
-class StreamingPairSource(PairSource):
-    """Batches carved from a chunk generator; the corpus is never materialised.
-
-    Parameters
-    ----------
-    chunk_factory:
-        Zero-argument callable returning a fresh iterable of ``(m, 2)`` pair
-        chunks.  It is invoked once per pass, so a factory closing over a
-        persistent generator (e.g. a model's walk RNG) yields fresh walks
-        every epoch — streaming mode resamples the corpus instead of replaying
-        one materialised draw.
-    batch_size:
-        Rows per yielded batch; the final partial batch is yielded too.
-    """
-
-    def __init__(
-        self, chunk_factory: Callable[[], Iterable[np.ndarray]], batch_size: int
-    ) -> None:
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self._chunk_factory = chunk_factory
-        self.batch_size = int(batch_size)
-        self._peak_buffer = 0
-        self.pairs_delivered = 0
-
-    def batches(self, rng: RngLike = None) -> Iterator[np.ndarray]:
-        buffer: Optional[np.ndarray] = None
-        for chunk in self._chunk_factory():
-            if chunk.shape[0] == 0:
-                continue
-            buffer = (
-                chunk if buffer is None else np.concatenate([buffer, chunk], axis=0)
-            )
-            self._peak_buffer = max(self._peak_buffer, buffer.shape[0])
-            while buffer.shape[0] >= self.batch_size:
-                batch, buffer = (
-                    buffer[: self.batch_size],
-                    buffer[self.batch_size :],
-                )
-                self.pairs_delivered += batch.shape[0]
-                yield batch
-            if buffer.shape[0] == 0:
-                buffer = None
-        if buffer is not None and buffer.shape[0]:
-            self.pairs_delivered += buffer.shape[0]
-            yield buffer
-
-    @property
-    def peak_buffer_pairs(self) -> int:
-        return self._peak_buffer
 
 
 class SampledBatchSource(PairSource):

@@ -34,21 +34,6 @@ def ensure_rng(seed: RngLike = None) -> np.random.Generator:
     )
 
 
-def independent_child(rng: np.random.Generator) -> np.random.Generator:
-    """Derive a child generator without consuming draws from ``rng``.
-
-    ``Generator.spawn`` forks the underlying seed sequence, so the parent's
-    stream continues exactly as if this call never happened — which is what
-    lets the streaming pair pipeline shuffle chunks while keeping the walk
-    stream bit-for-bit identical to the materialised path.  The fallback for
-    generators without a seed sequence draws one seed from the parent.
-    """
-    try:
-        return rng.spawn(1)[0]
-    except (AttributeError, TypeError, ValueError):  # pragma: no cover
-        return np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
-
-
 def shuffle_rows(pairs: np.ndarray, rng: np.random.Generator) -> None:
     """Shuffle the rows of a C-contiguous ``(n, 2)`` array in place.
 

@@ -104,7 +104,10 @@ class TestRegistry:
         with pytest.raises(TypeError):
             make_model("advsgm", not_a_field=1)
 
-    @pytest.mark.parametrize("field", ["frontier_shard", "pair_prefetch", "prefetch_depth"])
+    @pytest.mark.parametrize("field", [
+        "frontier_shard", "pair_prefetch", "prefetch_depth",
+        "pair_streaming", "stream_chunk_walks", "walk_workers",
+    ])
     def test_retired_walk_knobs_are_unknown_fields(self, field):
         with pytest.raises(TypeError, match=f"unknown config field\\(s\\) \\['{field}'\\]"):
             make_model("deepwalk", **{field: 2})

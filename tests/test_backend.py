@@ -6,6 +6,7 @@ numpy is the only compute backend.  ``import repro`` and full training never
 touch torch, which the import-gate test below checks.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api.registry import config_field_names
 from repro.api.spec import ExperimentCell, ExperimentSpec, ModelSpec
 from repro.backend import numpy_backend
 from repro.backend import NUMPY_BACKEND, Backend
@@ -478,8 +478,8 @@ class TestModelPlumbing:
     def test_no_config_carries_placement_fields(self, name):
         # numpy on the CPU is the only backend: no model config names a
         # backend, a device or a precision.
-        fields = config_field_names(name)
-        assert not {"backend", "device", "precision"} & set(fields)
+        fields = {f.name for f in dataclasses.fields(repro.get_entry(name).config_cls)}
+        assert not {"backend", "device", "precision"} & fields
 
     def test_make_model_refuses_device_and_precision(self):
         for field in ("device", "precision"):

@@ -194,27 +194,21 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.strip() == "unrecognized arguments: --on-disk"
 
-    def test_stream_flags_rejected_for_non_walk_models(self):
-        proc = run_cli("train", "--model", "sgm", "--dataset", "ppi",
-                       "--stream-pairs")
-        assert proc.returncode != 0
-        assert "not supported" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
     @pytest.mark.parametrize("flag", [
         ("--frontier-shard", "64"), ("--prefetch-pairs",), ("--prefetch-depth", "2"),
-    ], ids=["frontier-shard", "prefetch-pairs", "prefetch-depth"])
+        ("--stream-pairs",), ("--chunk-walks", "64"), ("--walk-workers", "2"),
+    ], ids=["frontier-shard", "prefetch-pairs", "prefetch-depth",
+            "stream-pairs", "chunk-walks", "walk-workers"])
     def test_retired_walk_flags_are_one_line_errors(self, flag):
         proc = run_cli("train", "--model", "deepwalk", "--dataset", "ppi", *flag)
         assert proc.returncode != 0
         assert proc.stderr.strip() == f"unrecognized arguments: {' '.join(flag)}"
 
-    def test_train_streaming_deepwalk(self, tmp_path):
+    def test_train_deepwalk_writes_embeddings(self, tmp_path):
         out = tmp_path / "emb.npz"
         proc = run_cli(
             "train", "--model", "deepwalk", "--dataset", "ppi",
-            "--scale", "0.1", "--seed", "0", "--stream-pairs",
-            "--chunk-walks", "64",
+            "--scale", "0.1", "--seed", "0",
             "--set", "num_epochs=1", "--set", "num_walks=1",
             "--set", "walk_length=8", "--set", "embedding_dim=8",
             "--out", str(out),

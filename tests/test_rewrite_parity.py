@@ -4,8 +4,8 @@ AdvSGM's per-substep kernels (the branch-free ``stable_sigmoid``, the
 array-backed ``RdpAccountant``, the generator's cached activation and the
 dispatch-free row clipping), the DeepWalk/node2vec path's kernels (the
 flat scatter in ``NumpyBackend.index_add_`` and its complex128 pair form,
-the ``np.take`` gathers, the in-place row shuffle of ``ArrayPairSource``
-and of ``iter_walk_pairs``' streamed chunks, ``walks_to_pairs`` writing every chunk into one array, the node2vec table
+the ``np.take`` gathers, the in-place row shuffle of ``ArrayPairSource``,
+``walks_to_pairs`` writing every chunk into one array, the node2vec table
 step that carries its arc and searches only its own segment, and DeepWalk's
 batch step, which evaluates each sigmoid once through
 ``stable_sigmoid_pair``), the skip-gram update path (one gather per side, and the fused
@@ -63,7 +63,6 @@ from repro.privacy.composition import DEFAULT_RDP_ORDERS, rdp_to_dp
 from repro.privacy.subsampling import logsumexp, subsampled_gaussian_rdp
 from repro.train import ArrayPairSource, TrainingLoop
 from repro.train.budget import PrivacyBudget
-from repro.utils.rng import independent_child
 
 RELAXED = os.environ.get("REPRO_GOLDEN_RELAXED", "") not in ("", "0")
 
@@ -730,52 +729,6 @@ class TestCarriedArcStep:
             want = np.clip(np.searchsorted(cw, target, side="right"), seg_lo, seg_hi - 1)
             got = WalkEngine._segment_search(cw, target, seg_lo, seg_hi)
             assert_same_bytes(got, want)
-
-
-def permute_and_gather_walk_pairs(graph, num_walks, walk_length, window_size,
-                                  chunk_walks, rng, p=1.0, q=1.0, workers=1):
-    """The streamed chunks ``iter_walk_pairs`` made before its in-place
-    shuffle: each chunk gathered through ``rng.permutation``.  Returns the
-    chunks and the shuffle generator."""
-    rng = np.random.default_rng(rng)
-    shuffle_rng = independent_child(rng)
-    chunks = []
-    for matrix in graph.walk_engine().iter_corpus_passes(
-        num_walks, walk_length, p=p, q=q, rng=rng, workers=workers
-    ):
-        for start in range(0, matrix.shape[0], chunk_walks):
-            pairs = random_walk._chunk_to_pairs(
-                matrix[start : start + chunk_walks], window_size, np.int32
-            )
-            if pairs.shape[0]:
-                chunks.append(pairs[shuffle_rng.permutation(pairs.shape[0])])
-    return chunks, rng, shuffle_rng
-
-
-class TestStreamedChunkShuffle:
-    @pytest.mark.parametrize("chunk_walks", [1, 7, 64, 10_000])
-    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (0.25, 4.0)])
-    def test_matches_permute_and_gather(self, monkeypatch, walk_graph, chunk_walks, p, q):
-        spawned = []
-
-        def record_child(parent):
-            spawned.append(independent_child(parent))
-            return spawned[-1]
-
-        monkeypatch.setattr(random_walk, "independent_child", record_child)
-        rng = np.random.default_rng(13)
-        got = list(random_walk.iter_walk_pairs(
-            walk_graph, 2, 8, window_size=3, p=p, q=q, chunk_walks=chunk_walks, rng=rng,
-        ))
-        want, want_rng, want_shuffle = permute_and_gather_walk_pairs(
-            walk_graph, 2, 8, 3, chunk_walks, 13, p=p, q=q,
-        )
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert_same_bytes(g, w)
-        # Both generators end where the permutations left them.
-        assert rng.bit_generator.state == want_rng.bit_generator.state
-        assert spawned[0].bit_generator.state == want_shuffle.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
