@@ -9,14 +9,14 @@ contribution:
     paper's public datasets, sampling routines (Algorithm 2) and edge-split
     utilities.
 ``repro.backend``
-    The compute backend: the ``Backend`` array-ops protocol and its one
-    implementation, ``NumpyBackend``.  All models route their tensor math
-    through it; randomness stays on seeded numpy streams.
+    ``NumpyBackend``: the six array kernels the models share (scatter-add,
+    segment sum, row projection, fused add-and-project, Gaussian draws,
+    ``to_numpy``).  Every model binds its one instance as ``backend_``; the
+    rest of the models' tensor math is plain numpy.
 ``repro.nn``
-    Minimal neural-network substrate: numerically stable activations, the
-    constrained sigmoid built from exponential clipping (Algorithm 1),
-    parameter initialisers, optimizers and the dense/GCN layers used by the
-    GNN baselines.
+    Minimal neural-network substrate: numerically stable activations and
+    the row-wise dot product, the constrained sigmoid built from
+    exponential clipping (Algorithm 1) and parameter initialisers.
 ``repro.privacy``
     Differential-privacy substrate: Gaussian mechanism, gradient clipping,
     RDP of the subsampled Gaussian mechanism, composition, conversion to
@@ -62,7 +62,6 @@ from repro.api import (
     make_model,
     register_model,
 )
-from repro.backend import Backend
 from repro.cache import ResultStore, cell_key
 from repro.core.advsgm import AdvSGM
 from repro.core.config import AdvSGMConfig
@@ -86,7 +85,6 @@ __version__ = "1.8.0"
 __all__ = [
     "AdvSGM",
     "AdvSGMConfig",
-    "Backend",
     "SkipGramModel",
     "AdversarialSkipGram",
     "Graph",

@@ -1,25 +1,22 @@
-"""The compute backend: the array-ops protocol and its numpy implementation.
+"""The models' shared array kernels: :class:`NumpyBackend` and its instance.
 
-The models route their tensor math through a :class:`Backend` instead of
-calling numpy directly; every model binds the one process-wide
-:data:`NUMPY_BACKEND`, as its ``backend_`` attribute.  The seam keeps the
-hot kernels (scatter-add, row projection, Gaussian draws) in one place,
-where the rewrite-parity tests pin them byte-equal to the code they
-replaced and the benchmark harness times them by method name.
+Every model binds the one process-wide :data:`NUMPY_BACKEND` as its
+``backend_`` attribute and calls its six kernels (scatter-add, segment sum,
+row projection, fused add-and-project, Gaussian draws, ``to_numpy``)
+through it; all other tensor math in the models is plain numpy.  The
+rewrite-parity tests pin the kernels byte-equal to the code they replaced,
+and the benchmark harness times them by method name.
 """
 
 from __future__ import annotations
 
-from repro.backend.base import Array, Backend
 from repro.backend.numpy_backend import NumpyBackend
 
-#: The process-wide numpy backend (stateless, so one instance serves all).
+#: The process-wide instance (stateless, so one serves all).
 NUMPY_BACKEND = NumpyBackend()
 
 
 __all__ = [
-    "Array",
-    "Backend",
     "NUMPY_BACKEND",
     "NumpyBackend",
 ]

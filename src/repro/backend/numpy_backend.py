@@ -1,17 +1,26 @@
-"""The NumPy compute backend — bit-for-bit the historical code.
+"""The six array kernels the models share, as methods of :class:`NumpyBackend`.
 
-Every operation here is the *exact* numpy expression the models used before
-the backend seam existed, or a rewrite of it that a test pins byte-equal
-(the stable activation implementations moved here from
-:mod:`repro.nn.functional`, which now delegates back).  The rewrites
-``tests/test_rewrite_parity.py`` pins against the code they replaced are
-``stable_sigmoid`` and ``stable_sigmoid_pair``, the flat scatter in
-``index_add_`` (which adds float64 rows of even width as complex128 pairs),
-the ``np.take`` in ``gather`` and the fused update in
-``add_rows_project_`` (against the ``index_add_`` + ``normalize_rows_`` pair
-it replaces).  ``asarray`` / ``to_numpy`` are identities for float64 arrays,
-so routing the models through this backend changes no bytes: the
-golden-parity suite pins that.
+Every registered model binds the process-wide instance
+(:data:`repro.backend.NUMPY_BACKEND`) as ``model.backend_`` and calls these
+kernels through it; everything else the models compute is plain numpy.
+The kernels are:
+
+* ``to_numpy``: the public surface's array (``model.embeddings``);
+* ``index_add_``: the scatter-add of every sparse embedding update, whose
+  flat 1-D form adds float64 rows of even width as complex128 pairs;
+* ``segment_sum``: the ``sgm`` update's per-row gradient sums;
+* ``normalize_rows_``: the unit-ball projection, whole or touched rows;
+* ``add_rows_project_``: the ``sgm`` update, ``index_add_`` fused with the
+  touched-row projection;
+* ``gaussian``: Gaussian draws (most DP noise, the generators' inputs)
+  from the caller's seeded stream.
+
+They stay methods of one class, not plain functions, because the benchmark
+harness (``perfbench/layers.py``) times and counts them by patching
+``NumpyBackend``'s attributes.  ``tests/test_rewrite_parity.py`` pins the
+flat scatter in ``index_add_`` and the fused update in ``add_rows_project_``
+(against the ``index_add_`` + ``normalize_rows_`` pair it replaces)
+byte-equal to the code they replaced.
 
 scipy is imported on first use, by ``segment_sum`` (the ``sgm``
 update), so ``import repro`` loads numpy and no scipy module.  Importing this
@@ -25,9 +34,6 @@ import os
 from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.backend.base import Backend
-from repro.privacy.clipping import clip_by_l2_norm, clip_rows_by_l2_norm
 
 # glibc's mallopt parameters (malloc.h) and the values they are pinned to.
 _M_TRIM_THRESHOLD = -1
@@ -72,55 +78,6 @@ def _pin_malloc_thresholds() -> None:
 
 _pin_malloc_thresholds()
 
-# Sigmoid saturates numerically past |x| ~ 36 in float64; clipping the input
-# keeps exp() away from overflow without changing the value of the output.
-SIGMOID_CLIP = 500.0
-
-
-def _sigmoid_branches(x: Any) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The clipped ``x`` and the sigmoid's two branches, ``1 / d`` and ``e / d``.
-
-    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: both
-    branches share e = exp(-|x|) and d = 1 + e, so one pass over x computes
-    either.  min(x, -x) is -|x| but keeps a NaN's sign, as exp(x) did.
-    """
-    x = np.clip(np.asarray(x, dtype=np.float64), -SIGMOID_CLIP, SIGMOID_CLIP)
-    e = np.exp(np.minimum(x, -x))
-    d = 1.0 + e
-    return x, 1.0 / d, e / d
-
-
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, stable for large positive and negative inputs."""
-    x, upper, lower = _sigmoid_branches(x)
-    return np.where(x >= 0, upper, lower)
-
-
-def stable_sigmoid_pair(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(stable_sigmoid(x), stable_sigmoid(-x))`` from one pass over ``x``.
-
-    The clip is symmetric and ``-|x|`` is the same for ``-x``, so the second
-    is the first with its branches swapped: the same bytes, except that a NaN
-    input gives a NaN of the other sign.
-    """
-    x, upper, lower = _sigmoid_branches(x)
-    return np.where(x >= 0, upper, lower), np.where(x <= 0, upper, lower)
-
-
-def stable_log_sigmoid(x: np.ndarray) -> np.ndarray:
-    """``log(sigmoid(x))`` computed without intermediate underflow."""
-    x = np.asarray(x, dtype=np.float64)
-    # log sigma(x) = -softplus(-x) = min(x, 0) - log1p(exp(-|x|))
-    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-
-
-def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax along ``axis`` with max-subtraction for stability."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / np.sum(ex, axis=axis, keepdims=True)
-
 
 def _project_rows_(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Divide the rows ``x[ids]`` by ``max(||row||, 1)`` where that is not 1.0.
@@ -136,41 +93,23 @@ def _project_rows_(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return moved[np.linalg.norm(divided, axis=1) > 1.0]
 
 
-class NumpyBackend(Backend):
-    """CPU numpy backend; the reference implementation of the protocol."""
-
-    # ------------------------------------------------------------------
-    # conversion and allocation
-    # ------------------------------------------------------------------
-    def asarray(self, x: Any) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)
+class NumpyBackend:
+    """The models' shared array kernels (see the module docstring)."""
 
     def to_numpy(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as a ``numpy.ndarray`` (the identity for an ndarray)."""
         return np.asarray(x)
-
-    def zeros(self, shape: Tuple[int, ...]) -> np.ndarray:
-        return np.zeros(shape)
-
-    def zeros_like(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(x)
-
-    def full_like(self, x: np.ndarray, value: float) -> np.ndarray:
-        return np.full_like(x, float(value))
-
-    def copy(self, x: np.ndarray) -> np.ndarray:
-        return np.array(x, dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    # rows
-    # ------------------------------------------------------------------
-    def gather(self, x: np.ndarray, idx: Any) -> np.ndarray:
-        # The bytes of x[idx] as a fresh, writable array, without fancy
-        # indexing's per-call set-up (about 3x faster at narrow rows).
-        return np.take(x, idx, axis=0)
 
     def index_add_(
         self, target: np.ndarray, idx: Any, rows: np.ndarray, unique: bool = False
     ) -> None:
+        """In-place scatter-add of ``rows`` into ``target[idx]``.
+
+        Repeated indices accumulate (``np.add.at`` semantics), which is what
+        the skip-gram family's sparse embedding updates rely on.  A caller
+        whose ``idx`` has no repeats may pass ``unique=True``: the result is
+        the same, applied as one vectorised ``target[idx] += rows``.
+        """
         idx = np.asarray(idx, dtype=np.int64)
         if unique:
             target[idx] += rows
@@ -206,6 +145,13 @@ class NumpyBackend(Backend):
             np.add.at(target, idx, rows)
 
     def segment_sum(self, slots: Any, rows: np.ndarray, n: int) -> np.ndarray:
+        """``(n, d)`` array whose row ``s`` sums the ``rows`` with ``slots == s``.
+
+        Each output row adds its contributions from ``0.0`` in the order
+        they occur in ``rows``: exactly ``zeros((n, d))`` followed by
+        :meth:`index_add_`.  ``slots`` is an integer array with values in
+        ``[0, n)``, in any order.
+        """
         # A 0/1 selection matrix whose row s lists, in ascending order, the
         # positions of the rows with slot s.  scipy's CSR product adds them
         # one at a time into a zeroed output — the same sequential sum as
@@ -222,74 +168,20 @@ class NumpyBackend(Backend):
         )
         return select @ rows
 
-    # ------------------------------------------------------------------
-    # linear algebra
-    # ------------------------------------------------------------------
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b
-
-    def transpose(self, x: np.ndarray) -> np.ndarray:
-        return x.T
-
-    def rowwise_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", a, b)
-
-    def batched_rowwise_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ikj->ik", a, b)
-
-    def weighted_rows_sum(self, coeff: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("ik,ikj->ij", coeff, b)
-
-    # ------------------------------------------------------------------
-    # activations and elementwise math
-    # ------------------------------------------------------------------
-    def sigmoid(self, x: np.ndarray) -> np.ndarray:
-        return stable_sigmoid(x)
-
-    def sigmoid_pair(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return stable_sigmoid_pair(x)
-
-    def log_sigmoid(self, x: np.ndarray) -> np.ndarray:
-        return stable_log_sigmoid(x)
-
-    def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        return stable_softmax(x, axis=axis)
-
-    def relu(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-    def tanh(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(np.asarray(x, dtype=np.float64))
-
-    def exp(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(x)
-
-    def log(self, x: np.ndarray) -> np.ndarray:
-        return np.log(x)
-
-    def sqrt(self, x: np.ndarray) -> np.ndarray:
-        return np.sqrt(x)
-
-    def _clip(
-        self, x: np.ndarray, lower: Optional[float], upper: Optional[float]
-    ) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=np.float64), lower, upper)
-
-    # ------------------------------------------------------------------
-    # reductions
-    # ------------------------------------------------------------------
-    def sum(self, x: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
-        return np.sum(x, axis=axis)
-
-    def mean(self, x: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
-        return np.mean(x, axis=axis)
-
-    # ------------------------------------------------------------------
-    # norm-based row operations
-    # ------------------------------------------------------------------
     def normalize_rows_(
         self, x: np.ndarray, floor: float, rows: Optional[Sequence[Any]] = None
     ) -> Optional[np.ndarray]:
+        """In-place ``x[i] /= max(||x[i]||_2, floor)`` for every row.
+
+        With ``rows`` (a sequence of row-index arrays, in any order and with
+        repeats) only the rows in their union are rescaled.  The return
+        value is then an index array of the rescaled rows a later pass can
+        still move (those whose recomputed norm is above ``floor``), to hand
+        back as one of the next call's ``rows``.  Every other row is a fixed
+        point: its norm is at most ``floor``, so it is divided by ``floor``,
+        which for ``floor = 1.0`` leaves it bit-for-bit unchanged.  Without
+        ``rows`` every row is rescaled and nothing is returned.
+        """
         if rows is not None:
             rows = np.unique(np.concatenate([np.ravel(r) for r in rows]))
         # Distinct rows as many as x has are all of x: rescale in place
@@ -307,13 +199,24 @@ class NumpyBackend(Backend):
     def add_rows_project_(
         self, x: np.ndarray, idx: Any, rows: np.ndarray, carry: np.ndarray
     ) -> np.ndarray:
+        """``x[idx] += rows``, then project ``idx`` and ``carry`` onto the unit ball.
+
+        ``idx`` holds no repeats.  Each row in ``idx`` or ``carry`` is
+        divided by ``max(||x[i]||_2, 1)``; the return value is the next
+        carry, as :meth:`normalize_rows_` with ``rows=(idx, carry)`` returns
+        it.  The result is byte-equal to that pair of calls,
+        ``index_add_(x, idx, rows, unique=True)`` then
+        ``normalize_rows_(x, 1.0, (idx, carry))``, which the tests keep as
+        the reference.
+        """
         # The add is index_add_'s; the projection is normalize_rows_'s
         # without its np.unique (idx has no repeats, and carry \ idx is
         # disjoint from it) and without rewriting fixed points: a row whose
         # scale max(||x||, 1) is exactly 1.0 is left alone, since dividing by
         # 1.0 is the identity on every float64, -0.0 and NaN included.  NaN
         # and inf norms are not 1.0, so those rows are still divided, as
-        # normalize_rows_ divides them.
+        # normalize_rows_ divides them.  The add stays a call to index_add_,
+        # so patching that one method disables the whole update.
         idx = np.asarray(idx, dtype=np.int64)
         self.index_add_(x, idx, rows, unique=True)
         kept = [_project_rows_(x, idx)]
@@ -322,15 +225,6 @@ class NumpyBackend(Backend):
             kept.append(_project_rows_(x, rest))
         return np.sort(np.concatenate(kept))
 
-    def clip_rows(self, x: np.ndarray, max_norm: float) -> np.ndarray:
-        return clip_rows_by_l2_norm(x, max_norm)
-
-    def clip_global(self, x: np.ndarray, max_norm: float) -> np.ndarray:
-        return clip_by_l2_norm(x, max_norm)
-
-    # ------------------------------------------------------------------
-    # randomness
-    # ------------------------------------------------------------------
     def gaussian(
         self,
         rng: np.random.Generator,
@@ -338,13 +232,5 @@ class NumpyBackend(Backend):
         std: float,
         shape: Tuple[int, ...],
     ) -> np.ndarray:
+        """Seeded Gaussian draw from the caller's ``numpy.random.Generator``."""
         return rng.normal(mean, std, size=shape)
-
-    def uniform(
-        self,
-        rng: np.random.Generator,
-        low: float,
-        high: float,
-        shape: Tuple[int, ...],
-    ) -> np.ndarray:
-        return rng.uniform(low, high, size=shape)

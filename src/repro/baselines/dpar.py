@@ -15,8 +15,10 @@ Reproduced here:
 * a single Gaussian perturbation of the propagated features, calibrated to
   the full (epsilon, delta) budget (one mechanism invocation — this is why it
   beats GAP, which splits the budget over multiple hops),
-* a non-private link-prediction head trained on the private features
-  (post-processing).
+* a non-private link-prediction head trained on the private features.  Its
+  training runs un-noised SGD on the private training edges and is not
+  charged to the accountant, so it is not post-processing (ROADMAP item 9,
+  open).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
+from repro.nn.functional import rowwise_dot
 from repro.nn.init import normal_init, xavier_uniform
 from repro.privacy.accountant import RdpAccountant
 from repro.train import fit_link_prediction_head
@@ -105,7 +108,6 @@ class DPAR(EstimatorMixin):
         self.weight = xavier_uniform(
             (cfg.feature_dim * (cfg.propagation_steps + 1), cfg.embedding_dim),
             rng=weight_rng,
-            backend=self.backend_,
         )
         self.accountant = RdpAccountant(self._calibrated_sigma())
 
@@ -165,7 +167,7 @@ class DPAR(EstimatorMixin):
             noisy = current + self._noise_rng.normal(0.0, noise_std, size=current.shape)
             self.accountant.step(1.0)
             stages.append(noisy)
-        return self.backend_.asarray(np.concatenate(stages, axis=1))
+        return np.concatenate(stages, axis=1)
 
     # ------------------------------------------------------------------
     @property
@@ -176,16 +178,15 @@ class DPAR(EstimatorMixin):
     def _projected(self) -> np.ndarray:
         if self._private_features is None:
             raise RuntimeError("call fit() before accessing embeddings")
-        return self.backend_.matmul(self._private_features, self.weight)
+        return self._private_features @ self.weight
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Inner-product link scores on the learned embeddings."""
-        be = self.backend_
         emb = self._projected()
         pairs = np.asarray(pairs, dtype=np.int64)
-        return be.to_numpy(
-            be.rowwise_dot(be.gather(emb, pairs[:, 0]), be.gather(emb, pairs[:, 1]))
-        )
+        vi = np.take(emb, pairs[:, 0], axis=0)
+        vj = np.take(emb, pairs[:, 1], axis=0)
+        return self.backend_.to_numpy(rowwise_dot(vi, vj))
 
     def privacy_spent(self):
         """Converted (epsilon, delta) spend of the propagation release."""
@@ -195,8 +196,10 @@ class DPAR(EstimatorMixin):
     def fit(self, graph: Optional[Graph] = None, callbacks=()) -> "DPAR":
         """Privatise the propagation once, then train the projection head.
 
-        The head is the shared ``repro.train`` link-prediction projection
-        (post-processing of the already-private features).
+        The head is the shared ``repro.train`` link-prediction projection.
+        It sees the already-private features, but trains with un-noised SGD
+        on the private training edges, uncharged to the accountant (ROADMAP
+        item 9), so ``privacy_spent`` covers only the propagation release.
         """
         self._bind_on_fit(graph)
         cfg = self.config
@@ -211,6 +214,5 @@ class DPAR(EstimatorMixin):
             history=self.history,
             rng=self._train_rng,
             callbacks=callbacks,
-            backend=self.backend_,
         )
         return self

@@ -19,7 +19,8 @@ from repro.api.registry import register_model
 from repro.baselines.dpsgm import DPSGM, DPSGMConfig
 from repro.core.generator import GeneratorPair
 from repro.graph.graph import Graph
-from repro.nn.functional import sigmoid
+from repro.nn.functional import rowwise_dot, sigmoid
+from repro.privacy.clipping import clip_rows_by_l2_norm
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_positive
 
@@ -75,7 +76,6 @@ class DPASGM(DPSGM):
             clip_norm=cfg.clip_norm,
             dp_enabled=False,  # the plain adversarial module has no noise terms
             rng=gen_rng,
-            backend=self.backend_,
         )
 
     def _pair_gradients(self, pairs: np.ndarray, positive: bool):
@@ -86,20 +86,19 @@ class DPASGM(DPSGM):
         folded into a DP mechanism, hence the extra DPSGD noise added by the
         parent class.
         """
-        be = self.backend_
         grad_in, grad_out = super()._pair_gradients(pairs, positive)
         cfg: DPASGMConfig = self.config  # type: ignore[assignment]
         count = pairs.shape[0]
         fake_vj, fake_vi = self.generators.generate_pairs(count)
-        vi = be.gather(self.w_in, pairs[:, 0])
-        vj = be.gather(self.w_out, pairs[:, 1])
-        f1 = sigmoid(be.rowwise_dot(vi, fake_vj), backend=be)
-        f2 = sigmoid(be.rowwise_dot(fake_vi, vj), backend=be)
+        vi = np.take(self.w_in, pairs[:, 0], axis=0)
+        vj = np.take(self.w_out, pairs[:, 1], axis=0)
+        f1 = sigmoid(rowwise_dot(vi, fake_vj))
+        f2 = sigmoid(rowwise_dot(fake_vi, vj))
         grad_in = grad_in + cfg.adversarial_weight * f1[:, None] * fake_vj
         grad_out = grad_out + cfg.adversarial_weight * f2[:, None] * fake_vi
         return (
-            be.clip_rows(grad_in, cfg.clip_norm),
-            be.clip_rows(grad_out, cfg.clip_norm),
+            clip_rows_by_l2_norm(grad_in, cfg.clip_norm),
+            clip_rows_by_l2_norm(grad_out, cfg.clip_norm),
         )
 
     def _on_epoch_end(self, epoch: int, losses) -> None:
@@ -113,8 +112,8 @@ class DPASGM(DPSGM):
             batch = self.sampler.sample()
             pairs = batch.positive_edges
             self.generators.train_step(
-                self.backend_.gather(self.w_in, pairs[:, 0]),
-                self.backend_.gather(self.w_out, pairs[:, 1]),
+                np.take(self.w_in, pairs[:, 0], axis=0),
+                np.take(self.w_out, pairs[:, 1], axis=0),
                 learning_rate=cfg.generator_learning_rate,
             )
         super()._on_epoch_end(epoch, losses)

@@ -27,9 +27,10 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
-from repro.nn.functional import sigmoid
+from repro.nn.functional import rowwise_dot, sigmoid
 from repro.nn.init import normal_init, xavier_uniform
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
+from repro.privacy.clipping import clip_rows_by_l2_norm
 from repro.train import PrivacyBudget, TrainingLoop
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
@@ -92,12 +93,8 @@ class DPGGAN(EstimatorMixin):
         self.backend_ = NUMPY_BACKEND
         init_rng, sample_rng, noise_rng, gen_rng = spawn_rngs(self._rng, 4)
         dim = self.config.embedding_dim
-        self.latent = normal_init(
-            (graph.num_nodes, dim), std=0.1, rng=init_rng, backend=self.backend_
-        )
-        self.generator_weight = xavier_uniform(
-            (dim, dim), rng=gen_rng, backend=self.backend_
-        )
+        self.latent = normal_init((graph.num_nodes, dim), std=0.1, rng=init_rng)
+        self.generator_weight = xavier_uniform((dim, dim), rng=gen_rng)
         self._noise_rng = noise_rng
         self._gen_rng = gen_rng
         self.sampler = EdgeSampler(
@@ -119,17 +116,16 @@ class DPGGAN(EstimatorMixin):
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores from latent inner products."""
-        be = self.backend_
         pairs = np.asarray(pairs, dtype=np.int64)
-        return be.to_numpy(
-            be.rowwise_dot(be.gather(self.latent, pairs[:, 0]), be.gather(self.latent, pairs[:, 1]))
-        )
+        vi = np.take(self.latent, pairs[:, 0], axis=0)
+        vj = np.take(self.latent, pairs[:, 1], axis=0)
+        return self.backend_.to_numpy(rowwise_dot(vi, vj))
 
     # ------------------------------------------------------------------
     def _generate_fake(self, count: int) -> np.ndarray:
         be = self.backend_
         noise = be.gaussian(self._gen_rng, 0.0, 1.0, (count, self.config.embedding_dim))
-        return be.tanh(be.matmul(noise, self.generator_weight))
+        return np.tanh(noise @ self.generator_weight)
 
     def _discriminator_step(self) -> None:
         """DPSGD update of the latent vectors on real vs fake pairs."""
@@ -138,17 +134,17 @@ class DPGGAN(EstimatorMixin):
         batch = self.sampler.sample()
         pairs = batch.positive_edges
         count = pairs.shape[0]
-        zi = be.gather(self.latent, pairs[:, 0])
-        zj = be.gather(self.latent, pairs[:, 1])
+        zi = np.take(self.latent, pairs[:, 0], axis=0)
+        zj = np.take(self.latent, pairs[:, 1], axis=0)
         fake = self._generate_fake(count)
 
-        real_scores = sigmoid(be.rowwise_dot(zi, zj), backend=be)
-        fake_scores = sigmoid(be.rowwise_dot(zi, fake), backend=be)
+        real_scores = sigmoid(rowwise_dot(zi, zj))
+        fake_scores = sigmoid(rowwise_dot(zi, fake))
         # Maximise log D(real) + log(1 - D(fake)) w.r.t. the latent vectors.
         grad_zi = (1.0 - real_scores)[:, None] * zj - fake_scores[:, None] * fake
         grad_zj = (1.0 - real_scores)[:, None] * zi
-        grad_zi = be.clip_rows(grad_zi, cfg.clip_norm)
-        grad_zj = be.clip_rows(grad_zj, cfg.clip_norm)
+        grad_zi = clip_rows_by_l2_norm(grad_zi, cfg.clip_norm)
+        grad_zj = clip_rows_by_l2_norm(grad_zj, cfg.clip_norm)
 
         # DPSGD over the latent matrix: every updated row receives an
         # independent draw calibrated to the B*C batch-sum sensitivity.
@@ -167,15 +163,15 @@ class DPGGAN(EstimatorMixin):
         batch = self.sampler.sample()
         pairs = batch.positive_edges
         count = pairs.shape[0]
-        zi = be.gather(self.latent, pairs[:, 0])
+        zi = np.take(self.latent, pairs[:, 0], axis=0)
         noise = be.gaussian(self._gen_rng, 0.0, 1.0, (count, cfg.embedding_dim))
-        pre = be.matmul(noise, self.generator_weight)
-        fake = be.tanh(pre)
-        fake_scores = sigmoid(be.rowwise_dot(zi, fake), backend=be)
+        pre = noise @ self.generator_weight
+        fake = np.tanh(pre)
+        fake_scores = sigmoid(rowwise_dot(zi, fake))
         # Generator maximises log D(fake): gradient ascent through tanh.
         grad_fake = (1.0 - fake_scores)[:, None] * zi
         grad_pre = grad_fake * (1.0 - fake**2)
-        grad_weight = be.matmul(be.transpose(noise), grad_pre) / count
+        grad_weight = noise.T @ grad_pre / count
         self.generator_weight += cfg.generator_learning_rate * grad_weight
 
     def fit(self, graph: Optional[Graph] = None, callbacks=()) -> "DPGGAN":

@@ -23,9 +23,10 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
-from repro.nn.functional import sigmoid
+from repro.nn.functional import rowwise_dot, sigmoid
 from repro.nn.init import normal_init, xavier_uniform
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
+from repro.privacy.clipping import clip_by_l2_norm
 from repro.train import PrivacyBudget, TrainingLoop
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
@@ -97,16 +98,10 @@ class DPGVAE(EstimatorMixin):
         feat_rng, weight_rng, sample_rng, noise_rng = spawn_rngs(self._rng, 4)
         cfg = self.config
         # Random node features, as in the paper's feature-less evaluation.
-        self.features = normal_init(
-            (graph.num_nodes, cfg.feature_dim), std=1.0, rng=feat_rng, backend=be
-        )
-        self.weight_mu = xavier_uniform(
-            (cfg.feature_dim, cfg.embedding_dim), rng=weight_rng, backend=be
-        )
-        self.weight_logvar = xavier_uniform(
-            (cfg.feature_dim, cfg.embedding_dim), rng=weight_rng, backend=be
-        )
-        self._adj_norm = be.asarray(graph.normalized_adjacency())
+        self.features = normal_init((graph.num_nodes, cfg.feature_dim), std=1.0, rng=feat_rng)
+        self.weight_mu = xavier_uniform((cfg.feature_dim, cfg.embedding_dim), rng=weight_rng)
+        self.weight_logvar = xavier_uniform((cfg.feature_dim, cfg.embedding_dim), rng=weight_rng)
+        self._adj_norm = graph.normalized_adjacency()
         # The released embeddings must not leak the raw adjacency: the GCN
         # aggregation itself is privatised once with unit node-level
         # sensitivity (a removed node's unit-norm feature enters each
@@ -119,7 +114,7 @@ class DPGVAE(EstimatorMixin):
             sampling_rate=1.0,
             num_steps=1,
         )
-        aggregated = be.matmul(self._adj_norm, self.features)
+        aggregated = self._adj_norm @ self.features
         self._aggregated = aggregated + be.gaussian(
             noise_rng, 0.0, aggregation_sigma, tuple(aggregated.shape)
         )
@@ -137,8 +132,8 @@ class DPGVAE(EstimatorMixin):
         return self.backend_.to_numpy(self._latent_means())
 
     def _latent_means(self) -> np.ndarray:
-        """Backend-native ``A_hat X W_mu``."""
-        return self.backend_.matmul(self._aggregated, self.weight_mu)
+        """``A_hat X W_mu``."""
+        return self._aggregated @ self.weight_mu
 
     def privacy_spent(self) -> PrivacySpent:
         """Converted (epsilon, delta) spend so far."""
@@ -146,12 +141,11 @@ class DPGVAE(EstimatorMixin):
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Inner-product decoder scores."""
-        be = self.backend_
         emb = self._latent_means()
         pairs = np.asarray(pairs, dtype=np.int64)
-        return be.to_numpy(
-            be.rowwise_dot(be.gather(emb, pairs[:, 0]), be.gather(emb, pairs[:, 1]))
-        )
+        vi = np.take(emb, pairs[:, 0], axis=0)
+        vj = np.take(emb, pairs[:, 1], axis=0)
+        return self.backend_.to_numpy(rowwise_dot(vi, vj))
 
     # ------------------------------------------------------------------
     def _train_step(self) -> None:
@@ -172,24 +166,22 @@ class DPGVAE(EstimatorMixin):
         pos = batch.positive_edges
         neg = batch.negative_pairs
         pairs = np.vstack([pos, neg])
-        labels = be.asarray(np.concatenate([np.ones(len(pos)), np.zeros(len(neg))]))
+        labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
 
         count = pairs.shape[0]
-        agg = be.gather(self._aggregated, pairs.T.reshape(-1))
-        z = be.matmul(agg, self.weight_mu)
+        agg = np.take(self._aggregated, pairs.T.reshape(-1), axis=0)
+        z = agg @ self.weight_mu
         zi, zj = z[:count], z[count:]
         agg_i, agg_j = agg[:count], agg[count:]
-        probs = sigmoid(be.rowwise_dot(zi, zj), backend=be)
+        probs = sigmoid(rowwise_dot(zi, zj))
         # d(BCE)/d(score) = probs - labels; chain through both endpoints.
         residual = (probs - labels)[:, None]
-        grad_weight = be.matmul(be.transpose(agg_i), residual * zj) + be.matmul(
-            be.transpose(agg_j), residual * zi
-        )
+        grad_weight = agg_i.T @ (residual * zj) + agg_j.T @ (residual * zi)
         grad_weight /= count
         # KL regulariser towards a standard normal prior on the weights.
         grad_weight += cfg.kl_weight * self.weight_mu
 
-        clipped = be.clip_global(grad_weight, cfg.clip_norm)
+        clipped = clip_by_l2_norm(grad_weight, cfg.clip_norm)
         noise_std = count * cfg.clip_norm * cfg.noise_multiplier
         noise = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(clipped.shape))
         self.weight_mu -= cfg.learning_rate * (clipped + noise / count)

@@ -21,9 +21,10 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler, check_negative_distribution
-from repro.nn.functional import sigmoid
+from repro.nn.functional import rowwise_dot, sigmoid
 from repro.nn.init import uniform_embedding
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
+from repro.privacy.clipping import clip_rows_by_l2_norm
 from repro.train import BudgetExhausted, PrivacyBudget, TrainingLoop
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
@@ -94,12 +95,8 @@ class DPSGM(EstimatorMixin):
         self.backend_ = NUMPY_BACKEND
         init_rng, sample_rng, noise_rng = spawn_rngs(self._rng, 3)
         dim = self.config.embedding_dim
-        self.w_in = uniform_embedding(
-            graph.num_nodes, dim, rng=init_rng, backend=self.backend_
-        )
-        self.w_out = uniform_embedding(
-            graph.num_nodes, dim, rng=init_rng, backend=self.backend_
-        )
+        self.w_in = uniform_embedding(graph.num_nodes, dim, rng=init_rng)
+        self.w_out = uniform_embedding(graph.num_nodes, dim, rng=init_rng)
         self._noise_rng = noise_rng
         self.sampler = EdgeSampler(
             graph,
@@ -125,20 +122,18 @@ class DPSGM(EstimatorMixin):
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores."""
-        be = self.backend_
         pairs = np.asarray(pairs, dtype=np.int64)
-        return be.to_numpy(
-            be.rowwise_dot(be.gather(self.w_in, pairs[:, 0]), be.gather(self.w_in, pairs[:, 1]))
-        )
+        vi = np.take(self.w_in, pairs[:, 0], axis=0)
+        vj = np.take(self.w_in, pairs[:, 1], axis=0)
+        return self.backend_.to_numpy(rowwise_dot(vi, vj))
 
     # ------------------------------------------------------------------
     def _pair_gradients(self, pairs: np.ndarray, positive: bool):
         """Per-pair skip-gram ascent gradients (input-row, output-row)."""
-        be = self.backend_
-        vi = be.gather(self.w_in, pairs[:, 0])
-        vj = be.gather(self.w_out, pairs[:, 1])
-        scores = be.rowwise_dot(vi, vj)
-        sig = sigmoid(scores, backend=be)
+        vi = np.take(self.w_in, pairs[:, 0], axis=0)
+        vj = np.take(self.w_out, pairs[:, 1], axis=0)
+        scores = rowwise_dot(vi, vj)
+        sig = sigmoid(scores)
         coeff = (1.0 - sig) if positive else -sig
         return coeff[:, None] * vj, coeff[:, None] * vi
 
@@ -148,8 +143,8 @@ class DPSGM(EstimatorMixin):
         be = self.backend_
         count = pairs.shape[0]
         grad_in, grad_out = self._pair_gradients(pairs, positive)
-        grad_in = be.clip_rows(grad_in, cfg.clip_norm)
-        grad_out = be.clip_rows(grad_out, cfg.clip_norm)
+        grad_in = clip_rows_by_l2_norm(grad_in, cfg.clip_norm)
+        grad_out = clip_rows_by_l2_norm(grad_out, cfg.clip_norm)
         # Sensitivity of the batch sum is B*C (Section III-B), so the noise
         # standard deviation is B * C * sigma.  DPSGD perturbs the full
         # gradient of the embedding matrix, i.e. every updated row receives an

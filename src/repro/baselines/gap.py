@@ -14,8 +14,10 @@ Reproduced here:
   the RDP accountant (noise multiplier calibrated so the whole pipeline meets
   the target (epsilon, delta)),
 * a lightweight non-private MLP trained on the noisy aggregates with a
-  link-prediction objective (post-processing), whose output embeddings are
-  evaluated exactly like the other baselines.
+  link-prediction objective, whose output embeddings are evaluated exactly
+  like the other baselines.  Its training runs un-noised SGD on the private
+  training edges and is not charged to the accountant, so it is not
+  post-processing (ROADMAP item 9, open).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
+from repro.nn.functional import rowwise_dot
 from repro.nn.init import normal_init, xavier_uniform
 from repro.privacy.accountant import RdpAccountant
 from repro.train import fit_link_prediction_head
@@ -102,7 +105,6 @@ class GAP(EstimatorMixin):
         self.weight = xavier_uniform(
             (cfg.feature_dim * (cfg.num_hops + 1), cfg.embedding_dim),
             rng=weight_rng,
-            backend=self.backend_,
         )
         self.accountant = RdpAccountant(self._calibrated_sigma())
 
@@ -147,7 +149,7 @@ class GAP(EstimatorMixin):
             norms = np.linalg.norm(noisy, axis=1, keepdims=True)
             current = noisy / np.maximum(norms, 1e-12)
             stages.append(current)
-        return self.backend_.asarray(np.concatenate(stages, axis=1))
+        return np.concatenate(stages, axis=1)
 
     # ------------------------------------------------------------------
     @property
@@ -158,16 +160,15 @@ class GAP(EstimatorMixin):
     def _projected(self) -> np.ndarray:
         if self._noisy_aggregates is None:
             raise RuntimeError("call fit() before accessing embeddings")
-        return self.backend_.matmul(self._noisy_aggregates, self.weight)
+        return self._noisy_aggregates @ self.weight
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Inner-product link scores on the learned embeddings."""
-        be = self.backend_
         emb = self._projected()
         pairs = np.asarray(pairs, dtype=np.int64)
-        return be.to_numpy(
-            be.rowwise_dot(be.gather(emb, pairs[:, 0]), be.gather(emb, pairs[:, 1]))
-        )
+        vi = np.take(emb, pairs[:, 0], axis=0)
+        vj = np.take(emb, pairs[:, 1], axis=0)
+        return self.backend_.to_numpy(rowwise_dot(vi, vj))
 
     def privacy_spent(self):
         """Converted (epsilon, delta) spend of the aggregation perturbation."""
@@ -177,9 +178,10 @@ class GAP(EstimatorMixin):
     def fit(self, graph: Optional[Graph] = None, callbacks=()) -> "GAP":
         """Perturb aggregations once, then train the projection head on them.
 
-        The head is the shared ``repro.train`` link-prediction projection:
-        non-private post-processing that only sees the noisy aggregates and
-        the public training split.
+        The head is the shared ``repro.train`` link-prediction projection.
+        It sees the noisy aggregates, but trains with un-noised SGD on the
+        private training edges, uncharged to the accountant (ROADMAP
+        item 9), so ``privacy_spent`` covers only the aggregation.
         """
         self._bind_on_fit(graph)
         cfg = self.config
@@ -194,6 +196,5 @@ class GAP(EstimatorMixin):
             history=self.history,
             rng=self._train_rng,
             callbacks=callbacks,
-            backend=self.backend_,
         )
         return self

@@ -33,6 +33,7 @@ from repro.core.discriminator import AdvSGMDiscriminator
 from repro.core.generator import GeneratorPair
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
+from repro.nn.functional import rowwise_dot
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.train import BudgetExhausted, PrivacyBudget, TrainingLoop
 from repro.utils.logging import TrainingHistory
@@ -93,9 +94,7 @@ class AdvSGM(EstimatorMixin):
         self.backend_ = NUMPY_BACKEND
         disc_rng, gen_rng, sample_rng = spawn_rngs(self._rng, 3)
 
-        self.discriminator = AdvSGMDiscriminator(
-            graph.num_nodes, self.config, rng=disc_rng, backend=self.backend_
-        )
+        self.discriminator = AdvSGMDiscriminator(graph.num_nodes, self.config, rng=disc_rng)
         self.generators = GeneratorPair(
             embedding_dim=self.config.embedding_dim,
             noise_multiplier=self.config.noise_multiplier,
@@ -104,7 +103,6 @@ class AdvSGM(EstimatorMixin):
             sigmoid_b=self.config.sigmoid_b,
             dp_enabled=self.config.dp_enabled,
             rng=gen_rng,
-            backend=self.backend_,
         )
         self.sampler = EdgeSampler(
             graph,
@@ -140,11 +138,10 @@ class AdvSGM(EstimatorMixin):
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores (inner products of released node vectors)."""
-        be = self.backend_
         pairs = np.asarray(pairs, dtype=np.int64)
         emb = self.discriminator.w_in
-        scores = be.rowwise_dot(be.gather(emb, pairs[:, 0]), be.gather(emb, pairs[:, 1]))
-        return be.to_numpy(scores)
+        scores = rowwise_dot(np.take(emb, pairs[:, 0], axis=0), np.take(emb, pairs[:, 1], axis=0))
+        return self.backend_.to_numpy(scores)
 
     # ------------------------------------------------------------------
     # training
@@ -187,8 +184,8 @@ class AdvSGM(EstimatorMixin):
         """One of the nG generator iterations (post-processing, no accounting)."""
         batch = self.sampler.sample()
         pairs = batch.positive_edges
-        real_vi = self.backend_.gather(self.discriminator.w_in, pairs[:, 0])
-        real_vj = self.backend_.gather(self.discriminator.w_out, pairs[:, 1])
+        real_vi = np.take(self.discriminator.w_in, pairs[:, 0], axis=0)
+        real_vj = np.take(self.discriminator.w_out, pairs[:, 1], axis=0)
         return self.generators.train_step(
             real_vi, real_vj, learning_rate=self.config.learning_rate_g
         )

@@ -12,11 +12,10 @@ injected on top of the adversarial module's own noise terms.  The class also
 exposes the loss value ``L_Nov`` under different weight settings (lambda =
 0.5, 1 or 1/S(.)) for the Fig. 2 rationality experiment.
 
-All tensor math routes through the ``backend`` passed at construction
-(:class:`repro.backend.Backend`); the embedding matrices are backend-native
-state, and the noise terms are drawn from the seeded numpy stream regardless
-of backend (see the backend contract), so the DP mechanism is identical
-everywhere.
+The tensor math is plain numpy on float64 arrays; the shared kernels
+(scatter-add, row normalisation, Gaussian draws) go through
+:data:`repro.backend.NUMPY_BACKEND`, and the noise terms come from the
+discriminator's seeded numpy stream, so one seed reproduces the mechanism.
 """
 
 from __future__ import annotations
@@ -26,11 +25,12 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.backend import NUMPY_BACKEND
-from repro.backend.base import Backend
 from repro.core.config import AdvSGMConfig
 from repro.graph.sampling import SampleBatch
 from repro.nn.constrained_sigmoid import ConstrainedSigmoid
+from repro.nn.functional import rowwise_dot
 from repro.nn.init import uniform_embedding
+from repro.privacy.clipping import clip_rows_by_l2_norm
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -46,8 +46,6 @@ class AdvSGMDiscriminator:
     rng:
         Seed or generator used for initialisation and for the activation
         noise terms ``N_D,1`` / ``N_D,2``.
-    backend:
-        Compute backend executing the tensor math (numpy by default).
     """
 
     def __init__(
@@ -55,19 +53,15 @@ class AdvSGMDiscriminator:
         num_nodes: int,
         config: AdvSGMConfig,
         rng: RngLike = None,
-        backend: Backend = NUMPY_BACKEND,
     ) -> None:
         if num_nodes <= 0:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
         self.config = config
         self._rng = ensure_rng(rng)
-        self.backend = backend
         dim = config.embedding_dim
-        self.w_in = uniform_embedding(num_nodes, dim, rng=self._rng, backend=backend)
-        self.w_out = uniform_embedding(num_nodes, dim, rng=self._rng, backend=backend)
-        self.sigmoid = ConstrainedSigmoid(
-            config.sigmoid_a, config.sigmoid_b, backend=backend
-        )
+        self.w_in = uniform_embedding(num_nodes, dim, rng=self._rng)
+        self.w_out = uniform_embedding(num_nodes, dim, rng=self._rng)
+        self.sigmoid = ConstrainedSigmoid(config.sigmoid_a, config.sigmoid_b)
         if config.normalize_embeddings:
             self.normalize()
 
@@ -77,7 +71,7 @@ class AdvSGMDiscriminator:
     @property
     def embeddings(self) -> np.ndarray:
         """Released node embeddings (input vectors), as a numpy array."""
-        return self.backend.to_numpy(self.w_in)
+        return NUMPY_BACKEND.to_numpy(self.w_in)
 
     def normalize(self) -> None:
         """Rescale embedding rows to unit norm (Algorithm 3, line 2).
@@ -87,14 +81,13 @@ class AdvSGMDiscriminator:
         gradient magnitudes.
         """
         for matrix in (self.w_in, self.w_out):
-            self.backend.normalize_rows_(matrix, 1e-12)
+            NUMPY_BACKEND.normalize_rows_(matrix, 1e-12)
 
     def pair_scores(self, pairs: np.ndarray) -> np.ndarray:
         """Inner products ``v_i . v_j`` (input row i, output row j)."""
-        be = self.backend
         pairs = np.asarray(pairs, dtype=np.int64)
-        return be.rowwise_dot(
-            be.gather(self.w_in, pairs[:, 0]), be.gather(self.w_out, pairs[:, 1])
+        return rowwise_dot(
+            np.take(self.w_in, pairs[:, 0], axis=0), np.take(self.w_out, pairs[:, 1], axis=0)
         )
 
     # ------------------------------------------------------------------
@@ -107,9 +100,9 @@ class AdvSGMDiscriminator:
         model to the non-private adversarial skip-gram of Section II-B.
         """
         if not self.config.dp_enabled:
-            return self.backend.zeros((count, self.config.embedding_dim))
+            return np.zeros((count, self.config.embedding_dim))
         std = self.config.clip_norm * self.config.noise_multiplier
-        return self.backend.gaussian(
+        return NUMPY_BACKEND.gaussian(
             self._rng, 0.0, std, (count, self.config.embedding_dim)
         )
 
@@ -123,7 +116,7 @@ class AdvSGMDiscriminator:
             values = self.sigmoid(scores)
         else:
             values = self.sigmoid(-scores)
-        return self.backend.log(self.backend.clip(values, 1e-12, None))
+        return np.log(np.clip(values, 1e-12, None))
 
     def adversarial_loss_terms(
         self,
@@ -138,16 +131,15 @@ class AdvSGMDiscriminator:
         Returns ``(adv1, adv2, f1, f2)`` where ``adv1 = -log(1 - S(v_i.v'_j +
         n1.v_i))`` and ``adv2`` is the symmetric term (Eq. 13).
         """
-        be = self.backend
         pairs = np.asarray(pairs, dtype=np.int64)
-        vi = be.gather(self.w_in, pairs[:, 0])
-        vj = be.gather(self.w_out, pairs[:, 1])
-        scores_1 = be.rowwise_dot(vi, fake_vj) + be.rowwise_dot(noise_1, vi)
-        scores_2 = be.rowwise_dot(fake_vi, vj) + be.rowwise_dot(noise_2, vj)
+        vi = np.take(self.w_in, pairs[:, 0], axis=0)
+        vj = np.take(self.w_out, pairs[:, 1], axis=0)
+        scores_1 = rowwise_dot(vi, fake_vj) + rowwise_dot(noise_1, vi)
+        scores_2 = rowwise_dot(fake_vi, vj) + rowwise_dot(noise_2, vj)
         f1 = self.sigmoid(scores_1)
         f2 = self.sigmoid(scores_2)
-        adv1 = -be.log(be.clip(1.0 - f1, 1e-12, None))
-        adv2 = -be.log(be.clip(1.0 - f2, 1e-12, None))
+        adv1 = -np.log(np.clip(1.0 - f1, 1e-12, None))
+        adv2 = -np.log(np.clip(1.0 - f2, 1e-12, None))
         return adv1, adv2, f1, f2
 
     def novel_loss(
@@ -183,7 +175,6 @@ class AdvSGMDiscriminator:
         lambda_mode: str,
         lambda_value: float | None,
     ) -> float:
-        be = self.backend
         pos = batch.positive_edges
         count = pos.shape[0]
         noise_1 = self.activation_noise(count)
@@ -195,16 +186,16 @@ class AdvSGMDiscriminator:
             pos, fake_vj, fake_vi, noise_1, noise_2
         )
         if lambda_mode == "inverse_sigmoid":
-            lam1 = 1.0 / be.clip(f1, 1e-12, None)
-            lam2 = 1.0 / be.clip(f2, 1e-12, None)
+            lam1 = 1.0 / np.clip(f1, 1e-12, None)
+            lam2 = 1.0 / np.clip(f2, 1e-12, None)
         elif lambda_mode == "constant":
             if lambda_value is None:
                 raise ValueError("lambda_value required for constant mode")
-            lam1 = be.full_like(f1, float(lambda_value))
-            lam2 = be.full_like(f2, float(lambda_value))
+            lam1 = np.full_like(f1, float(lambda_value))
+            lam2 = np.full_like(f2, float(lambda_value))
         else:
             raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
-        total = sgm + float(be.sum(lam1 * adv1)) + float(be.sum(lam2 * adv2))
+        total = sgm + float(np.sum(lam1 * adv1)) + float(np.sum(lam2 * adv2))
         return float(total / max(1, count))
 
     # ------------------------------------------------------------------
@@ -220,11 +211,10 @@ class AdvSGMDiscriminator:
         (negative) with respect to the input vector ``v_i`` and the output
         vector ``v_j``.
         """
-        be = self.backend
         pairs = np.asarray(pairs, dtype=np.int64)
-        vi = be.gather(self.w_in, pairs[:, 0])
-        vj = be.gather(self.w_out, pairs[:, 1])
-        scores = be.rowwise_dot(vi, vj)
+        vi = np.take(self.w_in, pairs[:, 0], axis=0)
+        vj = np.take(self.w_out, pairs[:, 1], axis=0)
+        scores = rowwise_dot(vi, vj)
         if positive:
             coeff = 1.0 - self.sigmoid(scores)
         else:
@@ -258,7 +248,6 @@ class AdvSGMDiscriminator:
             Per-pair noisy clipped gradient rows and the node index each row
             applies to, for the input and output embedding matrices.
         """
-        be = self.backend
         pairs = np.asarray(pairs, dtype=np.int64)
         count = pairs.shape[0]
         grad_vi, grad_vj = self._skipgram_pair_gradients(pairs, positive)
@@ -266,8 +255,8 @@ class AdvSGMDiscriminator:
         # Theorem 6: with lambda = 1/S(.), the adversarial module contributes
         # exactly (v' + N_D) to each gradient, so the update becomes
         # clip(d L_sgm / d v + v') + N_D.
-        clipped_in = be.clip_rows(grad_vi + fake_vj, self.config.clip_norm)
-        clipped_out = be.clip_rows(grad_vj + fake_vi, self.config.clip_norm)
+        clipped_in = clip_rows_by_l2_norm(grad_vi + fake_vj, self.config.clip_norm)
+        clipped_out = clip_rows_by_l2_norm(grad_vj + fake_vi, self.config.clip_norm)
 
         if self.config.dp_enabled:
             if self.config.noise_mode == "per_example":
@@ -280,11 +269,11 @@ class AdvSGMDiscriminator:
                 dim = self.config.embedding_dim
                 shared_in = self._rng.normal(0.0, std * count, size=dim)
                 shared_out = self._rng.normal(0.0, std * count, size=dim)
-                noise_in = be.asarray(np.tile(shared_in / count, (count, 1)))
-                noise_out = be.asarray(np.tile(shared_out / count, (count, 1)))
+                noise_in = np.tile(shared_in / count, (count, 1))
+                noise_out = np.tile(shared_out / count, (count, 1))
         else:
-            noise_in = be.zeros_like(clipped_in)
-            noise_out = be.zeros_like(clipped_out)
+            noise_in = np.zeros_like(clipped_in)
+            noise_out = np.zeros_like(clipped_out)
 
         grad_in_rows = clipped_in + noise_in
         grad_out_rows = clipped_out + noise_out
@@ -308,8 +297,8 @@ class AdvSGMDiscriminator:
         """
         batch_size = max(1, grad_in_rows.shape[0])
         scale = learning_rate / batch_size if self.config.average_gradients else learning_rate
-        self.backend.index_add_(self.w_in, in_nodes, scale * grad_in_rows)
-        self.backend.index_add_(self.w_out, out_nodes, scale * grad_out_rows)
+        NUMPY_BACKEND.index_add_(self.w_in, in_nodes, scale * grad_in_rows)
+        NUMPY_BACKEND.index_add_(self.w_out, out_nodes, scale * grad_out_rows)
         # Parameters are normalised only at initialisation (Algorithm 3,
         # line 2); re-normalising after every noisy update would keep erasing
         # the accumulated signal while the injected noise averages out over

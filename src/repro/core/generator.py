@@ -24,8 +24,8 @@ from typing import Dict
 import numpy as np
 
 from repro.backend import NUMPY_BACKEND
-from repro.backend.base import Backend
 from repro.nn.constrained_sigmoid import ConstrainedSigmoid
+from repro.nn.functional import rowwise_dot, sigmoid
 from repro.nn.init import xavier_uniform
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive
@@ -42,8 +42,6 @@ class FakeNeighbourGenerator:
         Standard deviation of the input Gaussian noise.
     rng:
         Seed or generator for noise draws and initialisation.
-    backend:
-        Compute backend executing the tensor math (numpy by default).
     """
 
     def __init__(
@@ -51,18 +49,14 @@ class FakeNeighbourGenerator:
         embedding_dim: int,
         noise_std: float = 1.0,
         rng: RngLike = None,
-        backend: Backend = NUMPY_BACKEND,
     ) -> None:
         if embedding_dim <= 0:
             raise ValueError(f"embedding_dim must be positive, got {embedding_dim}")
         check_positive(noise_std, "noise_std")
         self._rng = ensure_rng(rng)
-        self.backend = backend
         self.embedding_dim = int(embedding_dim)
         self.noise_std = float(noise_std)
-        self.theta = xavier_uniform(
-            (embedding_dim, embedding_dim), rng=self._rng, backend=backend
-        )
+        self.theta = xavier_uniform((embedding_dim, embedding_dim), rng=self._rng)
         self._last_noise: np.ndarray | None = None
         self._last_activation: np.ndarray | None = None
 
@@ -80,14 +74,13 @@ class FakeNeighbourGenerator:
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        be = self.backend
-        noise = be.gaussian(
+        noise = NUMPY_BACKEND.gaussian(
             self._rng, 0.0, self.noise_std, (count, self.embedding_dim)
         )
-        act = be.sigmoid(be.matmul(noise, self.theta))
+        act = sigmoid(noise @ self.theta)
         self._last_noise = noise
         self._last_activation = act
-        return be.copy(act)
+        return np.array(act, dtype=np.float64)
 
     def backward(self, grad_fake: np.ndarray) -> Dict[str, np.ndarray]:
         """Gradient of the loss w.r.t. ``theta`` given d(loss)/d(fake embeddings).
@@ -102,15 +95,14 @@ class FakeNeighbourGenerator:
         act = self._last_activation
         if self._last_noise is None or act is None:
             raise RuntimeError("backward called before generate")
-        be = self.backend
-        grad_fake = be.asarray(grad_fake)
+        grad_fake = np.asarray(grad_fake, dtype=np.float64)
         if tuple(grad_fake.shape) != tuple(act.shape):
             raise ValueError(
                 "grad_fake shape does not match the last generated batch: "
                 f"{tuple(grad_fake.shape)} vs {tuple(act.shape)}"
             )
         grad_pre = grad_fake * act * (1.0 - act)
-        grad_theta = be.matmul(be.transpose(self._last_noise), grad_pre)
+        grad_theta = self._last_noise.T @ grad_pre
         return {"theta": grad_theta}
 
 
@@ -131,23 +123,17 @@ class GeneratorPair:
         sigmoid_b: float = 120.0,
         dp_enabled: bool = True,
         rng: RngLike = None,
-        backend: Backend = NUMPY_BACKEND,
     ) -> None:
         rng = ensure_rng(rng)
         seed_j = int(rng.integers(0, 2**63 - 1))
         seed_i = int(rng.integers(0, 2**63 - 1))
-        self.backend = backend
-        self.generator_j = FakeNeighbourGenerator(
-            embedding_dim, noise_std, rng=seed_j, backend=backend
-        )
-        self.generator_i = FakeNeighbourGenerator(
-            embedding_dim, noise_std, rng=seed_i, backend=backend
-        )
+        self.generator_j = FakeNeighbourGenerator(embedding_dim, noise_std, rng=seed_j)
+        self.generator_i = FakeNeighbourGenerator(embedding_dim, noise_std, rng=seed_i)
         self._rng = rng
         self.noise_multiplier = float(noise_multiplier)
         self.clip_norm = float(clip_norm)
         self.dp_enabled = bool(dp_enabled)
-        self.discriminant = ConstrainedSigmoid(sigmoid_a, sigmoid_b, backend=backend)
+        self.discriminant = ConstrainedSigmoid(sigmoid_a, sigmoid_b)
         self.embedding_dim = int(embedding_dim)
 
     def generate_pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +143,9 @@ class GeneratorPair:
     def _activation_noise(self, count: int) -> np.ndarray:
         """Noise vectors ``N_G(C^2 sigma^2 I)`` entering the generator loss."""
         if not self.dp_enabled:
-            return self.backend.zeros((count, self.embedding_dim))
+            return np.zeros((count, self.embedding_dim))
         std = self.clip_norm * self.noise_multiplier
-        return self.backend.gaussian(self._rng, 0.0, std, (count, self.embedding_dim))
+        return NUMPY_BACKEND.gaussian(self._rng, 0.0, std, (count, self.embedding_dim))
 
     def train_step(
         self,
@@ -182,9 +168,8 @@ class GeneratorPair:
         float
             The generator loss value before the update.
         """
-        be = self.backend
-        real_vi = be.asarray(real_vi)
-        real_vj = be.asarray(real_vj)
+        real_vi = np.asarray(real_vi, dtype=np.float64)
+        real_vj = np.asarray(real_vj, dtype=np.float64)
         if tuple(real_vi.shape) != tuple(real_vj.shape):
             raise ValueError("real_vi and real_vj must have the same shape")
         count = real_vi.shape[0]
@@ -192,11 +177,11 @@ class GeneratorPair:
         noise_1 = self._activation_noise(count)
         noise_2 = self._activation_noise(count)
 
-        scores_1 = be.rowwise_dot(real_vi, fake_vj) + be.rowwise_dot(noise_1, real_vi)
-        scores_2 = be.rowwise_dot(fake_vi, real_vj) + be.rowwise_dot(noise_2, real_vj)
+        scores_1 = rowwise_dot(real_vi, fake_vj) + rowwise_dot(noise_1, real_vi)
+        scores_2 = rowwise_dot(fake_vi, real_vj) + rowwise_dot(noise_2, real_vj)
         f1 = self.discriminant(scores_1)
         f2 = self.discriminant(scores_2)
-        loss = float(be.mean(be.log(1.0 - f1 + 1e-12) + be.log(1.0 - f2 + 1e-12)))
+        loss = float(np.mean(np.log(1.0 - f1 + 1e-12) + np.log(1.0 - f2 + 1e-12)))
 
         # d/d(fake) of log(1 - F(s)) = -F(s) * real  (sigmoid derivative folded
         # into F itself); we descend on the loss, i.e. move fakes to raise F.

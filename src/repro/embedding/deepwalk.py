@@ -26,7 +26,7 @@ from repro.graph.sampling import (
     check_negative_distribution,
     unigram_weights,
 )
-from repro.nn.functional import sigmoid
+from repro.nn.functional import rowwise_dot, sigmoid, sigmoid_pair
 from repro.nn.init import uniform_embedding
 from repro.train import ArrayPairSource, PairSource, TrainingLoop
 from repro.utils.logging import TrainingHistory
@@ -84,12 +84,8 @@ class DeepWalk(EstimatorMixin):
         self.backend_ = NUMPY_BACKEND
         self._init_rng, self._walk_rng, self._train_rng = spawn_rngs(self._rng, 3)
         dim = self.config.embedding_dim
-        self.w_in = uniform_embedding(
-            graph.num_nodes, dim, rng=self._init_rng, backend=self.backend_
-        )
-        self.w_out = uniform_embedding(
-            graph.num_nodes, dim, rng=self._init_rng, backend=self.backend_
-        )
+        self.w_in = uniform_embedding(graph.num_nodes, dim, rng=self._init_rng)
+        self.w_out = uniform_embedding(graph.num_nodes, dim, rng=self._init_rng)
         self._negative_table = (
             AliasTable(unigram_weights(graph.degrees))
             if self.config.negative_distribution == "unigram075"
@@ -142,18 +138,18 @@ class DeepWalk(EstimatorMixin):
         centres, contexts = batch[:, 0], batch[:, 1]
         negatives = self._draw_negatives(batch.shape[0], cfg.num_negatives)
 
-        v_c = be.gather(self.w_in, centres)
-        v_o = be.gather(self.w_out, contexts)
-        pos_sigmoid = sigmoid(be.rowwise_dot(v_c, v_o), backend=be)
+        v_c = np.take(self.w_in, centres, axis=0)
+        v_o = np.take(self.w_out, contexts, axis=0)
+        pos_sigmoid = sigmoid(rowwise_dot(v_c, v_o))
         pos_coeff = 1.0 - pos_sigmoid
 
         grad_centre = pos_coeff[:, None] * v_o
         grad_context = pos_coeff[:, None] * v_c
-        neg_vectors = be.gather(self.w_out, negatives)  # (B, k, dim)
-        neg_scores = be.batched_rowwise_dot(v_c, neg_vectors)
-        neg_sigmoid, neg_flipped = be.sigmoid_pair(neg_scores)
+        neg_vectors = np.take(self.w_out, negatives, axis=0)  # (B, k, dim)
+        neg_scores = np.einsum("ij,ikj->ik", v_c, neg_vectors)
+        neg_sigmoid, neg_flipped = sigmoid_pair(neg_scores)
         neg_coeff = -neg_sigmoid
-        grad_centre = grad_centre + be.weighted_rows_sum(neg_coeff, neg_vectors)
+        grad_centre = grad_centre + np.einsum("ik,ikj->ij", neg_coeff, neg_vectors)
 
         lr = cfg.learning_rate
         neg_rows = (neg_coeff[:, :, None] * v_c[:, None, :]).reshape(-1, v_c.shape[1])
@@ -164,7 +160,7 @@ class DeepWalk(EstimatorMixin):
         be.index_add_(self.w_out, contexts, grad_context)
         be.index_add_(self.w_out, negatives.ravel(), neg_rows)
 
-        batch_obj = be.sum(be.log(pos_sigmoid + 1e-12)) + be.sum(be.log(neg_flipped + 1e-12))
+        batch_obj = np.sum(np.log(pos_sigmoid + 1e-12)) + np.sum(np.log(neg_flipped + 1e-12))
         return float(-batch_obj / batch.shape[0])
 
     def _train_one_pass(self, source: PairSource) -> float:
@@ -195,8 +191,7 @@ class DeepWalk(EstimatorMixin):
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores from input-vector inner products."""
-        be = self.backend_
         pairs = np.asarray(pairs, dtype=np.int64)
-        return be.to_numpy(
-            be.rowwise_dot(be.gather(self.w_in, pairs[:, 0]), be.gather(self.w_in, pairs[:, 1]))
-        )
+        vi = np.take(self.w_in, pairs[:, 0], axis=0)
+        vj = np.take(self.w_in, pairs[:, 1], axis=0)
+        return self.backend_.to_numpy(rowwise_dot(vi, vj))

@@ -25,7 +25,7 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler, SampleBatch, check_negative_distribution
-from repro.nn.functional import log_sigmoid, sigmoid
+from repro.nn.functional import log_sigmoid, rowwise_dot, sigmoid
 from repro.nn.init import uniform_embedding
 from repro.train import SampledBatchSource, TrainingLoop
 from repro.utils.logging import TrainingHistory
@@ -98,12 +98,8 @@ class SkipGramModel(EstimatorMixin):
         self.backend_ = NUMPY_BACKEND
         init_rng, sample_rng = spawn_rngs(self._rng, 2)
         dim = self.config.embedding_dim
-        self.w_in = uniform_embedding(
-            graph.num_nodes, dim, rng=init_rng, backend=self.backend_
-        )
-        self.w_out = uniform_embedding(
-            graph.num_nodes, dim, rng=init_rng, backend=self.backend_
-        )
+        self.w_in = uniform_embedding(graph.num_nodes, dim, rng=init_rng)
+        self.w_out = uniform_embedding(graph.num_nodes, dim, rng=init_rng)
         # Project every row onto the unit ball (ensures C = 1).  The carry
         # holds the rows of (W_in, W_out) whose norm is still above 1 after
         # their last rescale: train_step rescales them with the rows its
@@ -141,10 +137,9 @@ class SkipGramModel(EstimatorMixin):
     # ------------------------------------------------------------------
     def pair_scores(self, pairs: np.ndarray) -> np.ndarray:
         """Inner products ``v_i . v_j`` for an ``(n, 2)`` array of pairs."""
-        be = self.backend_
         pairs = np.asarray(pairs, dtype=np.int64)
-        return be.rowwise_dot(
-            be.gather(self.w_in, pairs[:, 0]), be.gather(self.w_out, pairs[:, 1])
+        return rowwise_dot(
+            np.take(self.w_in, pairs[:, 0], axis=0), np.take(self.w_out, pairs[:, 1], axis=0)
         )
 
     def _forward(self, batch: SampleBatch):
@@ -154,27 +149,22 @@ class SkipGramModel(EstimatorMixin):
         stacks the positives over the negatives, ``vi``/``vj`` are its fresh
         ``W_in``/``W_out`` rows, and the loss is :meth:`batch_loss`'s.
         """
-        be = self.backend_
         pos = batch.positive_edges
         pairs = np.concatenate([pos, batch.negative_pairs])
         split = pos.shape[0]
-        vi = be.gather(self.w_in, pairs[:, 0])
-        vj = be.gather(self.w_out, pairs[:, 1])
-        pos_scores = be.rowwise_dot(vi[:split], vj[:split])
-        neg_scores = be.rowwise_dot(vi[split:], vj[split:])
-        objective = (
-            log_sigmoid(pos_scores, backend=be).sum()
-            + log_sigmoid(-neg_scores, backend=be).sum()
-        )
+        vi = np.take(self.w_in, pairs[:, 0], axis=0)
+        vj = np.take(self.w_out, pairs[:, 1], axis=0)
+        pos_scores = rowwise_dot(vi[:split], vj[:split])
+        neg_scores = rowwise_dot(vi[split:], vj[split:])
+        objective = log_sigmoid(pos_scores).sum() + log_sigmoid(-neg_scores).sum()
         loss = -objective / max(1, batch.batch_size)
         return loss, pairs, vi, vj, pos_scores, neg_scores
 
     def batch_loss(self, batch: SampleBatch):
         """Negative mean skip-gram objective of a batch (lower is better).
 
-        Returned as a 0-d array, not a Python float: the training loop
-        sums the losses and scalarises once per epoch
-        (:meth:`repro.backend.base.Backend.scalar`).
+        Returned as a 0-d array, not a Python float: :meth:`fit` sums the
+        losses and converts to ``float`` once per epoch.
         """
         return self._forward(batch)[0]
 
@@ -191,8 +181,8 @@ class SkipGramModel(EstimatorMixin):
         be = self.backend_
         loss, pairs, vi, vj, pos_scores, neg_scores = self._forward(batch)
         split = pos_scores.shape[0]
-        pos_coeff = 1.0 - sigmoid(pos_scores, backend=be)  # d log sigma(x) / dx
-        neg_coeff = -sigmoid(neg_scores, backend=be)  # d log sigma(-x) / dx
+        pos_coeff = 1.0 - sigmoid(pos_scores)  # d log sigma(x) / dx
+        neg_coeff = -sigmoid(neg_scores)  # d log sigma(-x) / dx
         grads = []
         for side, rows in ((0, vj), (1, vi)):
             # A pair's gradient for its row on one side is the other side's
@@ -218,8 +208,9 @@ class SkipGramModel(EstimatorMixin):
         are accumulated into their embedding rows and applied with the full
         learning rate (no division by the batch size), which is how word2vec,
         LINE and DeepWalk implementations behave.  Each matrix takes one
-        :meth:`~repro.backend.base.Backend.add_rows_project_` call, which
-        adds the update and renormalises the rows it touched plus the carry.
+        :meth:`~repro.backend.numpy_backend.NumpyBackend.add_rows_project_`
+        call, which adds the update and renormalises the rows it touched
+        plus the carry.
         """
         if batch is None:
             batch = self.sampler.sample()
@@ -251,11 +242,8 @@ class SkipGramModel(EstimatorMixin):
         )
 
         def epoch_end(epoch: int, losses) -> None:
-            # Losses are 0-d arrays: one scalarisation per epoch.
-            self.history.record(
-                "loss",
-                self.backend_.scalar(sum(losses)) / self.config.batches_per_epoch,
-            )
+            # Losses are 0-d arrays: one conversion to float per epoch.
+            self.history.record("loss", float(sum(losses)) / self.config.batches_per_epoch)
 
         batches = self.pair_source_.batches()
         loop.run(lambda epoch, step: self.train_step(next(batches)), epoch_end)
@@ -263,8 +251,7 @@ class SkipGramModel(EstimatorMixin):
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores: inner product of the *input* vectors."""
-        be = self.backend_
         pairs = np.asarray(pairs, dtype=np.int64)
-        return be.to_numpy(
-            be.rowwise_dot(be.gather(self.w_in, pairs[:, 0]), be.gather(self.w_in, pairs[:, 1]))
-        )
+        vi = np.take(self.w_in, pairs[:, 0], axis=0)
+        vj = np.take(self.w_in, pairs[:, 1], axis=0)
+        return self.backend_.to_numpy(rowwise_dot(vi, vj))

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import NUMPY_BACKEND
-from repro.backend.base import Backend
 from repro.utils.validation import check_positive
 
 
@@ -77,21 +75,15 @@ class ConstrainedSigmoid:
         Lower bound on the clipped exponential (paper default ``1e-5``).
     b:
         Upper bound on the clipped exponential (paper default ``120``).
-    backend:
-        Compute backend for the clip/exp math (numpy by default, bit-for-bit
-        the historical implementation).
     """
 
-    def __init__(
-        self, a: float = 1e-5, b: float = 120.0, backend: Backend = NUMPY_BACKEND
-    ) -> None:
+    def __init__(self, a: float = 1e-5, b: float = 120.0) -> None:
         check_positive(a, "a")
         check_positive(b, "b")
         if not b > a:
             raise ValueError(f"b must exceed a, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
-        self.backend = backend
         # Bounds on exp()'s argument: far enough outside [log a, log b] that
         # the hard clip below decides the value, and exp() cannot overflow.
         self._log_lower = np.log(self.a) - 30.0
@@ -107,17 +99,16 @@ class ConstrainedSigmoid:
         uses the hard-clipped exponential and keeps the smooth variant
         available as :func:`exponential_clip` for narrow intervals.
         """
-        be = self.backend
-        safe = be.clip(be.asarray(x), self._log_lower, self._log_upper)
-        return be.clip(be.exp(safe), self.a, self.b)
+        safe = np.clip(np.asarray(x, dtype=np.float64), self._log_lower, self._log_upper)
+        return np.clip(np.exp(safe), self.a, self.b)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Evaluate ``S(x) = 1 / (1 + exp_clip(-x))``."""
-        return 1.0 / (1.0 + self.clipped_exp(-self.backend.asarray(x)))
+        return 1.0 / (1.0 + self.clipped_exp(-np.asarray(x, dtype=np.float64)))
 
     def inverse_weight(self, x: np.ndarray) -> np.ndarray:
         """Return the AdvSGM module weight ``lambda = 1 / S(x)``."""
-        return 1.0 + self.clipped_exp(-self.backend.asarray(x))
+        return 1.0 + self.clipped_exp(-np.asarray(x, dtype=np.float64))
 
     @property
     def output_range(self) -> tuple[float, float]:

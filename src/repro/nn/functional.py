@@ -1,73 +1,65 @@
-"""Numerically stable activation and loss primitives.
+"""Numerically stable activations and the row-wise dot product.
 
 These are the only non-linearities used by the skip-gram family models and
-the simplified GNN baselines.  Each function accepts scalars or arrays, and
-an optional ``backend=`` routes the computation through a
-:class:`repro.backend.Backend` — ``None`` (the default) keeps the canonical
-NumPy implementations (which live in :mod:`repro.backend.numpy_backend` and
-always return ``float64`` arrays), so existing callers are bit-for-bit
-unchanged.
+the simplified GNN baselines.  Each accepts scalars or arrays and returns
+``float64``.  ``sigmoid`` and ``sigmoid_pair`` are branch-free rewrites of
+a boolean-mask sigmoid; ``tests/test_rewrite_parity.py`` pins them
+byte-equal to it.
+
+The models gather embedding rows with ``np.take(x, idx, axis=0)``, not
+``x[idx]``: the same bytes as a fresh, writable array, without fancy
+indexing's per-call set-up (about 3x faster at narrow rows; pinned by
+``tests/test_rewrite_parity.py::TestTakeGather``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
-from repro.backend.base import Backend
-from repro.backend.numpy_backend import (
-    SIGMOID_CLIP as _SIGMOID_CLIP,  # noqa: F401  (re-exported for callers)
-    stable_log_sigmoid,
-    stable_sigmoid,
-    stable_softmax,
-)
-
-_EPS = 1e-12
+# Sigmoid saturates numerically past |x| ~ 36 in float64; clipping the input
+# keeps exp() away from overflow without changing the value of the output.
+SIGMOID_CLIP = 500.0
 
 
-def sigmoid(x: np.ndarray, backend: Optional[Backend] = None) -> np.ndarray:
-    """Logistic sigmoid, stable for large positive and negative inputs."""
-    return stable_sigmoid(x) if backend is None else backend.sigmoid(x)
+def _sigmoid_branches(x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clipped ``x`` and the sigmoid's two branches, ``1 / d`` and ``e / d``.
 
-
-def log_sigmoid(x: np.ndarray, backend: Optional[Backend] = None) -> np.ndarray:
-    """``log(sigmoid(x))`` computed without intermediate underflow."""
-    return stable_log_sigmoid(x) if backend is None else backend.log_sigmoid(x)
-
-
-def softmax(
-    x: np.ndarray, axis: int = -1, backend: Optional[Backend] = None
-) -> np.ndarray:
-    """Softmax along ``axis`` with max-subtraction for stability."""
-    if backend is None:
-        return stable_softmax(x, axis=axis)
-    return backend.softmax(x, axis=axis)
-
-
-def relu(x: np.ndarray, backend: Optional[Backend] = None) -> np.ndarray:
-    """Rectified linear unit."""
-    if backend is None:
-        return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-    return backend.relu(x)
-
-
-def tanh(x: np.ndarray, backend: Optional[Backend] = None) -> np.ndarray:
-    """Hyperbolic tangent (thin wrapper, for API symmetry)."""
-    if backend is None:
-        return np.tanh(np.asarray(x, dtype=np.float64))
-    return backend.tanh(x)
-
-
-def binary_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean binary cross-entropy between predicted probabilities and targets.
-
-    Probabilities are clipped away from {0, 1} so that a confident wrong
-    prediction yields a large but finite loss.
+    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: both
+    branches share e = exp(-|x|) and d = 1 + e, so one pass over x computes
+    either.  min(x, -x) is -|x| but keeps a NaN's sign, as exp(x) did.
     """
-    p = np.clip(np.asarray(probs, dtype=np.float64), _EPS, 1.0 - _EPS)
-    t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: probs {p.shape} vs targets {t.shape}")
-    losses = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
-    return float(np.mean(losses))
+    x = np.clip(np.asarray(x, dtype=np.float64), -SIGMOID_CLIP, SIGMOID_CLIP)
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return x, 1.0 / d, e / d
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid, stable for large positive and negative inputs."""
+    x, upper, lower = _sigmoid_branches(x)
+    return np.where(x >= 0, upper, lower)
+
+
+def sigmoid_pair(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sigmoid(x), sigmoid(-x))`` from one pass over ``x``.
+
+    The clip is symmetric and ``-|x|`` is the same for ``-x``, so the second
+    is the first with its branches swapped: the same bytes, except that a NaN
+    input gives a NaN of the other sign.
+    """
+    x, upper, lower = _sigmoid_branches(x)
+    return np.where(x >= 0, upper, lower), np.where(x <= 0, upper, lower)
+
+
+def log_sigmoid(x: np.ndarray) -> np.ndarray:
+    """``log(sigmoid(x))`` computed without intermediate underflow."""
+    x = np.asarray(x, dtype=np.float64)
+    # log sigma(x) = -softplus(-x) = min(x, 0) - log1p(exp(-|x|))
+    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+
+
+def rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row inner products: ``(n, d), (n, d) -> (n,)``."""
+    return np.einsum("ij,ij->i", a, b)

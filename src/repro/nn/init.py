@@ -1,37 +1,24 @@
 """Parameter initialisers used by the embedding models and GNN baselines.
 
-Every initialiser draws from a numpy ``Generator`` regardless of the compute
-backend — the backend contract (:mod:`repro.backend.base`) keeps randomness
-on numpy streams so a fixed seed initialises identically everywhere — and an
-optional ``backend=`` adopts the result as a backend-native parameter.  With
-``backend=None`` (the default) the plain ``float64`` ndarray is returned,
-bit-for-bit as before.
+Every initialiser draws from a numpy ``Generator``, so a fixed seed
+initialises identically, and returns a plain ``float64`` ndarray.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.backend.base import Backend
 from repro.utils.rng import RngLike, ensure_rng
 
 
-def _adopt(array: np.ndarray, backend: Optional[Backend]) -> np.ndarray:
-    return array if backend is None else backend.parameter(array)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...], rng: RngLike = None, backend: Optional[Backend] = None
-) -> np.ndarray:
+def xavier_uniform(shape: tuple[int, ...], rng: RngLike = None) -> np.ndarray:
     """Glorot/Xavier uniform initialisation for dense layers."""
     rng = ensure_rng(rng)
     if len(shape) < 2:
         raise ValueError(f"xavier_uniform needs a >=2-D shape, got {shape}")
     fan_in, fan_out = shape[0], shape[1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return _adopt(rng.uniform(-limit, limit, size=shape), backend)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def uniform_embedding(
@@ -39,7 +26,6 @@ def uniform_embedding(
     dim: int,
     scale: float | None = None,
     rng: RngLike = None,
-    backend: Optional[Backend] = None,
 ) -> np.ndarray:
     """Standard skip-gram embedding initialisation ``U(-0.5/dim, 0.5/dim)``.
 
@@ -51,17 +37,16 @@ def uniform_embedding(
         raise ValueError(f"num_rows and dim must be positive, got {num_rows}, {dim}")
     if scale is None:
         scale = 0.5 / dim
-    return _adopt(rng.uniform(-scale, scale, size=(num_rows, dim)), backend)
+    return rng.uniform(-scale, scale, size=(num_rows, dim))
 
 
 def normal_init(
     shape: tuple[int, ...],
     std: float = 0.1,
     rng: RngLike = None,
-    backend: Optional[Backend] = None,
 ) -> np.ndarray:
     """Zero-mean Gaussian initialisation with standard deviation ``std``."""
     rng = ensure_rng(rng)
     if std <= 0:
         raise ValueError(f"std must be positive, got {std}")
-    return _adopt(rng.normal(0.0, std, size=shape), backend)
+    return rng.normal(0.0, std, size=shape)

@@ -1,6 +1,6 @@
-"""The compute-backend seam: how old placement fields resolve, the numpy
-backend's ops and malloc pin, protocol conformance, the backend's place in
-the experiment cache, and model plumbing.
+"""The compute backend: how old placement fields resolve, ``NumpyBackend``'s
+kernels and malloc pin, the kernels and the models' numpy helpers against
+plain numpy, the backend's place in the experiment cache, and model plumbing.
 
 numpy is the only compute backend.  ``import repro`` and full training never
 touch torch, which the import-gate test below checks.
@@ -20,9 +20,11 @@ import pytest
 import repro
 from repro.api.spec import ExperimentCell, ExperimentSpec, ModelSpec
 from repro.backend import numpy_backend
-from repro.backend import NUMPY_BACKEND, Backend
+from repro.backend import NUMPY_BACKEND
 from repro.cache import ResultStore, cell_key
 from repro.golden import golden_graph
+from repro.nn.functional import log_sigmoid, rowwise_dot, sigmoid, sigmoid_pair
+from repro.privacy.clipping import clip_by_l2_norm, clip_rows_by_l2_norm
 
 
 def _cell(**changes):
@@ -125,19 +127,14 @@ class TestPrecisionResolution:
 
 
 # ---------------------------------------------------------------------------
-# the numpy backend is the reference implementation
+# NumpyBackend's kernels
 # ---------------------------------------------------------------------------
 class TestNumpyBackendOps:
-    def test_asarray_is_identity_for_float64(self):
-        x = np.arange(6, dtype=np.float64).reshape(2, 3)
-        assert NUMPY_BACKEND.asarray(x) is x
-        assert NUMPY_BACKEND.to_numpy(x) is x
-
     def test_gather_and_index_add(self):
         rng = np.random.default_rng(0)
         table = rng.normal(size=(10, 4))
         idx = np.array([3, 3, 7])
-        assert np.array_equal(NUMPY_BACKEND.gather(table, idx), table[idx])
+        assert np.array_equal(np.take(table, idx, axis=0), table[idx])
         target = np.zeros((10, 4))
         rows = rng.normal(size=(3, 4))
         expected = target.copy()
@@ -153,44 +150,21 @@ class TestNumpyBackendOps:
         rng = np.random.default_rng(1)
         a = rng.normal(size=(5, 3))
         b = rng.normal(size=(5, 3))
-        bundle = rng.normal(size=(5, 4, 3))
-        coeff = rng.normal(size=(5, 4))
-        assert np.array_equal(
-            NUMPY_BACKEND.rowwise_dot(a, b), np.einsum("ij,ij->i", a, b)
-        )
-        assert np.array_equal(
-            NUMPY_BACKEND.batched_rowwise_dot(a, bundle),
-            np.einsum("ij,ikj->ik", a, bundle),
-        )
-        assert np.array_equal(
-            NUMPY_BACKEND.weighted_rows_sum(coeff, bundle),
-            np.einsum("ik,ikj->ij", coeff, bundle),
-        )
-
-    def test_activations_match_functional(self):
-        from repro.nn import functional as F
-
-        x = np.linspace(-600, 600, 41)
-        assert np.array_equal(NUMPY_BACKEND.sigmoid(x), F.sigmoid(x))
-        assert np.array_equal(NUMPY_BACKEND.log_sigmoid(x), F.log_sigmoid(x))
-        assert np.array_equal(NUMPY_BACKEND.relu(x), F.relu(x))
-        assert np.array_equal(NUMPY_BACKEND.tanh(x), F.tanh(x))
-        m = x.reshape(-1, 1) + np.arange(3)
-        assert np.array_equal(NUMPY_BACKEND.softmax(m, axis=1), F.softmax(m, axis=1))
+        assert np.array_equal(rowwise_dot(a, b), np.einsum("ij,ij->i", a, b))
 
     def test_row_ops_match_privacy_clipping(self):
-        from repro.privacy.clipping import clip_by_l2_norm, clip_rows_by_l2_norm
-
+        # At floor 1.0 the unit-ball projection is DP's per-row clipping at
+        # C = 1, up to the round-off of the two norm computations.
         rng = np.random.default_rng(2)
-        g = rng.normal(scale=3.0, size=(6, 4))
-        assert np.array_equal(NUMPY_BACKEND.clip_rows(g, 1.0), clip_rows_by_l2_norm(g, 1.0))
-        assert np.array_equal(NUMPY_BACKEND.clip_global(g, 1.0), clip_by_l2_norm(g, 1.0))
         x = rng.normal(size=(6, 4))
+        x[:3] *= 3.0
+        clipped = clip_rows_by_l2_norm(x, 1.0)
         expected = x.copy()
         norms = np.linalg.norm(expected, axis=1, keepdims=True)
         np.divide(expected, np.maximum(norms, 1.0), out=expected)
         NUMPY_BACKEND.normalize_rows_(x, 1.0)
         assert np.array_equal(x, expected)
+        assert np.allclose(x, clipped, rtol=1e-12, atol=1e-12)
 
     def test_segment_sum_is_add_at_into_zeros(self):
         rng = np.random.default_rng(4)
@@ -361,53 +335,34 @@ class TestMallocPin:
 
 
 # ---------------------------------------------------------------------------
-# protocol conformance: the numpy backend against plain numpy expressions
+# the kernels and the models' numpy helpers against textbook numpy
 # ---------------------------------------------------------------------------
 class TestBackendProtocolConformance:
-    """The array-ops protocol agrees with plain numpy at float64 round-off."""
+    """The kernels and the activations, dot product and clipping the models
+    call agree with textbook numpy at float64 round-off."""
 
     def test_core_ops_match_reference(self):
-        be = NUMPY_BACKEND
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 4))
         b = rng.normal(size=(6, 4))
         bundle = rng.normal(size=(6, 5, 4))
-        coeff = rng.normal(size=(6, 5))
         slots = np.array([2, 0, 2, 2, 0, 1])
         sig = 1.0 / (1.0 + np.exp(-a))
         big = a * 3
         checks = [
-            (be.rowwise_dot(a, b), (a * b).sum(axis=1)),
-            (be.batched_rowwise_dot(a, bundle), (a[:, None, :] * bundle).sum(axis=2)),
-            (be.weighted_rows_sum(coeff, bundle), (coeff[..., None] * bundle).sum(axis=1)),
-            (be.sigmoid(a), sig),
-            (be.sigmoid_pair(a)[0], sig),
-            (be.sigmoid_pair(a)[1], 1.0 - sig),
-            (be.log_sigmoid(a), np.log(sig)),
-            (be.softmax(a, axis=1), np.exp(a) / np.exp(a).sum(axis=1, keepdims=True)),
-            (be.clip(a, -0.5, 0.5), np.minimum(np.maximum(a, -0.5), 0.5)),
-            (be.clip_rows(big, 1.0),
+            (rowwise_dot(a, b), (a * b).sum(axis=1)),
+            (sigmoid(a), sig),
+            (sigmoid_pair(a)[0], sig),
+            (sigmoid_pair(a)[1], 1.0 - sig),
+            (log_sigmoid(a), np.log(sig)),
+            (clip_rows_by_l2_norm(big, 1.0),
              big / np.maximum(1.0, np.linalg.norm(big, axis=1, keepdims=True))),
-            (be.clip_global(big, 1.0), big / max(1.0, np.linalg.norm(big))),
-            (be.sum(a, axis=0), a.sum(axis=0)),
-            (be.mean(a), a.mean()),
-            (be.segment_sum(slots, bundle[:, 0], 3),
+            (clip_by_l2_norm(big, 1.0), big / max(1.0, np.linalg.norm(big))),
+            (NUMPY_BACKEND.segment_sum(slots, bundle[:, 0], 3),
              np.stack([bundle[slots == s, 0].sum(axis=0) for s in range(3)])),
         ]
         for got, want in checks:
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_clip_without_bounds_is_a_no_op(self):
-        # clip(x, None, None) must not call into the element-wise kernel
-        # (np.clip raises on two None bounds); the template method returns
-        # the values unchanged.
-        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-        assert np.array_equal(NUMPY_BACKEND.clip(x, None, None), x)
-
-    def test_scalar_returns_a_python_float(self):
-        total = NUMPY_BACKEND.scalar(NUMPY_BACKEND.sum(np.full((3, 3), 0.5)))
-        assert isinstance(total, float)
-        assert total == 4.5
 
     def test_touched_row_kernels_match_reference(self):
         be = NUMPY_BACKEND
@@ -424,14 +379,15 @@ class TestBackendProtocolConformance:
         untouched = [0, 2, 3, 6, 7]
         assert np.array_equal(got[untouched], x0[untouched])
         assert set(carry.tolist()) <= set(rows.tolist())
-        # The fused add-and-project equals the protocol's default, the add
-        # followed by the touched-row pass, with the carry overlapping the
-        # added rows, disjoint from them, and empty.
+        # The fused add-and-project equals its reference, the add followed
+        # by the touched-row pass, with the carry overlapping the added rows,
+        # disjoint from them, and empty.
         want = got.copy()
         for carry in (np.array([4, 6]), np.array([0, 7]), np.zeros(0, dtype=np.int64)):
             update = rng.normal(size=(3, 4))
             before = got.copy()
-            want_carry = Backend.add_rows_project_(be, want, rows, update, carry)
+            be.index_add_(want, rows, update, unique=True)
+            want_carry = be.normalize_rows_(want, 1.0, (rows, carry))
             got_carry = be.add_rows_project_(got, rows, update, carry)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
             moved = sorted(set(rows.tolist()) | set(carry.tolist()))

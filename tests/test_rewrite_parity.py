@@ -1,6 +1,6 @@
 """Byte-equality of rewritten hot kernels against the code they replaced.
 
-AdvSGM's per-substep kernels (the branch-free ``stable_sigmoid``, the
+AdvSGM's per-substep kernels (the branch-free ``sigmoid``, the
 array-backed ``RdpAccountant``, the generator's cached activation and the
 dispatch-free row clipping), the DeepWalk/node2vec path's kernels (the
 flat scatter in ``NumpyBackend.index_add_`` and its complex128 pair form,
@@ -8,7 +8,7 @@ the ``np.take`` gathers, the in-place row shuffle of ``ArrayPairSource``,
 ``walks_to_pairs`` writing every chunk into one array, the node2vec table
 step that carries its arc and searches only its own segment, and DeepWalk's
 batch step, which evaluates each sigmoid once through
-``stable_sigmoid_pair``), the skip-gram update path (one gather per side, and the fused
+``sigmoid_pair``), the skip-gram update path (one gather per side, and the fused
 ``NumpyBackend.add_rows_project_``), and the Fig. 3 cells' block-drawn
 non-edge sampler and row-projected GNN steps are rewrites for speed that
 must not move a single bit.  So are the in-repo ``average_ranks`` (the AUC's
@@ -37,15 +37,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.api.registry import make_model
-from repro.backend import NUMPY_BACKEND
-from repro.backend.base import Backend
+from repro.backend.numpy_backend import NumpyBackend
 from repro.baselines.dpgvae import DPGVAE
-from repro.backend.numpy_backend import (
-    SIGMOID_CLIP,
-    NumpyBackend,
-    stable_sigmoid,
-    stable_sigmoid_pair,
-)
 from repro.core.generator import FakeNeighbourGenerator
 from repro.embedding.deepwalk import DeepWalk
 from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
@@ -55,10 +48,10 @@ from repro.graph.graph import Graph
 from repro.graph.random_walk import walks_to_pairs
 from repro.graph.splits import _edge_keys, _sample_non_edges, train_test_split_edges
 from repro.graph.walk_engine import WalkEngine
-from repro.nn.functional import log_sigmoid, sigmoid
+from repro.nn.functional import SIGMOID_CLIP, log_sigmoid, rowwise_dot, sigmoid, sigmoid_pair
 from repro.privacy import subsampling
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
-from repro.privacy.clipping import clip_rows_by_l2_norm
+from repro.privacy.clipping import clip_by_l2_norm, clip_rows_by_l2_norm
 from repro.privacy.composition import DEFAULT_RDP_ORDERS, rdp_to_dp
 from repro.privacy.subsampling import logsumexp, subsampled_gaussian_rdp
 from repro.train import ArrayPairSource, TrainingLoop
@@ -68,7 +61,7 @@ RELAXED = os.environ.get("REPRO_GOLDEN_RELAXED", "") not in ("", "0")
 
 
 def masked_sigmoid(x):
-    """The boolean-mask sigmoid ``stable_sigmoid`` replaced."""
+    """The boolean-mask sigmoid that ``sigmoid`` replaced."""
     x = np.clip(np.asarray(x, dtype=np.float64), -SIGMOID_CLIP, SIGMOID_CLIP)
     out = np.empty_like(x)
     pos = x >= 0
@@ -94,18 +87,18 @@ class TestBranchFreeSigmoid:
 
     def test_edge_values(self):
         x = np.array(self.EDGES)
-        assert_same_bytes(stable_sigmoid(x), masked_sigmoid(x))
+        assert_same_bytes(sigmoid(x), masked_sigmoid(x))
         for value in self.EDGES:
-            assert_same_bytes(stable_sigmoid(np.array([value])), masked_sigmoid([value]))
+            assert_same_bytes(sigmoid(np.array([value])), masked_sigmoid([value]))
 
     @pytest.mark.parametrize("x", [0.5, -3.0, np.float64(-0.0), np.float64(np.nan), [], np.zeros((0, 4))])
     def test_zero_d_and_empty(self, x):
-        assert_same_bytes(stable_sigmoid(x), masked_sigmoid(x))
+        assert_same_bytes(sigmoid(x), masked_sigmoid(x))
 
     def test_strided_block(self):
         x = np.random.default_rng(0).normal(size=(40, 128)) * 30.0
         x[::7, ::3] = np.nan
-        assert_same_bytes(stable_sigmoid(x.T), masked_sigmoid(x.T))
+        assert_same_bytes(sigmoid(x.T), masked_sigmoid(x.T))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -115,17 +108,17 @@ class TestBranchFreeSigmoid:
     )
     def test_random_scales(self, unit, log_scale):
         x = unit * 10.0 ** log_scale
-        assert_same_bytes(stable_sigmoid(x), masked_sigmoid(x))
+        assert_same_bytes(sigmoid(x), masked_sigmoid(x))
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(0, 70)))
     def test_any_float64(self, x):
-        assert_same_bytes(stable_sigmoid(x), masked_sigmoid(x))
+        assert_same_bytes(sigmoid(x), masked_sigmoid(x))
 
 
 def assert_pair_matches_two_sigmoids(x):
-    got_pos, got_neg = stable_sigmoid_pair(x)
-    want_pos, want_neg = stable_sigmoid(x), stable_sigmoid(-np.asarray(x, dtype=np.float64))
+    got_pos, got_neg = sigmoid_pair(x)
+    want_pos, want_neg = sigmoid(x), sigmoid(-np.asarray(x, dtype=np.float64))
     assert_same_bytes(got_pos, want_pos)
     # A NaN input comes out as a NaN of the other sign on the flipped side;
     # every other value, -0.0 and the infinities included, is byte-equal.
@@ -161,17 +154,17 @@ def two_sigmoid_train_on_batch(self, batch):
     centres, contexts = batch[:, 0], batch[:, 1]
     negatives = self._draw_negatives(batch.shape[0], cfg.num_negatives)
 
-    v_c = be.gather(self.w_in, centres)
-    v_o = be.gather(self.w_out, contexts)
-    pos_scores = be.rowwise_dot(v_c, v_o)
-    pos_coeff = 1.0 - sigmoid(pos_scores, backend=be)
+    v_c = np.take(self.w_in, centres, axis=0)
+    v_o = np.take(self.w_out, contexts, axis=0)
+    pos_scores = rowwise_dot(v_c, v_o)
+    pos_coeff = 1.0 - sigmoid(pos_scores)
 
     grad_centre = pos_coeff[:, None] * v_o
     grad_context = pos_coeff[:, None] * v_c
-    neg_vectors = be.gather(self.w_out, negatives)
-    neg_scores = be.batched_rowwise_dot(v_c, neg_vectors)
-    neg_coeff = -sigmoid(neg_scores, backend=be)
-    grad_centre = grad_centre + be.weighted_rows_sum(neg_coeff, neg_vectors)
+    neg_vectors = np.take(self.w_out, negatives, axis=0)
+    neg_scores = np.einsum("ij,ikj->ik", v_c, neg_vectors)
+    neg_coeff = -sigmoid(neg_scores)
+    grad_centre = grad_centre + np.einsum("ik,ikj->ij", neg_coeff, neg_vectors)
 
     lr = cfg.learning_rate
     be.index_add_(self.w_in, centres, lr * grad_centre)
@@ -183,8 +176,8 @@ def two_sigmoid_train_on_batch(self, batch):
     )
 
     with np.errstate(over="ignore"):
-        batch_obj = be.sum(be.log(sigmoid(pos_scores, backend=be) + 1e-12)) + be.sum(
-            be.log(sigmoid(-neg_scores, backend=be) + 1e-12)
+        batch_obj = np.sum(np.log(sigmoid(pos_scores) + 1e-12)) + np.sum(
+            np.log(sigmoid(-neg_scores) + 1e-12)
         )
     return float(-batch_obj / batch.shape[0])
 
@@ -476,19 +469,18 @@ class TestTakeGather:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(50, 8))
         pairs = rng.integers(0, 50, size=(300, 2)).astype(np.int32)
-        be = NumpyBackend()
         for idx in (
             rng.integers(-50, 50, size=64),  # 1-D, with negatives
             rng.integers(0, 50, size=(16, 5)),  # (B, k) negatives
             pairs[:, 0],  # strided int32 column view
             np.zeros(0, dtype=np.int64),
         ):
-            self.assert_same_copy(be.gather(x, idx), x, idx)
+            self.assert_same_copy(np.take(x, idx, axis=0), x, idx)
 
     def test_wide_rows(self):
         x = np.random.default_rng(1).normal(size=(40, 128))
         idx = np.array([3, 3, 39, 0, -1])
-        self.assert_same_copy(NumpyBackend().gather(x, idx), x, idx)
+        self.assert_same_copy(np.take(x, idx, axis=0), x, idx)
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 1000])
     def test_pair_source_batches(self, batch_size):
@@ -735,13 +727,18 @@ class TestCarriedArcStep:
 # Skip-gram update path
 # ---------------------------------------------------------------------------
 
+def add_then_normalize(x, idx, rows, carry):
+    """The ``index_add_`` + ``normalize_rows_`` pair ``add_rows_project_`` fuses."""
+    be = NumpyBackend()
+    be.index_add_(x, idx, rows, unique=True)
+    return be.normalize_rows_(x, 1.0, (idx, carry))
+
+
 def assert_fused_matches(x, idx, rows, carry):
-    """NumPy's ``add_rows_project_`` against the ``index_add_`` +
-    ``normalize_rows_`` pair it fuses (the base default, on numpy's own
-    kernels); returns the carry."""
+    """``add_rows_project_`` against the pair of calls it fuses; returns the carry."""
     got, want = x.copy(), x.copy()
     got_carry = NumpyBackend().add_rows_project_(got, idx, rows, carry)
-    want_carry = Backend.add_rows_project_(NumpyBackend(), want, idx, rows, carry)
+    want_carry = add_then_normalize(want, idx, rows, carry)
     assert got.tobytes() == want.tobytes()
     assert_same_bytes(got_carry, want_carry)
     return got_carry
@@ -837,19 +834,17 @@ class TestFusedAddProject:
 
 def pair_scores_reference(model, pairs):
     """``SkipGramModel.pair_scores``: four gathers per batch, two per call."""
-    be = model.backend_
     pairs = np.asarray(pairs, dtype=np.int64)
-    return be.rowwise_dot(be.gather(model.w_in, pairs[:, 0]), be.gather(model.w_out, pairs[:, 1]))
+    return rowwise_dot(
+        np.take(model.w_in, pairs[:, 0], axis=0), np.take(model.w_out, pairs[:, 1], axis=0)
+    )
 
 
 def batch_loss_reference(model, batch):
     """The ``batch_loss`` the single-gather helper replaced."""
-    be = model.backend_
     pos_scores = pair_scores_reference(model, batch.positive_edges)
     neg_scores = pair_scores_reference(model, batch.negative_pairs)
-    objective = (
-        log_sigmoid(pos_scores, backend=be).sum() + log_sigmoid(-neg_scores, backend=be).sum()
-    )
+    objective = log_sigmoid(pos_scores).sum() + log_sigmoid(-neg_scores).sum()
     return -objective / max(1, batch.batch_size)
 
 
@@ -858,14 +853,14 @@ def accumulate_gradients_reference(model, batch):
     scores again, then gathers the gradient rows a third time."""
     be = model.backend_
     pos, neg = batch.positive_edges, batch.negative_pairs
-    pos_coeff = 1.0 - sigmoid(pair_scores_reference(model, pos), backend=be)
-    neg_coeff = -sigmoid(pair_scores_reference(model, neg), backend=be)
+    pos_coeff = 1.0 - sigmoid(pair_scores_reference(model, pos))
+    neg_coeff = -sigmoid(pair_scores_reference(model, neg))
     pairs = np.concatenate([pos, neg])
     split = pos.shape[0]
     grads = []
     for side, other in ((0, model.w_out), (1, model.w_in)):
         touched, slots = np.unique(pairs[:, side], return_inverse=True)
-        rows = be.gather(other, pairs[:, 1 - side])
+        rows = np.take(other, pairs[:, 1 - side], axis=0)
         rows[:split] *= pos_coeff[:, None]
         rows[split:] *= neg_coeff[:, None]
         grads += [be.segment_sum(slots, rows, touched.shape[0]), touched]
@@ -1095,10 +1090,9 @@ class TestBlockNonEdgeSampler:
 
 def head_reference(
     *, graph, features, weight, num_epochs, batch_size, learning_rate, history, rng,
-    test_fraction=0.1, callbacks=(), backend=NUMPY_BACKEND,
+    test_fraction=0.1, callbacks=(),
 ):
     """The ``fit_link_prediction_head`` that projected all N nodes per step."""
-    be = backend
     split = train_test_split_edges(graph, test_fraction=test_fraction, rng=rng)
     pos = split.train_edges
     neg = split.train_negatives
@@ -1113,23 +1107,22 @@ def head_reference(
             epoch_state["order"] = rng.permutation(pairs.shape[0])
         idx = epoch_state["order"][step_idx * batch_size : (step_idx + 1) * batch_size]
         batch_pairs = pairs[idx]
-        batch_labels = be.asarray(labels[idx])
-        emb = be.matmul(features, weight)
-        zi = be.gather(emb, batch_pairs[:, 0])
-        zj = be.gather(emb, batch_pairs[:, 1])
-        probs = sigmoid(be.rowwise_dot(zi, zj), backend=be)
+        batch_labels = labels[idx]
+        emb = features @ weight
+        zi = np.take(emb, batch_pairs[:, 0], axis=0)
+        zj = np.take(emb, batch_pairs[:, 1], axis=0)
+        probs = sigmoid(rowwise_dot(zi, zj))
         residual = (probs - batch_labels)[:, None]
-        feats_i = be.gather(features, batch_pairs[:, 0])
-        feats_j = be.gather(features, batch_pairs[:, 1])
+        feats_i = np.take(features, batch_pairs[:, 0], axis=0)
+        feats_j = np.take(features, batch_pairs[:, 1], axis=0)
         grad_weight = (
-            be.matmul(be.transpose(feats_i), residual * zj)
-            + be.matmul(be.transpose(feats_j), residual * zi)
+            feats_i.T @ (residual * zj) + feats_j.T @ (residual * zi)
         ) / batch_pairs.shape[0]
         weight[...] = weight - learning_rate * grad_weight
         return float(
-            be.mean(
-                -(batch_labels * be.log(probs + 1e-12)
-                  + (1 - batch_labels) * be.log(1 - probs + 1e-12))
+            np.mean(
+                -(batch_labels * np.log(probs + 1e-12)
+                  + (1 - batch_labels) * np.log(1 - probs + 1e-12))
             )
         )
 
@@ -1147,22 +1140,20 @@ def dpgvae_step_reference(self):
     pos = batch.positive_edges
     neg = batch.negative_pairs
     pairs = np.vstack([pos, neg])
-    labels = be.asarray(np.concatenate([np.ones(len(pos)), np.zeros(len(neg))]))
+    labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
 
     emb = self._latent_means()
-    zi = be.gather(emb, pairs[:, 0])
-    zj = be.gather(emb, pairs[:, 1])
-    probs = sigmoid(be.rowwise_dot(zi, zj), backend=be)
+    zi = np.take(emb, pairs[:, 0], axis=0)
+    zj = np.take(emb, pairs[:, 1], axis=0)
+    probs = sigmoid(rowwise_dot(zi, zj))
     residual = (probs - labels)[:, None]
-    agg_i = be.gather(self._aggregated, pairs[:, 0])
-    agg_j = be.gather(self._aggregated, pairs[:, 1])
-    grad_weight = be.matmul(be.transpose(agg_i), residual * zj) + be.matmul(
-        be.transpose(agg_j), residual * zi
-    )
+    agg_i = np.take(self._aggregated, pairs[:, 0], axis=0)
+    agg_j = np.take(self._aggregated, pairs[:, 1], axis=0)
+    grad_weight = agg_i.T @ (residual * zj) + agg_j.T @ (residual * zi)
     grad_weight /= pairs.shape[0]
     grad_weight += cfg.kl_weight * self.weight_mu
 
-    clipped = be.clip_global(grad_weight, cfg.clip_norm)
+    clipped = clip_by_l2_norm(grad_weight, cfg.clip_norm)
     noise_std = pairs.shape[0] * cfg.clip_norm * cfg.noise_multiplier
     noise = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(clipped.shape))
     self.weight_mu -= cfg.learning_rate * (clipped + noise / pairs.shape[0])
