@@ -3,9 +3,10 @@
 Yang et al. (IJCAI 2021) also propose a graph VAE whose encoder weights are
 trained with DPSGD.  Reproduced mechanism:
 
-* a one-layer GCN encoder ``Z = A_hat X W`` over random node features (the
-  paper's evaluation setting assigns random features when none exist) with a
-  Gaussian reparameterisation,
+* a one-layer GCN encoder ``Z = A_hat X W_mu`` over random node features
+  (the paper's evaluation setting assigns random features when none exist).
+  There is no variance head: the encoder learns the latent means only, and
+  the embeddings are those means, so no Gaussian reparameterisation is drawn,
 * an inner-product decoder reconstructing sampled edges vs non-edges,
 * DPSGD (clip + noise calibrated to the batch sensitivity) on the encoder
   weight, with budget-driven early stopping.
@@ -100,7 +101,6 @@ class DPGVAE(EstimatorMixin):
         # Random node features, as in the paper's feature-less evaluation.
         self.features = normal_init((graph.num_nodes, cfg.feature_dim), std=1.0, rng=feat_rng)
         self.weight_mu = xavier_uniform((cfg.feature_dim, cfg.embedding_dim), rng=weight_rng)
-        self.weight_logvar = xavier_uniform((cfg.feature_dim, cfg.embedding_dim), rng=weight_rng)
         self._adj_norm = graph.normalized_adjacency()
         # The released embeddings must not leak the raw adjacency: the GCN
         # aggregation itself is privatised once with unit node-level

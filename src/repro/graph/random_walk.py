@@ -213,8 +213,8 @@ def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
     """Convert walk corpora to (centre, context) skip-gram training pairs.
 
     Accepts either the list-of-lists corpus produced by :func:`random_walks`
-    or a ``-1``-padded walk matrix (any integer dtype) straight from the
-    :class:`~repro.graph.walk_engine.WalkEngine`.
+    or a ``-1``-padded walk matrix (any integer dtype, read without a copy)
+    straight from the :class:`~repro.graph.walk_engine.WalkEngine`.
 
     Pair extraction is memory-bandwidth-bound, so when every node id fits in
     32 bits (``num_nodes < 2**31`` — always, in practice) the pairs are
@@ -230,7 +230,9 @@ def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
     if window_size <= 0:
         raise ValueError(f"window_size must be positive, got {window_size}")
     if isinstance(walks, np.ndarray):
-        matrix = walks.astype(np.int64, copy=False)
+        # Integer matrices are read as they are (the engine's int32 corpus
+        # is never widened); anything else is cast to int64 ids.
+        matrix = walks if walks.dtype.kind in "iu" else walks.astype(np.int64)
         if matrix.ndim != 2:
             raise ValueError(f"walk matrix must be 2-D, got shape {matrix.shape}")
     else:

@@ -7,16 +7,21 @@ overhead is ``O(walk_length)`` instead of ``O(num_walks * walk_length)``.
 
 Walks are returned as an ``(num_walks, walk_length)`` int64 matrix padded
 with ``-1`` after a walk terminates early (which, on an undirected graph, can
-only happen when the start node is isolated).
+only happen when the start node is isolated).  ``walk_corpus`` stores its
+passes in one int32 matrix instead, half the size: the engine holds node ids
+as int32 (the table's candidates and the corpus), so it refuses graphs of
+``2**31`` nodes or more.
 
 For node2vec biasing the engine precomputes a second-order transition table:
 for every directed arc ``(t, v)`` it stores the unnormalised p/q weights of
 ``v``'s neighbours together with their running cumulative sum, so one binary
 search per active walk per step samples the biased next hop.  The table holds
-``sum_v degree(v)^2`` entries, so on graphs with dense hubs the engine
-automatically falls back to rejection sampling: propose a uniform neighbour,
-accept with probability ``w / w_max`` where ``w`` is the p/q weight — O(2|E|)
-memory regardless of the degree distribution.
+``sum_v degree(v)^2`` entries (an int32 candidate and a float64 cumulative
+weight each) and is built a bounded chunk of entries at a time.  On graphs
+with dense hubs the engine automatically falls back to rejection sampling:
+propose a uniform neighbour, accept with probability ``w / w_max`` where
+``w`` is the p/q weight — O(2|E|) memory regardless of the degree
+distribution.
 
 ``walk_corpus`` has one RNG discipline: every pass shuffles the node order
 and walks once from each node, all on one shared sequential stream, so a
@@ -36,6 +41,12 @@ from repro.utils.rng import RngLike, ensure_rng
 #: Second-order modes accepted by :meth:`WalkEngine.node2vec_walks`.
 SECOND_ORDER_MODES = ("auto", "table", "rejection")
 
+#: Table entries built per chunk in ``WalkEngine._build_second_order_table``.
+#: A chunk's temporaries (each entry's arc, CSR position, candidate, previous
+#: node, search key and position: under 64 bytes per entry) stay beside the
+#: finished arrays, about 4 MiB whatever the table's size.
+_TABLE_CHUNK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class SecondOrderTable:
@@ -54,7 +65,7 @@ class SecondOrderTable:
     entry_offsets:
         ``(num_arcs + 1,)`` offsets into ``candidates`` / ``cum_weights``.
     candidates:
-        Concatenated neighbour lists of every arc's destination node.
+        Concatenated neighbour lists of every arc's destination node (int32).
     cum_weights:
         Global running cumulative sum of the unnormalised p/q weights.
     base, total:
@@ -75,12 +86,22 @@ class WalkEngine:
 
     #: Above this many second-order table entries (``sum_v degree(v)^2``) the
     #: ``"auto"`` mode switches to rejection sampling instead of building the
-    #: table.  2**25 entries keep the table under ~0.5 GB.  The table lives
+    #: table.  A table entry is 12 bytes (int32 candidate, float64 cumulative
+    #: weight; 16 with the int64 candidates held before), plus 32 per arc: at
+    #: ppi scale 3, 13.1 B/entry in all (17.1 before).  The chunked build
+    #: peaks at 15.7 B/entry under tracemalloc, where the one-shot build it
+    #: replaced peaked at 74.8.  So 2**25 entries hold about 0.4 GiB and
+    #: build within about 0.5 GiB (about 2.3 GiB before).  The table lives
     #: only while walking: DeepWalk/node2vec call :meth:`release_tables` once
     #: their walks are drawn, so a fitted model does not pin it.
     second_order_entry_limit: int = 2**25
 
     def __init__(self, graph: Graph) -> None:
+        if graph.num_nodes >= 2**31:
+            raise ValueError(
+                f"the walk engine holds node ids as int32; {graph.num_nodes} nodes "
+                "is 2**31 or more"
+            )
         self.graph = graph
         self._offsets = graph.csr_offsets
         self._neighbours = graph.csr_neighbours
@@ -130,8 +151,8 @@ class WalkEngine:
 
         Each pass shuffles the node order and starts one walk per node, as
         in the original DeepWalk/node2vec schedules, on the one stream
-        ``rng``; the passes are stacked into one
-        ``(num_walks * num_nodes, walk_length)`` matrix.  Each pass is
+        ``rng``; the passes are stacked into one int32
+        ``(num_walks * num_nodes, walk_length)`` matrix.  Each (int64) pass is
         written into its slice of that matrix as it is walked, so walking
         holds the corpus and about one pass.
         """
@@ -145,7 +166,7 @@ class WalkEngine:
             walks = self.node2vec_walks(nodes, walk_length, p=p, q=q, rng=rng)
             rows = walks.shape[0]
             if corpus is None:
-                corpus = np.empty((num_walks * rows, walks.shape[1]), dtype=walks.dtype)
+                corpus = np.empty((num_walks * rows, walks.shape[1]), dtype=np.int32)
             corpus[index * rows:(index + 1) * rows] = walks
             # Let the pass go before the next one is walked.
             del walks
@@ -341,6 +362,14 @@ class WalkEngine:
         return table
 
     def _build_second_order_table(self, p: float, q: float) -> SecondOrderTable:
+        """Build the p/q table a bounded chunk of entries at a time.
+
+        The candidates and the p/q weights are written into two preallocated
+        arrays, ``_TABLE_CHUNK_ENTRIES`` entries per chunk, so the per-entry
+        temporaries (each entry's arc, candidate, edge-membership search)
+        never outgrow one chunk; the weights then become ``cum_weights`` in
+        place, by one sequential cumulative sum.
+        """
         num_nodes = np.int64(self.graph.num_nodes)
         offsets, neighbours, degrees = self._offsets, self._neighbours, self._degrees
         src = np.repeat(np.arange(self.graph.num_nodes, dtype=np.int64), degrees)
@@ -348,31 +377,39 @@ class WalkEngine:
         # CSR order makes these keys strictly increasing — no sort needed.
         arc_keys = src * num_nodes + dst
 
-        counts = degrees[dst]
         entry_offsets = np.zeros(arc_keys.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=entry_offsets[1:])
+        np.cumsum(degrees[dst], out=entry_offsets[1:])
         num_entries = int(entry_offsets[-1])
-        entry_arc = np.repeat(np.arange(arc_keys.size, dtype=np.int64), counts)
-        local = np.arange(num_entries, dtype=np.int64) - entry_offsets[entry_arc]
-        candidates = neighbours[offsets[dst[entry_arc]] + local]
-        prev_nodes = src[entry_arc]
+        candidates = np.empty(num_entries, dtype=np.int32)
+        weights = np.empty(num_entries, dtype=np.float64)
+        last_arc = max(arc_keys.size - 1, 0)
+        for lo in range(0, num_entries, _TABLE_CHUNK_ENTRIES):
+            hi = min(lo + _TABLE_CHUNK_ENTRIES, num_entries)
+            # The arcs whose segments overlap [lo, hi), each repeated once
+            # per entry of its segment that falls inside the chunk.
+            first = int(np.searchsorted(entry_offsets, lo, side="right")) - 1
+            stop = int(np.searchsorted(entry_offsets, hi, side="left"))
+            inside = np.diff(np.clip(entry_offsets[first:stop + 1], lo, hi))
+            entry_arc = np.repeat(np.arange(first, stop, dtype=np.int64), inside)
+            # Entry e of arc (t, v) is v's neighbour number e - offsets of (t, v).
+            csr_pos = np.arange(lo, hi, dtype=np.int64) - entry_offsets[entry_arc]
+            csr_pos += offsets[dst[entry_arc]]
+            cand = neighbours[csr_pos]
+            prev = src[entry_arc]
+            candidates[lo:hi] = cand
+            # Membership test "is (candidate, prev) an edge?" via binary
+            # search on the sorted arc keys; a key past every arc is clipped
+            # to the last arc, whose key is smaller, so it never matches.
+            keys = np.multiply(cand, num_nodes, out=csr_pos)
+            keys += prev
+            pos = np.searchsorted(arc_keys, keys)
+            np.minimum(pos, last_arc, out=pos)
+            chunk = weights[lo:hi]
+            chunk.fill(1.0 / q)
+            chunk[arc_keys[pos] == keys] = 1.0
+            chunk[cand == prev] = 1.0 / p
 
-        # Membership test "is (candidate, prev) an edge?" via binary search on
-        # the sorted arc keys.
-        cand_keys = candidates * num_nodes + prev_nodes
-        pos = np.searchsorted(arc_keys, cand_keys)
-        pos_clipped = np.minimum(pos, max(arc_keys.size - 1, 0))
-        is_edge = (
-            (pos < arc_keys.size) & (arc_keys[pos_clipped] == cand_keys)
-            if arc_keys.size
-            else np.zeros(0, dtype=bool)
-        )
-
-        weights = np.full(num_entries, 1.0 / q)
-        weights[is_edge] = 1.0
-        weights[candidates == prev_nodes] = 1.0 / p
-
-        cum_weights = np.cumsum(weights)
+        cum_weights = np.cumsum(weights, out=weights)
         seg_end = cum_weights[entry_offsets[1:] - 1] if arc_keys.size else np.zeros(0)
         base = np.zeros_like(seg_end)
         base[1:] = seg_end[:-1]

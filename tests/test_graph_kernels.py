@@ -7,6 +7,7 @@ implementations preserved in :mod:`repro.graph.reference_impl`.
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -213,12 +214,18 @@ class TestWalkEngine:
         engine = WalkEngine(small_graph)
         corpus = engine.walk_corpus(3, 6, rng=0)
         assert corpus.shape == (3 * small_graph.num_nodes, 6)
+        assert corpus.dtype == np.int32
         starts = np.sort(corpus[:, 0])
         assert np.array_equal(
             starts, np.repeat(np.arange(small_graph.num_nodes), 3)
         )
         with pytest.raises(ValueError):
             engine.walk_corpus(0, 5)
+
+    def test_refuses_ids_past_int32(self):
+        # The node count is checked before any graph array is read.
+        with pytest.raises(ValueError, match="int32"):
+            WalkEngine(SimpleNamespace(num_nodes=2**31))
 
 
 class TestWalkWrappers:

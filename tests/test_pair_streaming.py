@@ -3,12 +3,14 @@
 The key guarantees under test:
 
 * ``walk_corpus`` walks every pass on one shared stream, writes its passes
-  into one matrix, byte-equal to stacking them, and peaks at the corpus
-  plus about one pass;
+  into one int32 matrix, byte-equal to stacking them as int32, and peaks at
+  the corpus plus about one int64 pass;
 * ``ArrayPairSource`` replays the historical permutation/slice loop
   exactly;
 * a materialised fit holds one pair corpus at its peak and leaves no
   second-order table on the graph's walk engine;
+* building the node2vec table holds the table plus one chunk's
+  temporaries;
 * the rejection-sampling second-order fallback draws from the same
   distribution as the transition table.
 """
@@ -19,6 +21,8 @@ import numpy as np
 import pytest
 
 from repro.api.registry import make_model
+from repro.graph import walk_engine
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.graph import Graph
 from repro.graph.walk_engine import WalkEngine
@@ -124,7 +128,9 @@ class TestCorpusAssembly:
         for _ in range(3):
             rng.shuffle(nodes)
             passes.append(engine.node2vec_walks(nodes, 9, p=p, q=q, rng=rng))
-        stacked = np.vstack(passes)
+        # Every pass is int64; the corpus holds the same ids as int32.
+        assert all(walks.dtype == np.int64 for walks in passes)
+        stacked = np.vstack(passes).astype(np.int32)
         assert corpus.dtype == stacked.dtype and corpus.shape == stacked.shape
         assert corpus.tobytes() == stacked.tobytes()
 
@@ -138,7 +144,7 @@ class TestCorpusAssembly:
             engine.second_order_table(p, q)
         num_walks, walk_length, n = 10, 80, graph.num_nodes
         pass_bytes = n * walk_length * 8  # one int64 pass matrix
-        corpus_bytes = num_walks * pass_bytes
+        corpus_bytes = num_walks * n * walk_length * 4  # the int32 corpus
         # Beside the corpus and the pass being walked, a step holds arrays
         # of one 8-byte value per walk: the shuffled start order, the active
         # walks and their nodes and, on the table path, the arcs, segment
@@ -155,6 +161,33 @@ class TestCorpusAssembly:
         assert peak <= corpus_bytes + pass_bytes + slack, (
             peak, corpus_bytes, pass_bytes, slack
         )
+
+
+class TestTableMemory:
+    """The node2vec table is built a bounded chunk of entries at a time."""
+
+    def test_build_peak_is_table_plus_one_chunk(self):
+        # ppi at scale 3 is the node2vec benchmark's graph.
+        engine = WalkEngine(load_dataset("ppi", scale=3.0))
+        arcs = int(engine.graph.degrees.sum())
+        tracemalloc.start()
+        try:
+            table = engine.second_order_table(0.25, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table_bytes = sum(
+            getattr(table, f).nbytes
+            for f in ("arc_keys", "entry_offsets", "candidates", "cum_weights", "base", "total")
+        )
+        assert table_bytes == 12 * engine.second_order_entry_count() + 32 * arcs + 8
+        # Beside the table the build holds two int64 values per arc (each
+        # arc's source node, then the segment ends) and one chunk's
+        # temporaries, fewer than eight 8-byte values per entry; 256 KiB
+        # covers the interpreter's bookkeeping.
+        slack = 16 * arcs + 64 * walk_engine._TABLE_CHUNK_ENTRIES + (256 << 10)
+        assert peak <= table_bytes + slack, (peak, table_bytes, slack)
+        assert peak <= 1.3 * table_bytes, (peak, table_bytes)
 
 
 class TestMaterialisedMemory:
@@ -179,7 +212,7 @@ class TestMaterialisedMemory:
     def test_fit_peak_is_one_pair_corpus(self):
         # One epoch, so the source's only pass shuffles the pairs in place.
         # 8,000 walks fit in one extraction chunk, and the pair array is
-        # about four times the walk corpus.
+        # about eight times the int32 walk corpus.
         graph = powerlaw_cluster_graph(2000, attachment=3, triangle_prob=0.3, rng=4)
         num_walks, walk_length, window, batch = 4, 40, 2, 1024
         model = make_model(
@@ -189,10 +222,10 @@ class TestMaterialisedMemory:
         )
         graph.walk_engine()
         rows = num_walks * graph.num_nodes
-        corpus_bytes = rows * walk_length * 8  # int64 walk matrix
+        corpus_bytes = rows * walk_length * 4  # int32 walk matrix
         pair_bytes = rows * window * (2 * walk_length - window - 1) * 2 * 4  # int32
         # Beside the two corpus-sized arrays, extraction holds one chunk's
-        # boundary grid (int64 contexts of rows * window * 2 * window
+        # boundary grid (int32 contexts of rows * window * 2 * window
         # entries, three bool masks of that shape and one gathered column:
         # under 48 * rows * window**2 bytes), and training one batch's
         # temporaries and the interpreter's bookkeeping (1 MiB).

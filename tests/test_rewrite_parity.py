@@ -6,7 +6,8 @@ dispatch-free row clipping), the DeepWalk/node2vec path's kernels (the
 flat scatter in ``NumpyBackend.index_add_`` and its complex128 pair form,
 the ``np.take`` gathers, the in-place row shuffle of ``ArrayPairSource``,
 ``walks_to_pairs`` writing every chunk into one array, the node2vec table
-step that carries its arc and searches only its own segment, and DeepWalk's
+step that carries its arc and searches only its own segment, the table
+built in bounded chunks of entries, and DeepWalk's
 batch step, which evaluates each sigmoid once through
 ``sigmoid_pair``), the skip-gram update path (one gather per side, and the fused
 ``NumpyBackend.add_rows_project_``), and the Fig. 3 cells' block-drawn
@@ -43,7 +44,9 @@ from repro.core.generator import FakeNeighbourGenerator
 from repro.embedding.deepwalk import DeepWalk
 from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
 from repro.evals.metrics import average_ranks
-from repro.graph import random_walk
+from repro.graph import random_walk, walk_engine
+from repro.graph.datasets import load_dataset
+from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.graph import Graph
 from repro.graph.random_walk import walks_to_pairs
 from repro.graph.splits import _edge_keys, _sample_non_edges, train_test_split_edges
@@ -721,6 +724,99 @@ class TestCarriedArcStep:
             want = np.clip(np.searchsorted(cw, target, side="right"), seg_lo, seg_hi - 1)
             got = WalkEngine._segment_search(cw, target, seg_lo, seg_hi)
             assert_same_bytes(got, want)
+
+
+def one_shot_second_order_table(engine, p, q):
+    """The table builder the chunked one replaced: every entry at once."""
+    graph = engine.graph
+    num_nodes = np.int64(graph.num_nodes)
+    offsets, neighbours, degrees = graph.csr_offsets, graph.csr_neighbours, graph.degrees
+    src = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), degrees)
+    dst = neighbours
+    # CSR order makes these keys strictly increasing — no sort needed.
+    arc_keys = src * num_nodes + dst
+
+    counts = degrees[dst]
+    entry_offsets = np.zeros(arc_keys.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=entry_offsets[1:])
+    num_entries = int(entry_offsets[-1])
+    entry_arc = np.repeat(np.arange(arc_keys.size, dtype=np.int64), counts)
+    local = np.arange(num_entries, dtype=np.int64) - entry_offsets[entry_arc]
+    candidates = neighbours[offsets[dst[entry_arc]] + local]
+    prev_nodes = src[entry_arc]
+
+    # Membership test "is (candidate, prev) an edge?" via binary search on
+    # the sorted arc keys.
+    cand_keys = candidates * num_nodes + prev_nodes
+    pos = np.searchsorted(arc_keys, cand_keys)
+    pos_clipped = np.minimum(pos, max(arc_keys.size - 1, 0))
+    is_edge = (
+        (pos < arc_keys.size) & (arc_keys[pos_clipped] == cand_keys)
+        if arc_keys.size
+        else np.zeros(0, dtype=bool)
+    )
+
+    weights = np.full(num_entries, 1.0 / q)
+    weights[is_edge] = 1.0
+    weights[candidates == prev_nodes] = 1.0 / p
+
+    cum_weights = np.cumsum(weights)
+    seg_end = cum_weights[entry_offsets[1:] - 1] if arc_keys.size else np.zeros(0)
+    base = np.zeros_like(seg_end)
+    base[1:] = seg_end[:-1]
+    total = seg_end - base
+    return walk_engine.SecondOrderTable(
+        arc_keys=arc_keys,
+        entry_offsets=entry_offsets,
+        candidates=candidates,
+        cum_weights=cum_weights,
+        base=base,
+        total=total,
+    )
+
+
+def table_graph(name):
+    if name == "ppi":
+        return load_dataset("ppi", scale=0.05)
+    if name == "powerlaw-hubs":
+        return powerlaw_cluster_graph(200, attachment=2, triangle_prob=0.3, rng=4)
+    if name == "isolated":
+        # A clustered core, then 15 isolated nodes before and after it.
+        core = powerlaw_cluster_graph(60, attachment=3, triangle_prob=0.5, rng=2)
+        return Graph(90, core.edges + 15)
+    return Graph(6, np.zeros((0, 2), dtype=np.int64))  # edgeless
+
+
+def assert_same_table(got, want):
+    # The candidates are int32 now, int64 before: equal by value.
+    assert got.candidates.dtype == np.int32
+    assert np.array_equal(got.candidates, want.candidates)
+    for field in ("arc_keys", "entry_offsets", "cum_weights", "base", "total"):
+        assert_same_bytes(getattr(got, field), getattr(want, field))
+
+
+class TestChunkedSecondOrderTable:
+    # 1 puts every entry in its own chunk; 997 splits every non-empty graph
+    # here into several chunks, mostly in the middle of an arc's segment.
+    @pytest.mark.parametrize("chunk", [1, 997])
+    @pytest.mark.parametrize("p,q", [(0.25, 4.0), (2.0, 0.5)])
+    @pytest.mark.parametrize("name", ["ppi", "powerlaw-hubs", "isolated", "edgeless"])
+    def test_matches_one_shot_build(self, monkeypatch, name, p, q, chunk):
+        graph = table_graph(name)
+        engine = WalkEngine(graph)
+        want = one_shot_second_order_table(engine, p, q)
+        monkeypatch.setattr(walk_engine, "_TABLE_CHUNK_ENTRIES", chunk)
+        assert_same_table(engine.second_order_table(p, q), want)
+
+    def test_default_chunks_at_workload_scale(self):
+        # ppi at scale 3 (the node2vec benchmark's graph) spans about two
+        # dozen default-sized chunks.
+        engine = WalkEngine(load_dataset("ppi", scale=3.0))
+        assert engine.second_order_entry_count() > 8 * walk_engine._TABLE_CHUNK_ENTRIES
+        assert_same_table(
+            engine.second_order_table(0.25, 4.0),
+            one_shot_second_order_table(engine, 0.25, 4.0),
+        )
 
 
 # ---------------------------------------------------------------------------
