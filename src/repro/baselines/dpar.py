@@ -32,7 +32,7 @@ from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
-from repro.nn.functional import rowwise_dot
+from repro.nn.functional import score_pairs
 from repro.nn.init import normal_init, xavier_uniform
 from repro.privacy.accountant import RdpAccountant
 from repro.train import fit_link_prediction_head
@@ -183,10 +183,7 @@ class DPAR(EstimatorMixin):
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Inner-product link scores on the learned embeddings."""
         emb = self._projected()
-        pairs = np.asarray(pairs, dtype=np.int64)
-        vi = np.take(emb, pairs[:, 0], axis=0)
-        vj = np.take(emb, pairs[:, 1], axis=0)
-        return self.backend_.to_numpy(rowwise_dot(vi, vj))
+        return self.backend_.to_numpy(score_pairs(pairs, emb))
 
     def privacy_spent(self):
         """Converted (epsilon, delta) spend of the propagation release."""

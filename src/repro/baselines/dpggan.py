@@ -27,7 +27,7 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
-from repro.nn.functional import rowwise_dot, sigmoid
+from repro.nn.functional import rowwise_dot, score_pairs, sigmoid
 from repro.nn.init import normal_init, xavier_uniform
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.privacy.clipping import clip_rows_by_l2_norm
@@ -116,10 +116,7 @@ class DPGGAN(EstimatorMixin):
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores from latent inner products."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        vi = np.take(self.latent, pairs[:, 0], axis=0)
-        vj = np.take(self.latent, pairs[:, 1], axis=0)
-        return self.backend_.to_numpy(rowwise_dot(vi, vj))
+        return self.backend_.to_numpy(score_pairs(pairs, self.latent))
 
     # ------------------------------------------------------------------
     def _generate_fake(self, count: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
-from repro.nn.functional import rowwise_dot, sigmoid
+from repro.nn.functional import rowwise_dot, score_pairs, sigmoid
 from repro.nn.init import normal_init, xavier_uniform
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.privacy.clipping import clip_by_l2_norm
@@ -142,10 +142,7 @@ class DPGVAE(EstimatorMixin):
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Inner-product decoder scores."""
         emb = self._latent_means()
-        pairs = np.asarray(pairs, dtype=np.int64)
-        vi = np.take(emb, pairs[:, 0], axis=0)
-        vj = np.take(emb, pairs[:, 1], axis=0)
-        return self.backend_.to_numpy(rowwise_dot(vi, vj))
+        return self.backend_.to_numpy(score_pairs(pairs, emb))
 
     # ------------------------------------------------------------------
     def _train_step(self) -> None:

@@ -21,7 +21,7 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler, check_negative_distribution
-from repro.nn.functional import rowwise_dot, sigmoid
+from repro.nn.functional import rowwise_dot, score_pairs, sigmoid
 from repro.nn.init import uniform_embedding
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.privacy.clipping import clip_rows_by_l2_norm
@@ -122,10 +122,7 @@ class DPSGM(EstimatorMixin):
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        vi = np.take(self.w_in, pairs[:, 0], axis=0)
-        vj = np.take(self.w_in, pairs[:, 1], axis=0)
-        return self.backend_.to_numpy(rowwise_dot(vi, vj))
+        return self.backend_.to_numpy(score_pairs(pairs, self.w_in))
 
     # ------------------------------------------------------------------
     def _pair_gradients(self, pairs: np.ndarray, positive: bool):

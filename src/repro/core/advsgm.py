@@ -33,7 +33,7 @@ from repro.core.discriminator import AdvSGMDiscriminator
 from repro.core.generator import GeneratorPair
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
-from repro.nn.functional import rowwise_dot
+from repro.nn.functional import score_pairs
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.train import BudgetExhausted, PrivacyBudget, TrainingLoop
 from repro.utils.logging import TrainingHistory
@@ -138,10 +138,7 @@ class AdvSGM(EstimatorMixin):
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores (inner products of released node vectors)."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        emb = self.discriminator.w_in
-        scores = rowwise_dot(np.take(emb, pairs[:, 0], axis=0), np.take(emb, pairs[:, 1], axis=0))
-        return self.backend_.to_numpy(scores)
+        return self.backend_.to_numpy(score_pairs(pairs, self.discriminator.w_in))
 
     # ------------------------------------------------------------------
     # training

@@ -28,7 +28,7 @@ from repro.backend import NUMPY_BACKEND
 from repro.core.config import AdvSGMConfig
 from repro.graph.sampling import SampleBatch
 from repro.nn.constrained_sigmoid import ConstrainedSigmoid
-from repro.nn.functional import rowwise_dot
+from repro.nn.functional import rowwise_dot, score_pairs
 from repro.nn.init import uniform_embedding
 from repro.privacy.clipping import clip_rows_by_l2_norm
 from repro.utils.rng import RngLike, ensure_rng
@@ -85,10 +85,7 @@ class AdvSGMDiscriminator:
 
     def pair_scores(self, pairs: np.ndarray) -> np.ndarray:
         """Inner products ``v_i . v_j`` (input row i, output row j)."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        return rowwise_dot(
-            np.take(self.w_in, pairs[:, 0], axis=0), np.take(self.w_out, pairs[:, 1], axis=0)
-        )
+        return score_pairs(pairs, self.w_in, self.w_out)
 
     # ------------------------------------------------------------------
     # noise terms

@@ -26,7 +26,7 @@ from repro.graph.sampling import (
     check_negative_distribution,
     unigram_weights,
 )
-from repro.nn.functional import rowwise_dot, sigmoid, sigmoid_pair
+from repro.nn.functional import rowwise_dot, score_pairs, sigmoid, sigmoid_pair
 from repro.nn.init import uniform_embedding
 from repro.train import ArrayPairSource, PairSource, TrainingLoop
 from repro.utils.logging import TrainingHistory
@@ -191,7 +191,4 @@ class DeepWalk(EstimatorMixin):
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores from input-vector inner products."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        vi = np.take(self.w_in, pairs[:, 0], axis=0)
-        vj = np.take(self.w_in, pairs[:, 1], axis=0)
-        return self.backend_.to_numpy(rowwise_dot(vi, vj))
+        return self.backend_.to_numpy(score_pairs(pairs, self.w_in))

@@ -25,7 +25,7 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler, SampleBatch, check_negative_distribution
-from repro.nn.functional import log_sigmoid, rowwise_dot, sigmoid
+from repro.nn.functional import log_sigmoid, rowwise_dot, score_pairs, sigmoid
 from repro.nn.init import uniform_embedding
 from repro.train import SampledBatchSource, TrainingLoop
 from repro.utils.logging import TrainingHistory
@@ -137,10 +137,7 @@ class SkipGramModel(EstimatorMixin):
     # ------------------------------------------------------------------
     def pair_scores(self, pairs: np.ndarray) -> np.ndarray:
         """Inner products ``v_i . v_j`` for an ``(n, 2)`` array of pairs."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        return rowwise_dot(
-            np.take(self.w_in, pairs[:, 0], axis=0), np.take(self.w_out, pairs[:, 1], axis=0)
-        )
+        return score_pairs(pairs, self.w_in, self.w_out)
 
     def _forward(self, batch: SampleBatch):
         """Gather a batch's rows once per side and score its pairs.
@@ -251,7 +248,4 @@ class SkipGramModel(EstimatorMixin):
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores: inner product of the *input* vectors."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        vi = np.take(self.w_in, pairs[:, 0], axis=0)
-        vj = np.take(self.w_in, pairs[:, 1], axis=0)
-        return self.backend_.to_numpy(rowwise_dot(vi, vj))
+        return self.backend_.to_numpy(score_pairs(pairs, self.w_in))

@@ -15,6 +15,7 @@ import numpy as np
 from repro.evals.metrics import roc_auc_score
 from repro.graph.graph import Graph
 from repro.graph.splits import EdgeSplit, train_test_split_edges
+from repro.nn.functional import score_pairs
 from repro.utils.rng import RngLike
 
 
@@ -69,9 +70,7 @@ class LinkPredictionTask:
                 "embeddings must be (num_nodes, dim); "
                 f"got shape {embeddings.shape} for {self.graph.num_nodes} nodes"
             )
-        return np.einsum(
-            "ij,ij->i", embeddings[pairs[:, 0]], embeddings[pairs[:, 1]]
-        )
+        return score_pairs(pairs, embeddings)
 
     def evaluate(self, source: ScoreSource) -> LinkPredictionResult:
         """Compute test AUC for a model.

@@ -190,23 +190,18 @@ def _pairs_from_full_matrix(
     _pairs_from_ragged_matrix(matrix[:, -2 * w :], w, out[edge:], w, 2 * w)
 
 
-def _chunk_pair_count(chunk: np.ndarray, window_size: int) -> int:
-    """Number of pairs ``_write_chunk_pairs`` writes for one walk-matrix chunk."""
-    if chunk.size == 0 or chunk.shape[1] < 2:
-        return 0
-    if chunk.min() >= 0:
-        return _full_pair_count(*chunk.shape, window_size)
-    return int(np.count_nonzero(_ragged_grid(chunk, window_size, 0, chunk.shape[1])[1]))
+def _ragged_pair_count(chunk: np.ndarray, window_size: int) -> int:
+    """Pairs of a ``-1``-padded chunk, counted without its index grid.
 
-
-def _write_chunk_pairs(chunk: np.ndarray, window_size: int, out: np.ndarray) -> None:
-    """Pair extraction for one walk-matrix chunk (full or ragged dispatch)."""
-    if out.shape[0] == 0:
-        return
-    if chunk.min() >= 0:
-        _pairs_from_full_matrix(chunk, window_size, out)
-    else:
-        _pairs_from_ragged_matrix(chunk, window_size, out)
+    Offset ``d`` pairs every two walk steps ``d`` columns apart, once in
+    each direction.
+    """
+    stepped = chunk >= 0
+    reach = min(window_size, chunk.shape[1] - 1)
+    return 2 * sum(
+        int(np.count_nonzero(stepped[:, :-d] & stepped[:, d:]))
+        for d in range(1, reach + 1)
+    )
 
 
 def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
@@ -216,16 +211,18 @@ def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
     or a ``-1``-padded walk matrix (any integer dtype, read without a copy)
     straight from the :class:`~repro.graph.walk_engine.WalkEngine`.
 
-    Pair extraction is memory-bandwidth-bound, so when every node id fits in
-    32 bits (``num_nodes < 2**31`` — always, in practice) the pairs are
-    emitted as int32, halving the size of the materialised corpus.  NumPy
-    fancy indexing accepts int32 indices, so downstream trainers are
-    unaffected.
+    The pairs take the narrowest unsigned integer dtype that holds the
+    largest node id (``np.min_scalar_type``): uint8 for ids up to 255,
+    uint16 up to 65,535, uint32 up to 2**32 - 1, else uint64.  The pair
+    array is a walk fit's largest allocation, so a graph of at most 65,536
+    nodes pays 4 bytes per pair.  Trainers only index with the ids, which
+    NumPy accepts in any integer dtype.
 
-    The pair count is worked out first (a closed form for chunks without
-    padding, the validity mask for ragged ones), and each chunk of
-    ``_PAIR_CHUNK_ROWS`` walks then writes its pairs straight into its slice
-    of one output array: the corpus is allocated once and never copied.
+    Each chunk of ``_PAIR_CHUNK_ROWS`` walks is checked once for padding,
+    and its pair count worked out first (a closed form without padding, a
+    per-offset count of step pairs with it); each chunk then writes its
+    pairs straight into its slice of one output array: the corpus is
+    allocated once and never copied.
     """
     if window_size <= 0:
         raise ValueError(f"window_size must be positive, got {window_size}")
@@ -239,15 +236,23 @@ def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
         matrix = _pad_walks(walks)
     if matrix.size == 0 or matrix.shape[1] < 2:
         return np.zeros((0, 2), dtype=np.int64)
-    dtype = np.int32 if matrix.max() < 2**31 else np.int64
+    # An all-padding corpus has no id: its (empty) pairs are uint8.
+    dtype = np.min_scalar_type(max(int(matrix.max()), 0))
     chunks = [
         matrix[start : start + _PAIR_CHUNK_ROWS]
         for start in range(0, matrix.shape[0], _PAIR_CHUNK_ROWS)
     ]
-    counts = [_chunk_pair_count(chunk, window_size) for chunk in chunks]
+    ragged = [bool(chunk.min() < 0) for chunk in chunks]
+    counts = [
+        _ragged_pair_count(chunk, window_size)
+        if is_ragged
+        else _full_pair_count(*chunk.shape, window_size)
+        for chunk, is_ragged in zip(chunks, ragged)
+    ]
     pairs = np.empty((sum(counts), 2), dtype=dtype)
     end = 0
-    for chunk, count in zip(chunks, counts):
-        _write_chunk_pairs(chunk, window_size, pairs[end : end + count])
+    for chunk, is_ragged, count in zip(chunks, ragged, counts):
+        write = _pairs_from_ragged_matrix if is_ragged else _pairs_from_full_matrix
+        write(chunk, window_size, pairs[end : end + count])
         end += count
     return pairs

@@ -5,9 +5,7 @@ edge dedup, CSR construction, connected components and skip-gram pair
 extraction.  They are kept verbatim as the oracle for the parity tests:
 ``tests/test_graph_kernels.py`` asserts that the vectorized kernels in
 :mod:`repro.graph.graph` and :mod:`repro.graph.random_walk` produce identical
-outputs on random graphs.
-
-Nothing in the library's hot paths should import from this module.
+outputs on random graphs.  The library never imports this module.
 """
 
 from __future__ import annotations

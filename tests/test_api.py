@@ -298,15 +298,83 @@ class TestAliasSampling:
 
 
 class TestPairDtype:
-    def test_int32_pairs_for_small_graphs(self, tiny_graph):
+    """Pairs take the narrowest unsigned dtype that holds the largest node id."""
+
+    def test_narrowest_unsigned_pairs_for_small_graphs(self, tiny_graph):
         from repro.graph.random_walk import walks_to_pairs
 
         matrix = tiny_graph.walk_engine().walk_corpus(1, 8, rng=0)
         pairs = walks_to_pairs(matrix, window_size=3)
-        assert pairs.dtype == np.int32
-        # Same multiset as the int64 path on the padded list form.
+        assert tiny_graph.num_nodes <= 256 and pairs.dtype == np.uint8
+        # Same multiset as the padded list form.
         as_lists = [row[row >= 0].tolist() for row in matrix]
         pairs_ragged = walks_to_pairs(as_lists, window_size=3)
-        assert pairs_ragged.dtype == np.int32
+        assert pairs_ragged.dtype == np.uint8
         key = lambda p: sorted(map(tuple, p.tolist()))
         assert key(pairs) == key(pairs_ragged)
+
+    @pytest.mark.parametrize(
+        "top,dtype",
+        [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
+         (2**32 - 1, np.uint32), (2**32, np.uint64), (2**40 + 3, np.uint64)],
+    )
+    def test_dtype_boundaries(self, top, dtype):
+        from repro.graph.random_walk import walks_to_pairs
+
+        walks = [[0, top, 1], [top, 2]]
+        want = sorted([(0, top), (top, 0), (top, 1), (1, top), (top, 2), (2, top)])
+        matrix = np.array([[0, top, 1], [top, 2, -1]], dtype=np.int64)
+        for corpus in (matrix, walks):
+            pairs = walks_to_pairs(corpus, window_size=1)
+            assert pairs.dtype == dtype
+            assert sorted(map(tuple, pairs.tolist())) == want
+
+    def test_all_padding_yields_no_pairs(self):
+        from repro.graph.random_walk import walks_to_pairs
+
+        for matrix in (np.full((3, 5), -1), np.full((20, 4), -1, dtype=np.int32)):
+            assert walks_to_pairs(matrix, window_size=2).shape == (0, 2)
+        assert walks_to_pairs([[], [], []], window_size=2).shape == (0, 2)
+
+    def test_deepwalk_pass_is_dtype_independent(self):
+        # Training only indexes with the ids: one pass from uint16 pairs is
+        # byte-equal to the same pass from the same pairs as int32.
+        from repro.graph.generators import powerlaw_cluster_graph
+        from repro.graph.random_walk import walks_to_pairs
+        from repro.train import ArrayPairSource
+
+        graph = powerlaw_cluster_graph(400, attachment=3, triangle_prob=0.3, rng=2)
+        corpus = graph.walk_engine().walk_corpus(2, 10, rng=4)
+        pairs = walks_to_pairs(corpus, window_size=3)
+        assert pairs.dtype == np.uint16
+        trained = []
+        for ids in (pairs, pairs.astype(np.int32)):
+            model = make_model("deepwalk", graph=graph, rng=6, embedding_dim=16,
+                               batch_size=64, num_negatives=3)
+            loss = model._train_one_pass(ArrayPairSource(ids.copy(), batch_size=64))
+            trained.append((loss, model.w_in.tobytes(), model.w_out.tobytes()))
+        assert trained[0] == trained[1]
+
+    def test_deepwalk_fits_from_uint32_pairs(self, monkeypatch):
+        # A 65,537-node ring is the smallest graph whose pairs need uint32.
+        from repro.embedding import deepwalk
+        from repro.graph.graph import Graph
+
+        n = 65_537
+        ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+        graph = Graph(n, ring)
+        extract = deepwalk.walks_to_pairs
+        dtypes = []
+
+        def spy(corpus, window_size):
+            pairs = extract(corpus, window_size=window_size)
+            dtypes.append(pairs.dtype)
+            return pairs
+
+        monkeypatch.setattr(deepwalk, "walks_to_pairs", spy)
+        model = make_model("deepwalk", graph=graph, rng=0, num_walks=1, walk_length=2,
+                           window_size=1, embedding_dim=4, num_negatives=1,
+                           num_epochs=1, batch_size=8192).fit()
+        assert dtypes == [np.uint32]
+        assert model.pair_source_.num_pairs == 2 * n
+        assert np.isfinite(model.embeddings).all()

@@ -2,7 +2,7 @@
 
 The vectorized CSR construction, connected components, walk engine and
 ``walks_to_pairs`` are checked against the loop-based reference
-implementations preserved in :mod:`repro.graph.reference_impl`.
+implementations preserved in ``tests/reference_impl.py``.
 """
 
 import gc
@@ -19,13 +19,13 @@ from repro.graph.random_walk import (
     random_walks,
     walks_to_pairs,
 )
-from repro.graph.reference_impl import (
+from repro.graph.walk_engine import WalkEngine
+from reference_impl import (
     reference_build_adjacency,
     reference_connected_components,
     reference_dedup_edges,
     reference_walks_to_pairs,
 )
-from repro.graph.walk_engine import WalkEngine
 
 
 def random_edge_list(rng, num_nodes, num_edges):

@@ -211,8 +211,9 @@ class TestMaterialisedMemory:
 
     def test_fit_peak_is_one_pair_corpus(self):
         # One epoch, so the source's only pass shuffles the pairs in place.
-        # 8,000 walks fit in one extraction chunk, and the pair array is
-        # about eight times the int32 walk corpus.
+        # 8,000 walks fit in one extraction chunk, and the pair array of
+        # 2-byte ids (2,000 nodes: uint16) is about four times the int32
+        # walk corpus.
         graph = powerlaw_cluster_graph(2000, attachment=3, triangle_prob=0.3, rng=4)
         num_walks, walk_length, window, batch = 4, 40, 2, 1024
         model = make_model(
@@ -223,7 +224,7 @@ class TestMaterialisedMemory:
         graph.walk_engine()
         rows = num_walks * graph.num_nodes
         corpus_bytes = rows * walk_length * 4  # int32 walk matrix
-        pair_bytes = rows * window * (2 * walk_length - window - 1) * 2 * 4  # int32
+        pair_bytes = rows * window * (2 * walk_length - window - 1) * 2 * 2  # uint16
         # Beside the two corpus-sized arrays, extraction holds one chunk's
         # boundary grid (int32 contexts of rows * window * 2 * window
         # entries, three bool masks of that shape and one gathered column:
@@ -236,7 +237,7 @@ class TestMaterialisedMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert model.pair_source_.num_pairs * 8 == pair_bytes
+        assert model.pair_source_.num_pairs * 4 == pair_bytes
         assert peak <= pair_bytes + corpus_bytes + slack, (
             peak, pair_bytes, corpus_bytes, slack
         )

@@ -10,8 +10,9 @@ step that carries its arc and searches only its own segment, the table
 built in bounded chunks of entries, and DeepWalk's
 batch step, which evaluates each sigmoid once through
 ``sigmoid_pair``), the skip-gram update path (one gather per side, and the fused
-``NumpyBackend.add_rows_project_``), and the Fig. 3 cells' block-drawn
-non-edge sampler and row-projected GNN steps are rewrites for speed that
+``NumpyBackend.add_rows_project_``), the blockwise pair scorer
+``score_pairs`` behind every model's ``score_edges``, and the Fig. 3 cells'
+block-drawn non-edge sampler and row-projected GNN steps are rewrites for speed that
 must not move a single bit.  So are the in-repo ``average_ranks`` (the AUC's
 ranks) and ``logsumexp`` (the subsampled-RDP bound), which replaced
 ``scipy.stats.rankdata`` and ``scipy.special.logsumexp`` to keep both scipy
@@ -51,7 +52,15 @@ from repro.graph.graph import Graph
 from repro.graph.random_walk import walks_to_pairs
 from repro.graph.splits import _edge_keys, _sample_non_edges, train_test_split_edges
 from repro.graph.walk_engine import WalkEngine
-from repro.nn.functional import SIGMOID_CLIP, log_sigmoid, rowwise_dot, sigmoid, sigmoid_pair
+from repro.nn import functional
+from repro.nn.functional import (
+    SIGMOID_CLIP,
+    log_sigmoid,
+    rowwise_dot,
+    score_pairs,
+    sigmoid,
+    sigmoid_pair,
+)
 from repro.privacy import subsampling
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.privacy.clipping import clip_by_l2_norm, clip_rows_by_l2_norm
@@ -507,7 +516,7 @@ def permute_and_take(pairs, batch_size, rng):
 
 
 class TestInPlaceShuffle:
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
     @pytest.mark.parametrize("n", [0, 1, 250])
     @pytest.mark.parametrize("batch_size", [1, 7, 1000])
     @pytest.mark.parametrize("passes", [1, 2, 3])
@@ -588,7 +597,7 @@ def concatenated_walks_to_pairs(walks, window_size, chunk_rows):
         matrix = random_walk._pad_walks(walks)
     if matrix.size == 0 or matrix.shape[1] < 2:
         return np.zeros((0, 2), dtype=np.int64)
-    dtype = np.int32 if matrix.max() < 2**31 else np.int64
+    dtype = np.min_scalar_type(max(int(matrix.max()), 0))
     chunks = []
     for start in range(0, matrix.shape[0], chunk_rows):
         chunk = matrix[start : start + chunk_rows]
@@ -612,10 +621,25 @@ class TestOneArrayPairs:
         suffix[np.arange(length)[None, :] >= rng.integers(0, length + 1, size=(7, 1))] = -1
         holes = np.where(rng.random(full.shape) < 0.3, -1, full)
         lists = [list(row[row >= 0]) for row in suffix]
-        wide = full.astype(np.int64) << 32  # node ids past int32: int64 pairs
+        wide = full.astype(np.int64) << 32  # node ids past uint32: uint64 pairs
         for walks in (full, full.astype(np.int32), suffix, holes, lists, wide, full[:0]):
             got = walks_to_pairs(walks, window)
             assert_same_bytes(got, concatenated_walks_to_pairs(walks, window, chunk_rows))
+
+    def test_one_grid_per_ragged_chunk(self, monkeypatch):
+        # A ragged chunk is counted without its index grid and builds the
+        # grid once, to write its pairs.
+        monkeypatch.setattr(random_walk, "_PAIR_CHUNK_ROWS", 4)
+        walks = np.random.default_rng(3).integers(0, 30, size=(18, 9))
+        walks[::4, 5:] = -1  # a short walk in each of the five chunks
+        calls = []
+        grid = random_walk._ragged_grid
+        monkeypatch.setattr(
+            random_walk, "_ragged_grid", lambda *args: calls.append(1) or grid(*args)
+        )
+        got = walks_to_pairs(walks, 3)
+        assert len(calls) == 5
+        assert_same_bytes(got, concatenated_walks_to_pairs(walks, 3, 4))
 
     def test_ragged_chunks_beside_full_ones(self, monkeypatch):
         monkeypatch.setattr(random_walk, "_PAIR_CHUNK_ROWS", 4)
@@ -1027,6 +1051,43 @@ class TestSingleGatherStep:
                 assert_same_bytes(got, want)
             carried += sum(c.size for c in ref_carry)
         assert carried > 0
+
+
+def one_pass_scores(pairs, left, right):
+    """The score of every pair from one gather per side (before the blocks)."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    return rowwise_dot(np.take(left, pairs[:, 0], axis=0), np.take(right, pairs[:, 1], axis=0))
+
+
+@st.composite
+def score_cases(draw):
+    """Pair counts on and beside multiples of the block, at dims 1-129."""
+    block = draw(st.sampled_from([1, 7, 4096, 16384]))
+    dim = draw(st.integers(1, 16 if block > 4096 else 129))
+    count = max(0, draw(st.integers(0, 2)) * block + draw(st.integers(-1, 1)))
+    return block, dim, count, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+class TestBlockPairScores:
+    @settings(max_examples=100, deadline=None)
+    @given(score_cases())
+    def test_matches_one_pass(self, case):
+        block, dim, count, seed, shared = case
+        rng = np.random.default_rng(seed)
+        left = rng.normal(size=(50, dim)) * rng.uniform(0.1, 30.0, size=(50, 1))
+        right = left if shared else rng.normal(size=(50, dim))
+        pairs = rng.integers(0, 50, size=(count, 2))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(functional, "PAIR_SCORE_BLOCK", block)
+            got = score_pairs(pairs, left, None if shared else right)
+        assert_same_bytes(got, one_pass_scores(pairs, left, right))
+
+    def test_model_scores_match_one_pass(self):
+        # 9,000 pairs span three blocks of the real size.
+        model = sgm_model(17, 13, 3, seed=8)
+        pairs = np.random.default_rng(1).integers(0, 60, size=(9000, 2))
+        assert_same_bytes(model.pair_scores(pairs), one_pass_scores(pairs, model.w_in, model.w_out))
+        assert_same_bytes(model.score_edges(pairs), one_pass_scores(pairs, model.w_in, model.w_in))
 
 
 def sample_non_edges_reference(graph, count, rng, forbidden):
