@@ -14,13 +14,15 @@ contribution:
     ``to_numpy``).  Every model binds its one instance as ``backend_``; the
     rest of the models' tensor math is plain numpy.
 ``repro.nn``
-    Minimal neural-network substrate: numerically stable activations and
-    the row-wise dot product, the constrained sigmoid built from
-    exponential clipping (Algorithm 1) and parameter initialisers.
+    Minimal neural-network substrate: numerically stable activations, the
+    row-wise dot product, the skip-gram pair gradient, the constrained
+    sigmoid built from exponential clipping (Algorithm 1) and parameter
+    initialisers.
 ``repro.privacy``
-    Differential-privacy substrate: Gaussian mechanism, gradient clipping,
-    RDP of the subsampled Gaussian mechanism, composition, conversion to
-    (epsilon, delta)-DP and a privacy accountant.
+    Differential-privacy substrate: the Gaussian RDP curve, gradient
+    clipping, the baselines' DP-SGD row step, RDP of the subsampled
+    Gaussian mechanism, conversion to (epsilon, delta)-DP and a privacy
+    accountant.
 ``repro.embedding``
     Non-private skip-gram family models (LINE-style SGM, DeepWalk, node2vec
     walks, the adversarial skip-gram without privacy).

@@ -19,7 +19,7 @@ from repro.api.registry import register_model
 from repro.baselines.dpsgm import DPSGM, DPSGMConfig
 from repro.core.generator import GeneratorPair
 from repro.graph.graph import Graph
-from repro.nn.functional import rowwise_dot, sigmoid
+from repro.nn.functional import pair_gradients, rowwise_dot, sigmoid
 from repro.privacy.clipping import clip_rows_by_l2_norm
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_positive
@@ -84,16 +84,17 @@ class DPASGM(DPSGM):
         For the plain module the gradient contribution of the adversarial
         term is ``lambda * F(v_i . v'_j) * v'_j`` (Eq. 11) — it cannot be
         folded into a DP mechanism, hence the extra DPSGD noise added by the
-        parent class.
+        parent class.  The discriminant values read the raw rows, so they
+        are taken before :func:`pair_gradients` scales the rows in place.
         """
-        grad_in, grad_out = super()._pair_gradients(pairs, positive)
         cfg: DPASGMConfig = self.config  # type: ignore[assignment]
         count = pairs.shape[0]
-        fake_vj, fake_vi = self.generators.generate_pairs(count)
         vi = np.take(self.w_in, pairs[:, 0], axis=0)
         vj = np.take(self.w_out, pairs[:, 1], axis=0)
+        fake_vj, fake_vi = self.generators.generate_pairs(count)
         f1 = sigmoid(rowwise_dot(vi, fake_vj))
         f2 = sigmoid(rowwise_dot(fake_vi, vj))
+        _, _, grad_in, grad_out = pair_gradients(vi, vj, count if positive else 0)
         grad_in = grad_in + cfg.adversarial_weight * f1[:, None] * fake_vj
         grad_out = grad_out + cfg.adversarial_weight * f2[:, None] * fake_vi
         return (

@@ -27,10 +27,10 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
-from repro.nn.functional import rowwise_dot, score_pairs, sigmoid
+from repro.nn.functional import pair_gradients, rowwise_dot, score_pairs, sigmoid
 from repro.nn.init import normal_init, xavier_uniform
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
-from repro.privacy.clipping import clip_rows_by_l2_norm
+from repro.privacy.dpsgd import dpsgd_row_step
 from repro.train import PrivacyBudget, TrainingLoop
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
@@ -127,30 +127,27 @@ class DPGGAN(EstimatorMixin):
     def _discriminator_step(self) -> None:
         """DPSGD update of the latent vectors on real vs fake pairs."""
         cfg = self.config
-        be = self.backend_
         batch = self.sampler.sample()
         pairs = batch.positive_edges
         count = pairs.shape[0]
         zi = np.take(self.latent, pairs[:, 0], axis=0)
         zj = np.take(self.latent, pairs[:, 1], axis=0)
         fake = self._generate_fake(count)
-
-        real_scores = sigmoid(rowwise_dot(zi, zj))
+        # The fake pairs read the raw rows: score them before the real pairs'
+        # gradients scale the rows in place.
         fake_scores = sigmoid(rowwise_dot(zi, fake))
         # Maximise log D(real) + log(1 - D(fake)) w.r.t. the latent vectors.
-        grad_zi = (1.0 - real_scores)[:, None] * zj - fake_scores[:, None] * fake
-        grad_zj = (1.0 - real_scores)[:, None] * zi
-        grad_zi = clip_rows_by_l2_norm(grad_zi, cfg.clip_norm)
-        grad_zj = clip_rows_by_l2_norm(grad_zj, cfg.clip_norm)
-
+        _, _, grad_zi, grad_zj = pair_gradients(zi, zj, count)
+        grad_zi = grad_zi - fake_scores[:, None] * fake
         # DPSGD over the latent matrix: every updated row receives an
         # independent draw calibrated to the B*C batch-sum sensitivity.
-        noise_std = count * cfg.clip_norm * cfg.noise_multiplier
-        noise_i = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(grad_zi.shape))
-        noise_j = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(grad_zj.shape))
-        lr = cfg.learning_rate / count
-        be.index_add_(self.latent, pairs[:, 0], lr * (grad_zi + noise_i / count))
-        be.index_add_(self.latent, pairs[:, 1], lr * (grad_zj + noise_j / count))
+        dpsgd_row_step(
+            ((self.latent, pairs[:, 0], grad_zi), (self.latent, pairs[:, 1], grad_zj)),
+            self._noise_rng,
+            cfg.clip_norm,
+            cfg.noise_multiplier,
+            cfg.learning_rate,
+        )
         self.accountant.step(self.sampler.edge_sampling_probability)
 
     def _generator_step(self) -> None:

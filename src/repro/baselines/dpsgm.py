@@ -21,10 +21,10 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler, check_negative_distribution
-from repro.nn.functional import rowwise_dot, score_pairs, sigmoid
+from repro.nn.functional import pair_gradients, score_pairs
 from repro.nn.init import uniform_embedding
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
-from repro.privacy.clipping import clip_rows_by_l2_norm
+from repro.privacy.dpsgd import dpsgd_row_step
 from repro.train import BudgetExhausted, PrivacyBudget, TrainingLoop
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
@@ -129,30 +129,25 @@ class DPSGM(EstimatorMixin):
         """Per-pair skip-gram ascent gradients (input-row, output-row)."""
         vi = np.take(self.w_in, pairs[:, 0], axis=0)
         vj = np.take(self.w_out, pairs[:, 1], axis=0)
-        scores = rowwise_dot(vi, vj)
-        sig = sigmoid(scores)
-        coeff = (1.0 - sig) if positive else -sig
-        return coeff[:, None] * vj, coeff[:, None] * vi
+        _, _, grad_in, grad_out = pair_gradients(vi, vj, pairs.shape[0] if positive else 0)
+        return grad_in, grad_out
 
     def _dpsgd_update(self, pairs: np.ndarray, positive: bool, rate: float) -> None:
-        """Clip per-pair grads, add BC-calibrated noise to the sum, average, apply."""
+        """Clip per-pair grads, add BC-calibrated noise, average and apply.
+
+        The sensitivity of the batch sum is B*C (Section III-B), so every
+        updated row receives an independent draw of standard deviation
+        B * C * sigma before the average (:func:`dpsgd_row_step`).
+        """
         cfg = self.config
-        be = self.backend_
-        count = pairs.shape[0]
         grad_in, grad_out = self._pair_gradients(pairs, positive)
-        grad_in = clip_rows_by_l2_norm(grad_in, cfg.clip_norm)
-        grad_out = clip_rows_by_l2_norm(grad_out, cfg.clip_norm)
-        # Sensitivity of the batch sum is B*C (Section III-B), so the noise
-        # standard deviation is B * C * sigma.  DPSGD perturbs the full
-        # gradient of the embedding matrix, i.e. every updated row receives an
-        # independent noise draw of that magnitude before the average.
-        noise_std = count * cfg.clip_norm * cfg.noise_multiplier
-        noise_in = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(grad_in.shape))
-        noise_out = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(grad_out.shape))
-        update_in = (grad_in + noise_in / count) * (cfg.learning_rate / count)
-        update_out = (grad_out + noise_out / count) * (cfg.learning_rate / count)
-        be.index_add_(self.w_in, pairs[:, 0], update_in)
-        be.index_add_(self.w_out, pairs[:, 1], update_out)
+        dpsgd_row_step(
+            ((self.w_in, pairs[:, 0], grad_in), (self.w_out, pairs[:, 1], grad_out)),
+            self._noise_rng,
+            cfg.clip_norm,
+            cfg.noise_multiplier,
+            cfg.learning_rate,
+        )
         self.accountant.step(rate)
 
     def _train_batch(self, epoch: int, step: int) -> None:

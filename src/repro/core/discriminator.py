@@ -28,7 +28,7 @@ from repro.backend import NUMPY_BACKEND
 from repro.core.config import AdvSGMConfig
 from repro.graph.sampling import SampleBatch
 from repro.nn.constrained_sigmoid import ConstrainedSigmoid
-from repro.nn.functional import rowwise_dot, score_pairs
+from repro.nn.functional import pair_gradients, rowwise_dot, score_pairs
 from repro.nn.init import uniform_embedding
 from repro.privacy.clipping import clip_rows_by_l2_norm
 from repro.utils.rng import RngLike, ensure_rng
@@ -198,28 +198,6 @@ class AdvSGMDiscriminator:
     # ------------------------------------------------------------------
     # gradient computation (Theorem 6)
     # ------------------------------------------------------------------
-    def _skipgram_pair_gradients(
-        self, pairs: np.ndarray, positive: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-pair ascent gradients of the skip-gram term.
-
-        Returns ``(grad_vi, grad_vj)`` arrays of shape ``(n_pairs, dim)``:
-        the gradient of ``log S(v_i.v_j)`` (positive) or ``log S(-v_j.v_i)``
-        (negative) with respect to the input vector ``v_i`` and the output
-        vector ``v_j``.
-        """
-        pairs = np.asarray(pairs, dtype=np.int64)
-        vi = np.take(self.w_in, pairs[:, 0], axis=0)
-        vj = np.take(self.w_out, pairs[:, 1], axis=0)
-        scores = rowwise_dot(vi, vj)
-        if positive:
-            coeff = 1.0 - self.sigmoid(scores)
-        else:
-            coeff = -self.sigmoid(scores)
-        grad_vi = coeff[:, None] * vj
-        grad_vj = coeff[:, None] * vi
-        return grad_vi, grad_vj
-
     def perturbed_batch_gradients(
         self,
         pairs: np.ndarray,
@@ -247,7 +225,13 @@ class AdvSGMDiscriminator:
         """
         pairs = np.asarray(pairs, dtype=np.int64)
         count = pairs.shape[0]
-        grad_vi, grad_vj = self._skipgram_pair_gradients(pairs, positive)
+        # Ascent gradients of log S(v_i.v_j) (positive) or log S(-v_i.v_j)
+        # (negative) with respect to v_i and v_j.
+        vi = np.take(self.w_in, pairs[:, 0], axis=0)
+        vj = np.take(self.w_out, pairs[:, 1], axis=0)
+        _, _, grad_vi, grad_vj = pair_gradients(
+            vi, vj, count if positive else 0, self.sigmoid
+        )
 
         # Theorem 6: with lambda = 1/S(.), the adversarial module contributes
         # exactly (v' + N_D) to each gradient, so the update becomes

@@ -26,7 +26,7 @@ from repro.graph.sampling import (
     check_negative_distribution,
     unigram_weights,
 )
-from repro.nn.functional import rowwise_dot, score_pairs, sigmoid, sigmoid_pair
+from repro.nn.functional import pair_gradients, score_pairs, sigmoid_pair
 from repro.nn.init import uniform_embedding
 from repro.train import ArrayPairSource, PairSource, TrainingLoop
 from repro.utils.logging import TrainingHistory
@@ -140,19 +140,22 @@ class DeepWalk(EstimatorMixin):
 
         v_c = np.take(self.w_in, centres, axis=0)
         v_o = np.take(self.w_out, contexts, axis=0)
-        pos_sigmoid = sigmoid(rowwise_dot(v_c, v_o))
-        pos_coeff = 1.0 - pos_sigmoid
-
-        grad_centre = pos_coeff[:, None] * v_o
-        grad_context = pos_coeff[:, None] * v_c
+        # The negatives first: they read the raw centre rows, which
+        # pair_gradients scales in place.  They keep their own (B, k) einsum
+        # because a centre's sum over its k negatives is not a scatter.
         neg_vectors = np.take(self.w_out, negatives, axis=0)  # (B, k, dim)
         neg_scores = np.einsum("ij,ikj->ik", v_c, neg_vectors)
         neg_sigmoid, neg_flipped = sigmoid_pair(neg_scores)
         neg_coeff = -neg_sigmoid
-        grad_centre = grad_centre + np.einsum("ik,ikj->ij", neg_coeff, neg_vectors)
+        neg_centre = np.einsum("ik,ikj->ij", neg_coeff, neg_vectors)
+        neg_rows = (neg_coeff[:, :, None] * v_c[:, None, :]).reshape(-1, v_c.shape[1])
+
+        _, pos_sigmoid, grad_centre, grad_context = pair_gradients(
+            v_c, v_o, batch.shape[0]
+        )
+        grad_centre += neg_centre
 
         lr = cfg.learning_rate
-        neg_rows = (neg_coeff[:, :, None] * v_c[:, None, :]).reshape(-1, v_c.shape[1])
         grad_centre *= lr
         grad_context *= lr
         neg_rows *= lr

@@ -25,7 +25,7 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler, SampleBatch, check_negative_distribution
-from repro.nn.functional import log_sigmoid, rowwise_dot, score_pairs, sigmoid
+from repro.nn.functional import log_sigmoid, pair_gradients, score_pairs
 from repro.nn.init import uniform_embedding
 from repro.train import SampledBatchSource, TrainingLoop
 from repro.utils.logging import TrainingHistory
@@ -139,23 +139,14 @@ class SkipGramModel(EstimatorMixin):
         """Inner products ``v_i . v_j`` for an ``(n, 2)`` array of pairs."""
         return score_pairs(pairs, self.w_in, self.w_out)
 
-    def _forward(self, batch: SampleBatch):
-        """Gather a batch's rows once per side and score its pairs.
-
-        Returns ``(loss, pairs, vi, vj, pos_scores, neg_scores)``: ``pairs``
-        stacks the positives over the negatives, ``vi``/``vj`` are its fresh
-        ``W_in``/``W_out`` rows, and the loss is :meth:`batch_loss`'s.
-        """
-        pos = batch.positive_edges
-        pairs = np.concatenate([pos, batch.negative_pairs])
-        split = pos.shape[0]
-        vi = np.take(self.w_in, pairs[:, 0], axis=0)
-        vj = np.take(self.w_out, pairs[:, 1], axis=0)
-        pos_scores = rowwise_dot(vi[:split], vj[:split])
-        neg_scores = rowwise_dot(vi[split:], vj[split:])
-        objective = log_sigmoid(pos_scores).sum() + log_sigmoid(-neg_scores).sum()
-        loss = -objective / max(1, batch.batch_size)
-        return loss, pairs, vi, vj, pos_scores, neg_scores
+    @staticmethod
+    def _loss(scores: np.ndarray, num_positive: int, batch_size: int):
+        """Negative mean objective of a batch's scores, positives first."""
+        objective = (
+            log_sigmoid(scores[:num_positive]).sum()
+            + log_sigmoid(-scores[num_positive:]).sum()
+        )
+        return -objective / max(1, batch_size)
 
     def batch_loss(self, batch: SampleBatch):
         """Negative mean skip-gram objective of a batch (lower is better).
@@ -163,33 +154,34 @@ class SkipGramModel(EstimatorMixin):
         Returned as a 0-d array, not a Python float: :meth:`fit` sums the
         losses and converts to ``float`` once per epoch.
         """
-        return self._forward(batch)[0]
+        pos = batch.positive_edges
+        scores = self.pair_scores(np.concatenate([pos, batch.negative_pairs]))
+        return self._loss(scores, pos.shape[0], batch.batch_size)
 
     def _loss_and_gradients(self, batch: SampleBatch) -> tuple:
         """The batch loss and ascent gradients for the touched rows.
 
-        Returns ``(loss, grad_in, touched_in, grad_out, touched_out)`` where
-        each gradient is a compact ``(len(touched), dim)`` array aligned with
-        its sorted-unique touched-row array.  Each gradient row sums its
-        pairs' contributions positives first, then negatives, in batch
-        order — the historical ``np.add.at`` order, so the update stays
-        bit-for-bit (pinned by the golden digests).
+        Gathers each side's rows once; :func:`pair_gradients` scores them and
+        scales them in place into the per-pair gradients.  Returns
+        ``(loss, grad_in, touched_in, grad_out, touched_out)`` where each
+        gradient is a compact ``(len(touched), dim)`` array aligned with its
+        sorted-unique touched-row array.  Each gradient row sums its pairs'
+        contributions positives first, then negatives, in batch order — the
+        historical ``np.add.at`` order, so the update stays bit-for-bit
+        (pinned by the golden digests).
         """
         be = self.backend_
-        loss, pairs, vi, vj, pos_scores, neg_scores = self._forward(batch)
-        split = pos_scores.shape[0]
-        pos_coeff = 1.0 - sigmoid(pos_scores)  # d log sigma(x) / dx
-        neg_coeff = -sigmoid(neg_scores)  # d log sigma(-x) / dx
+        pos = batch.positive_edges
+        pairs = np.concatenate([pos, batch.negative_pairs])
+        split = pos.shape[0]
+        vi = np.take(self.w_in, pairs[:, 0], axis=0)
+        vj = np.take(self.w_out, pairs[:, 1], axis=0)
+        scores, _, grad_vi, grad_vj = pair_gradients(vi, vj, split)
         grads = []
-        for side, rows in ((0, vj), (1, vi)):
-            # A pair's gradient for its row on one side is the other side's
-            # vector scaled by the pair's coefficient.  The gathered rows
-            # are not needed after scoring, so they are scaled in place.
+        for side, rows in ((0, grad_vi), (1, grad_vj)):
             touched, slots = np.unique(pairs[:, side], return_inverse=True)
-            rows[:split] *= pos_coeff[:, None]
-            rows[split:] *= neg_coeff[:, None]
             grads += [be.segment_sum(slots, rows, touched.shape[0]), touched]
-        return (loss, *grads)
+        return (self._loss(scores, split, batch.batch_size), *grads)
 
     # ------------------------------------------------------------------
     # training

@@ -4,13 +4,13 @@ The AdvSGM model and the GNN baselines in this repository are shallow enough
 that closed-form gradients are practical, so instead of depending on an
 autograd framework we provide:
 
-* numerically stable activations and the row-wise dot product
-  (:mod:`repro.nn.functional`),
+* numerically stable activations, the row-wise dot product, the pair
+  scorer and the one skip-gram pair gradient (:mod:`repro.nn.functional`),
 * the paper's *constrained sigmoid* built from exponential clipping
   (:mod:`repro.nn.constrained_sigmoid`, Algorithm 1),
 * parameter initialisers (:mod:`repro.nn.init`).
 
-Each model writes its own update rule in plain numpy.
+Each model writes its own reduction and update rule in plain numpy.
 """
 
 from repro.nn.functional import sigmoid, log_sigmoid

@@ -1,10 +1,13 @@
-"""Numerically stable activations, the row-wise dot product and pair scores.
+"""Numerically stable activations, the row-wise dot product, pair scores and
+the skip-gram pair gradient.
 
 These are the only non-linearities used by the skip-gram family models and
 the simplified GNN baselines.  Each accepts scalars or arrays and returns
 ``float64``.  ``sigmoid`` and ``sigmoid_pair`` are branch-free rewrites of
 a boolean-mask sigmoid; ``tests/test_rewrite_parity.py`` pins them
-byte-equal to it.
+byte-equal to it.  :func:`pair_gradients` is the one skip-gram pair
+gradient: every skip-gram trainer and DPGGAN's discriminator call it, and
+each keeps its own reduction of the per-pair rows.
 
 The models gather embedding rows with ``np.take(x, idx, axis=0)``, not
 ``x[idx]``: the same bytes as a fresh, writable array, without fancy
@@ -14,7 +17,7 @@ indexing's per-call set-up (about 3x faster at narrow rows; pinned by
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -89,3 +92,32 @@ def score_pairs(
             np.take(left, block[:, 0], axis=0), np.take(right, block[:, 1], axis=0)
         )
     return scores
+
+
+def pair_gradients(
+    vi: np.ndarray,
+    vj: np.ndarray,
+    num_positive: int,
+    sigmoid: Callable[[np.ndarray], np.ndarray] = sigmoid,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair ascent gradients of the skip-gram objective (Eq. 2).
+
+    ``vi`` and ``vj`` are the gathered ``(n, d)`` rows of each pair's two
+    sides; the first ``num_positive`` pairs are positives, the rest
+    negatives.  A pair scores ``x = vi . vj``; its coefficient is
+    ``1 - S(x)`` (the derivative of ``log S(x)``) for a positive and
+    ``-S(x)`` (of ``log S(-x)``) for a negative, and each side's gradient
+    is the other side's row times it.  ``S`` is :func:`sigmoid` or
+    AdvSGM's ``ConstrainedSigmoid``.
+
+    Returns ``(scores, s, grad_vi, grad_vj)``.  The gradients are ``vj``
+    and ``vi`` scaled in place, so a caller that needs the raw rows reads
+    them first.
+    """
+    scores = rowwise_dot(vi, vj)
+    s = sigmoid(scores)
+    coeff = -s
+    coeff[:num_positive] = 1.0 - s[:num_positive]
+    vj *= coeff[:, None]
+    vi *= coeff[:, None]
+    return scores, s, vj, vi

@@ -1,14 +1,15 @@
-"""RDP composition and conversion to (epsilon, delta)-DP.
+"""The RDP order grid and conversion to (epsilon, delta)-DP.
 
-* Sequential composition (Theorem 1 / RDP additivity): epsilons add per order.
-* Conversion (Theorem 3, Mironov 2017): an ``(alpha, eps)``-RDP mechanism is
-  ``(eps + log(1/delta)/(alpha - 1), delta)``-DP; the accountant minimises the
-  converted epsilon over a grid of orders.
+Sequential composition (Theorem 1) adds RDP epsilons per order; the
+accountant keeps that running sum.  Conversion (Theorem 3, Mironov 2017): an
+``(alpha, eps)``-RDP mechanism is ``(eps + log(1/delta)/(alpha - 1),
+delta)``-DP; the accountant minimises the converted epsilon over a grid of
+orders.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -18,20 +19,6 @@ from repro.utils.validation import check_probability
 # stated for integer alpha.  2..64 covers the regimes used in the paper
 # (sigma = 5, gamma in the percent range, tens of epochs).
 DEFAULT_RDP_ORDERS: Tuple[int, ...] = tuple(range(2, 65))
-
-
-def compose_rdp(
-    rdp_curves: Iterable[Dict[int, float]],
-    orders: Sequence[int] = DEFAULT_RDP_ORDERS,
-) -> Dict[int, float]:
-    """Add per-order RDP epsilons of independently composed mechanisms."""
-    total = {int(order): 0.0 for order in orders}
-    for curve in rdp_curves:
-        for order in total:
-            if order not in curve:
-                raise KeyError(f"curve missing RDP order {order}")
-            total[order] += float(curve[order])
-    return total
 
 
 def rdp_to_dp(

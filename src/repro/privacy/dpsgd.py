@@ -1,77 +1,51 @@
-"""DPSGD gradient privatisation (Eq. 5 of the paper).
+"""The baselines' DP-SGD row step (Eq. 5 of the paper).
 
-``DpSgdOptimizer`` wraps the clip-sum-noise-average recipe used by the DP-SGM
-and DP-ASGM baselines: per-example gradients are clipped to L2 norm ``C``,
-summed, perturbed with Gaussian noise of standard deviation ``C * sigma *
-sensitivity_scale`` and averaged over the batch.
+DP-SGM (and DP-ASGM, which inherits it) and DPGGAN update embedding rows
+with the same recipe: clip each per-pair gradient row to L2 norm ``C``,
+add Gaussian noise of standard deviation ``B * C * sigma`` to each row, and
+apply ``(g + n / B) * lr / B``.  The noise scale follows Section III-B: the
+sensitivity of the clipped-gradient *sum* is ``B * C`` rather than ``C``,
+because one node can appear in every pair of a batch of ``B``.
 
-For graph data the paper points out (Section III-B) that the sensitivity of
-the clipped-gradient *sum* is ``B * C`` rather than ``C`` because one node can
-appear in every example of the batch; ``sensitivity_scale`` expresses that
-multiplier (callers pass the batch size for the graph baselines and 1 for the
-classic i.i.d. setting).
+AdvSGM's own step (``AdvSGMDiscriminator.perturbed_batch_gradients`` and
+``apply_gradients``) differs in its noise and averaging and stays separate.
+Each caller charges its own accountant.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Tuple
+
 import numpy as np
 
+from repro.backend import NUMPY_BACKEND
 from repro.privacy.clipping import clip_rows_by_l2_norm
-from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_positive
+
+#: ``(matrix, rows, grads)``: add ``grads[p]`` into ``matrix[rows[p]]``.
+Target = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-class DpSgdOptimizer:
-    """Clip, aggregate and perturb per-example gradients.
+def dpsgd_row_step(
+    targets: Iterable[Target],
+    rng: np.random.Generator,
+    clip_norm: float,
+    noise_multiplier: float,
+    learning_rate: float,
+) -> None:
+    """Clip, noise and apply each target's per-pair gradient rows, in order.
 
-    Parameters
-    ----------
-    clip_norm:
-        Per-example clipping threshold ``C``.
-    noise_multiplier:
-        Gaussian noise multiplier ``sigma``.
-    sensitivity_scale:
-        Multiplier on the noise standard deviation expressing the sensitivity
-        of the gradient sum in units of ``C`` (1 for i.i.d. data, the batch
-        size ``B`` for graph batches as analysed in the paper).
-    rng:
-        Seed or generator for the noise.
+    Each target's ``B`` rows are clipped to ``clip_norm``, receive one
+    ``N(0, (B * C * sigma)^2)`` draw per row from ``rng`` and are added,
+    as ``(g + n / B) * (lr / B)``, into their matrix with a scatter-add, so
+    repeated rows accumulate and two targets may share one matrix.  The
+    targets are processed one after another, so the noise draws and the
+    adds both follow target order.
     """
-
-    def __init__(
-        self,
-        clip_norm: float,
-        noise_multiplier: float,
-        sensitivity_scale: float = 1.0,
-        rng: RngLike = None,
-    ) -> None:
-        check_positive(clip_norm, "clip_norm")
-        check_positive(noise_multiplier, "noise_multiplier")
-        check_positive(sensitivity_scale, "sensitivity_scale")
-        self.clip_norm = float(clip_norm)
-        self.noise_multiplier = float(noise_multiplier)
-        self.sensitivity_scale = float(sensitivity_scale)
-        self._rng = ensure_rng(rng)
-
-    @property
-    def noise_std(self) -> float:
-        """Standard deviation of the noise added to the gradient sum."""
-        return self.clip_norm * self.noise_multiplier * self.sensitivity_scale
-
-    def privatize(self, per_example_grads: np.ndarray) -> np.ndarray:
-        """Return the noisy averaged gradient for a batch.
-
-        Parameters
-        ----------
-        per_example_grads:
-            ``(batch, dim)`` matrix of per-example gradients.
-        """
-        grads = np.asarray(per_example_grads, dtype=np.float64)
-        if grads.ndim != 2 or grads.shape[0] == 0:
-            raise ValueError(
-                f"per_example_grads must be a non-empty 2-D array, got {grads.shape}"
-            )
-        clipped = clip_rows_by_l2_norm(grads, self.clip_norm)
-        summed = clipped.sum(axis=0)
-        noisy = summed + self._rng.normal(0.0, self.noise_std, size=summed.shape)
-        return noisy / grads.shape[0]
+    for matrix, rows, grads in targets:
+        count = grads.shape[0]
+        clipped = clip_rows_by_l2_norm(grads, clip_norm)
+        noise_std = count * clip_norm * noise_multiplier
+        noise = NUMPY_BACKEND.gaussian(rng, 0.0, noise_std, tuple(clipped.shape))
+        NUMPY_BACKEND.index_add_(
+            matrix, rows, (clipped + noise / count) * (learning_rate / count)
+        )

@@ -1,4 +1,4 @@
-"""Gaussian mechanism and its Renyi-DP curve.
+"""The Gaussian mechanism's Renyi-DP curve.
 
 For a function ``f`` with L2 sensitivity ``Delta``, adding noise
 ``N(0, sigma^2 Delta^2 I)`` yields ``(alpha, alpha / (2 sigma^2))``-RDP for
@@ -8,9 +8,6 @@ as ``epsilon = alpha Delta^2 / (2 sigma^2)`` with the sensitivity folded in).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive
 
 
@@ -24,48 +21,3 @@ def gaussian_rdp(alpha: float, noise_multiplier: float) -> float:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     check_positive(noise_multiplier, "noise_multiplier")
     return float(alpha / (2.0 * noise_multiplier**2))
-
-
-class GaussianMechanism:
-    """Additive Gaussian noise calibrated to an L2 sensitivity.
-
-    Parameters
-    ----------
-    sensitivity:
-        L2 sensitivity ``Delta`` of the protected quantity.
-    noise_multiplier:
-        ``sigma`` expressed in units of the sensitivity; the actual standard
-        deviation of the injected noise is ``sensitivity * noise_multiplier``.
-    rng:
-        Seed or generator for the noise.
-    """
-
-    def __init__(
-        self,
-        sensitivity: float,
-        noise_multiplier: float,
-        rng: RngLike = None,
-    ) -> None:
-        check_positive(sensitivity, "sensitivity")
-        check_positive(noise_multiplier, "noise_multiplier")
-        self.sensitivity = float(sensitivity)
-        self.noise_multiplier = float(noise_multiplier)
-        self._rng = ensure_rng(rng)
-
-    @property
-    def noise_std(self) -> float:
-        """Standard deviation of the injected noise."""
-        return self.sensitivity * self.noise_multiplier
-
-    def sample_noise(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Draw a noise tensor of the given shape."""
-        return self._rng.normal(0.0, self.noise_std, size=shape)
-
-    def randomize(self, value: np.ndarray) -> np.ndarray:
-        """Return ``value`` plus calibrated Gaussian noise."""
-        value = np.asarray(value, dtype=np.float64)
-        return value + self.sample_noise(value.shape)
-
-    def rdp(self, alpha: float) -> float:
-        """RDP epsilon of this mechanism at order ``alpha``."""
-        return gaussian_rdp(alpha, self.noise_multiplier)

@@ -16,7 +16,10 @@ block-drawn non-edge sampler and row-projected GNN steps are rewrites for speed 
 must not move a single bit.  So are the in-repo ``average_ranks`` (the AUC's
 ranks) and ``logsumexp`` (the subsampled-RDP bound), which replaced
 ``scipy.stats.rankdata`` and ``scipy.special.logsumexp`` to keep both scipy
-subpackages off ``import repro``.  Each test keeps the
+subpackages off ``import repro``.  So are two merges that leave one copy of
+a formula: the skip-gram pair gradient ``pair_gradients`` (against the
+two-formula per-site code) and the baselines' ``dpsgd_row_step`` (DP-SGM,
+DP-ASGM and DPGGAN fits against their own former steps).  Each test keeps the
 replaced implementation as a reference and compares the two on the same
 host, so these checks are strict everywhere (unlike the golden digests,
 which hosted CI compares relaxed).  The one exception is the row-projected
@@ -40,7 +43,10 @@ from hypothesis.extra import numpy as hnp
 
 from repro.api.registry import make_model
 from repro.backend.numpy_backend import NumpyBackend
+from repro.baselines.dpasgm import DPASGM
+from repro.baselines.dpggan import DPGGAN
 from repro.baselines.dpgvae import DPGVAE
+from repro.baselines.dpsgm import DPSGM
 from repro.core.generator import FakeNeighbourGenerator
 from repro.embedding.deepwalk import DeepWalk
 from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
@@ -53,6 +59,7 @@ from repro.graph.random_walk import walks_to_pairs
 from repro.graph.splits import _edge_keys, _sample_non_edges, train_test_split_edges
 from repro.graph.walk_engine import WalkEngine
 from repro.nn import functional
+from repro.nn.constrained_sigmoid import ConstrainedSigmoid
 from repro.nn.functional import (
     SIGMOID_CLIP,
     log_sigmoid,
@@ -1051,6 +1058,176 @@ class TestSingleGatherStep:
                 assert_same_bytes(got, want)
             carried += sum(c.size for c in ref_carry)
         assert carried > 0
+
+
+# ---------------------------------------------------------------------------
+# One skip-gram pair gradient and one DP-SGD row step
+# ---------------------------------------------------------------------------
+
+
+def two_formula_pair_gradients(vi, vj, num_positive, s_fn):
+    """The per-site formula ``pair_gradients`` replaced: positives and
+    negatives scored apart, each side's gradient a fresh product."""
+    parts = []
+    for rows, positive in ((slice(None, num_positive), True), (slice(num_positive, None), False)):
+        a, b = vi[rows], vj[rows]
+        scores = rowwise_dot(a, b)
+        s = s_fn(scores)
+        coeff = (1.0 - s) if positive else -s
+        parts.append((scores, s, coeff[:, None] * b, coeff[:, None] * a))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+PAIR_SIGMOIDS = {
+    "plain": sigmoid,
+    "constrained": ConstrainedSigmoid(),
+    "narrow": ConstrainedSigmoid(0.5, 2.0),
+}
+
+
+@st.composite
+def pair_gradient_cases(draw):
+    n = draw(st.integers(0, 12))
+    dim = draw(st.integers(1, 9))
+    rows = hnp.arrays(np.float64, (n, dim), elements=st.floats(-40.0, 40.0, width=64))
+    num_positive = draw(st.sampled_from([0, n, n // 2]) | st.integers(0, n))
+    return draw(rows), draw(rows), num_positive
+
+
+class TestPairGradients:
+    @pytest.mark.parametrize("name", sorted(PAIR_SIGMOIDS))
+    @settings(max_examples=150, deadline=None)
+    @given(case=pair_gradient_cases())
+    def test_matches_two_formulas(self, name, case):
+        vi, vj, num_positive = case
+        want = two_formula_pair_gradients(vi, vj, num_positive, PAIR_SIGMOIDS[name])
+        got = functional.pair_gradients(vi, vj, num_positive, PAIR_SIGMOIDS[name])
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+        # The gradients are the gathered rows, scaled in place.
+        assert got[2] is vj and got[3] is vi
+
+
+def dpsgm_pair_gradients_reference(self, pairs, positive):
+    """``DPSGM._pair_gradients`` before ``pair_gradients``, verbatim."""
+    vi = np.take(self.w_in, pairs[:, 0], axis=0)
+    vj = np.take(self.w_out, pairs[:, 1], axis=0)
+    scores = rowwise_dot(vi, vj)
+    sig = sigmoid(scores)
+    coeff = (1.0 - sig) if positive else -sig
+    return coeff[:, None] * vj, coeff[:, None] * vi
+
+
+def dpsgm_dpsgd_update_reference(self, pairs, positive, rate):
+    """``DPSGM._dpsgd_update`` before ``dpsgd_row_step``, verbatim."""
+    cfg = self.config
+    be = self.backend_
+    count = pairs.shape[0]
+    grad_in, grad_out = self._pair_gradients(pairs, positive)
+    grad_in = clip_rows_by_l2_norm(grad_in, cfg.clip_norm)
+    grad_out = clip_rows_by_l2_norm(grad_out, cfg.clip_norm)
+    noise_std = count * cfg.clip_norm * cfg.noise_multiplier
+    noise_in = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(grad_in.shape))
+    noise_out = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(grad_out.shape))
+    update_in = (grad_in + noise_in / count) * (cfg.learning_rate / count)
+    update_out = (grad_out + noise_out / count) * (cfg.learning_rate / count)
+    be.index_add_(self.w_in, pairs[:, 0], update_in)
+    be.index_add_(self.w_out, pairs[:, 1], update_out)
+    self.accountant.step(rate)
+
+
+def dpasgm_pair_gradients_reference(self, pairs, positive):
+    """``DPASGM._pair_gradients`` before ``pair_gradients``, verbatim but for
+    ``super()``, which names the DPSGM reference above; it gathers the
+    pairs' rows twice."""
+    grad_in, grad_out = dpsgm_pair_gradients_reference(self, pairs, positive)
+    cfg = self.config
+    count = pairs.shape[0]
+    fake_vj, fake_vi = self.generators.generate_pairs(count)
+    vi = np.take(self.w_in, pairs[:, 0], axis=0)
+    vj = np.take(self.w_out, pairs[:, 1], axis=0)
+    f1 = sigmoid(rowwise_dot(vi, fake_vj))
+    f2 = sigmoid(rowwise_dot(fake_vi, vj))
+    grad_in = grad_in + cfg.adversarial_weight * f1[:, None] * fake_vj
+    grad_out = grad_out + cfg.adversarial_weight * f2[:, None] * fake_vi
+    return (
+        clip_rows_by_l2_norm(grad_in, cfg.clip_norm),
+        clip_rows_by_l2_norm(grad_out, cfg.clip_norm),
+    )
+
+
+def dpggan_discriminator_step_reference(self):
+    """``DPGGAN._discriminator_step`` before the shared kernels, verbatim."""
+    cfg = self.config
+    be = self.backend_
+    batch = self.sampler.sample()
+    pairs = batch.positive_edges
+    count = pairs.shape[0]
+    zi = np.take(self.latent, pairs[:, 0], axis=0)
+    zj = np.take(self.latent, pairs[:, 1], axis=0)
+    fake = self._generate_fake(count)
+
+    real_scores = sigmoid(rowwise_dot(zi, zj))
+    fake_scores = sigmoid(rowwise_dot(zi, fake))
+    grad_zi = (1.0 - real_scores)[:, None] * zj - fake_scores[:, None] * fake
+    grad_zj = (1.0 - real_scores)[:, None] * zi
+    grad_zi = clip_rows_by_l2_norm(grad_zi, cfg.clip_norm)
+    grad_zj = clip_rows_by_l2_norm(grad_zj, cfg.clip_norm)
+
+    noise_std = count * cfg.clip_norm * cfg.noise_multiplier
+    noise_i = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(grad_zi.shape))
+    noise_j = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(grad_zj.shape))
+    lr = cfg.learning_rate / count
+    be.index_add_(self.latent, pairs[:, 0], lr * (grad_zi + noise_i / count))
+    be.index_add_(self.latent, pairs[:, 1], lr * (grad_zj + noise_j / count))
+    self.accountant.step(self.sampler.edge_sampling_probability)
+
+
+def dp_fit_state(model):
+    """Released embeddings, second matrix, generator weights and history."""
+    arrays = [model.embeddings]
+    for attr in ("w_out", "generator_weight"):
+        if hasattr(model, attr):
+            arrays.append(getattr(model, attr))
+    generators = getattr(model, "generators", None)
+    if generators is not None:
+        arrays += [generators.generator_j.theta, generators.generator_i.theta]
+    for _, values in sorted(model.history.series.items()):
+        arrays.append(np.array(values))
+    return arrays
+
+
+DP_STEP_REFERENCES = {
+    "dpsgm": [
+        (DPSGM, "_pair_gradients", dpsgm_pair_gradients_reference),
+        (DPSGM, "_dpsgd_update", dpsgm_dpsgd_update_reference),
+    ],
+    "dpasgm": [
+        (DPSGM, "_dpsgd_update", dpsgm_dpsgd_update_reference),
+        (DPASGM, "_pair_gradients", dpasgm_pair_gradients_reference),
+    ],
+    "dpggan": [(DPGGAN, "_discriminator_step", dpggan_discriminator_step_reference)],
+}
+
+
+class TestSharedDpSteps:
+    @pytest.mark.parametrize("model", sorted(DP_STEP_REFERENCES))
+    @pytest.mark.parametrize("seed", [3, 4])
+    # At lr 0.1 DPSGM's row step never clips; at lr 2 it clips about 40% of
+    # the rows.  The odd dim keeps the scatter off its complex128 pair form.
+    @pytest.mark.parametrize("learning_rate", [0.1, 2.0])
+    def test_fit_matches_own_step(self, small_graph, monkeypatch, model, seed, learning_rate):
+        overrides = dict(num_epochs=3, batches_per_epoch=4, batch_size=16,
+                         embedding_dim=15, learning_rate=learning_rate)
+        got = make_model(model, graph=small_graph, rng=seed, epsilon=8.0, **overrides).fit()
+        for owner, name, reference in DP_STEP_REFERENCES[model]:
+            monkeypatch.setattr(owner, name, reference)
+        want = make_model(model, graph=small_graph, rng=seed, epsilon=8.0, **overrides).fit()
+        got_state, want_state = dp_fit_state(got), dp_fit_state(want)
+        assert len(got_state) == len(want_state) >= 3
+        assert np.isfinite(got.embeddings).all()
+        for g, w in zip(got_state, want_state):
+            assert_same_bytes(g, w)
 
 
 def one_pass_scores(pairs, left, right):
