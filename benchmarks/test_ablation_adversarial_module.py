@@ -6,16 +6,21 @@ This ablation isolates that claim on one dataset with a matched schedule.
 
 from conftest import run_once
 
+from repro.api.registry import make_model
 from repro.evals.link_prediction import LinkPredictionTask
-from repro.experiments.runners import build_nonprivate_model, load_experiment_graph
+from repro.experiments.runners import settings_overrides
+from repro.graph.datasets import load_dataset
 
 
 def _compare_nonprivate(settings):
-    graph = load_experiment_graph("ppi", settings)
+    graph = load_dataset("ppi", scale=settings.dataset_scale, seed=settings.seed)
     task = LinkPredictionTask(graph, test_fraction=settings.test_fraction, rng=settings.seed)
     results = {}
     for name in ("SGM(No DP)", "AdvSGM(No DP)"):
-        model = build_nonprivate_model(name, task.train_graph, settings, settings.seed)
+        model = make_model(
+            name, graph=task.train_graph, rng=settings.seed,
+            **settings_overrides(name, settings),
+        )
         model.fit()
         results[name] = task.evaluate(model.score_edges).auc
     return results

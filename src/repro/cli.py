@@ -52,6 +52,18 @@ from repro.graph.datasets import get_spec as get_dataset_spec
 from repro.graph.datasets import list_datasets, load_dataset
 
 
+#: ``experiment`` name -> module of :mod:`repro.experiments` that regenerates it.
+EXPERIMENTS = {
+    "fig2": "fig2_weight_rationality",
+    "fig3": "fig3_link_prediction",
+    "fig4": "fig4_node_clustering",
+    "table2": "table2_learning_rate",
+    "table3": "table3_batch_size",
+    "table4": "table4_bound_b",
+    "table5": "table5_private_skipgram_comparison",
+}
+
+
 def _entry_or_exit(name: str):
     """Resolve a registry entry, exiting with a one-line message if unknown."""
     try:
@@ -76,6 +88,16 @@ def _check_dataset_or_exit(name: str) -> None:
         get_dataset_spec(name)
     except KeyError as exc:
         raise SystemExit(exc.args[0])
+
+
+def _check_labelled_or_exit(name: str) -> None:
+    """Refuse node clustering on an unlabelled dataset before any training."""
+    if not get_dataset_spec(name).labelled:
+        labelled = [d for d in list_datasets() if get_dataset_spec(d).labelled]
+        raise SystemExit(
+            f"node clustering needs node labels; dataset {name!r} has none "
+            f"(labelled: {', '.join(labelled)})"
+        )
 
 
 def _make_model_or_exit(name: str, **kwargs):
@@ -201,13 +223,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.experiments.config import ExperimentSettings
-    from repro.experiments.runners import (
-        evaluate_link_prediction,
-        evaluate_node_clustering,
-    )
+    from repro.experiments.runners import run_cell, spec_from_settings
 
     entry = _entry_or_exit(args.model)
     _check_dataset_or_exit(args.dataset)
+    if args.task == "node_clustering":
+        _check_labelled_or_exit(args.dataset)
+    if args.repeat < 0:
+        raise SystemExit(f"--repeat must be non-negative, got {args.repeat}")
     settings = ExperimentSettings.preset(args.preset)
     if args.scale is not None:
         settings = dataclasses.replace(settings, dataset_scale=args.scale)
@@ -216,12 +239,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     epsilon = args.epsilon if entry.private else None
     if args.epsilon is not None and not entry.private:
         raise SystemExit(f"model {entry.name!r} is not private; drop --epsilon")
-    runner = (
-        evaluate_link_prediction
-        if args.task == "link_prediction"
-        else evaluate_node_clustering
-    )
-    row = runner(args.model, args.dataset, epsilon, settings, repeat=args.repeat)
+    # The last cell of a (repeat + 1)-repeat spec carries repeat's seed.
+    cell = spec_from_settings(
+        args.task, [args.dataset], [args.model], settings,
+        epsilons=(epsilon,), repeats=args.repeat + 1,
+    ).cells()[-1]
+    row = run_cell(cell)
     text = "\n".join(
         f"{key}: {value}" for key, value in row.items() if value is not None
     )
@@ -230,67 +253,58 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        ExperimentSettings,
-        fig2_weight_rationality,
-        fig3_link_prediction,
-        fig4_node_clustering,
-        table2_learning_rate,
-        table3_batch_size,
-        table4_bound_b,
-        table5_private_skipgram_comparison,
-    )
+    import inspect
 
-    modules = {
-        "fig2": fig2_weight_rationality,
-        "fig3": fig3_link_prediction,
-        "fig4": fig4_node_clustering,
-        "table2": table2_learning_rate,
-        "table3": table3_batch_size,
-        "table4": table4_bound_b,
-        "table5": table5_private_skipgram_comparison,
-    }
-    module = modules[args.name]
-    settings = ExperimentSettings.preset(args.preset)
-    kwargs: Dict[str, Any] = {}
-    if args.name in ("fig3", "fig4", "table2", "table3", "table4", "table5"):
-        kwargs["workers"] = args.workers
+    from repro import experiments
+
+    module = getattr(experiments, EXPERIMENTS[args.name])
+    accepted = inspect.signature(module.run).parameters
+    # run() keyword -> (flag, value) for every option given on the line.
+    given: Dict[str, Any] = {}
     if args.dataset:
-        if args.name == "fig2":
-            raise SystemExit("fig2 runs on its fixed dataset panel")
         for dataset in args.dataset:
             _check_dataset_or_exit(dataset)
-        key = "auc_datasets" if args.name == "table5" else "datasets"
-        kwargs[key] = tuple(args.dataset)
-        if args.name == "table5":
-            # MI needs labels; restrict the MI columns to the labelled subset
-            # of the requested datasets (possibly dropping them entirely).
-            labelled = [d for d in args.dataset if get_dataset_spec(d).labelled]
-            kwargs["mi_datasets"] = tuple(labelled)
+        if args.name == "fig4":
+            for dataset in args.dataset:
+                _check_labelled_or_exit(dataset)
+        given["datasets"] = ("--dataset", tuple(args.dataset))
     if args.models:
-        if args.name not in ("fig3", "fig4"):
-            raise SystemExit(f"--models only applies to fig3/fig4, not {args.name}")
         for model in args.models:
             _entry_or_exit(model)
-        kwargs["models"] = tuple(args.models)
+        given["models"] = ("--models", tuple(args.models))
     if args.epsilons:
-        if args.name not in ("fig3", "fig4", "table5"):
-            raise SystemExit(f"--epsilons does not apply to {args.name}")
-        kwargs["epsilons"] = tuple(args.epsilons)
+        given["epsilons"] = ("--epsilons", tuple(args.epsilons))
+    if args.workers is not None:
+        given["workers"] = ("--workers", args.workers)
     store = None
     if args.cache_dir or args.resume or args.force:
-        if args.name == "fig2":
-            raise SystemExit(
-                "fig2 does not run experiment cells; caching does not apply"
-            )
+        flag = next(f for f, on in (("--cache-dir", args.cache_dir),
+                                    ("--resume", args.resume),
+                                    ("--force", args.force)) if on)
+        if "cache" not in accepted:
+            raise SystemExit(f"{flag} does not apply to {args.name}")
         if args.force and not (args.cache_dir or args.resume):
-            raise SystemExit("--force requires --cache-dir or --resume")
+            raise SystemExit(
+                f"--force requires --cache-dir or --resume (experiment {args.name})"
+            )
         from repro.cache import ResultStore
 
         store = ResultStore(args.cache_dir)  # None selects the default dir
-        kwargs["cache"] = store
-        kwargs["force"] = args.force
-    results = module.run(settings, **kwargs)
+        given["cache"] = (flag, store)
+        given["force"] = ("--force", args.force)
+    if "datasets" in given and "auc_datasets" in accepted:
+        # table5: AUC columns on every requested dataset, MI columns only on
+        # the labelled ones (possibly none).
+        flag, datasets = given.pop("datasets")
+        given["auc_datasets"] = (flag, datasets)
+        given["mi_datasets"] = (
+            flag, tuple(d for d in datasets if get_dataset_spec(d).labelled)
+        )
+    for key, (flag, _) in given.items():
+        if key not in accepted:
+            raise SystemExit(f"{flag} does not apply to {args.name}")
+    settings = experiments.ExperimentSettings.preset(args.preset)
+    results = module.run(settings, **{k: v for k, (_, v) in given.items()})
     _emit(results, module.format_table(results), args.json)
     if store is not None:
         print(
@@ -407,15 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
-    p_exp.add_argument("name", choices=["fig2", "fig3", "fig4", "table2",
-                                        "table3", "table4", "table5"])
+    p_exp.add_argument("name", choices=list(EXPERIMENTS))
     p_exp.add_argument("--preset", choices=["smoke", "quick", "full"], default="quick")
     p_exp.add_argument("--dataset", action="append",
                        help="restrict to this dataset (repeatable)")
     p_exp.add_argument("--models", nargs="+", help="restrict fig3/fig4 to these models")
     p_exp.add_argument("--epsilons", nargs="+", type=float,
                        help="restrict the swept privacy budgets")
-    p_exp.add_argument("--workers", type=int, default=1,
+    p_exp.add_argument("--workers", type=int,
                        help="process-pool size for the experiment cells")
     p_exp.add_argument("--cache-dir",
                        help="cache completed cells under this directory and "

@@ -16,7 +16,8 @@ from repro.core.config import AdvSGMConfig
 from repro.core.discriminator import AdvSGMDiscriminator
 from repro.core.generator import GeneratorPair
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runners import advsgm_config, load_experiment_graph
+from repro.experiments.runners import settings_overrides
+from repro.graph.datasets import load_dataset
 from repro.graph.sampling import EdgeSampler
 from repro.utils.rng import spawn_rngs
 
@@ -30,8 +31,8 @@ def _loss_magnitudes(
     dataset: str, settings: ExperimentSettings, num_batches: int = 5
 ) -> Dict[str, float]:
     """Average |L_D_Nov| per weight setting on one dataset."""
-    graph = load_experiment_graph(dataset, settings)
-    config: AdvSGMConfig = advsgm_config(settings, epsilon=6.0)
+    graph = load_dataset(dataset, scale=settings.dataset_scale, seed=settings.seed)
+    config = AdvSGMConfig(epsilon=6.0, **settings_overrides("advsgm", settings))
     disc_rng, gen_rng, sample_rng = spawn_rngs(settings.seed, 3)
     discriminator = AdvSGMDiscriminator(graph.num_nodes, config, rng=disc_rng)
     generators = GeneratorPair(

@@ -14,6 +14,7 @@ from repro.api import ExperimentSpec
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runners import (
     PRIVATE_MODEL_NAMES,
+    format_series,
     nest_series,
     run_spec,
     spec_from_settings,
@@ -61,13 +62,4 @@ def run(
 
 def format_table(results: Dict[str, Dict[str, Dict[float, float]]]) -> str:
     """Render the Fig. 3 series as one text block per dataset panel."""
-    lines = ["Fig. 3 - link-prediction AUC vs epsilon"]
-    for dataset, methods in results.items():
-        lines.append(f"\n[{dataset}]")
-        epsilons = sorted(next(iter(methods.values())).keys())
-        lines.append(f"{'model':<10}" + "".join(f"{e:>10.1f}" for e in epsilons))
-        for model, series in methods.items():
-            lines.append(
-                f"{model:<10}" + "".join(f"{series[e]:>10.4f}" for e in epsilons)
-            )
-    return "\n".join(lines)
+    return format_series("Fig. 3 - link-prediction AUC vs epsilon", results)

@@ -1,17 +1,21 @@
-"""Shared experiment machinery: settings-to-config data, cells and runners.
+"""Shared experiment machinery: settings-to-config data, cells, runners, renderers.
 
-Historically this module hand-assembled every model's config dataclass in a
-chain of per-model factory functions.  With the :mod:`repro.api` registry the
-per-model glue collapses into **data**: :data:`MODEL_SETTINGS` maps each
-registry name to the config fields it derives from :class:`ExperimentSettings`
-(either a settings attribute name, a constant, or a callable), and
-:func:`make_model` does the construction.
+:data:`MODEL_SETTINGS` maps each registry name to the config fields it derives
+from :class:`ExperimentSettings` (a settings attribute name, a constant, or a
+callable), and :func:`settings_overrides` materialises them for
+:func:`repro.api.make_model`.
 
-Sweeps run through :class:`repro.api.ExperimentSpec`: the spec expands into
-independent, serialisable cells with derived seeds, :func:`run_cell` executes
-one cell, and :func:`run_spec` maps over the cells — serially or across a
-process pool (``workers=N``).  Because seeds are derived *before* the fan
-out, the parallel path is bit-for-bit identical to the serial one.
+Every paper table and figure that trains models runs through
+:class:`repro.api.ExperimentSpec`: the spec expands into independent,
+serialisable cells with derived seeds, :func:`compute_cell` computes one cell,
+and :func:`run_cell` / :func:`run_spec` share one loop that loads cached cells,
+computes the rest (serially or across a process pool, ``workers=N``) and
+persists each result.  Because seeds are derived *before* the fan out, the
+parallel path is bit-for-bit identical to the serial one.
+
+Tables II-IV are one AdvSGM sweep (:func:`advsgm_sweep`, rendered by
+:func:`format_sweep`); Figs. 3 and 4 are epsilon series (:func:`nest_series`,
+rendered by :func:`format_series`).
 """
 
 from __future__ import annotations
@@ -22,16 +26,13 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from repro.api import ExperimentCell, ExperimentSpec, ModelSpec, SEED_STRIDE
+from repro.api import ExperimentCell, ExperimentSpec, ModelSpec
 from repro.api.registry import get_entry, make_model
-from repro.cache import CacheLike, resolve_store
-from repro.core.config import AdvSGMConfig
+from repro.cache import CacheLike, ResultStore, resolve_store
 from repro.evals.clustering import NodeClusteringTask
 from repro.evals.link_prediction import LinkPredictionTask
 from repro.experiments.config import ExperimentSettings
 from repro.graph.datasets import load_dataset
-from repro.graph.graph import Graph
-from repro.train import Trainer
 
 #: Private models compared in Fig. 3 / Fig. 4 of the paper.
 PRIVATE_MODEL_NAMES = ("DPGGAN", "DPGVAE", "GAP", "DPAR", "AdvSGM")
@@ -136,73 +137,6 @@ def settings_model(
     )
 
 
-def load_experiment_graph(name: str, settings: ExperimentSettings) -> Graph:
-    """Load a dataset analogue at the experiment's scale with a stable seed."""
-    return load_dataset(name, scale=settings.dataset_scale, seed=settings.seed)
-
-
-def advsgm_config(
-    settings: ExperimentSettings,
-    epsilon: float,
-    dp_enabled: bool = True,
-    batch_size: Optional[int] = None,
-    learning_rate: Optional[float] = None,
-    sigmoid_b: Optional[float] = None,
-) -> AdvSGMConfig:
-    """AdvSGM configuration derived from the experiment settings."""
-    overrides = settings_overrides("advsgm", settings)
-    if not dp_enabled:
-        overrides["num_epochs"] = settings.nodp_epochs
-    if batch_size is not None:
-        overrides["batch_size"] = batch_size
-    if learning_rate is not None:
-        overrides["learning_rate_d"] = learning_rate
-        overrides["learning_rate_g"] = learning_rate
-    if sigmoid_b is not None:
-        overrides["sigmoid_b"] = sigmoid_b
-    return AdvSGMConfig(epsilon=epsilon, dp_enabled=dp_enabled, **overrides)
-
-
-def build_private_model(
-    name: str,
-    graph: Graph,
-    epsilon: float,
-    settings: ExperimentSettings,
-    seed: int,
-) -> Trainer:
-    """Instantiate one of the compared private models by name (untrained).
-
-    Thin wrapper over :func:`repro.api.make_model` with the settings-derived
-    overrides of :data:`MODEL_SETTINGS`; kept for backward compatibility with
-    the historical per-model factory.
-    """
-    entry = get_entry(name)
-    if not entry.private:
-        raise KeyError(f"model {name!r} is not a private model")
-    return make_model(
-        entry.name,
-        epsilon=epsilon,
-        graph=graph,
-        rng=seed,
-        **settings_overrides(entry.name, settings),
-    )
-
-
-def build_nonprivate_model(
-    name: str, graph: Graph, settings: ExperimentSettings, seed: int
-) -> Trainer:
-    """Instantiate SGM(No DP) or AdvSGM(No DP) (untrained)."""
-    entry = get_entry(name)
-    if entry.private:
-        raise KeyError(f"model {name!r} is not a non-private model")
-    return make_model(
-        entry.name,
-        graph=graph,
-        rng=seed,
-        **settings_overrides(entry.name, settings),
-    )
-
-
 # ---------------------------------------------------------------------------
 # spec construction and execution
 # ---------------------------------------------------------------------------
@@ -242,9 +176,11 @@ def compute_cell(
     """Compute one cell from scratch: ``(row, embeddings-or-None, seconds)``.
 
     This is the unit of work of the multiprocess runner, so it is a plain
-    module-level function of picklable arguments.  The row is normalised to
-    plain Python scalars so it is identical whether it is consumed directly
-    or after a JSON round-trip through the cache.
+    module-level function of picklable arguments.  The evaluation is set up
+    before the model is trained, so a cell that cannot be evaluated (node
+    clustering on an unlabelled dataset) fails before it trains.  The row is
+    normalised to plain Python scalars so it is identical whether it is
+    consumed directly or after a JSON round-trip through the cache.
     """
     from repro.utils.serialization import to_plain
 
@@ -252,7 +188,6 @@ def compute_cell(
     graph = load_dataset(
         cell.dataset, scale=cell.dataset_scale, seed=cell.dataset_seed
     )
-    overrides = dict(cell.model.overrides)
     row: Dict[str, Any] = {
         "task": cell.task,
         "dataset": cell.dataset,
@@ -262,43 +197,89 @@ def compute_cell(
         "repeat": cell.repeat,
         "seed": cell.seed,
     }
+    train_graph = graph
     if cell.task == "link_prediction":
         task = LinkPredictionTask(
             graph, test_fraction=cell.test_fraction, rng=cell.seed
         )
-        model = make_model(
-            cell.model.name,
-            epsilon=cell.epsilon,
-            graph=task.train_graph,
-            rng=cell.seed,
-            **overrides,
-        )
-        model.fit()
+        train_graph = task.train_graph
+    elif cell.task == "node_clustering":
+        clustering = NodeClusteringTask(graph)
+    elif cell.task != "none":  # "none" trains without evaluating (timing runs)
+        raise ValueError(f"unknown cell task {cell.task!r}")
+    model = make_model(
+        cell.model.name,
+        epsilon=cell.epsilon,
+        graph=train_graph,
+        rng=cell.seed,
+        **dict(cell.model.overrides),
+    )
+    model.fit()
+    if cell.task == "link_prediction":
         row["auc"] = task.evaluate(model.score_edges).auc
     elif cell.task == "node_clustering":
-        model = make_model(
-            cell.model.name,
-            epsilon=cell.epsilon,
-            graph=graph,
-            rng=cell.seed,
-            **overrides,
-        )
-        model.fit()
-        outcome = NodeClusteringTask(graph).evaluate(model.embeddings_)
+        outcome = clustering.evaluate(model.embeddings_)
         row["mi"] = outcome.mutual_information
         row["nmi"] = outcome.normalized_mutual_information
-    elif cell.task == "none":  # train without evaluating (timing/warm-up runs)
-        model = make_model(
-            cell.model.name,
-            epsilon=cell.epsilon,
-            graph=graph,
-            rng=cell.seed,
-            **overrides,
-        ).fit()
-    else:
-        raise ValueError(f"unknown cell task {cell.task!r}")
     embeddings = model.embeddings_ if capture_embeddings else None
     return to_plain(row), embeddings, time.perf_counter() - start
+
+
+def _run_cells(
+    cells: Sequence[ExperimentCell],
+    workers: int,
+    store: Optional[ResultStore],
+    reuse: bool,
+    store_embeddings: bool,
+) -> List[Dict[str, Any]]:
+    """Load or compute every cell; rows follow ``cells`` order.
+
+    With a ``store``, cells already in it are loaded when ``reuse`` is set,
+    and every computed cell is persisted *as soon as it finishes* (in this
+    process, even on the pool path), so an interrupted sweep keeps all
+    completed work.  A caller that wants embeddings treats an embeddings-less
+    entry as a miss (recompute + overwrite) rather than going without.
+    """
+    rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
+    pending: List[int] = []
+    for index, cell in enumerate(cells):
+        if store is not None and reuse:
+            cached = store.get(cell, require_embeddings=store_embeddings)
+            if cached is not None:
+                rows[index] = cached
+                continue
+        pending.append(index)
+    capture = store_embeddings and store is not None
+
+    def finish(index: int, row: Dict[str, Any], embeddings, wall: float) -> None:
+        if store is not None:
+            store.put(cells[index], row, embeddings=embeddings, wall_time=wall)
+        rows[index] = row
+
+    if workers <= 1:
+        for index in pending:
+            finish(index, *compute_cell(cells[index], capture))
+    elif pending:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {
+                pool.submit(compute_cell, cells[index], capture): index
+                for index in pending
+            }
+            # One failing cell must not discard its siblings' finished work:
+            # drain every future, persist all successes, then re-raise the
+            # first failure — a resume only recomputes the genuinely lost.
+            first_error: Optional[BaseException] = None
+            for future in as_completed(futures):
+                try:
+                    result = future.result()
+                except Exception as exc:
+                    if first_error is None:
+                        first_error = exc
+                    continue
+                finish(futures[future], *result)
+            if first_error is not None:
+                raise first_error
+    return rows  # type: ignore[return-value]
 
 
 def run_cell(
@@ -316,18 +297,9 @@ def run_cell(
     persisted before returning.  ``force=True`` recomputes and overwrites;
     ``store_embeddings=True`` additionally persists ``model.embeddings_``.
     """
-    store = resolve_store(cache)
-    if store is not None and not force:
-        # A caller that wants embeddings treats an embeddings-less entry as
-        # a miss (recompute + overwrite) rather than silently going without.
-        cached = store.get(cell, require_embeddings=store_embeddings)
-        if cached is not None:
-            return cached
-    row, embeddings, wall = compute_cell(
-        cell, capture_embeddings=store_embeddings and store is not None
+    (row,) = _run_cells(
+        (cell,), 1, resolve_store(cache), not force, store_embeddings
     )
-    if store is not None:
-        store.put(cell, row, embeddings=embeddings, wall_time=wall)
     return row
 
 
@@ -347,56 +319,13 @@ def run_spec(
 
     With a ``cache``, cells already in the store are loaded instead of
     recomputed (unless ``resume=False`` or ``force=True``), and every newly
-    computed cell is persisted *as soon as it finishes* — in the parent
-    process, even on the multiprocess path — so an interrupted sweep keeps
-    all completed work and a re-run picks up exactly where it died.
+    computed cell is persisted as soon as it finishes, so a re-run of an
+    interrupted sweep picks up exactly where it died.
     """
-    cells = spec.cells()
-    store = resolve_store(cache)
-    if store is None:
-        if workers <= 1:
-            return [run_cell(cell) for cell in cells]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_cell, cells))
-
-    rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-    pending: List[int] = []
-    for index, cell in enumerate(cells):
-        if resume and not force:
-            cached = store.get(cell, require_embeddings=store_embeddings)
-            if cached is not None:
-                rows[index] = cached
-                continue
-        pending.append(index)
-    capture = bool(store_embeddings)
-    if workers <= 1:
-        for index in pending:
-            row, embeddings, wall = compute_cell(cells[index], capture)
-            store.put(cells[index], row, embeddings=embeddings, wall_time=wall)
-            rows[index] = row
-    elif pending:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(compute_cell, cells[index], capture): index
-                for index in pending
-            }
-            # One failing cell must not discard its siblings' finished work:
-            # drain every future, persist all successes, then re-raise the
-            # first failure — a resume only recomputes the genuinely lost.
-            first_error: Optional[BaseException] = None
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    row, embeddings, wall = future.result()
-                except Exception as exc:
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                store.put(cells[index], row, embeddings=embeddings, wall_time=wall)
-                rows[index] = row
-            if first_error is not None:
-                raise first_error
-    return rows  # type: ignore[return-value]
+    return _run_cells(
+        spec.cells(), workers, resolve_store(cache), resume and not force,
+        store_embeddings,
+    )
 
 
 def nest_series(
@@ -419,59 +348,79 @@ def nest_series(
     return nested
 
 
-# ---------------------------------------------------------------------------
-# single-cell conveniences (historical API, now spec-backed)
-# ---------------------------------------------------------------------------
-def _single_cell(
-    task: str,
-    model_name: str,
-    dataset: str,
-    epsilon: Optional[float],
-    settings: ExperimentSettings,
-    repeat: int,
-) -> ExperimentCell:
-    return ExperimentCell(
-        task=task,
-        dataset=dataset,
-        model=settings_model(model_name, settings),
-        epsilon=epsilon,
-        repeat=repeat,
-        seed=settings.seed + SEED_STRIDE * repeat,
-        dataset_scale=settings.dataset_scale,
-        dataset_seed=settings.seed,
-        test_fraction=settings.test_fraction,
-    )
-
-
-def evaluate_link_prediction(
-    model_name: str,
-    dataset: str,
-    epsilon: float,
-    settings: ExperimentSettings,
-    repeat: int = 0,
-) -> Dict[str, Any]:
-    """Train one private model and return its test AUC on ``dataset``."""
-    return run_cell(
-        _single_cell("link_prediction", model_name, dataset, epsilon, settings, repeat)
-    )
-
-
-def evaluate_node_clustering(
-    model_name: str,
-    dataset: str,
-    epsilon: float,
-    settings: ExperimentSettings,
-    repeat: int = 0,
-) -> Dict[str, Any]:
-    """Train one private model and return clustering MI on ``dataset``."""
-    return run_cell(
-        _single_cell("node_clustering", model_name, dataset, epsilon, settings, repeat)
-    )
-
-
 def mean_and_std(values) -> tuple[float, float]:
     """Mean and standard deviation of a sequence of floats."""
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
         raise ValueError("no values to aggregate")
     return float(arr.mean()), float(arr.std())
+
+
+def advsgm_sweep(
+    settings: ExperimentSettings,
+    values: Sequence[Any],
+    datasets: Iterable[str],
+    epsilon: float,
+    label: Callable[[Any], str],
+    overrides: Callable[[Any], Mapping[str, Any]],
+    **run_kwargs: Any,
+) -> Dict[Any, Dict[str, Dict[str, float]]]:
+    """One AdvSGM link-prediction column per swept value (Tables II-IV).
+
+    ``label(value)`` names the column (it is hashed into the cell key) and
+    ``overrides(value)`` gives its config overrides on top of the settings.
+    ``run_kwargs`` go to :func:`run_spec`.  Returns
+    ``{value: {dataset: {"mean": auc, "std": std}}}`` over the repeats.
+    """
+    datasets = tuple(datasets)
+    models = [
+        settings_model("advsgm", settings, label=label(value), **overrides(value))
+        for value in values
+    ]
+    rows = run_spec(
+        spec_from_settings(
+            "link_prediction", datasets, models, settings, epsilons=(epsilon,)
+        ),
+        **run_kwargs,
+    )
+    results: Dict[Any, Dict[str, Dict[str, float]]] = {}
+    for value, model in zip(values, models):
+        results[value] = {}
+        for dataset in datasets:
+            mean, std = mean_and_std(
+                r["auc"]
+                for r in rows
+                if r["model"] == model.display and r["dataset"] == dataset
+            )
+            results[value][dataset] = {"mean": mean, "std": std}
+    return results
+
+
+def format_sweep(
+    title: str, symbol: str, results: Mapping[Any, Mapping[str, Mapping[str, float]]]
+) -> str:
+    """Render an :func:`advsgm_sweep` result: one row per swept value."""
+    datasets = list(next(iter(results.values())).keys())
+    lines = [title, f"{symbol:<8}" + "".join(f"{d:>20}" for d in datasets)]
+    for value, row in results.items():
+        cells = "".join(
+            f"{row[d]['mean']:>14.4f}±{row[d]['std']:.4f}" for d in datasets
+        )
+        lines.append(f"{value:<8}" + cells)
+    return "\n".join(lines)
+
+
+def format_series(
+    title: str, results: Mapping[str, Mapping[str, Mapping[float, float]]]
+) -> str:
+    """Render :func:`nest_series` output as one text block per dataset panel."""
+    lines = [title]
+    for dataset, methods in results.items():
+        lines.append(f"\n[{dataset}]")
+        epsilons = sorted(next(iter(methods.values())).keys())
+        lines.append(f"{'model':<10}" + "".join(f"{e:>10.1f}" for e in epsilons))
+        for model, series in methods.items():
+            lines.append(
+                f"{model:<10}" + "".join(f"{series[e]:>10.4f}" for e in epsilons)
+            )
+    return "\n".join(lines)

@@ -8,14 +8,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.api import ExperimentSpec
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runners import (
-    mean_and_std,
-    run_spec,
-    settings_model,
-    spec_from_settings,
-)
+from repro.experiments.runners import advsgm_sweep, format_sweep
 
 #: Learning rates swept in Table II.
 LEARNING_RATES = (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
@@ -23,27 +17,6 @@ LEARNING_RATES = (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 TABLE2_DATASETS = ("ppi", "facebook", "blog")
 #: Privacy budget used for the sweep.
 EPSILON = 6.0
-
-
-def spec(
-    settings: ExperimentSettings,
-    learning_rates=LEARNING_RATES,
-    datasets=TABLE2_DATASETS,
-) -> ExperimentSpec:
-    """One AdvSGM column per swept learning rate (model grid over configs)."""
-    models = [
-        settings_model(
-            "advsgm",
-            settings,
-            label=repr(float(lr)),
-            learning_rate_d=lr,
-            learning_rate_g=lr,
-        )
-        for lr in learning_rates
-    ]
-    return spec_from_settings(
-        "link_prediction", datasets, models, settings, epsilons=(EPSILON,)
-    )
 
 
 def run(
@@ -56,33 +29,14 @@ def run(
     force: bool = False,
 ) -> Dict[float, Dict[str, Dict[str, float]]]:
     """Return ``{learning_rate: {dataset: {"mean": auc, "std": std}}}``."""
-    settings = settings or ExperimentSettings.quick()
-    rows = run_spec(
-        spec(settings, learning_rates, datasets),
+    return advsgm_sweep(
+        settings or ExperimentSettings.quick(), learning_rates, datasets, EPSILON,
+        label=lambda lr: repr(float(lr)),
+        overrides=lambda lr: {"learning_rate_d": lr, "learning_rate_g": lr},
         workers=workers, cache=cache, resume=resume, force=force,
     )
-    results: Dict[float, Dict[str, Dict[str, float]]] = {}
-    for lr in learning_rates:
-        results[lr] = {}
-        for dataset in datasets:
-            aucs = [
-                r["auc"]
-                for r in rows
-                if r["model"] == repr(float(lr)) and r["dataset"] == dataset
-            ]
-            mean, std = mean_and_std(aucs)
-            results[lr][dataset] = {"mean": mean, "std": std}
-    return results
 
 
 def format_table(results: Dict[float, Dict[str, Dict[str, float]]]) -> str:
     """Render Table II as text."""
-    datasets = list(next(iter(results.values())).keys())
-    lines = ["Table II - AUC vs learning rate (epsilon = 6)"]
-    lines.append(f"{'eta':<8}" + "".join(f"{d:>20}" for d in datasets))
-    for lr, row in results.items():
-        cells = "".join(
-            f"{row[d]['mean']:>14.4f}±{row[d]['std']:.4f}" for d in datasets
-        )
-        lines.append(f"{lr:<8}" + cells)
-    return "\n".join(lines)
+    return format_sweep("Table II - AUC vs learning rate (epsilon = 6)", "eta", results)

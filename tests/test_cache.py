@@ -28,6 +28,12 @@ from repro.cache import (
     resolve_store,
 )
 from repro.api.registry import make_model
+from repro.experiments import (
+    ExperimentSettings,
+    table2_learning_rate,
+    table3_batch_size,
+    table4_bound_b,
+)
 from repro.experiments.runners import compute_cell, run_cell, run_spec
 from repro.golden import GOLDEN_CASES, golden_graph
 
@@ -270,6 +276,31 @@ class TestPinnedKeys:
                 with pytest.raises(ValueError, match="on-disk graph path was deleted") as info:
                     load({**old, field: value})
                 assert "\n" not in str(info.value)
+
+
+#: One swept value per table at smoke settings on ppi, with the key of the
+#: one cell each stores.  The column label (``repr(float(lr))``,
+#: ``str(int(b))``, ``repr(float(b))``) is hashed into the key, so a label
+#: drift in the shared sweep would orphan every cached Table II-IV row.
+PINNED_SWEEP_KEYS = [
+    (table2_learning_rate, {"learning_rates": (0.1,)},
+     "6d79ba5ec29cdb1ec84f2d18637c9d7b093cc3c47e781e0bfe89096ee4ae3bb0"),
+    (table3_batch_size, {"batch_sizes": (16,)},
+     "edaae33d79d1e71e134b0b810eec84390b0a461ef99e4a1ade1e75d521a47818"),
+    (table4_bound_b, {"bounds": (120.0,)},
+     "0e89be43639ece60433fd976a07f08e30181331167435290b2c24732ef350b51"),
+]
+
+
+class TestPinnedSweepKeys:
+    """Literal keys of the Table II-IV sweep cells (see :class:`TestPinnedKeys`)."""
+
+    @pytest.mark.parametrize("module,sweep,key", PINNED_SWEEP_KEYS,
+                             ids=["table2", "table3", "table4"])
+    def test_sweep_cell_key(self, module, sweep, key, tmp_path):
+        store = ResultStore(tmp_path)
+        module.run(ExperimentSettings.smoke(), datasets=("ppi",), cache=store, **sweep)
+        assert [entry["key"] for entry in store.report()["entries"]] == [key]
 
 
 class TestRoundTripDeterminism:

@@ -226,3 +226,58 @@ class TestCli:
         assert "Fig. 3" in proc.stdout
         assert "AdvSGM" in proc.stdout
 
+
+
+
+@pytest.fixture
+def no_model_built(monkeypatch):
+    """Fail if an experiment cell builds a model: the CLI must refuse first."""
+    from repro.experiments import runners
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built before the CLI refused")
+
+    monkeypatch.setattr(runners, "make_model", refuse)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["table2", "--models", "AdvSGM"], "--models"),
+    (["table3", "--epsilons", "1"], "--epsilons"),
+    (["fig2", "--dataset", "ppi"], "--dataset"),
+    (["fig2", "--cache-dir", "X"], "--cache-dir"),
+    (["fig3", "--force"], "--force"),
+], ids=["table2-models", "table3-epsilons", "fig2-dataset", "fig2-cache-dir",
+        "fig3-force-without-cache"])
+def test_experiment_refuses_options_its_run_does_not_take(argv, flag, no_model_built):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main(["experiment", *argv, "--preset", "smoke"])
+    message = str(info.value.code)
+    assert flag in message and argv[0] in message
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--model", "advsgm", "--dataset", "facebook", "--epsilon", "6",
+     "--task", "node_clustering", "--preset", "smoke"],
+    ["experiment", "fig4", "--dataset", "facebook", "--preset", "smoke"],
+], ids=["evaluate", "experiment-fig4"])
+def test_node_clustering_on_unlabelled_dataset_is_one_line_error(argv, no_model_built):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    message = str(info.value.code)
+    assert "'facebook'" in message and "labels" in message
+    assert "\n" not in message
+
+
+def test_evaluate_refuses_negative_repeat():
+    # A negative repeat would derive a negative seed and die inside numpy.
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main(["evaluate", "--model", "sgm", "--dataset", "ppi", "--repeat", "-1"])
+    message = str(info.value.code)
+    assert "--repeat" in message and "\n" not in message

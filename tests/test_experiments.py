@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api.registry import get_entry, make_model
 from repro.experiments import (
     ExperimentSettings,
-    build_private_model,
     fig2_weight_rationality,
     fig3_link_prediction,
     fig4_node_clustering,
@@ -13,17 +13,31 @@ from repro.experiments import (
     table4_bound_b,
     table5_private_skipgram_comparison,
 )
+from repro.experiments import runners
 from repro.experiments.runners import (
     PRIVATE_MODEL_NAMES,
-    build_nonprivate_model,
-    load_experiment_graph,
     mean_and_std,
+    settings_overrides,
+    spec_from_settings,
 )
+from repro.graph.datasets import load_dataset
 
 
 @pytest.fixture(scope="module")
 def smoke_settings():
     return ExperimentSettings.smoke()
+
+
+def settings_model_for(name, graph, settings, epsilon=None):
+    """An untrained model built the way an experiment cell builds it."""
+    return make_model(
+        name, epsilon=epsilon, graph=graph, rng=0, **settings_overrides(name, settings)
+    )
+
+
+@pytest.fixture(scope="module")
+def ppi_graph(smoke_settings):
+    return load_dataset("ppi", scale=smoke_settings.dataset_scale, seed=smoke_settings.seed)
 
 
 class TestSettings:
@@ -43,24 +57,58 @@ class TestSettings:
 
 class TestRunners:
     @pytest.mark.parametrize("name", PRIVATE_MODEL_NAMES + ("DP-SGM", "DP-ASGM"))
-    def test_build_private_model(self, name, smoke_settings):
-        graph = load_experiment_graph("ppi", smoke_settings)
-        model = build_private_model(name, graph, 6.0, smoke_settings, seed=0)
+    def test_build_private_model(self, name, smoke_settings, ppi_graph):
+        assert get_entry(name).private
+        model = settings_model_for(name, ppi_graph, smoke_settings, epsilon=6.0)
         assert hasattr(model, "fit")
         assert hasattr(model, "score_edges")
 
-    def test_build_private_model_unknown(self, smoke_settings):
-        graph = load_experiment_graph("ppi", smoke_settings)
+    def test_build_private_model_unknown(self, smoke_settings, ppi_graph):
         with pytest.raises(KeyError):
-            build_private_model("nope", graph, 1.0, smoke_settings, seed=0)
+            settings_model_for("nope", ppi_graph, smoke_settings, epsilon=1.0)
 
-    def test_build_nonprivate_model(self, smoke_settings):
-        graph = load_experiment_graph("ppi", smoke_settings)
+    def test_build_nonprivate_model(self, smoke_settings, ppi_graph):
         for name in ("SGM(No DP)", "AdvSGM(No DP)"):
-            model = build_nonprivate_model(name, graph, smoke_settings, seed=0)
+            assert not get_entry(name).private
+            model = settings_model_for(name, ppi_graph, smoke_settings)
             assert hasattr(model, "fit")
         with pytest.raises(KeyError):
-            build_nonprivate_model("nope", graph, smoke_settings, seed=0)
+            settings_model_for("nope", ppi_graph, smoke_settings)
+
+    @pytest.mark.parametrize("task,dataset", [
+        ("link_prediction", "ppi"), ("node_clustering", "ppi"),
+    ])
+    def test_compute_cell_builds_and_fits_one_model(self, task, dataset, monkeypatch):
+        # perfbench's ModelProbe relies on one make_model and one fit per cell.
+        made, fitted = [], []
+
+        def spy(*args, **kwargs):
+            model = make_model(*args, **kwargs)
+            made.append(model)
+            fit = model.fit
+            model.fit = lambda *a, **k: (fitted.append(model), fit(*a, **k))[1]
+            return model
+
+        monkeypatch.setattr(runners, "make_model", spy)
+        (cell,) = spec_from_settings(
+            task, [dataset], ["DPAR"], ExperimentSettings.smoke(),
+            epsilons=(6.0,), repeats=1,
+        ).cells()
+        runners.compute_cell(cell)
+        assert len(made) == 1 and fitted == made
+
+    def test_compute_cell_refuses_unlabelled_clustering_before_training(
+        self, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(runners, "make_model", lambda *a, **k: calls.append(a))
+        (cell,) = spec_from_settings(
+            "node_clustering", ["facebook"], ["AdvSGM"], ExperimentSettings.smoke(),
+            epsilons=(6.0,), repeats=1,
+        ).cells()
+        with pytest.raises(ValueError, match="has no labels"):
+            runners.compute_cell(cell)
+        assert calls == []
 
     def test_mean_and_std(self):
         mean, std = mean_and_std([1.0, 2.0, 3.0])
