@@ -50,6 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.api.registry import get_entry, list_models, make_model
 from repro.graph.datasets import get_spec as get_dataset_spec
 from repro.graph.datasets import list_datasets, load_dataset
+from repro.utils.validation import check_positive
 
 
 #: ``experiment`` name -> module of :mod:`repro.experiments` that regenerates it.
@@ -98,6 +99,16 @@ def _check_labelled_or_exit(name: str) -> None:
             f"node clustering needs node labels; dataset {name!r} has none "
             f"(labelled: {', '.join(labelled)})"
         )
+
+
+def _check_positive_or_exit(flag: str, *values: Optional[float]) -> None:
+    """Refuse a non-positive or non-finite number in one line, before any work."""
+    try:
+        for value in values:
+            if value is not None:
+                check_positive(value, flag)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _make_model_or_exit(name: str, **kwargs):
@@ -194,6 +205,8 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    _check_positive_or_exit("--epsilon", args.epsilon)
+    _check_positive_or_exit("--scale", args.scale)
     entry = _entry_or_exit(args.model)
     overrides = _parse_overrides(args.model, args.set or [])
     graph = _load_dataset_or_exit(args.dataset, args.scale, args.seed)
@@ -225,6 +238,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.experiments.config import ExperimentSettings
     from repro.experiments.runners import run_cell, spec_from_settings
 
+    _check_positive_or_exit("--epsilon", args.epsilon)
+    _check_positive_or_exit("--scale", args.scale)
     entry = _entry_or_exit(args.model)
     _check_dataset_or_exit(args.dataset)
     if args.task == "node_clustering":
@@ -273,6 +288,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             _entry_or_exit(model)
         given["models"] = ("--models", tuple(args.models))
     if args.epsilons:
+        _check_positive_or_exit("--epsilons", *args.epsilons)
         given["epsilons"] = ("--epsilons", tuple(args.epsilons))
     if args.workers is not None:
         given["workers"] = ("--workers", args.workers)

@@ -26,6 +26,7 @@ from repro.graph.sampling import (
     check_negative_distribution,
     unigram_weights,
 )
+from repro.graph.walk_engine import WalkEngine
 from repro.nn.functional import pair_gradients, score_pairs, sigmoid_pair
 from repro.nn.init import uniform_embedding
 from repro.train import ArrayPairSource, PairSource, TrainingLoop
@@ -115,17 +116,16 @@ class DeepWalk(EstimatorMixin):
         """Walk the corpus, extract its pairs and wrap them in a source.
 
         The golden digests pin this corpus-then-shuffle path bit for bit.
-        It drops the engine's second-order tables as soon as the walks are
-        drawn, and hands the pair array to the source, whose last pass
+        The walk engine lives for this one expression: it and its node2vec
+        table are freed by reference counting before the pairs are
+        extracted.  The pair array goes to the source, whose last pass
         shuffles it in place: the walk corpus and the pairs are the only
         corpus-sized arrays, and only the pairs survive extraction.
         """
         cfg = self.config
-        engine = self.graph.walk_engine()
-        corpus = engine.walk_corpus(
+        corpus = WalkEngine(self.graph).walk_corpus(
             cfg.num_walks, cfg.walk_length, rng=self._walk_rng, **self._walk_bias()
         )
-        engine.release_tables()
         pairs = walks_to_pairs(corpus, window_size=cfg.window_size)
         return ArrayPairSource(
             pairs, batch_size=cfg.batch_size, passes=cfg.num_epochs

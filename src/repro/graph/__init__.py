@@ -1,7 +1,6 @@
 """Graph substrate: data structure, synthetic datasets, sampling and splits."""
 
 from repro.graph.graph import Graph
-from repro.graph.storage import ArrayStorage
 from repro.graph.datasets import load_dataset, list_datasets, DatasetSpec
 from repro.graph.generators import (
     powerlaw_cluster_graph,
@@ -10,13 +9,12 @@ from repro.graph.generators import (
 )
 from repro.graph.sampling import EdgeSampler, SampleBatch
 from repro.graph.splits import train_test_split_edges, EdgeSplit
-from repro.graph.random_walk import random_walks, node2vec_walks, walks_to_pairs
+from repro.graph.random_walk import walks_to_pairs
 from repro.graph.walk_engine import WalkEngine
 from repro.graph.io import write_edge_list, read_edge_list
 
 __all__ = [
     "Graph",
-    "ArrayStorage",
     "load_dataset",
     "list_datasets",
     "DatasetSpec",
@@ -27,8 +25,6 @@ __all__ = [
     "SampleBatch",
     "train_test_split_edges",
     "EdgeSplit",
-    "random_walks",
-    "node2vec_walks",
     "walks_to_pairs",
     "WalkEngine",
     "write_edge_list",

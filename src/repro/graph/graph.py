@@ -1,8 +1,8 @@
 """Undirected graph container used throughout the library.
 
-The class delegates its arrays to an in-RAM
-:class:`~repro.graph.storage.ArrayStorage`: the edge list, a CSR-like
-adjacency (offsets + neighbour array) for O(degree) neighbourhood queries,
+A :class:`Graph` holds its arrays itself, in RAM: the canonical edge list
+(deduplicated, ``u < v``, lexicographically sorted), a CSR adjacency
+(offsets + neighbour array) for O(degree) neighbourhood queries, the degrees
 and optional node labels.  Nodes are integers ``0 .. num_nodes - 1``.
 """
 
@@ -11,8 +11,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-
-from repro.graph.storage import ArrayStorage
 
 #: Node count above which dense adjacency materialisation is refused by
 #: default — a dense float64 matrix at this size is already ~3.2 GB.
@@ -34,6 +32,23 @@ class Graph:
         Optional per-node integer class labels (used by node clustering).
     name:
         Optional human-readable dataset name.
+
+    Attributes
+    ----------
+    edges:
+        ``(num_edges, 2)`` int64 array of edges with ``u < v``.
+    csr_offsets, csr_neighbours:
+        CSR adjacency: node ``v``'s sorted neighbours are
+        ``csr_neighbours[csr_offsets[v]:csr_offsets[v + 1]]`` (int64, lengths
+        ``num_nodes + 1`` and ``2 * num_edges``).
+    degrees:
+        Per-node int64 degree array.
+
+    These four arrays are read-only, and so is every view of them
+    (``neighbours(v)`` included): a caller writing through a view would
+    corrupt the adjacency for everyone else.  Copy before mutating (fancy
+    indexing such as ``graph.edges[idx]`` already returns a fresh writable
+    array).
     """
 
     def __init__(
@@ -79,100 +94,63 @@ class Graph:
         else:
             labels_arr = None
 
-        self._storage = ArrayStorage.from_edge_array(
-            num_nodes, edge_arr, labels=labels_arr, name=str(name)
-        )
-        self._walk_engine = None
+        # Dedup + canonical (u < v, lexicographically sorted) ordering in one
+        # shot: encode each undirected edge as lo * num_nodes + hi, radix-sort
+        # the keys (kind="stable" selects radix sort for integer dtypes, ~4x
+        # faster than np.unique's default sort) and drop consecutive
+        # duplicates.  int64 keys are exact for num_nodes < ~3e9.
+        n = np.int64(num_nodes)
+        if edge_arr.shape[0]:
+            lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
+            hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
+            keys = np.sort(lo * n + hi, kind="stable")
+            keep = np.empty(keys.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            keys = keys[keep]
+            canonical = np.column_stack([keys // n, keys % n])
+        else:
+            canonical = np.zeros((0, 2), dtype=np.int64)
 
-    @classmethod
-    def from_storage(cls, storage: ArrayStorage) -> "Graph":
-        """Wrap an existing storage without re-validating its arrays."""
-        graph = object.__new__(cls)
-        graph._storage = storage
-        graph._walk_engine = None
-        return graph
+        # Each undirected edge contributes two directed arcs; sorting the
+        # encoded arcs src * n + dst places every neighbourhood contiguously
+        # and already sorted, so `has_edge` can use binary search.
+        u, v = canonical[:, 0], canonical[:, 1]
+        arcs = np.sort(np.concatenate([u * n + v, v * n + u]), kind="stable")
+        src = arcs // n
+        neighbours = arcs % n
+        degrees = np.bincount(src, minlength=num_nodes).astype(np.int64)
+        offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        for arr in (canonical, offsets, neighbours, degrees):
+            arr.flags.writeable = False
 
-    # ------------------------------------------------------------------
-    # basic properties
-    # ------------------------------------------------------------------
-    @property
-    def storage(self) -> ArrayStorage:
-        """The storage holding this graph's arrays."""
-        return self._storage
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes; node ids are ``0 .. num_nodes - 1``."""
-        return self._storage.num_nodes
-
-    @property
-    def name(self) -> str:
-        """Human-readable dataset name."""
-        return self._storage.name
-
-    @property
-    def labels(self) -> Optional[np.ndarray]:
-        """Per-node integer class labels, or ``None`` when unlabelled."""
-        return self._storage.labels
+        self.num_nodes = num_nodes
+        self.name = str(name)
+        self.labels = labels_arr
+        self.edges = canonical
+        self.csr_offsets = offsets
+        self.csr_neighbours = neighbours
+        self.degrees = degrees
 
     @property
     def num_edges(self) -> int:
         """Number of (undirected, deduplicated) edges."""
-        return self._storage.num_edges
-
-    @property
-    def edges(self) -> np.ndarray:
-        """``(num_edges, 2)`` int64 array of edges with ``u < v``.
-
-        The array is a read-only view of the shared internal buffer; copy it
-        before mutating (fancy indexing such as ``graph.edges[idx]`` already
-        returns a fresh writable array).
-        """
-        return self._storage.edges
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Per-node degree array (read-only view)."""
-        return self._storage.degrees
-
-    @property
-    def csr_offsets(self) -> np.ndarray:
-        """CSR offsets array of length ``num_nodes + 1`` (read-only view)."""
-        return self._storage.csr_offsets
-
-    @property
-    def csr_neighbours(self) -> np.ndarray:
-        """CSR neighbour array of length ``2 * num_edges`` (read-only view)."""
-        return self._storage.csr_neighbours
-
-    def walk_engine(self) -> "WalkEngine":
-        """Shared :class:`~repro.graph.walk_engine.WalkEngine` for this graph.
-
-        The engine is created lazily and cached so node2vec transition tables
-        survive across calls to :func:`repro.graph.random_walk.node2vec_walks`.
-        It is built over a second :class:`Graph` on the same storage, so it
-        holds no reference back to this one: a dropped graph and its tables
-        are freed by reference counting, without waiting for a collection.
-        """
-        if self._walk_engine is None:
-            from repro.graph.walk_engine import WalkEngine
-
-            self._walk_engine = WalkEngine(Graph.from_storage(self._storage))
-        return self._walk_engine
+        return int(self.edges.shape[0])
 
     def neighbours(self, node: int) -> np.ndarray:
         """Sorted neighbour ids of ``node``."""
         if not 0 <= node < self.num_nodes:
             raise ValueError(f"node {node} out of range [0, {self.num_nodes})")
-        offsets = self._storage.csr_offsets
+        offsets = self.csr_offsets
         lo, hi = offsets[node], offsets[node + 1]
-        return self._storage.csr_neighbours[lo:hi]
+        return self.csr_neighbours[lo:hi]
 
     def degree(self, node: int) -> int:
         """Degree of ``node``."""
         if not 0 <= node < self.num_nodes:
             raise ValueError(f"node {node} out of range [0, {self.num_nodes})")
-        return int(self._storage.degrees[node])
+        return int(self.degrees[node])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``(u, v)`` exists."""
@@ -207,8 +185,7 @@ class Graph:
         self._check_dense_limit("adjacency_matrix", dense_limit)
         adj = np.zeros((self.num_nodes, self.num_nodes), dtype=dtype)
         if self.num_edges:
-            edges = self._storage.edges
-            u, v = edges[:, 0], edges[:, 1]
+            u, v = self.edges[:, 0], self.edges[:, 1]
             adj[u, v] = 1
             adj[v, u] = 1
         return adj
@@ -231,24 +208,8 @@ class Graph:
         return adj * inv_sqrt[:, None] * inv_sqrt[None, :]
 
     # ------------------------------------------------------------------
-    # constructors / transforms
+    # transforms
     # ------------------------------------------------------------------
-    @classmethod
-    def from_edge_list(
-        cls,
-        edges: Iterable[Tuple[int, int]],
-        num_nodes: Optional[int] = None,
-        labels: Optional[Sequence[int]] = None,
-        name: str = "graph",
-    ) -> "Graph":
-        """Build a graph inferring ``num_nodes`` from the edge list if omitted."""
-        edge_list = [(int(u), int(v)) for u, v in edges]
-        if num_nodes is None:
-            if not edge_list:
-                raise ValueError("cannot infer num_nodes from an empty edge list")
-            num_nodes = max(max(u, v) for u, v in edge_list) + 1
-        return cls(num_nodes, edge_list, labels=labels, name=name)
-
     def subgraph_with_edges(self, edges: np.ndarray, name: Optional[str] = None) -> "Graph":
         """Return a graph over the same node set restricted to ``edges``.
 

@@ -1,30 +1,21 @@
-"""Random-walk corpora for DeepWalk / node2vec style skip-gram training.
+"""Skip-gram training pairs from random-walk corpora (DeepWalk / node2vec).
 
 AdvSGM itself trains from edge samples (LINE-style), but the paper's related
-models (DeepWalk, node2vec) and the example applications use walk corpora, so
-the substrate provides both uniform and biased (node2vec) walks.
-
-The public functions keep their original list-of-lists signatures but are now
-thin wrappers around the frontier-batched :class:`repro.graph.walk_engine.WalkEngine`,
-which advances all walks one step at a time with vectorized neighbour
-indexing.  ``walks_to_pairs`` is vectorized with stride tricks (a
+models (DeepWalk, node2vec) train from walk corpora.  The frontier-batched
+:class:`repro.graph.walk_engine.WalkEngine` draws a corpus as one ``-1``-padded
+integer matrix, one walk per row; ``walks_to_pairs`` turns that matrix into
+(centre, context) pairs, vectorized with stride tricks (a
 ``sliding_window_view`` over full-length walks, an index grid for ragged
-corpora); it emits exactly the same multiset of (centre, context) pairs as
-the original nested loops, but the emission *order* is an implementation
-detail — downstream trainers shuffle pairs before batching anyway.
+ones).  It emits exactly the same multiset of pairs as the original nested
+loops, but the emission *order* is an implementation detail — downstream
+trainers shuffle pairs before batching anyway.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import List, Sequence, Tuple, Union
+from typing import Tuple
 
 import numpy as np
-
-from repro.graph.graph import Graph
-from repro.utils.rng import RngLike
-
-WalkCorpus = Union[np.ndarray, Sequence[Sequence[int]]]
 
 #: Walk rows processed per chunk in ``walks_to_pairs``.  A chunk without
 #: padding writes its interior pairs straight into the output, so this bounds
@@ -32,78 +23,6 @@ WalkCorpus = Union[np.ndarray, Sequence[Sequence[int]]]
 #: 2 * window) index grid, or a full chunk's boundary pairs
 #: (``rows * window * (3 * window - 1)`` of them).
 _PAIR_CHUNK_ROWS = 16384
-
-
-def random_walks(
-    graph: Graph,
-    num_walks: int,
-    walk_length: int,
-    rng: RngLike = None,
-) -> List[List[int]]:
-    """Uniform random walks: ``num_walks`` walks of ``walk_length`` per node."""
-    if num_walks <= 0 or walk_length <= 0:
-        raise ValueError("num_walks and walk_length must be positive")
-    return matrix_to_walks(
-        graph.walk_engine().walk_corpus(num_walks, walk_length, rng=rng)
-    )
-
-
-def node2vec_walks(
-    graph: Graph,
-    num_walks: int,
-    walk_length: int,
-    p: float = 1.0,
-    q: float = 1.0,
-    rng: RngLike = None,
-) -> List[List[int]]:
-    """Second-order biased walks (node2vec).
-
-    ``p`` controls the return probability (likelihood of revisiting the
-    previous node) and ``q`` the in-out bias (BFS-like for q > 1, DFS-like for
-    q < 1).  ``p = q = 1`` reduces to uniform walks.
-    """
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
-    if num_walks <= 0 or walk_length <= 0:
-        raise ValueError("num_walks and walk_length must be positive")
-    return matrix_to_walks(
-        graph.walk_engine().walk_corpus(num_walks, walk_length, p=p, q=q, rng=rng)
-    )
-
-
-def matrix_to_walks(matrix: np.ndarray) -> List[List[int]]:
-    """Convert a ``-1``-padded walk matrix to the list-of-lists corpus form.
-
-    Accepts any integer dtype; rows that are entirely padding become empty
-    walks, and a zero-column matrix yields one empty walk per row.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError(f"walk matrix must be 2-D, got shape {matrix.shape}")
-    if matrix.shape[1] == 0:
-        return [[] for _ in range(matrix.shape[0])]
-    valid = matrix >= 0
-    lengths = np.where(valid.all(axis=1), matrix.shape[1], np.argmin(valid, axis=1))
-    return [row[:n].tolist() for row, n in zip(matrix, lengths)]
-
-
-def _pad_walks(walks: Sequence[Sequence[int]]) -> np.ndarray:
-    """Pack variable-length walks into a ``-1``-padded int64 matrix."""
-    num_walks = len(walks)
-    if num_walks == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    lengths = np.fromiter((len(w) for w in walks), dtype=np.int64, count=num_walks)
-    total = int(lengths.sum())
-    max_len = int(lengths.max())
-    matrix = np.full((num_walks, max_len), -1, dtype=np.int64)
-    if total:
-        flat = np.fromiter(chain.from_iterable(walks), dtype=np.int64, count=total)
-        rows = np.repeat(np.arange(num_walks), lengths)
-        starts = np.zeros(num_walks, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        cols = np.arange(total) - np.repeat(starts, lengths)
-        matrix[rows, cols] = flat
-    return matrix
 
 
 def _full_pair_count(rows: int, length: int, window_size: int) -> int:
@@ -204,12 +123,12 @@ def _ragged_pair_count(chunk: np.ndarray, window_size: int) -> int:
     )
 
 
-def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
-    """Convert walk corpora to (centre, context) skip-gram training pairs.
+def walks_to_pairs(walks: np.ndarray, window_size: int = 5) -> np.ndarray:
+    """Convert a walk corpus to (centre, context) skip-gram training pairs.
 
-    Accepts either the list-of-lists corpus produced by :func:`random_walks`
-    or a ``-1``-padded walk matrix (any integer dtype, read without a copy)
-    straight from the :class:`~repro.graph.walk_engine.WalkEngine`.
+    ``walks`` is a 2-D integer matrix, one walk per row, padded with ``-1``
+    after a walk ends, as :meth:`~repro.graph.walk_engine.WalkEngine.walk_corpus`
+    returns it; it is read in its own dtype, without a copy.
 
     The pairs take the narrowest unsigned integer dtype that holds the
     largest node id (``np.min_scalar_type``): uint8 for ids up to 255,
@@ -226,14 +145,11 @@ def walks_to_pairs(walks: WalkCorpus, window_size: int = 5) -> np.ndarray:
     """
     if window_size <= 0:
         raise ValueError(f"window_size must be positive, got {window_size}")
-    if isinstance(walks, np.ndarray):
-        # Integer matrices are read as they are (the engine's int32 corpus
-        # is never widened); anything else is cast to int64 ids.
-        matrix = walks if walks.dtype.kind in "iu" else walks.astype(np.int64)
-        if matrix.ndim != 2:
-            raise ValueError(f"walk matrix must be 2-D, got shape {matrix.shape}")
-    else:
-        matrix = _pad_walks(walks)
+    matrix = np.asarray(walks)
+    if matrix.ndim != 2 or matrix.dtype.kind not in "iu":
+        raise ValueError(
+            f"walks must be a 2-D integer matrix, got {matrix.dtype} of shape {matrix.shape}"
+        )
     if matrix.size == 0 or matrix.shape[1] < 2:
         return np.zeros((0, 2), dtype=np.int64)
     # An all-padding corpus has no id: its (empty) pairs are uint8.

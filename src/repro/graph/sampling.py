@@ -120,13 +120,6 @@ class SampleBatch:
         """Number of positive edges ``B``."""
         return int(self.positive_edges.shape[0])
 
-    @property
-    def negatives_per_edge(self) -> int:
-        """Negative sampling number ``k``."""
-        if self.batch_size == 0:
-            return 0
-        return int(self.negative_pairs.shape[0] // self.batch_size)
-
 
 class EdgeSampler:
     """Sampler implementing Algorithm 2 (positive edges + negative node sets).
@@ -239,9 +232,3 @@ class EdgeSampler:
             )
         negative_pairs = np.stack([sources, negatives], axis=1)
         return SampleBatch(positive_edges=positive, negative_pairs=negative_pairs)
-
-    def sample_nodes(self, count: int) -> np.ndarray:
-        """Sample ``count`` node ids uniformly (used for fake neighbours)."""
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        return self._rng.integers(0, self.graph.num_nodes, size=count)

@@ -18,10 +18,14 @@ for every directed arc ``(t, v)`` it stores the unnormalised p/q weights of
 search per active walk per step samples the biased next hop.  The table holds
 ``sum_v degree(v)^2`` entries (an int32 candidate and a float64 cumulative
 weight each) and is built a bounded chunk of entries at a time.  On graphs
-with dense hubs the engine automatically falls back to rejection sampling:
-propose a uniform neighbour, accept with probability ``w / w_max`` where
-``w`` is the p/q weight — O(2|E|) memory regardless of the degree
-distribution.
+with dense hubs (more than ``second_order_entry_limit`` entries) the engine
+falls back to rejection sampling instead: propose a uniform neighbour,
+accept with probability ``w / w_max`` where ``w`` is the p/q weight —
+O(2|E|) memory regardless of the degree distribution.
+
+An engine caches its tables, so the passes of one corpus share them, and
+nothing else holds an engine: DeepWalk/node2vec build one per fit and drop
+it, with its tables, before they extract the training pairs.
 
 ``walk_corpus`` has one RNG discipline: every pass shuffles the node order
 and walks once from each node, all on one shared sequential stream, so a
@@ -37,9 +41,6 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.utils.rng import RngLike, ensure_rng
-
-#: Second-order modes accepted by :meth:`WalkEngine.node2vec_walks`.
-SECOND_ORDER_MODES = ("auto", "table", "rejection")
 
 #: Table entries built per chunk in ``WalkEngine._build_second_order_table``.
 #: A chunk's temporaries (each entry's arc, CSR position, candidate, previous
@@ -84,16 +85,16 @@ class SecondOrderTable:
 class WalkEngine:
     """Vectorized uniform and node2vec walks over a :class:`Graph`."""
 
-    #: Above this many second-order table entries (``sum_v degree(v)^2``) the
-    #: ``"auto"`` mode switches to rejection sampling instead of building the
-    #: table.  A table entry is 12 bytes (int32 candidate, float64 cumulative
+    #: Above this many second-order table entries (``sum_v degree(v)^2``)
+    #: biased walks use rejection sampling instead of building the table.  A
+    #: table entry is 12 bytes (int32 candidate, float64 cumulative
     #: weight; 16 with the int64 candidates held before), plus 32 per arc: at
     #: ppi scale 3, 13.1 B/entry in all (17.1 before).  The chunked build
     #: peaks at 15.7 B/entry under tracemalloc, where the one-shot build it
     #: replaced peaked at 74.8.  So 2**25 entries hold about 0.4 GiB and
     #: build within about 0.5 GiB (about 2.3 GiB before).  The table lives
-    #: only while walking: DeepWalk/node2vec call :meth:`release_tables` once
-    #: their walks are drawn, so a fitted model does not pin it.
+    #: as long as its engine, which DeepWalk/node2vec drop once their walks
+    #: are drawn, so a fitted model does not pin it.
     second_order_entry_limit: int = 2**25
 
     def __init__(self, graph: Graph) -> None:
@@ -182,32 +183,25 @@ class WalkEngine:
         p: float = 1.0,
         q: float = 1.0,
         rng: RngLike = None,
-        second_order: str = "auto",
     ) -> np.ndarray:
         """Second-order biased walks (node2vec) from ``starts``.
 
         ``p`` controls the return probability, ``q`` the in-out bias;
-        ``p = q = 1`` reduces to (and is dispatched to) uniform walks.
-
-        ``second_order`` picks how the biased step is sampled: ``"table"``
-        uses the precomputed cumulative-weight table (``sum deg^2`` entries),
-        ``"rejection"`` rejection-samples uniform neighbour proposals (O(2|E|)
-        memory, no table), and ``"auto"`` uses the table unless it would
-        exceed :attr:`second_order_entry_limit` entries.
+        ``p = q = 1`` reduces to (and is dispatched to) uniform walks.  The
+        biased step samples from the precomputed cumulative-weight table
+        (``sum deg^2`` entries), or rejection-samples uniform neighbour
+        proposals (O(2|E|) memory, no table) when the table would exceed
+        :attr:`second_order_entry_limit` entries.
         """
         if p <= 0 or q <= 0:
             raise ValueError("p and q must be positive")
-        if second_order not in SECOND_ORDER_MODES:
-            raise ValueError(
-                f"second_order must be one of {SECOND_ORDER_MODES}, got {second_order!r}"
-            )
         if p == 1.0 and q == 1.0:
             return self.uniform_walks(starts, walk_length, rng=rng)
         starts = self._check_starts(starts)
         if walk_length <= 0:
             raise ValueError(f"walk_length must be positive, got {walk_length}")
         rng = ensure_rng(rng)
-        use_table = self.resolved_second_order(p, q, second_order) == "table"
+        use_table = self.resolved_second_order(p, q) == "table"
         table = self.second_order_table(p, q) if use_table else None
         num_nodes = np.int64(self.graph.num_nodes)
 
@@ -271,29 +265,28 @@ class WalkEngine:
         """Entries a second-order table would hold: ``sum_v degree(v)^2``.
 
         Cached on the engine: the degree distribution never changes (graph
-        buffers are read-only), and the ``"auto"`` dispatch in
-        :meth:`node2vec_walks` consults this once *per pass*, which made the
-        O(num_nodes) reduction a recurring per-pass cost on large graphs.
+        buffers are read-only), and :meth:`node2vec_walks` consults this once
+        *per pass*, which made the O(num_nodes) reduction a recurring
+        per-pass cost on large graphs.
         """
         if self._entry_count is None:
             self._entry_count = int((self._degrees.astype(np.float64) ** 2).sum())
         return self._entry_count
 
-    def resolved_second_order(self, p: float, q: float, second_order: str = "auto") -> str:
-        """The sampling mode a walk with these parameters actually uses.
+    def resolved_second_order(self, p: float, q: float) -> str:
+        """The sampling mode a walk with these parameters uses.
 
         ``"uniform"`` for ``p = q = 1`` (dispatched to first-order walks),
-        otherwise the table/rejection choice ``"auto"`` resolves to.  The
-        two biased modes draw the same distribution but consume the RNG
-        differently, so their walks differ seed-for-seed.
+        otherwise ``"table"``, or ``"rejection"`` when the table would hold
+        more than :attr:`second_order_entry_limit` entries.  The two biased
+        modes draw the same distribution but consume the RNG differently, so
+        their walks differ seed-for-seed.
         """
         if float(p) == 1.0 and float(q) == 1.0:
             return "uniform"
-        if second_order == "auto":
-            if self.second_order_entry_count() <= self.second_order_entry_limit:
-                return "table"
-            return "rejection"
-        return second_order
+        if self.second_order_entry_count() <= self.second_order_entry_limit:
+            return "table"
+        return "rejection"
 
     def _arc_keys(self) -> np.ndarray:
         """Sorted encoded directed arcs ``src * num_nodes + dst`` (2|E| entries)."""
@@ -340,16 +333,6 @@ class WalkEngine:
             out[pending[accept]] = candidate[accept]
             pending = pending[~accept]
         return out
-
-    def release_tables(self) -> None:
-        """Drop the cached second-order tables and arc keys.
-
-        The engine is shared by every model on a graph, so its caches outlive
-        any one walk.  A trainer calls this once its walks are drawn; the
-        next biased walk rebuilds what it needs, with the same result.
-        """
-        self._tables.clear()
-        self._arc_keys_cache = None
 
     def second_order_table(self, p: float, q: float) -> SecondOrderTable:
         """Return (building and caching on first use) the p/q transition table."""

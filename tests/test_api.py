@@ -301,17 +301,17 @@ class TestPairDtype:
     """Pairs take the narrowest unsigned dtype that holds the largest node id."""
 
     def test_narrowest_unsigned_pairs_for_small_graphs(self, tiny_graph):
+        from reference_impl import reference_walks_to_pairs
         from repro.graph.random_walk import walks_to_pairs
+        from repro.graph.walk_engine import WalkEngine
 
-        matrix = tiny_graph.walk_engine().walk_corpus(1, 8, rng=0)
+        matrix = WalkEngine(tiny_graph).walk_corpus(1, 8, rng=0)
         pairs = walks_to_pairs(matrix, window_size=3)
         assert tiny_graph.num_nodes <= 256 and pairs.dtype == np.uint8
-        # Same multiset as the padded list form.
+        # Same multiset as the reference loops over the unpadded walks.
         as_lists = [row[row >= 0].tolist() for row in matrix]
-        pairs_ragged = walks_to_pairs(as_lists, window_size=3)
-        assert pairs_ragged.dtype == np.uint8
         key = lambda p: sorted(map(tuple, p.tolist()))
-        assert key(pairs) == key(pairs_ragged)
+        assert key(pairs) == key(reference_walks_to_pairs(as_lists, 3))
 
     @pytest.mark.parametrize(
         "top,dtype",
@@ -321,30 +321,29 @@ class TestPairDtype:
     def test_dtype_boundaries(self, top, dtype):
         from repro.graph.random_walk import walks_to_pairs
 
-        walks = [[0, top, 1], [top, 2]]
         want = sorted([(0, top), (top, 0), (top, 1), (1, top), (top, 2), (2, top)])
         matrix = np.array([[0, top, 1], [top, 2, -1]], dtype=np.int64)
-        for corpus in (matrix, walks):
-            pairs = walks_to_pairs(corpus, window_size=1)
-            assert pairs.dtype == dtype
-            assert sorted(map(tuple, pairs.tolist())) == want
+        pairs = walks_to_pairs(matrix, window_size=1)
+        assert pairs.dtype == dtype
+        assert sorted(map(tuple, pairs.tolist())) == want
 
     def test_all_padding_yields_no_pairs(self):
         from repro.graph.random_walk import walks_to_pairs
 
         for matrix in (np.full((3, 5), -1), np.full((20, 4), -1, dtype=np.int32)):
             assert walks_to_pairs(matrix, window_size=2).shape == (0, 2)
-        assert walks_to_pairs([[], [], []], window_size=2).shape == (0, 2)
+        assert walks_to_pairs(np.zeros((3, 0), dtype=np.int64), window_size=2).shape == (0, 2)
 
     def test_deepwalk_pass_is_dtype_independent(self):
         # Training only indexes with the ids: one pass from uint16 pairs is
         # byte-equal to the same pass from the same pairs as int32.
         from repro.graph.generators import powerlaw_cluster_graph
         from repro.graph.random_walk import walks_to_pairs
+        from repro.graph.walk_engine import WalkEngine
         from repro.train import ArrayPairSource
 
         graph = powerlaw_cluster_graph(400, attachment=3, triangle_prob=0.3, rng=2)
-        corpus = graph.walk_engine().walk_corpus(2, 10, rng=4)
+        corpus = WalkEngine(graph).walk_corpus(2, 10, rng=4)
         pairs = walks_to_pairs(corpus, window_size=3)
         assert pairs.dtype == np.uint16
         trained = []

@@ -281,3 +281,39 @@ def test_evaluate_refuses_negative_repeat():
         main(["evaluate", "--model", "sgm", "--dataset", "ppi", "--repeat", "-1"])
     message = str(info.value.code)
     assert "--repeat" in message and "\n" not in message
+
+
+FIG3_SMOKE = ["experiment", "fig3", "--preset", "smoke", "--dataset", "ppi",
+              "--models", "AdvSGM"]
+EVALUATE_SMOKE = ["evaluate", "--model", "advsgm", "--dataset", "ppi", "--preset", "smoke"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (FIG3_SMOKE + ["--epsilons", "6", "-1"], "--epsilons"),
+    (FIG3_SMOKE + ["--epsilons", "nan", "6"], "--epsilons"),
+    (EVALUATE_SMOKE + ["--epsilon", "-1"], "--epsilon"),
+    (EVALUATE_SMOKE + ["--epsilon", "6", "--scale", "0"], "--scale"),
+    (EVALUATE_SMOKE + ["--epsilon", "6", "--scale", "inf"], "--scale"),
+], ids=["fig3-negative-epsilon", "fig3-nan-epsilon", "evaluate-negative-epsilon",
+        "evaluate-zero-scale", "evaluate-infinite-scale"])
+def test_out_of_range_budget_or_scale_is_refused_before_training(
+    argv, flag, tmp_path, monkeypatch, no_model_built
+):
+    # The valid epsilon of a sweep must not train (or be cached) before an
+    # invalid one further down the list is noticed.
+    from repro.cli import main
+    from repro.experiments import runners
+
+    def refuse_load(*args, **kwargs):
+        raise AssertionError("a dataset was loaded before the CLI refused")
+
+    monkeypatch.setattr(runners, "load_dataset", refuse_load)
+    cache = tmp_path / "cache"
+    if argv[0] == "experiment":
+        argv = argv + ["--cache-dir", str(cache)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    message = str(info.value.code)
+    assert message.startswith(f"{flag} must be a positive finite number")
+    assert "\n" not in message
+    assert not list(cache.glob("entries/**/*"))

@@ -9,7 +9,8 @@ from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
 from repro.embedding.adversarial import AdversarialSkipGram
 from repro.core.config import AdvSGMConfig
 from repro.evals.link_prediction import LinkPredictionTask
-from repro.graph.random_walk import node2vec_walks, random_walks, walks_to_pairs
+from repro.graph.random_walk import walks_to_pairs
+from repro.graph.walk_engine import WalkEngine
 
 
 class TestSkipGramModel:
@@ -111,35 +112,38 @@ class TestTouchedRowUpdate:
         assert carried > 0
 
 
+def assert_walks_follow_edges(graph, corpus):
+    for walk in corpus:
+        walk = walk[walk >= 0]
+        for a, b in zip(walk, walk[1:]):
+            assert graph.has_edge(int(a), int(b))
+
+
 class TestRandomWalks:
     def test_walk_counts_and_lengths(self, small_graph):
-        walks = random_walks(small_graph, num_walks=2, walk_length=5, rng=0)
-        assert len(walks) == 2 * small_graph.num_nodes
-        assert all(1 <= len(w) <= 5 for w in walks)
+        corpus = WalkEngine(small_graph).walk_corpus(2, 5, rng=0)
+        assert corpus.shape == (2 * small_graph.num_nodes, 5)
+        assert (corpus[:, 0] >= 0).all()
 
     def test_walk_steps_follow_edges(self, small_graph):
-        walks = random_walks(small_graph, num_walks=1, walk_length=6, rng=0)
-        for walk in walks[:50]:
-            for a, b in zip(walk, walk[1:]):
-                assert small_graph.has_edge(a, b)
+        corpus = WalkEngine(small_graph).walk_corpus(1, 6, rng=0)
+        assert_walks_follow_edges(small_graph, corpus[:50])
 
     def test_node2vec_walks_follow_edges(self, small_graph):
-        walks = node2vec_walks(small_graph, num_walks=1, walk_length=5, p=0.5, q=2.0, rng=0)
-        for walk in walks[:50]:
-            for a, b in zip(walk, walk[1:]):
-                assert small_graph.has_edge(a, b)
+        corpus = WalkEngine(small_graph).walk_corpus(1, 5, p=0.5, q=2.0, rng=0)
+        assert_walks_follow_edges(small_graph, corpus[:50])
 
     def test_node2vec_parameter_validation(self, small_graph):
         with pytest.raises(ValueError):
-            node2vec_walks(small_graph, 1, 5, p=0.0)
+            WalkEngine(small_graph).walk_corpus(1, 5, p=0.0)
 
     def test_walks_to_pairs_window(self):
-        pairs = walks_to_pairs([[0, 1, 2]], window_size=1)
+        pairs = walks_to_pairs(np.array([[0, 1, 2]]), window_size=1)
         as_set = {tuple(p) for p in pairs.tolist()}
         assert as_set == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
     def test_walks_to_pairs_empty(self):
-        assert walks_to_pairs([[5]], window_size=2).shape == (0, 2)
+        assert walks_to_pairs(np.array([[5]]), window_size=2).shape == (0, 2)
 
 
 class TestDeepWalkAndNode2Vec:

@@ -36,14 +36,6 @@ class TestGraphConstruction:
         g = Graph(3, [(0, 1)], labels=[0, 1, 1])
         assert g.labels.tolist() == [0, 1, 1]
 
-    def test_from_edge_list_infers_num_nodes(self):
-        g = Graph.from_edge_list([(0, 3), (1, 2)])
-        assert g.num_nodes == 4
-
-    def test_from_edge_list_empty_requires_num_nodes(self):
-        with pytest.raises(ValueError):
-            Graph.from_edge_list([])
-
 
 class TestGraphQueries:
     def test_degrees(self, triangle_graph):

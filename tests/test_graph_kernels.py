@@ -5,20 +5,13 @@ The vectorized CSR construction, connected components, walk engine and
 implementations preserved in ``tests/reference_impl.py``.
 """
 
-import gc
-import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.graph.graph import Graph
-from repro.graph.random_walk import (
-    matrix_to_walks,
-    node2vec_walks,
-    random_walks,
-    walks_to_pairs,
-)
+from repro.graph.random_walk import walks_to_pairs
 from repro.graph.walk_engine import WalkEngine
 from reference_impl import (
     reference_build_adjacency,
@@ -36,6 +29,19 @@ def random_edge_list(rng, num_nodes, num_edges):
 
 def sort_pairs(pairs):
     return pairs[np.lexsort(pairs.T[::-1])]
+
+
+def padded(walks):
+    """Walks as the engine's ``-1``-padded int64 matrix, one walk per row."""
+    matrix = np.full((len(walks), max(map(len, walks), default=0)), -1, dtype=np.int64)
+    for row, walk in zip(matrix, walks):
+        row[: len(walk)] = walk
+    return matrix
+
+
+def unpadded(matrix):
+    """Rows of a ``-1``-padded walk matrix as lists, for the reference loops."""
+    return [row[row >= 0].tolist() for row in matrix]
 
 
 class TestCsrParity:
@@ -192,24 +198,6 @@ class TestWalkEngine:
         with pytest.raises(ValueError):
             engine.node2vec_walks(np.array([0]), 5, p=0.0)
 
-    def test_graph_walk_engine_is_cached(self, small_graph):
-        assert small_graph.walk_engine() is small_graph.walk_engine()
-
-    def test_graph_with_engine_freed_by_refcount(self, small_graph):
-        # The cached engine must not point back at its graph: with the
-        # collector off, dropping the last reference frees both at once.
-        graph = Graph.from_storage(small_graph.storage)
-        engine = graph.walk_engine()
-        engine.second_order_table(0.5, 2.0)
-        graph_ref, engine_ref = weakref.ref(graph), weakref.ref(engine)
-        del engine
-        gc.disable()
-        try:
-            del graph
-            assert graph_ref() is None and engine_ref() is None
-        finally:
-            gc.enable()
-
     def test_walk_corpus_stacks_shuffled_passes(self, small_graph):
         engine = WalkEngine(small_graph)
         corpus = engine.walk_corpus(3, 6, rng=0)
@@ -228,40 +216,6 @@ class TestWalkEngine:
             WalkEngine(SimpleNamespace(num_nodes=2**31))
 
 
-class TestWalkWrappers:
-    def test_random_walks_counts_and_validity(self, small_graph):
-        walks = random_walks(small_graph, num_walks=2, walk_length=5, rng=0)
-        assert len(walks) == 2 * small_graph.num_nodes
-        assert all(1 <= len(w) <= 5 for w in walks)
-        starts = sorted(w[0] for w in walks)
-        assert starts == sorted(list(range(small_graph.num_nodes)) * 2)
-
-    def test_node2vec_wrapper_validity(self, small_graph):
-        walks = node2vec_walks(small_graph, 1, 5, p=0.5, q=2.0, rng=0)
-        for w in walks[:30]:
-            for a, b in zip(w, w[1:]):
-                assert small_graph.has_edge(a, b)
-
-    def test_matrix_to_walks_truncates_padding(self):
-        matrix = np.array([[3, 1, -1, -1], [2, 0, 1, 2]])
-        assert matrix_to_walks(matrix) == [[3, 1], [2, 0, 1, 2]]
-
-    def test_matrix_to_walks_all_padding_rows(self):
-        matrix = np.array([[-1, -1, -1], [4, 2, -1], [-1, -1, -1]])
-        assert matrix_to_walks(matrix) == [[], [4, 2], []]
-
-    def test_matrix_to_walks_zero_columns(self):
-        assert matrix_to_walks(np.zeros((3, 0), dtype=np.int64)) == [[], [], []]
-
-    def test_matrix_to_walks_int32_input(self):
-        matrix = np.array([[3, 1, -1], [2, 0, 1]], dtype=np.int32)
-        assert matrix_to_walks(matrix) == [[3, 1], [2, 0, 1]]
-
-    def test_matrix_to_walks_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            matrix_to_walks(np.array([1, 2, 3]))
-
-
 class TestWalksToPairsParity:
     @pytest.mark.parametrize("trial", range(10))
     def test_ragged_corpus_matches_reference(self, trial):
@@ -271,7 +225,7 @@ class TestWalksToPairsParity:
             for _ in range(int(rng.integers(1, 25)))
         ]
         window = int(rng.integers(1, 7))
-        got = walks_to_pairs(walks, window)
+        got = walks_to_pairs(padded(walks), window)
         ref = reference_walks_to_pairs(walks, window)
         assert got.shape == ref.shape
         assert np.array_equal(sort_pairs(got), sort_pairs(ref))
@@ -286,13 +240,13 @@ class TestWalksToPairsParity:
 
     def test_window_larger_than_walk(self):
         walks = [[0, 1, 2]]
-        got = walks_to_pairs(walks, window_size=99)
+        got = walks_to_pairs(padded(walks), window_size=99)
         ref = reference_walks_to_pairs(walks, window_size=99)
         assert np.array_equal(sort_pairs(got), sort_pairs(ref))
 
     def test_single_node_walks_and_empty(self):
-        assert walks_to_pairs([[5]], 2).shape == (0, 2)
-        assert walks_to_pairs([], 2).shape == (0, 2)
+        assert walks_to_pairs(padded([[5]]), 2).shape == (0, 2)
+        assert walks_to_pairs(padded([]), 2).shape == (0, 2)
         assert walks_to_pairs(np.zeros((0, 4), dtype=np.int64), 2).shape == (0, 2)
 
     def test_padded_matrix_skips_sentinels(self):
@@ -303,14 +257,23 @@ class TestWalksToPairsParity:
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            walks_to_pairs([[0, 1]], 0)
+            walks_to_pairs(padded([[0, 1]]), 0)
+
+    @pytest.mark.parametrize(
+        "walks",
+        [np.array([0, 1, 2]), np.array([[0.0, 1.0, 2.0]]), [[0, 1], [2]]],
+        ids=["1-d", "float", "ragged-lists"],
+    )
+    def test_only_2d_integer_matrices(self, walks):
+        with pytest.raises(ValueError):
+            walks_to_pairs(walks, 2)
 
     def test_all_padding_rows_round_trip(self):
         # Rows that are entirely -1 padding contribute no pairs and must agree
         # with the reference pipeline run on the truncated corpus.
         matrix = np.array([[-1, -1, -1, -1], [0, 1, 2, -1], [-1, -1, -1, -1]])
         got = walks_to_pairs(matrix, 2)
-        ref = reference_walks_to_pairs(matrix_to_walks(matrix), 2)
+        ref = reference_walks_to_pairs(unpadded(matrix), 2)
         assert np.array_equal(sort_pairs(got), sort_pairs(ref))
 
     def test_entirely_padded_matrix_yields_no_pairs(self):
@@ -330,7 +293,7 @@ class TestWalksToPairsParity:
         for i in np.flatnonzero(has_pad):
             matrix[i, first_pad[i]:] = -1
         got = walks_to_pairs(matrix, 3)
-        ref = reference_walks_to_pairs(matrix_to_walks(matrix), 3)
+        ref = reference_walks_to_pairs(unpadded(matrix), 3)
         assert np.array_equal(sort_pairs(got.astype(np.int64)), sort_pairs(ref))
 
 
@@ -356,19 +319,22 @@ class TestEngineCaches:
     def test_resolved_second_order_modes(self, small_graph):
         engine = WalkEngine(small_graph)
         assert engine.resolved_second_order(1.0, 1.0) == "uniform"
-        assert engine.resolved_second_order(0.5, 2.0) in ("table", "rejection")
-        assert engine.resolved_second_order(0.5, 2.0, "rejection") == "rejection"
+        assert engine.resolved_second_order(0.5, 2.0) == "table"
+        # The table/rejection choice is made from the entry count alone.
+        engine.second_order_entry_limit = engine.second_order_entry_count()
+        assert engine.resolved_second_order(0.5, 2.0) == "table"
+        engine.second_order_entry_limit -= 1
+        assert engine.resolved_second_order(0.5, 2.0) == "rejection"
 
     def test_cached_table_walks_match_fresh_engine(self, small_graph):
         """Reusing a cached table across passes changes nothing numerically."""
         warm = WalkEngine(small_graph)
+        assert warm.resolved_second_order(0.5, 2.0) == "table"
         warm.second_order_table(0.5, 2.0)  # pre-warm
         a = warm.node2vec_walks(
-            np.arange(20), 8, p=0.5, q=2.0, rng=np.random.default_rng(3),
-            second_order="table",
+            np.arange(20), 8, p=0.5, q=2.0, rng=np.random.default_rng(3)
         )
         b = WalkEngine(small_graph).node2vec_walks(
-            np.arange(20), 8, p=0.5, q=2.0, rng=np.random.default_rng(3),
-            second_order="table",
+            np.arange(20), 8, p=0.5, q=2.0, rng=np.random.default_rng(3)
         )
         np.testing.assert_array_equal(a, b)

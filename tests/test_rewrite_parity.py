@@ -598,10 +598,7 @@ def full_pairs_reference(matrix, window_size, dtype):
 
 def concatenated_walks_to_pairs(walks, window_size, chunk_rows):
     """The chunk-then-concatenate ``walks_to_pairs`` the one-array version replaced."""
-    if isinstance(walks, np.ndarray):
-        matrix = walks.astype(np.int64, copy=False)
-    else:
-        matrix = random_walk._pad_walks(walks)
+    matrix = walks.astype(np.int64, copy=False)
     if matrix.size == 0 or matrix.shape[1] < 2:
         return np.zeros((0, 2), dtype=np.int64)
     dtype = np.min_scalar_type(max(int(matrix.max()), 0))
@@ -627,9 +624,8 @@ class TestOneArrayPairs:
         suffix = full.copy()
         suffix[np.arange(length)[None, :] >= rng.integers(0, length + 1, size=(7, 1))] = -1
         holes = np.where(rng.random(full.shape) < 0.3, -1, full)
-        lists = [list(row[row >= 0]) for row in suffix]
         wide = full.astype(np.int64) << 32  # node ids past uint32: uint64 pairs
-        for walks in (full, full.astype(np.int32), suffix, holes, lists, wide, full[:0]):
+        for walks in (full, full.astype(np.int32), suffix, holes, wide, full[:0]):
             got = walks_to_pairs(walks, window)
             assert_same_bytes(got, concatenated_walks_to_pairs(walks, window, chunk_rows))
 
@@ -720,12 +716,11 @@ class TestCarriedArcStep:
     @pytest.mark.parametrize("walk_length", [1, 2, 3, 20])
     def test_walks_match_two_search_step(self, walk_graph, walk_length, p, q):
         engine = WalkEngine(walk_graph)
+        assert engine.resolved_second_order(p, q) == "table"
         starts = np.random.default_rng(walk_length).permutation(
             np.tile(np.arange(walk_graph.num_nodes), 3)
         )
-        got = engine.node2vec_walks(
-            starts, walk_length, p=p, q=q, rng=np.random.default_rng(9), second_order="table"
-        )
+        got = engine.node2vec_walks(starts, walk_length, p=p, q=q, rng=np.random.default_rng(9))
         want = two_search_node2vec_walks(
             engine, starts, walk_length, p, q, np.random.default_rng(9)
         )

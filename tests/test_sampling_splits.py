@@ -16,7 +16,7 @@ class TestEdgeSampler:
         assert batch.positive_edges.shape == (16, 2)
         assert batch.negative_pairs.shape == (80, 2)
         assert batch.batch_size == 16
-        assert batch.negatives_per_edge == 5
+        assert batch.negative_pairs.shape[0] == 5 * batch.batch_size
 
     def test_positive_edges_exist_in_graph(self, small_graph):
         sampler = EdgeSampler(small_graph, batch_size=32, num_negatives=2, rng=0)
@@ -70,14 +70,6 @@ class TestEdgeSampler:
             EdgeSampler(small_graph, batch_size=0)
         with pytest.raises(ValueError):
             EdgeSampler(small_graph, batch_size=4, num_negatives=0)
-
-    def test_sample_nodes(self, small_graph):
-        sampler = EdgeSampler(small_graph, batch_size=4, rng=0)
-        nodes = sampler.sample_nodes(10)
-        assert nodes.shape == (10,)
-        assert nodes.min() >= 0 and nodes.max() < small_graph.num_nodes
-        with pytest.raises(ValueError):
-            sampler.sample_nodes(0)
 
     def test_reproducible_with_seed(self, small_graph):
         b1 = EdgeSampler(small_graph, batch_size=8, rng=42).sample()

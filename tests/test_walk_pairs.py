@@ -7,20 +7,23 @@ The key guarantees under test:
   the corpus plus about one int64 pass;
 * ``ArrayPairSource`` replays the historical permutation/slice loop
   exactly;
-* a materialised fit holds one pair corpus at its peak and leaves no
-  second-order table on the graph's walk engine;
+* a materialised fit holds one pair corpus at its peak, and its walk
+  engine, with the node2vec table, is freed before the pairs are extracted;
 * building the node2vec table holds the table plus one chunk's
   temporaries;
 * the rejection-sampling second-order fallback draws from the same
   distribution as the transition table.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.api.registry import make_model
+from repro.embedding import deepwalk
 from repro.graph import walk_engine
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import powerlaw_cluster_graph
@@ -41,11 +44,6 @@ class TestRejectionSampling:
                     break
                 assert small_graph.has_edge(int(a), int(b))
 
-    def test_explicit_mode_validation(self, small_graph):
-        engine = small_graph.walk_engine()
-        with pytest.raises(ValueError):
-            engine.node2vec_walks(np.arange(4), 5, p=0.5, q=2.0, second_order="bogus")
-
     def test_rejection_matches_table_distribution(self):
         # Tiny fixed graph: walk arrived at node 1 coming from node 0.
         # Neighbours of 1 are {0, 2, 3}; (2, 0) is an edge (triangle) while
@@ -64,7 +62,7 @@ class TestRejectionSampling:
             assert frequency == pytest.approx(weight / total, abs=0.02)
 
     def test_second_order_entry_count(self, triangle_graph):
-        engine = triangle_graph.walk_engine()
+        engine = WalkEngine(triangle_graph)
         degrees = np.asarray(triangle_graph.degrees)
         assert engine.second_order_entry_count() == int((degrees**2).sum())
 
@@ -118,7 +116,7 @@ class TestCorpusAssembly:
 
     @pytest.mark.parametrize("p,q", [(1.0, 1.0), (0.5, 2.0)], ids=["uniform", "biased"])
     def test_equals_stacked_passes(self, small_graph, p, q):
-        engine = small_graph.walk_engine()
+        engine = WalkEngine(small_graph)
         corpus = engine.walk_corpus(3, 9, p=p, q=q, rng=31)
         # The schedule by hand: every pass shuffles the start order and walks
         # once from each node, all on one generator.
@@ -137,7 +135,7 @@ class TestCorpusAssembly:
     @pytest.mark.parametrize("p,q", [(1.0, 1.0), (0.5, 2.0)], ids=["uniform", "table"])
     def test_peak_is_corpus_plus_one_pass(self, p, q):
         graph = powerlaw_cluster_graph(3000, attachment=3, triangle_prob=0.3, rng=4)
-        engine = graph.walk_engine()
+        engine = WalkEngine(graph)
         # The node2vec table is the engine's cache, built on first use; it
         # is built before the trace, which measures walking only.
         if engine.resolved_second_order(p, q) == "table":
@@ -190,24 +188,64 @@ class TestTableMemory:
         assert peak <= 1.3 * table_bytes, (peak, table_bytes)
 
 
+def node2vec_fit(graph):
+    """A small seeded node2vec fit (p 0.5, q 2) on ``graph``."""
+    return make_model(
+        "node2vec", graph=graph, rng=9, p=0.5, q=2.0, num_walks=2,
+        walk_length=8, window_size=2, embedding_dim=8, num_epochs=2,
+        batch_size=64,
+    ).fit()
+
+
 class TestMaterialisedMemory:
     """A materialised fit holds one pair corpus and pins no walk table."""
 
-    def test_fit_drops_second_order_table(self, small_graph):
-        def fit():
-            return make_model(
-                "node2vec", graph=small_graph, rng=9, p=0.5, q=2.0, num_walks=2,
-                walk_length=8, window_size=2, embedding_dim=8, num_epochs=2,
-                batch_size=64,
-            ).fit()
+    def test_no_walk_engine_outlives_the_walks(self, small_graph, monkeypatch):
+        # The fit's engine (and the node2vec table it caches) must be freed
+        # by reference counting before the pairs are extracted, so the table
+        # is never alive beside the pair array.
+        assert WalkEngine(small_graph).resolved_second_order(0.5, 2.0) == "table"
+        engines = []
+        alive_at_extraction = []
+        init, extract = WalkEngine.__init__, deepwalk.walks_to_pairs
 
-        engine = small_graph.walk_engine()
-        assert engine.resolved_second_order(0.5, 2.0) == "table"
-        first = fit()
-        assert not engine._tables
-        # The next fit on the same graph object rebuilds the table it needs.
-        assert fit().embeddings_.tobytes() == first.embeddings_.tobytes()
-        assert not engine._tables
+        def spy_init(self, graph):
+            init(self, graph)
+            engines.append(weakref.ref(self))
+
+        def spy_extract(corpus, window_size):
+            alive_at_extraction.append([ref() is not None for ref in engines])
+            return extract(corpus, window_size=window_size)
+
+        monkeypatch.setattr(WalkEngine, "__init__", spy_init)
+        monkeypatch.setattr(deepwalk, "walks_to_pairs", spy_extract)
+        gc.disable()
+        try:
+            node2vec_fit(small_graph)
+            assert len(engines) == 1
+            assert alive_at_extraction == [[False]]
+            assert engines[0]() is None
+        finally:
+            gc.enable()
+
+    def test_fit_without_table_is_seeded(self, small_graph, monkeypatch):
+        # Past the entry limit a fit walks by rejection sampling: no table is
+        # built, a seed still fixes the embeddings, and they differ from the
+        # table path's (the two modes consume the stream differently).
+        with_table = node2vec_fit(small_graph).embeddings_.tobytes()
+        builds = []
+        build = WalkEngine._build_second_order_table
+
+        def spy_build(self, p, q):
+            builds.append((p, q))
+            return build(self, p, q)
+
+        monkeypatch.setattr(WalkEngine, "_build_second_order_table", spy_build)
+        monkeypatch.setattr(WalkEngine, "second_order_entry_limit", 0)
+        first = node2vec_fit(small_graph).embeddings_.tobytes()
+        assert node2vec_fit(small_graph).embeddings_.tobytes() == first
+        assert builds == []
+        assert first != with_table
 
     def test_fit_peak_is_one_pair_corpus(self):
         # One epoch, so the source's only pass shuffles the pairs in place.
@@ -221,7 +259,6 @@ class TestMaterialisedMemory:
             walk_length=walk_length, window_size=window, embedding_dim=8,
             num_negatives=1, num_epochs=1, batch_size=batch,
         )
-        graph.walk_engine()
         rows = num_walks * graph.num_nodes
         corpus_bytes = rows * walk_length * 4  # int32 walk matrix
         pair_bytes = rows * window * (2 * walk_length - window - 1) * 2 * 2  # uint16
