@@ -111,6 +111,12 @@ def _check_positive_or_exit(flag: str, *values: Optional[float]) -> None:
         raise SystemExit(str(exc))
 
 
+def _check_seed_or_exit(seed: Optional[int]) -> None:
+    """Refuse a negative root seed in one line; numpy seeds only from ints >= 0."""
+    if seed is not None and seed < 0:
+        raise SystemExit(f"--seed must be non-negative, got {seed}")
+
+
 def _make_model_or_exit(name: str, **kwargs):
     """Construct a model, exiting with a one-line message on config errors."""
     try:
@@ -207,6 +213,7 @@ def _cmd_models(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     _check_positive_or_exit("--epsilon", args.epsilon)
     _check_positive_or_exit("--scale", args.scale)
+    _check_seed_or_exit(args.seed)
     entry = _entry_or_exit(args.model)
     overrides = _parse_overrides(args.model, args.set or [])
     graph = _load_dataset_or_exit(args.dataset, args.scale, args.seed)
@@ -246,6 +253,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         _check_labelled_or_exit(args.dataset)
     if args.repeat < 0:
         raise SystemExit(f"--repeat must be non-negative, got {args.repeat}")
+    _check_seed_or_exit(args.seed)
     settings = ExperimentSettings.preset(args.preset)
     if args.scale is not None:
         settings = dataclasses.replace(settings, dataset_scale=args.scale)

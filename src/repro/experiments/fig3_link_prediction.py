@@ -15,8 +15,7 @@ from repro.experiments.config import ExperimentSettings
 from repro.experiments.runners import (
     PRIVATE_MODEL_NAMES,
     format_series,
-    nest_series,
-    run_spec,
+    series_sweep,
     spec_from_settings,
 )
 
@@ -53,11 +52,10 @@ def run(
     :func:`repro.experiments.runners.run_spec`: completed cells are loaded
     from the result store instead of recomputed.
     """
-    results = run_spec(
-        spec(settings, datasets, models, epsilons),
+    return series_sweep(
+        "link_prediction", "auc", settings, datasets, models, epsilons,
         workers=workers, cache=cache, resume=resume, force=force,
     )
-    return nest_series(results, "auc")
 
 
 def format_table(results: Dict[str, Dict[str, Dict[float, float]]]) -> str:

@@ -10,31 +10,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from repro.api import ExperimentSpec
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runners import (
-    PRIVATE_MODEL_NAMES,
-    format_series,
-    nest_series,
-    run_spec,
-    spec_from_settings,
-)
+from repro.experiments.runners import PRIVATE_MODEL_NAMES, format_series, series_sweep
 
 #: Labelled datasets shown in Fig. 4 (panels a-c).
 FIG4_DATASETS = ("ppi", "wiki", "blog")
-
-
-def spec(
-    settings: ExperimentSettings | None = None,
-    datasets: Iterable[str] = FIG4_DATASETS,
-    models: Iterable[str] = PRIVATE_MODEL_NAMES,
-    epsilons: Iterable[float] | None = None,
-) -> ExperimentSpec:
-    """The declarative (dataset x model x epsilon) grid behind Fig. 4."""
-    settings = settings or ExperimentSettings.quick()
-    return spec_from_settings(
-        "node_clustering", datasets, models, settings, epsilons=epsilons, repeats=1
-    )
 
 
 def run(
@@ -52,11 +32,10 @@ def run(
     ``cache``/``resume``/``force`` behave as in
     :func:`repro.experiments.runners.run_spec`.
     """
-    results = run_spec(
-        spec(settings, datasets, models, epsilons),
+    return series_sweep(
+        "node_clustering", "mi", settings, datasets, models, epsilons,
         workers=workers, cache=cache, resume=resume, force=force,
     )
-    return nest_series(results, "mi")
 
 
 def format_table(results: Dict[str, Dict[str, Dict[float, float]]]) -> str:

@@ -14,8 +14,8 @@ persists each result.  Because seeds are derived *before* the fan out, the
 parallel path is bit-for-bit identical to the serial one.
 
 Tables II-IV are one AdvSGM sweep (:func:`advsgm_sweep`, rendered by
-:func:`format_sweep`); Figs. 3 and 4 are epsilon series (:func:`nest_series`,
-rendered by :func:`format_series`).
+:func:`format_sweep`); Figs. 3 and 4 are one epsilon-series sweep
+(:func:`series_sweep`, rendered by :func:`format_series`).
 """
 
 from __future__ import annotations
@@ -394,6 +394,29 @@ def advsgm_sweep(
             )
             results[value][dataset] = {"mean": mean, "std": std}
     return results
+
+
+def series_sweep(
+    task: str,
+    value_key: str,
+    settings: Optional[ExperimentSettings],
+    datasets: Iterable[str],
+    models: Iterable[str],
+    epsilons: Optional[Iterable[float]],
+    **run_kwargs: Any,
+) -> Dict[str, Dict[str, Dict[float, float]]]:
+    """One epsilon series per dataset and model (Figs. 3 and 4).
+
+    Runs ``task`` once on the (dataset x model x epsilon) grid (settings
+    default to :meth:`ExperimentSettings.quick`) and returns
+    ``{dataset: {model: {epsilon: row[value_key]}}}``.  ``run_kwargs`` go to
+    :func:`run_spec`.
+    """
+    spec = spec_from_settings(
+        task, datasets, models, settings or ExperimentSettings.quick(),
+        epsilons=epsilons, repeats=1,
+    )
+    return nest_series(run_spec(spec, **run_kwargs), value_key)
 
 
 def format_sweep(

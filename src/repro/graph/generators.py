@@ -11,6 +11,20 @@ skip-gram embedding quality depends on:
 
 so the *relative* behaviour of the methods under comparison is preserved even
 though absolute AUC/MI values differ from the paper's.
+
+The two generators behind the registry, :func:`powerlaw_cluster_graph` and
+:func:`labelled_powerlaw_community_graph`, grow the graph one node at a time
+and make two scalar draws per attachment attempt.  They take those draws
+through :class:`repro.utils.rng.ScalarDraws`, which reads the generator's raw
+PCG64 stream in blocks and returns exactly what ``rng.random()`` and
+``rng.integers(0, n)`` would, about 3x faster per build than numpy's scalar
+calls; on return the caller's generator is in the state those calls would
+have left.  So a build is bit-for-bit the same per seed as one drawn through
+numpy directly (``tests/reference_impl.py`` keeps that version as the
+oracle).  Only a PCG64 generator is accepted, which is what every seed and
+``np.random.default_rng`` give; any other bit generator is refused with a
+``TypeError``.  Edges are deduplicated on integer keys ``lo * num_nodes +
+hi``, and :class:`~repro.graph.graph.Graph` sorts the decoded keys.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, ScalarDraws, ensure_rng
 
 
 def barabasi_albert_graph(
@@ -84,46 +98,45 @@ def powerlaw_cluster_graph(
         raise ValueError(
             f"num_nodes ({num_nodes}) must exceed attachment ({attachment})"
         )
-    edges: set[Tuple[int, int]] = set()
+    keys: set[int] = set()
     adjacency: List[List[int]] = [[] for _ in range(num_nodes)]
     repeated: List[int] = []
-
-    def _add_edge(u: int, v: int) -> bool:
-        if u == v:
-            return False
-        key = (min(u, v), max(u, v))
-        if key in edges:
-            return False
-        edges.add(key)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-        repeated.extend((u, v))
-        return True
-
     for u in range(attachment + 1):
         for v in range(u + 1, attachment + 1):
-            _add_edge(u, v)
+            keys.add(u * num_nodes + v)
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+            repeated.extend((u, v))
 
-    for new_node in range(attachment + 1, num_nodes):
-        added = 0
-        last_target: Optional[int] = None
-        guard = 0
-        while added < attachment and guard < 100 * attachment:
-            guard += 1
-            if (
-                last_target is not None
-                and adjacency[last_target]
-                and rng.random() < triangle_prob
-            ):
-                candidate = adjacency[last_target][
-                    int(rng.integers(0, len(adjacency[last_target])))
-                ]
-            else:
-                candidate = repeated[int(rng.integers(0, len(repeated)))]
-            if _add_edge(new_node, candidate):
+    with ScalarDraws(rng) as draws:
+        random, below = draws.random, draws.below
+        for new_node in range(attachment + 1, num_nodes):
+            added = 0
+            last_target: Optional[int] = None
+            guard = 0
+            while added < attachment and guard < 100 * attachment:
+                guard += 1
+                if (
+                    last_target is not None
+                    and adjacency[last_target]
+                    and random() < triangle_prob
+                ):
+                    neighbours = adjacency[last_target]
+                    candidate = neighbours[below(len(neighbours))]
+                else:
+                    candidate = repeated[below(len(repeated))]
+                # Only earlier nodes and new_node itself have edges yet, so
+                # candidate <= new_node.
+                key = candidate * num_nodes + new_node
+                if candidate == new_node or key in keys:
+                    continue
+                keys.add(key)
+                adjacency[new_node].append(candidate)
+                adjacency[candidate].append(new_node)
+                repeated.extend((new_node, candidate))
                 added += 1
                 last_target = candidate
-    return Graph(num_nodes, sorted(edges), name=name)
+    return Graph(num_nodes, _edges_from_keys(keys, num_nodes), name=name)
 
 
 def stochastic_block_graph(
@@ -200,39 +213,47 @@ def labelled_powerlaw_community_graph(
         raise ValueError("num_nodes too small for the requested configuration")
 
     labels = rng.integers(0, num_communities, size=num_nodes)
-    edges: set[Tuple[int, int]] = set()
+    community = labels.tolist()
+    keys: set[int] = set()
     repeated_by_comm: List[List[int]] = [[] for _ in range(num_communities)]
     repeated_all: List[int] = []
-
-    def _add_edge(u: int, v: int) -> bool:
-        if u == v:
-            return False
-        key = (min(u, v), max(u, v))
-        if key in edges:
-            return False
-        edges.add(key)
-        for node in (u, v):
-            repeated_all.append(node)
-            repeated_by_comm[labels[node]].append(node)
-        return True
-
     # Seed: a short path through the first few nodes so every community list
     # eventually becomes non-empty via the global list fallback.
     for u in range(attachment + 1):
         for v in range(u + 1, attachment + 1):
-            _add_edge(u, v)
+            keys.add(u * num_nodes + v)
+            repeated_all.extend((u, v))
+            repeated_by_comm[community[u]].append(u)
+            repeated_by_comm[community[v]].append(v)
 
-    for new_node in range(attachment + 1, num_nodes):
-        added = 0
-        guard = 0
-        own = int(labels[new_node])
-        while added < attachment and guard < 200 * attachment:
-            guard += 1
-            pool = repeated_by_comm[own]
-            if pool and rng.random() < intra_prob:
-                candidate = pool[int(rng.integers(0, len(pool)))]
-            else:
-                candidate = repeated_all[int(rng.integers(0, len(repeated_all)))]
-            if _add_edge(new_node, candidate):
+    with ScalarDraws(rng) as draws:
+        random, below = draws.random, draws.below
+        for new_node in range(attachment + 1, num_nodes):
+            added = 0
+            guard = 0
+            pool = repeated_by_comm[community[new_node]]
+            while added < attachment and guard < 200 * attachment:
+                guard += 1
+                if pool and random() < intra_prob:
+                    candidate = pool[below(len(pool))]
+                else:
+                    candidate = repeated_all[below(len(repeated_all))]
+                # Only earlier nodes and new_node itself have edges yet, so
+                # candidate <= new_node.
+                key = candidate * num_nodes + new_node
+                if candidate == new_node or key in keys:
+                    continue
+                keys.add(key)
+                repeated_all.extend((new_node, candidate))
+                pool.append(new_node)
+                repeated_by_comm[community[candidate]].append(candidate)
                 added += 1
-    return Graph(num_nodes, sorted(edges), labels=labels, name=name)
+    return Graph(
+        num_nodes, _edges_from_keys(keys, num_nodes), labels=labels, name=name
+    )
+
+
+def _edges_from_keys(keys: set[int], num_nodes: int) -> np.ndarray:
+    """Decode ``lo * num_nodes + hi`` edge keys into an ``(m, 2)`` array."""
+    flat = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    return np.column_stack([flat // num_nodes, flat % num_nodes])

@@ -283,6 +283,22 @@ def test_evaluate_refuses_negative_repeat():
     assert "--repeat" in message and "\n" not in message
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_negative_seed_is_one_line_error(command, monkeypatch, no_model_built):
+    # numpy refuses negative seeds with a ValueError from deep inside
+    # default_rng; both commands refuse before a dataset is drawn.
+    from repro import cli
+
+    def refuse_load(*args, **kwargs):
+        raise AssertionError("a dataset was loaded before the CLI refused")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse_load)
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--model", "sgm", "--dataset", "ppi", "--seed", "-1"])
+    message = str(info.value.code)
+    assert message == "--seed must be non-negative, got -1"
+
+
 FIG3_SMOKE = ["experiment", "fig3", "--preset", "smoke", "--dataset", "ppi",
               "--models", "AdvSGM"]
 EVALUATE_SMOKE = ["evaluate", "--model", "advsgm", "--dataset", "ppi", "--preset", "smoke"]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api.registry import make_model
 from repro.graph.io import (
@@ -13,7 +14,7 @@ from repro.graph.io import (
     write_labels,
 )
 from repro.utils.logging import TrainingHistory
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ScalarDraws, ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_array_2d,
     check_in_range,
@@ -109,6 +110,72 @@ class TestRngHelpers:
     def test_spawn_rngs_validation(self):
         with pytest.raises(ValueError):
             spawn_rngs(1, 0)
+
+
+#: Bounds at the edges of numpy's 32-bit Lemire path: no draw (1), the
+#: rejection threshold's extremes (2**31 + 1, 2**32 - 1) and the raw half-word
+#: (2**32).
+SPECIAL_BOUNDS = [1, 2, 3, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
+
+
+def draw_scalars(rng, ops):
+    """The reference: numpy's own scalar calls (``None`` means ``random()``)."""
+    return [rng.random() if n is None else int(rng.integers(0, n)) for n in ops]
+
+
+class TestScalarDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        hold_half_word=st.booleans(),
+        ops=st.lists(
+            st.one_of(st.none(), st.sampled_from(SPECIAL_BOUNDS), st.integers(1, 2**32)),
+            max_size=60,
+        ),
+    )
+    def test_matches_numpy_scalar_calls(self, seed, hold_half_word, ops):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if hold_half_word:
+            rng.integers(0, 7)
+            ref.integers(0, 7)
+        with ScalarDraws(rng) as draws:
+            got = [draws.random() if n is None else draws.below(n) for n in ops]
+        assert got == draw_scalars(ref, ops)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert draw_scalars(rng, ops) == draw_scalars(ref, ops)
+
+    def test_matches_across_raw_blocks(self):
+        # Enough draws to refill the raw block several times.
+        ops_rng = np.random.default_rng(1)
+        ops = [None if ops_rng.random() < 0.4 else int(ops_rng.integers(1, 5000))
+               for _ in range(20_000)]
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        draws = ScalarDraws(rng)
+        got = [draws.random() if n is None else draws.below(n) for n in ops]
+        draws.close()
+        assert got == draw_scalars(ref, ops)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_no_draw_leaves_state_unchanged(self):
+        rng = np.random.default_rng(5)
+        rng.integers(0, 3)
+        before = rng.bit_generator.state
+        with ScalarDraws(rng) as draws:
+            assert draws.below(1) == 0
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM,
+                                               np.random.Philox, np.random.SFC64])
+    def test_refuses_other_bit_generators(self, bit_generator):
+        rng = np.random.Generator(bit_generator(0))
+        with pytest.raises(TypeError, match=f"got {bit_generator.__name__}$"):
+            ScalarDraws(rng)
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2**40])
+    def test_refuses_bounds_outside_one_to_two_pow_32(self, n):
+        with ScalarDraws(np.random.default_rng(0)) as draws:
+            with pytest.raises(ValueError, match="1 <= n <= 2\\*\\*32"):
+                draws.below(n)
 
 
 class TestValidationHelpers:
