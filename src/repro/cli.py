@@ -371,7 +371,10 @@ def _cmd_golden(args: argparse.Namespace) -> int:
         raise SystemExit("--relaxed only applies to --check")
     path = args.path or golden.default_path()
     if args.update:
-        target = golden.write_digests(path)
+        try:
+            target = golden.write_digests(path)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
         print(f"golden digests written to {target}")
         return 0
     if args.check:  # load the fixture before the (slow) recomputation

@@ -5,16 +5,20 @@ must equal a recompute, and a resumed sweep must equal an uninterrupted one.
 Both guarantees rest on the same foundation — that a (graph, config, seed)
 triple fully determines a model's output, bit for bit.  This module pins
 that foundation: it computes sha256 digests of the embeddings (plus a few
-scalar metrics) of small default ``deepwalk`` / ``node2vec`` / ``sgm`` /
-``advsgm`` runs, and ``tests/test_golden_parity.py`` compares a fresh
-recompute against the committed fixture ``tests/golden/golden_digests.json``.
+scalar metrics) of small runs of all eleven registered models, and
+``tests/test_golden_parity.py`` compares a fresh recompute against the
+committed fixture ``tests/golden/golden_digests.json``.
 
 Regenerate the fixture after an *intentional* numerical change with::
 
     PYTHONPATH=src python -m repro golden --update
 
 and review the diff: every changed digest is a behaviour change that
-invalidates previously cached results for that model.
+invalidates previously cached results for that model.  The fixture records
+the :data:`~repro.cache.CACHE_SCHEMA_VERSION` it was written under, and
+``--update`` refuses to rewrite a changed digest until that version has been
+bumped, so stale cached rows cannot be served as current ones.  New cases
+are additions and need no bump.
 
 Every fixture entry records ``"backend": "numpy"``, the one compute
 backend; the field is kept so the fixture layout is unchanged.  Raw-byte
@@ -32,6 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 import numpy as np
 
 from repro.api.registry import make_model
+from repro.cache.keys import CACHE_SCHEMA_VERSION
 from repro.graph.datasets import load_dataset
 
 #: Version of the digest layout (independent of the cache schema).
@@ -45,9 +50,11 @@ GOLDEN_SEED = 1234
 #: Fixed node pairs whose link scores are recorded alongside the digest.
 GOLDEN_SCORE_PAIRS = ((0, 1), (1, 2), (2, 3), (5, 8))
 
-#: The default runs whose outputs are pinned.  Schedules are tiny so the
-#: whole suite recomputes in seconds, but every model's full training path
-#: (walk engine, samplers, DP accounting for advsgm) is exercised.
+#: The runs whose outputs are pinned, one per registered model.  Schedules
+#: are tiny so the whole suite recomputes in seconds, but every model's full
+#: training path (walk engine, samplers, DP accounting) is exercised; the
+#: ``dpsgm`` and ``dpgvae`` noise multipliers are low enough that their
+#: budgets run out, which pins the stop point too.
 GOLDEN_CASES: Dict[str, Dict[str, Any]] = {
     "deepwalk": {
         "model": "deepwalk",
@@ -80,6 +87,62 @@ GOLDEN_CASES: Dict[str, Dict[str, Any]] = {
         "overrides": {
             "embedding_dim": 16, "num_epochs": 2, "discriminator_steps": 2,
             "generator_steps": 1, "batch_size": 8,
+        },
+    },
+    "advsgm-nodp": {
+        "model": "advsgm-nodp",
+        "epsilon": None,
+        "overrides": {
+            "embedding_dim": 16, "num_epochs": 2, "discriminator_steps": 2,
+            "generator_steps": 1, "batch_size": 8,
+        },
+    },
+    "dpsgm": {
+        "model": "dpsgm",
+        "epsilon": 6.0,
+        "overrides": {
+            "embedding_dim": 16, "num_epochs": 2, "batches_per_epoch": 3,
+            "batch_size": 16, "noise_multiplier": 1.5,
+        },
+    },
+    "dpasgm": {
+        "model": "dpasgm",
+        "epsilon": 6.0,
+        "overrides": {
+            "embedding_dim": 16, "num_epochs": 2, "batches_per_epoch": 3,
+            "batch_size": 16, "generator_steps": 1,
+        },
+    },
+    "dpggan": {
+        "model": "dpggan",
+        "epsilon": 6.0,
+        "overrides": {
+            "embedding_dim": 16, "num_epochs": 2, "batches_per_epoch": 3,
+            "batch_size": 16,
+        },
+    },
+    "dpgvae": {
+        "model": "dpgvae",
+        "epsilon": 6.0,
+        "overrides": {
+            "embedding_dim": 16, "feature_dim": 16, "num_epochs": 2,
+            "batches_per_epoch": 3, "batch_size": 16, "noise_multiplier": 0.55,
+        },
+    },
+    "gap": {
+        "model": "gap",
+        "epsilon": 6.0,
+        "overrides": {
+            "embedding_dim": 16, "feature_dim": 16, "num_epochs": 2,
+            "batch_size": 64,
+        },
+    },
+    "dpar": {
+        "model": "dpar",
+        "epsilon": 6.0,
+        "overrides": {
+            "embedding_dim": 16, "feature_dim": 16, "num_epochs": 2,
+            "batch_size": 64,
         },
     },
 }
@@ -135,6 +198,7 @@ def compute_all() -> Dict[str, Any]:
     graph = golden_graph()
     return {
         "schema": GOLDEN_SCHEMA,
+        "cache_schema": CACHE_SCHEMA_VERSION,
         "dataset": {
             "name": GOLDEN_DATASET,
             "scale": GOLDEN_SCALE,
@@ -156,12 +220,36 @@ def load_digests(path: Union[str, Path, None] = None) -> Dict[str, Any]:
         return json.load(handle)
 
 
+def changed_without_bump(expected: Mapping[str, Any], actual: Mapping[str, Any]) -> List[str]:
+    """Cases whose entry changed while the recorded cache schema is current.
+
+    Cases only in ``actual`` are additions, not changes.
+    """
+    if expected.get("cache_schema") != actual["cache_schema"]:
+        return []
+    old = expected.get("cases", {})
+    return sorted(name for name, case in actual["cases"].items() if old.get(name, case) != case)
+
+
 def write_digests(path: Union[str, Path, None] = None) -> Path:
-    """Recompute and write the digest fixture; returns the written path."""
+    """Recompute and write the digest fixture; returns the written path.
+
+    Raises ``ValueError``, writing nothing, when a case already in the
+    fixture changed without a :data:`CACHE_SCHEMA_VERSION` bump.
+    """
     target = Path(path) if path is not None else default_path()
+    actual = compute_all()
+    if target.exists():
+        changed = changed_without_bump(load_digests(target), actual)
+        if changed:
+            raise ValueError(
+                f"refusing to rewrite changed golden digest(s) {', '.join(changed)}: "
+                f"{target} records CACHE_SCHEMA_VERSION {CACHE_SCHEMA_VERSION}; "
+                "bump it so cached results of these models are recomputed"
+            )
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w", encoding="utf-8") as handle:
-        json.dump(compute_all(), handle, indent=2, sort_keys=True)
+        json.dump(actual, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return target
 

@@ -1,8 +1,8 @@
 """Golden-parity regression suite: today's bit-for-bit outputs are pinned.
 
 ``tests/golden/golden_digests.json`` records sha256 digests of the
-embeddings (and scalar metrics) of small default deepwalk / node2vec / sgm /
-advsgm runs.  These tests recompute each case from scratch and require exact
+embeddings (and scalar metrics) of small runs of all eleven registered
+models.  These tests recompute each case from scratch and require exact
 equality — any drift means a numerical behaviour change, which invalidates
 previously cached experiment results and must be intentional.
 
@@ -48,6 +48,17 @@ class TestGoldenParity:
             "scale": golden.GOLDEN_SCALE,
             "seed": golden.GOLDEN_DATASET_SEED,
         }
+
+    def test_fixture_records_cache_schema(self, expected):
+        from repro.cache import CACHE_SCHEMA_VERSION
+
+        assert expected["cache_schema"] == CACHE_SCHEMA_VERSION
+
+    def test_every_registered_model_has_a_case(self):
+        from repro.api.registry import list_models
+
+        models = [case["model"] for case in golden.GOLDEN_CASES.values()]
+        assert sorted(models) == sorted(list_models())
 
     @pytest.mark.parametrize("name", sorted(golden.GOLDEN_CASES))
     def test_case_matches_fixture_bit_for_bit(self, name, expected, graph):
@@ -122,6 +133,34 @@ class TestGoldenCli:
             assert golden.compare_digests(expected, regenerated, relaxed=True) == []
         else:
             assert regenerated == expected
+
+    def test_update_refuses_changed_digest_until_schema_bump(
+        self, tmp_path, expected, monkeypatch
+    ):
+        from repro.cli import main
+
+        monkeypatch.setattr(golden, "GOLDEN_CASES", {"sgm": golden.GOLDEN_CASES["sgm"]})
+        fixture = tmp_path / "digests.json"
+        update = ["golden", "--update", "--path", str(fixture)]
+        # A case the fixture does not hold yet is an addition: no bump.
+        fixture.write_text(json.dumps(dict(expected, cases={})))
+        assert main(update) == 0
+        # A changed digest under the recorded schema is refused, and the
+        # fixture is left as it was.
+        stale = json.loads(fixture.read_text())
+        stale["cases"]["sgm"]["embeddings_sha256"] = "0" * 64
+        fixture.write_text(json.dumps(stale))
+        with pytest.raises(SystemExit, match=r"refusing to rewrite changed golden digest\(s\) sgm: "
+                           r".* records CACHE_SCHEMA_VERSION 2; bump it") as refused:
+            main(update)
+        assert "\n" not in str(refused.value)
+        assert json.loads(fixture.read_text()) == stale
+        # After a bump the same rewrite goes through and records the new version.
+        monkeypatch.setattr(golden, "CACHE_SCHEMA_VERSION", golden.CACHE_SCHEMA_VERSION + 1)
+        assert main(update) == 0
+        written = json.loads(fixture.read_text())
+        assert written["cache_schema"] == 3
+        assert written["cases"]["sgm"]["embeddings_sha256"] != "0" * 64
 
     def test_relaxed_check_accepts_ulp_drift_rejects_behaviour_change(self, expected):
         mutated = json.loads(json.dumps(expected))
