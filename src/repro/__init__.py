@@ -30,8 +30,8 @@ contribution:
     AdvSGM itself (Algorithm 3): discriminator with optimizable noise terms,
     generator, weight tuning lambda = 1/S(.) and RDP-accounted training.
 ``repro.train``
-    Unified training loop (epoch/step scheduling, callbacks) plus the
-    single shared privacy-budget early stop used by every DP trainer.
+    Unified training loop (epoch/step scheduling, callbacks) plus
+    ``PrivacyBudget``, the one privacy handle of every DP model.
 ``repro.baselines``
     Private baselines: DP-SGM, DP-ASGM, DPGGAN, DPGVAE, GAP and DPAR.
 ``repro.evals``
@@ -78,7 +78,6 @@ from repro.train import (
     Callback,
     PrivacyBudget,
     ProgressCallback,
-    Trainer,
     TrainingLoop,
 )
 
@@ -98,7 +97,6 @@ __all__ = [
     "Callback",
     "PrivacyBudget",
     "ProgressCallback",
-    "Trainer",
     "TrainingLoop",
     "GraphEmbedder",
     "ExperimentCell",

@@ -34,8 +34,7 @@ from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.nn.functional import score_pairs
 from repro.nn.init import normal_init, xavier_uniform
-from repro.privacy.accountant import RdpAccountant
-from repro.train import fit_link_prediction_head
+from repro.train import PrivacyBudget, PrivateModelMixin, fit_link_prediction_head
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_in_range, check_positive, check_probability
@@ -79,7 +78,7 @@ class DPARConfig:
     paper="Sec. VI baselines (DPAR, Zhang et al. WWW 2024) / Fig. 3-4",
     description="Decoupled GNN with one privatised PPR propagation release",
 )
-class DPAR(EstimatorMixin):
+class DPAR(PrivateModelMixin, EstimatorMixin):
     """Decoupled GNN with a single privatised propagation."""
 
     def __init__(
@@ -109,17 +108,7 @@ class DPAR(EstimatorMixin):
             (cfg.feature_dim * (cfg.propagation_steps + 1), cfg.embedding_dim),
             rng=weight_rng,
         )
-        self.accountant = RdpAccountant(self._calibrated_sigma())
-
-    def _calibrated_sigma(self) -> float:
-        """Noise multiplier so that all propagation releases meet the budget."""
-        cfg = self.config
-        return RdpAccountant.calibrate_noise_multiplier(
-            target_epsilon=cfg.epsilon,
-            target_delta=cfg.delta,
-            sampling_rate=1.0,
-            num_steps=cfg.propagation_steps,
-        )
+        self.budget = PrivacyBudget.calibrated(cfg.propagation_steps, cfg.epsilon, cfg.delta)
 
     # ------------------------------------------------------------------
     def _degree_clipped_adjacency(self) -> np.ndarray:
@@ -164,8 +153,9 @@ class DPAR(EstimatorMixin):
         current = features
         for hop in range(1, cfg.propagation_steps + 1):
             current = (1.0 - cfg.teleport) * (transition @ current)
-            noisy = current + self._noise_rng.normal(0.0, noise_std, size=current.shape)
-            self.accountant.step(1.0)
+            noise = self.backend_.gaussian(self._noise_rng, 0.0, noise_std, current.shape)
+            noisy = current + noise
+            self.budget.charge()
             stages.append(noisy)
         return np.concatenate(stages, axis=1)
 
@@ -184,10 +174,6 @@ class DPAR(EstimatorMixin):
         """Inner-product link scores on the learned embeddings."""
         emb = self._projected()
         return self.backend_.to_numpy(score_pairs(pairs, emb))
-
-    def privacy_spent(self):
-        """Converted (epsilon, delta) spend of the propagation release."""
-        return self.accountant.get_privacy_spent(self.config.delta)
 
     # ------------------------------------------------------------------
     def fit(self, graph: Optional[Graph] = None, callbacks=()) -> "DPAR":

@@ -29,9 +29,8 @@ from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
 from repro.nn.functional import pair_gradients, rowwise_dot, score_pairs, sigmoid
 from repro.nn.init import normal_init, xavier_uniform
-from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.privacy.dpsgd import dpsgd_row_step
-from repro.train import PrivacyBudget, TrainingLoop
+from repro.train import PrivacyBudget, PrivateModelMixin, TrainingLoop
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_positive, check_probability
@@ -70,7 +69,7 @@ class DPGGANConfig:
     paper="Sec. VI baselines (DPGGAN, Yang et al. IJCAI 2021) / Fig. 3-4",
     description="DPSGD-trained inner-product graph GAN",
 )
-class DPGGAN(EstimatorMixin):
+class DPGGAN(PrivateModelMixin, EstimatorMixin):
     """Simplified DPSGD-trained graph GAN."""
 
     def __init__(
@@ -88,7 +87,7 @@ class DPGGAN(EstimatorMixin):
             self._setup(graph)
 
     def _setup(self, graph: Graph) -> None:
-        """Bind ``graph``: initialise latents, generator, sampler, budget."""
+        """Bind ``graph``: initialise latents, generator, sampler, privacy handle."""
         self.graph = graph
         self.backend_ = NUMPY_BACKEND
         init_rng, sample_rng, noise_rng, gen_rng = spawn_rngs(self._rng, 4)
@@ -100,19 +99,14 @@ class DPGGAN(EstimatorMixin):
         self.sampler = EdgeSampler(
             graph, batch_size=self.config.batch_size, num_negatives=1, rng=sample_rng
         )
-        self.accountant = RdpAccountant(self.config.noise_multiplier)
-        self.budget = PrivacyBudget(
-            self.accountant, self.config.epsilon, self.config.delta
+        self.budget = PrivacyBudget.sampled(
+            self.sampler, self.config.noise_multiplier, self.config.epsilon, self.config.delta
         )
 
     @property
     def embeddings(self) -> np.ndarray:
         """Latent node vectors used for link prediction, as numpy."""
         return self.backend_.to_numpy(self.latent)
-
-    def privacy_spent(self) -> PrivacySpent:
-        """Converted (epsilon, delta) spend so far."""
-        return self.accountant.get_privacy_spent(self.config.delta)
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores from latent inner products."""
@@ -148,7 +142,7 @@ class DPGGAN(EstimatorMixin):
             cfg.noise_multiplier,
             cfg.learning_rate,
         )
-        self.accountant.step(self.sampler.edge_sampling_probability)
+        self.budget.charge()
 
     def _generator_step(self) -> None:
         """Non-private generator update (post-processing of the latent state)."""

@@ -26,9 +26,8 @@ from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
 from repro.nn.functional import rowwise_dot, score_pairs, sigmoid
 from repro.nn.init import normal_init, xavier_uniform
-from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.privacy.clipping import clip_by_l2_norm
-from repro.train import PrivacyBudget, TrainingLoop
+from repro.train import PrivacyBudget, PrivateModelMixin, TrainingLoop
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_positive, check_probability
@@ -74,7 +73,7 @@ class DPGVAEConfig:
     paper="Sec. VI baselines (DPGVAE, Yang et al. IJCAI 2021) / Fig. 3-4",
     description="DPSGD-trained graph variational auto-encoder",
 )
-class DPGVAE(EstimatorMixin):
+class DPGVAE(PrivateModelMixin, EstimatorMixin):
     """Simplified DPSGD-trained graph VAE."""
 
     def __init__(
@@ -102,28 +101,23 @@ class DPGVAE(EstimatorMixin):
         self.features = normal_init((graph.num_nodes, cfg.feature_dim), std=1.0, rng=feat_rng)
         self.weight_mu = xavier_uniform((cfg.feature_dim, cfg.embedding_dim), rng=weight_rng)
         self._adj_norm = graph.normalized_adjacency()
+        self.sampler = EdgeSampler(
+            graph, batch_size=cfg.batch_size, num_negatives=1, rng=sample_rng
+        )
+        self.budget = PrivacyBudget.sampled(
+            self.sampler, cfg.noise_multiplier, cfg.epsilon, cfg.delta
+        )
         # The released embeddings must not leak the raw adjacency: the GCN
         # aggregation itself is privatised once with unit node-level
         # sensitivity (a removed node's unit-norm feature enters each
         # neighbour's normalised aggregate with weight 1/sqrt(d_i d_j), which
-        # sums to at most 1 in L2), consuming half of the budget; the other
-        # half pays for the DPSGD weight training.
-        aggregation_sigma = RdpAccountant.calibrate_noise_multiplier(
-            target_epsilon=cfg.epsilon / 2.0,
-            target_delta=cfg.delta / 2.0,
-            sampling_rate=1.0,
-            num_steps=1,
-        )
+        # sums to at most 1 in L2), meant to consume half of the budget; the
+        # other half pays for the DPSGD weight training.
         aggregated = self._adj_norm @ self.features
         self._aggregated = aggregated + be.gaussian(
-            noise_rng, 0.0, aggregation_sigma, tuple(aggregated.shape)
+            noise_rng, 0.0, self.budget.uncharged_aggregation_sigma(), tuple(aggregated.shape)
         )
         self._noise_rng = noise_rng
-        self.sampler = EdgeSampler(
-            graph, batch_size=cfg.batch_size, num_negatives=1, rng=sample_rng
-        )
-        self.accountant = RdpAccountant(cfg.noise_multiplier)
-        self.budget = PrivacyBudget(self.accountant, cfg.epsilon, cfg.delta)
 
     # ------------------------------------------------------------------
     @property
@@ -134,10 +128,6 @@ class DPGVAE(EstimatorMixin):
     def _latent_means(self) -> np.ndarray:
         """``A_hat X W_mu``."""
         return self._aggregated @ self.weight_mu
-
-    def privacy_spent(self) -> PrivacySpent:
-        """Converted (epsilon, delta) spend so far."""
-        return self.accountant.get_privacy_spent(self.config.delta)
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Inner-product decoder scores."""
@@ -182,7 +172,7 @@ class DPGVAE(EstimatorMixin):
         noise_std = count * cfg.clip_norm * cfg.noise_multiplier
         noise = be.gaussian(self._noise_rng, 0.0, noise_std, tuple(clipped.shape))
         self.weight_mu -= cfg.learning_rate * (clipped + noise / count)
-        self.accountant.step(self.sampler.edge_sampling_probability)
+        self.budget.charge()
 
     def fit(self, graph: Optional[Graph] = None, callbacks=()) -> "DPGVAE":
         """Train until the schedule ends or the privacy budget is exhausted."""

@@ -5,8 +5,9 @@ gradients are clipped to L2 norm ``C``; the batch sum is perturbed with
 Gaussian noise calibrated to the graph sensitivity ``B * C`` (Section III-B
 explains why the sensitivity is proportional to the batch size: changing one
 node can change the gradient of every pair in the batch), then averaged and
-applied.  Privacy is tracked with the same subsampled-RDP accountant as
-AdvSGM, so the comparison isolates the effect of the perturbation mechanism.
+applied.  Privacy is tracked by the same privacy handle and subsampled-RDP
+accountant as AdvSGM, so the comparison isolates the effect of the
+perturbation mechanism.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler, check_negative_distribution
 from repro.nn.functional import pair_gradients, score_pairs
 from repro.nn.init import uniform_embedding
-from repro.privacy.accountant import PrivacySpent, RdpAccountant
 from repro.privacy.dpsgd import dpsgd_row_step
-from repro.train import BudgetExhausted, PrivacyBudget, TrainingLoop
+from repro.train import BudgetExhausted, PrivacyBudget, PrivateModelMixin, TrainingLoop
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_positive, check_probability
@@ -72,7 +72,7 @@ class DPSGMConfig:
     paper="Sec. III-B / Table V (DP-SGM baseline)",
     description="Skip-gram trained with DPSGD gradient perturbation",
 )
-class DPSGM(EstimatorMixin):
+class DPSGM(PrivateModelMixin, EstimatorMixin):
     """Skip-gram trained with DPSGD (the DP-SGM baseline)."""
 
     def __init__(
@@ -90,7 +90,7 @@ class DPSGM(EstimatorMixin):
             self._setup(graph)
 
     def _setup(self, graph: Graph) -> None:
-        """Bind ``graph``: initialise embeddings, sampler and accountant."""
+        """Bind ``graph``: initialise embeddings, sampler and privacy handle."""
         self.graph = graph
         self.backend_ = NUMPY_BACKEND
         init_rng, sample_rng, noise_rng = spawn_rngs(self._rng, 3)
@@ -105,9 +105,8 @@ class DPSGM(EstimatorMixin):
             rng=sample_rng,
             negative_distribution=self.config.negative_distribution,
         )
-        self.accountant = RdpAccountant(self.config.noise_multiplier)
-        self.budget = PrivacyBudget(
-            self.accountant, self.config.epsilon, self.config.delta
+        self.budget = PrivacyBudget.sampled(
+            self.sampler, self.config.noise_multiplier, self.config.epsilon, self.config.delta
         )
 
     # ------------------------------------------------------------------
@@ -115,10 +114,6 @@ class DPSGM(EstimatorMixin):
     def embeddings(self) -> np.ndarray:
         """Released node embeddings, as a numpy array."""
         return self.backend_.to_numpy(self.w_in)
-
-    def privacy_spent(self) -> PrivacySpent:
-        """Converted (epsilon, delta) spend so far."""
-        return self.accountant.get_privacy_spent(self.config.delta)
 
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores."""
@@ -132,7 +127,7 @@ class DPSGM(EstimatorMixin):
         _, _, grad_in, grad_out = pair_gradients(vi, vj, pairs.shape[0] if positive else 0)
         return grad_in, grad_out
 
-    def _dpsgd_update(self, pairs: np.ndarray, positive: bool, rate: float) -> None:
+    def _dpsgd_update(self, pairs: np.ndarray, positive: bool) -> None:
         """Clip per-pair grads, add BC-calibrated noise, average and apply.
 
         The sensitivity of the batch sum is B*C (Section III-B), so every
@@ -148,23 +143,15 @@ class DPSGM(EstimatorMixin):
             cfg.noise_multiplier,
             cfg.learning_rate,
         )
-        self.accountant.step(rate)
+        self.budget.charge(positive)
 
     def _train_batch(self, epoch: int, step: int) -> None:
         """One DPSGD batch: positive then negative sub-batch updates."""
         batch = self.sampler.sample()
-        self._dpsgd_update(
-            batch.positive_edges,
-            positive=True,
-            rate=self.sampler.edge_sampling_probability,
-        )
+        self._dpsgd_update(batch.positive_edges, positive=True)
         if self.budget.exhausted():
             raise BudgetExhausted
-        self._dpsgd_update(
-            batch.negative_pairs,
-            positive=False,
-            rate=self.sampler.node_sampling_probability,
-        )
+        self._dpsgd_update(batch.negative_pairs, positive=False)
 
     def _on_epoch_end(self, epoch: int, losses) -> None:
         """End-of-epoch hook (overridden by DP-ASGM to add generator steps)."""

@@ -10,9 +10,9 @@ with random input features because its datasets have no attributes.
 Reproduced here:
 
 * random row-normalised features,
-* ``num_hops`` perturbed aggregation stages, each charged to the budget via
-  the RDP accountant (noise multiplier calibrated so the whole pipeline meets
-  the target (epsilon, delta)),
+* ``num_hops`` perturbed aggregation stages, each charged to the privacy
+  handle (noise multiplier calibrated so the whole pipeline meets the target
+  (epsilon, delta)),
 * a lightweight non-private MLP trained on the noisy aggregates with a
   link-prediction objective, whose output embeddings are evaluated exactly
   like the other baselines.  Its training runs un-noised SGD on the private
@@ -33,8 +33,7 @@ from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.nn.functional import score_pairs
 from repro.nn.init import normal_init, xavier_uniform
-from repro.privacy.accountant import RdpAccountant
-from repro.train import fit_link_prediction_head
+from repro.train import PrivacyBudget, PrivateModelMixin, fit_link_prediction_head
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_positive, check_probability
@@ -76,7 +75,7 @@ class GAPConfig:
     paper="Sec. VI baselines (GAP, Sajadmanesh et al. 2023) / Fig. 3-4",
     description="DP GNN via per-hop aggregation perturbation",
 )
-class GAP(EstimatorMixin):
+class GAP(PrivateModelMixin, EstimatorMixin):
     """Aggregation-perturbation GNN baseline."""
 
     def __init__(
@@ -106,19 +105,10 @@ class GAP(EstimatorMixin):
             (cfg.feature_dim * (cfg.num_hops + 1), cfg.embedding_dim),
             rng=weight_rng,
         )
-        self.accountant = RdpAccountant(self._calibrated_sigma())
+        # Every aggregation touches the full graph.
+        self.budget = PrivacyBudget.calibrated(cfg.num_hops, cfg.epsilon, cfg.delta)
 
     # ------------------------------------------------------------------
-    def _calibrated_sigma(self) -> float:
-        """Noise multiplier such that ``num_hops`` aggregations meet the budget."""
-        cfg = self.config
-        return RdpAccountant.calibrate_noise_multiplier(
-            target_epsilon=cfg.epsilon,
-            target_delta=cfg.delta,
-            sampling_rate=1.0,  # every aggregation touches the full graph
-            num_steps=cfg.num_hops,
-        )
-
     def _perturbed_aggregations(self) -> np.ndarray:
         """Compute the noisy multi-hop aggregation matrix (the PMA step)."""
         cfg = self.config
@@ -141,10 +131,10 @@ class GAP(EstimatorMixin):
         noise_std = sensitivity * self.accountant.noise_multiplier
         for _ in range(cfg.num_hops):
             aggregated = adjacency @ current
-            noisy = aggregated + self._noise_rng.normal(
-                0.0, noise_std, size=aggregated.shape
+            noisy = aggregated + self.backend_.gaussian(
+                self._noise_rng, 0.0, noise_std, aggregated.shape
             )
-            self.accountant.step(1.0)
+            self.budget.charge()
             # Re-normalise so the next hop's sensitivity stays 1.
             norms = np.linalg.norm(noisy, axis=1, keepdims=True)
             current = noisy / np.maximum(norms, 1e-12)
@@ -166,10 +156,6 @@ class GAP(EstimatorMixin):
         """Inner-product link scores on the learned embeddings."""
         emb = self._projected()
         return self.backend_.to_numpy(score_pairs(pairs, emb))
-
-    def privacy_spent(self):
-        """Converted (epsilon, delta) spend of the aggregation perturbation."""
-        return self.accountant.get_privacy_spent(self.config.delta)
 
     # ------------------------------------------------------------------
     def fit(self, graph: Optional[Graph] = None, callbacks=()) -> "GAP":

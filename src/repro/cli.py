@@ -481,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
         "golden", help="golden-parity digests of the default models"
     )
     p_gold.add_argument("--update", action="store_true",
-                        help="recompute and overwrite the committed fixture")
+                        help="recompute and overwrite the committed fixture "
+                             "(a changed digest needs a CACHE_SCHEMA_VERSION bump)")
     p_gold.add_argument("--check", action="store_true",
                         help="recompute and compare against the fixture "
                              "(non-zero exit on any mismatch)")

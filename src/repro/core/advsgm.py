@@ -8,9 +8,10 @@ The trainer alternates between:
   Theorem-6 perturbed gradient update twice — once on the positive sub-batch
   and once on the negative sub-batch — recording each as one subsampled
   Gaussian mechanism invocation with sampling rate ``B/|E|`` and ``B*k/|V|``
-  respectively (Theorem 7).  After every update the RDP accountant is
-  queried; training stops as soon as the implied failure probability at the
-  target epsilon exceeds delta (lines 9-11).
+  respectively (Theorem 7).  Before and after every update the privacy
+  handle (:class:`~repro.train.PrivacyBudget`) is queried; training stops as
+  soon as the implied failure probability at the target epsilon reaches
+  delta (lines 9-11).
 * ``generator_steps`` generator iterations per epoch, which only consume the
   (already privatised) discriminator embeddings and are therefore covered by
   the post-processing property.
@@ -34,8 +35,7 @@ from repro.core.generator import GeneratorPair
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler
 from repro.nn.functional import score_pairs
-from repro.privacy.accountant import PrivacySpent, RdpAccountant
-from repro.train import BudgetExhausted, PrivacyBudget, TrainingLoop
+from repro.train import BudgetExhausted, PrivacyBudget, PrivateModelMixin, TrainingLoop
 from repro.utils.logging import TrainingHistory
 from repro.utils.rng import RngLike, spawn_rngs
 
@@ -47,7 +47,7 @@ from repro.utils.rng import RngLike, spawn_rngs
     paper="Sec. V, Algorithm 3 (the paper's contribution)",
     description="DP adversarial skip-gram with optimizable noise terms",
 )
-class AdvSGM(EstimatorMixin):
+class AdvSGM(PrivateModelMixin, EstimatorMixin):
     """Differentially private adversarial skip-gram trainer.
 
     Parameters
@@ -83,8 +83,6 @@ class AdvSGM(EstimatorMixin):
         self.history = TrainingHistory()
         self.stopped_early = False
         self._fitted = False
-        self.accountant = None
-        self.budget = None
         if graph is not None:
             self._setup(graph)
 
@@ -111,16 +109,14 @@ class AdvSGM(EstimatorMixin):
             rng=sample_rng,
             negative_distribution=self.config.negative_distribution,
         )
-        self.accountant = (
-            RdpAccountant(self.config.noise_multiplier, orders=self.config.rdp_orders)
-            if self.config.dp_enabled
-            else None
-        )
-        self.budget = (
-            PrivacyBudget(self.accountant, self.config.epsilon, self.config.delta)
-            if self.accountant is not None
-            else None
-        )
+        if self.config.dp_enabled:
+            self.budget = PrivacyBudget.sampled(
+                self.sampler,
+                self.config.noise_multiplier,
+                self.config.epsilon,
+                self.config.delta,
+                orders=self.config.rdp_orders,
+            )
 
     # ------------------------------------------------------------------
     # public API
@@ -130,12 +126,6 @@ class AdvSGM(EstimatorMixin):
         """Privacy-preserving node embeddings (``W_in``)."""
         return self.discriminator.embeddings
 
-    def privacy_spent(self) -> Optional[PrivacySpent]:
-        """Converted (epsilon, delta) guarantee so far (``None`` if DP is off)."""
-        if self.accountant is None:
-            return None
-        return self.accountant.get_privacy_spent(self.config.delta)
-
     def score_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Link-prediction scores (inner products of released node vectors)."""
         return self.backend_.to_numpy(score_pairs(pairs, self.discriminator.w_in))
@@ -143,11 +133,7 @@ class AdvSGM(EstimatorMixin):
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
-    def _budget_exhausted(self) -> bool:
-        """Line 10-11 of Algorithm 3 (delegated to the shared PrivacyBudget)."""
-        return self.budget is not None and self.budget.exhausted()
-
-    def _discriminator_substep(self, pairs: np.ndarray, positive: bool, rate: float) -> None:
+    def _discriminator_substep(self, pairs: np.ndarray, positive: bool) -> None:
         """One Theorem-6 update on a positive or negative sub-batch."""
         count = pairs.shape[0]
         fake_vj, fake_vi = self.generators.generate_pairs(count)
@@ -157,25 +143,22 @@ class AdvSGM(EstimatorMixin):
         self.discriminator.apply_gradients(
             *grads, learning_rate=self.config.learning_rate_d
         )
-        if self.accountant is not None:
-            self.accountant.step(rate)
+        if self.budget is not None:
+            self.budget.charge(positive)
 
     def _train_discriminator_iteration(self) -> bool:
-        """One of the nD discriminator iterations; returns False on budget stop."""
+        """One of the nD discriminator iterations; returns False on budget stop.
+
+        The budget is checked before the positive batch E_B, before the
+        negative batch E_Bk and after both (lines 9-11).
+        """
         batch = self.sampler.sample()
-        # Sub-step on the positive batch E_B (sampling rate B / |E|).
-        if self._budget_exhausted():
-            return False
-        self._discriminator_substep(
-            batch.positive_edges, positive=True, rate=self.sampler.edge_sampling_probability
-        )
-        if self._budget_exhausted():
-            return False
-        # Sub-step on the negative batch E_Bk (sampling rate B*k / |V|).
-        self._discriminator_substep(
-            batch.negative_pairs, positive=False, rate=self.sampler.node_sampling_probability
-        )
-        return not self._budget_exhausted()
+        budget = self.budget
+        for pairs, positive in ((batch.positive_edges, True), (batch.negative_pairs, False)):
+            if budget is not None and budget.exhausted():
+                return False
+            self._discriminator_substep(pairs, positive)
+        return budget is None or not budget.exhausted()
 
     def _train_generator_iteration(self) -> float:
         """One of the nG generator iterations (post-processing, no accounting)."""

@@ -248,8 +248,8 @@ class AdvSGMDiscriminator:
                 # shared across the batch then averaged back per example.
                 std = self.config.clip_norm * self.config.noise_multiplier
                 dim = self.config.embedding_dim
-                shared_in = self._rng.normal(0.0, std * count, size=dim)
-                shared_out = self._rng.normal(0.0, std * count, size=dim)
+                shared_in = NUMPY_BACKEND.gaussian(self._rng, 0.0, std * count, dim)
+                shared_out = NUMPY_BACKEND.gaussian(self._rng, 0.0, std * count, dim)
                 noise_in = np.tile(shared_in / count, (count, 1))
                 noise_out = np.tile(shared_out / count, (count, 1))
         else:

@@ -55,96 +55,28 @@ GOLDEN_SCORE_PAIRS = ((0, 1), (1, 2), (2, 3), (5, 8))
 #: training path (walk engine, samplers, DP accounting) is exercised; the
 #: ``dpsgm`` and ``dpgvae`` noise multipliers are low enough that their
 #: budgets run out, which pins the stop point too.
+_WALKS = dict(num_walks=2, walk_length=8, window_size=3, num_epochs=1, batch_size=128)
+_ADVSGM = dict(num_epochs=2, discriminator_steps=2, generator_steps=1, batch_size=8)
+_DPSGD = dict(num_epochs=2, batches_per_epoch=3, batch_size=16)
+_HEADS = dict(feature_dim=16, num_epochs=2, batch_size=64)
+
+
+def _case(model: str, epsilon: Optional[float], **overrides: Any) -> Dict[str, Any]:
+    return {"model": model, "epsilon": epsilon, "overrides": {"embedding_dim": 16, **overrides}}
+
+
 GOLDEN_CASES: Dict[str, Dict[str, Any]] = {
-    "deepwalk": {
-        "model": "deepwalk",
-        "epsilon": None,
-        "overrides": {
-            "embedding_dim": 16, "num_walks": 2, "walk_length": 8,
-            "window_size": 3, "num_epochs": 1, "batch_size": 128,
-        },
-    },
-    "node2vec": {
-        "model": "node2vec",
-        "epsilon": None,
-        "overrides": {
-            "embedding_dim": 16, "num_walks": 2, "walk_length": 8,
-            "window_size": 3, "num_epochs": 1, "batch_size": 128,
-            "p": 0.5, "q": 2.0,
-        },
-    },
-    "sgm": {
-        "model": "sgm",
-        "epsilon": None,
-        "overrides": {
-            "embedding_dim": 16, "num_epochs": 2, "batches_per_epoch": 4,
-            "batch_size": 32,
-        },
-    },
-    "advsgm": {
-        "model": "advsgm",
-        "epsilon": 6.0,
-        "overrides": {
-            "embedding_dim": 16, "num_epochs": 2, "discriminator_steps": 2,
-            "generator_steps": 1, "batch_size": 8,
-        },
-    },
-    "advsgm-nodp": {
-        "model": "advsgm-nodp",
-        "epsilon": None,
-        "overrides": {
-            "embedding_dim": 16, "num_epochs": 2, "discriminator_steps": 2,
-            "generator_steps": 1, "batch_size": 8,
-        },
-    },
-    "dpsgm": {
-        "model": "dpsgm",
-        "epsilon": 6.0,
-        "overrides": {
-            "embedding_dim": 16, "num_epochs": 2, "batches_per_epoch": 3,
-            "batch_size": 16, "noise_multiplier": 1.5,
-        },
-    },
-    "dpasgm": {
-        "model": "dpasgm",
-        "epsilon": 6.0,
-        "overrides": {
-            "embedding_dim": 16, "num_epochs": 2, "batches_per_epoch": 3,
-            "batch_size": 16, "generator_steps": 1,
-        },
-    },
-    "dpggan": {
-        "model": "dpggan",
-        "epsilon": 6.0,
-        "overrides": {
-            "embedding_dim": 16, "num_epochs": 2, "batches_per_epoch": 3,
-            "batch_size": 16,
-        },
-    },
-    "dpgvae": {
-        "model": "dpgvae",
-        "epsilon": 6.0,
-        "overrides": {
-            "embedding_dim": 16, "feature_dim": 16, "num_epochs": 2,
-            "batches_per_epoch": 3, "batch_size": 16, "noise_multiplier": 0.55,
-        },
-    },
-    "gap": {
-        "model": "gap",
-        "epsilon": 6.0,
-        "overrides": {
-            "embedding_dim": 16, "feature_dim": 16, "num_epochs": 2,
-            "batch_size": 64,
-        },
-    },
-    "dpar": {
-        "model": "dpar",
-        "epsilon": 6.0,
-        "overrides": {
-            "embedding_dim": 16, "feature_dim": 16, "num_epochs": 2,
-            "batch_size": 64,
-        },
-    },
+    "deepwalk": _case("deepwalk", None, **_WALKS),
+    "node2vec": _case("node2vec", None, **_WALKS, p=0.5, q=2.0),
+    "sgm": _case("sgm", None, num_epochs=2, batches_per_epoch=4, batch_size=32),
+    "advsgm": _case("advsgm", 6.0, **_ADVSGM),
+    "advsgm-nodp": _case("advsgm-nodp", None, **_ADVSGM),
+    "dpsgm": _case("dpsgm", 6.0, **_DPSGD, noise_multiplier=1.5),
+    "dpasgm": _case("dpasgm", 6.0, **_DPSGD, generator_steps=1),
+    "dpggan": _case("dpggan", 6.0, **_DPSGD),
+    "dpgvae": _case("dpgvae", 6.0, **_DPSGD, feature_dim=16, noise_multiplier=0.55),
+    "gap": _case("gap", 6.0, **_HEADS),
+    "dpar": _case("dpar", 6.0, **_HEADS),
 }
 
 
@@ -220,27 +152,19 @@ def load_digests(path: Union[str, Path, None] = None) -> Dict[str, Any]:
         return json.load(handle)
 
 
-def changed_without_bump(expected: Mapping[str, Any], actual: Mapping[str, Any]) -> List[str]:
-    """Cases whose entry changed while the recorded cache schema is current.
-
-    Cases only in ``actual`` are additions, not changes.
-    """
-    if expected.get("cache_schema") != actual["cache_schema"]:
-        return []
-    old = expected.get("cases", {})
-    return sorted(name for name, case in actual["cases"].items() if old.get(name, case) != case)
-
-
 def write_digests(path: Union[str, Path, None] = None) -> Path:
     """Recompute and write the digest fixture; returns the written path.
 
     Raises ``ValueError``, writing nothing, when a case already in the
-    fixture changed without a :data:`CACHE_SCHEMA_VERSION` bump.
+    fixture changed without a :data:`CACHE_SCHEMA_VERSION` bump (a case only
+    in the recomputation is an addition, not a change).
     """
     target = Path(path) if path is not None else default_path()
     actual = compute_all()
     if target.exists():
-        changed = changed_without_bump(load_digests(target), actual)
+        recorded = load_digests(target)
+        old = recorded["cases"] if recorded.get("cache_schema") == CACHE_SCHEMA_VERSION else {}
+        changed = sorted(n for n, case in actual["cases"].items() if old.get(n, case) != case)
         if changed:
             raise ValueError(
                 f"refusing to rewrite changed golden digest(s) {', '.join(changed)}: "

@@ -1,14 +1,15 @@
-"""Unified training subsystem: loop scheduling, budget stop, callbacks.
+"""Unified training subsystem: loop scheduling, the privacy handle, callbacks.
 
-All seven embedding trainers (AdvSGM, SkipGramModel, AdversarialSkipGram,
-DPSGM, DPASGM, DPGGAN, DPGVAE) — plus DeepWalk/Node2Vec and the decoupled
-GNN baselines' projection heads — run their epochs through
-:class:`TrainingLoop`, and every DP trainer's early stop goes through
-:class:`PrivacyBudget`, so Algorithm 3's budget check lives in exactly one
-place.
+AdvSGM (and AdversarialSkipGram, which wraps it with DP off), SkipGramModel,
+DPSGM, DPASGM, DPGGAN and DPGVAE run their epochs through
+:class:`TrainingLoop`; DeepWalk/node2vec and the GAP/DPAR projection heads
+run theirs through it too.  The seven DP models (AdvSGM, DPSGM, DPASGM,
+DPGGAN, DPGVAE, GAP, DPAR) each hold one :class:`PrivacyBudget`, the only
+place that builds their accountant, picks the sampling rate of a charge,
+checks Algorithm 3's stop rule and converts the spend.
 """
 
-from repro.train.budget import PrivacyBudget
+from repro.train.budget import PrivacyBudget, PrivateModelMixin
 from repro.train.heads import fit_link_prediction_head
 from repro.train.loop import (
     BudgetExhausted,
@@ -22,7 +23,6 @@ from repro.train.pair_source import (
     PairSource,
     SampledBatchSource,
 )
-from repro.train.protocol import Trainer
 
 __all__ = [
     "ArrayPairSource",
@@ -31,9 +31,9 @@ __all__ = [
     "LoopResult",
     "PairSource",
     "PrivacyBudget",
+    "PrivateModelMixin",
     "ProgressCallback",
     "SampledBatchSource",
-    "Trainer",
     "TrainingLoop",
     "fit_link_prediction_head",
 ]

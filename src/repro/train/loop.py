@@ -1,14 +1,15 @@
-"""The unified epoch/step training loop shared by every trainer.
+"""The unified epoch/step training loop shared by the step-wise trainers.
 
-Before this subsystem existed each of the seven models (AdvSGM, SkipGram,
-AdversarialSkipGram, DP-SGM, DP-ASGM, DPGGAN, DPGVAE) hand-rolled its own
-``for epoch: for step:`` loop with its own early-stop and history plumbing.
-:class:`TrainingLoop` centralises the scheduling concerns:
+AdvSGM (with or without DP), SkipGramModel, DP-SGM, DP-ASGM, DPGGAN and
+DPGVAE, DeepWalk/node2vec and the GAP/DPAR projection heads run their
+epochs here.  :class:`TrainingLoop` centralises the scheduling concerns:
 
 * epoch / step iteration with per-epoch loss collection,
 * the privacy-budget early stop of Algorithm 3 lines 9-11 — a
-  :class:`~repro.train.budget.PrivacyBudget` is polled *before every step*
-  and a trainer can abort mid-step by raising :class:`BudgetExhausted`,
+  :class:`~repro.train.budget.PrivacyBudget` (DP-SGM, DP-ASGM, DPGGAN and
+  DPGVAE pass theirs) is polled *before every step*, and a trainer can
+  abort mid-step by raising :class:`BudgetExhausted` (AdvSGM checks its
+  handle itself, after sampling a step's batch),
 * callbacks (progress printing, custom monitoring),
 * a ``finish_epoch_on_stop`` switch: AdvSGM still runs its generator phase
   and records history for the epoch in which the budget ran out, while the

@@ -114,6 +114,17 @@ class TestCli:
         assert proc.returncode != 0
         assert "not private" in proc.stderr
 
+    def test_train_refuses_a_budget_admitting_no_step(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--model", "advsgm", "--dataset", "ppi",
+                  "--epsilon", "0.1", "--scale", "0.1"])
+        message = str(info.value.code)
+        assert "epsilon=0.1 at delta=1e-05 admits no training step" in message
+        assert "0.183" in message
+        assert "\n" not in message
+
     def test_unknown_config_field(self):
         proc = run_cli("train", "--model", "advsgm", "--dataset", "ppi",
                        "--set", "bogus=1")

@@ -1113,8 +1113,9 @@ def dpsgm_pair_gradients_reference(self, pairs, positive):
     return coeff[:, None] * vj, coeff[:, None] * vi
 
 
-def dpsgm_dpsgd_update_reference(self, pairs, positive, rate):
-    """``DPSGM._dpsgd_update`` before ``dpsgd_row_step``, verbatim."""
+def dpsgm_dpsgd_update_reference(self, pairs, positive):
+    """``DPSGM._dpsgd_update`` before ``dpsgd_row_step``, verbatim but for the
+    charge, whose rate the privacy handle picks now."""
     cfg = self.config
     be = self.backend_
     count = pairs.shape[0]
@@ -1128,7 +1129,7 @@ def dpsgm_dpsgd_update_reference(self, pairs, positive, rate):
     update_out = (grad_out + noise_out / count) * (cfg.learning_rate / count)
     be.index_add_(self.w_in, pairs[:, 0], update_in)
     be.index_add_(self.w_out, pairs[:, 1], update_out)
-    self.accountant.step(rate)
+    self.budget.charge(positive)
 
 
 def dpasgm_pair_gradients_reference(self, pairs, positive):

@@ -17,6 +17,7 @@ from repro.core.advsgm import AdvSGM
 from repro.core.config import AdvSGMConfig
 from repro.embedding.adversarial import AdversarialSkipGram
 from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
+from repro.api.registry import make_model
 from repro.privacy.accountant import RdpAccountant
 from repro.train import (
     BudgetExhausted,
@@ -143,6 +144,34 @@ class TestPrivacyBudget:
             PrivacyBudget(accountant, epsilon=1.0, delta=0.0)
 
 
+DP_MODELS = ("advsgm", "dpsgm", "dpasgm", "dpggan", "dpgvae", "gap", "dpar")
+
+
+class TestBudgetAdmittingNoStep:
+    """At delta 1e-5 an accountant that has charged nothing already reports
+    epsilon 0.183, so a smaller target admits no step: every DP model refuses
+    it when its privacy handle is built, instead of releasing its
+    initialisation."""
+
+    @pytest.mark.parametrize("model", DP_MODELS)
+    def test_refused_in_one_line(self, small_graph, model):
+        with pytest.raises(ValueError) as info:
+            make_model(model, epsilon=0.1, graph=small_graph, rng=0, embedding_dim=16)
+        assert str(info.value) == (
+            "epsilon=0.1 at delta=1e-05 admits no training step: "
+            "an untrained model already reports epsilon 0.183"
+        )
+
+    def test_refused_when_bound_at_fit(self, small_graph):
+        model = make_model("dpsgm", epsilon=0.1, rng=0)
+        with pytest.raises(ValueError, match="admits no training step"):
+            model.fit(small_graph)
+
+    def test_target_above_the_floor_trains(self, small_graph):
+        model = make_model("advsgm", epsilon=0.19, graph=small_graph, rng=0, embedding_dim=16)
+        assert model.fit().accountant.steps >= 1
+
+
 # ----------------------------------------------------------------------
 # Seed-for-seed parity with the legacy hand-rolled loops
 # ----------------------------------------------------------------------
@@ -175,19 +204,11 @@ def legacy_dpsgm_fit(model: DPSGM) -> DPSGM:
                 model.stopped_early = True
                 return model
             batch = model.sampler.sample()
-            model._dpsgd_update(
-                batch.positive_edges,
-                positive=True,
-                rate=model.sampler.edge_sampling_probability,
-            )
+            model._dpsgd_update(batch.positive_edges, positive=True)
             if model.budget.exhausted():
                 model.stopped_early = True
                 return model
-            model._dpsgd_update(
-                batch.negative_pairs,
-                positive=False,
-                rate=model.sampler.node_sampling_probability,
-            )
+            model._dpsgd_update(batch.negative_pairs, positive=False)
         model.history.record("epsilon_spent", model.privacy_spent().epsilon)
     return model
 
