@@ -21,7 +21,7 @@ from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
-from repro.graph.sampling import EdgeSampler, check_negative_distribution
+from repro.graph.sampling import EdgeSampler
 from repro.nn.functional import pair_gradients, score_pairs
 from repro.nn.init import uniform_embedding
 from repro.privacy.dpsgd import dpsgd_row_step
@@ -45,10 +45,8 @@ class DPSGMConfig:
     noise_multiplier: float = 5.0
     epsilon: float = 6.0
     delta: float = 1e-5
-    negative_distribution: str = "uniform"
 
     def __post_init__(self) -> None:
-        check_negative_distribution(self.negative_distribution)
         for name in (
             "embedding_dim",
             "num_negatives",
@@ -103,7 +101,6 @@ class DPSGM(PrivateModelMixin, EstimatorMixin):
             batch_size=self.config.batch_size,
             num_negatives=self.config.num_negatives,
             rng=sample_rng,
-            negative_distribution=self.config.negative_distribution,
         )
         self.budget = PrivacyBudget.sampled(
             self.sampler, self.config.noise_multiplier, self.config.epsilon, self.config.delta

@@ -137,15 +137,13 @@ def _coerce(value: str, target: Any) -> Any:
         return int(value)
     if isinstance(target, float):
         return float(value)
-    if isinstance(target, tuple):
-        return tuple(json.loads(value))
     return value
 
 
 def _parse_overrides(model_name: str, pairs: Sequence[str]) -> Dict[str, Any]:
     """Turn ``field=value`` strings into typed config overrides."""
     entry = _entry_or_exit(model_name)
-    defaults = {f.name: f for f in dataclasses.fields(entry.config_cls)}
+    defaults = {f.name: f.default for f in dataclasses.fields(entry.config_cls)}
     overrides: Dict[str, Any] = {}
     for pair in pairs:
         if "=" not in pair:
@@ -156,15 +154,9 @@ def _parse_overrides(model_name: str, pairs: Sequence[str]) -> Dict[str, Any]:
                 f"unknown config field {key!r} for model {entry.name!r}; "
                 f"valid: {', '.join(sorted(defaults))}"
             )
-        field = defaults[key]
-        template = (
-            field.default
-            if field.default is not dataclasses.MISSING
-            else field.default_factory()  # type: ignore[misc]
-        )
         try:
-            overrides[key] = _coerce(raw, template)
-        except (ValueError, json.JSONDecodeError) as exc:
+            overrides[key] = _coerce(raw, defaults[key])
+        except ValueError as exc:
             raise SystemExit(f"cannot parse --set {pair!r}: {exc}")
     return overrides
 

@@ -107,7 +107,6 @@ class AdvSGM(PrivateModelMixin, EstimatorMixin):
             batch_size=self.config.batch_size,
             num_negatives=self.config.num_negatives,
             rng=sample_rng,
-            negative_distribution=self.config.negative_distribution,
         )
         if self.config.dp_enabled:
             self.budget = PrivacyBudget.sampled(
@@ -115,7 +114,6 @@ class AdvSGM(PrivateModelMixin, EstimatorMixin):
                 self.config.noise_multiplier,
                 self.config.epsilon,
                 self.config.delta,
-                orders=self.config.rdp_orders,
             )
 
     # ------------------------------------------------------------------

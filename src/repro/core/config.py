@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
-from repro.graph.sampling import check_negative_distribution
 from repro.utils.validation import check_positive, check_probability
 
 
@@ -35,26 +33,13 @@ class AdvSGMConfig:
     dp_enabled:
         Set to ``False`` to train the same architecture without any noise or
         accounting — the "AdvSGM (No DP)" configuration of Table V.
-    negative_distribution:
-        ``"uniform"`` (the paper's Algorithm 2, and what the ``B k / |V|``
-        amplification analysis of Theorem 7 assumes) or ``"unigram075"`` for
-        word2vec-style degree^0.75 alias-table draws.  Keep the default for
-        DP runs; the weighted distribution is intended for the non-private
-        configurations.
-    noise_mode:
-        ``"per_example"`` draws an independent noise vector for every node
-        pair (the literal reading of Eqs. 19/21, i.e. what optimising
-        Eq. (24) produces), ``"per_batch"`` adds one noise draw scaled for the
-        batch-sum sensitivity (the literal reading of Eqs. 22/23).  Both
-        guarantee the same DP statement; ``"per_example"`` is the default and
-        what the utility experiments use.
-    average_gradients:
-        If ``True`` the batch update divides by ``B`` exactly as written in
-        Eqs. (22)-(23).  The default ``False`` follows the convention of
-        word2vec/LINE implementations (per-pair accumulation, the ``1/B``
-        factor absorbed into the learning rate), which is what makes the
-        paper's learning rates (0.01-0.3) produce visible progress within the
-        step counts the privacy budget allows.
+
+    The mechanism itself is fixed, as the paper fixes it: negative nodes are
+    drawn uniformly from ``V`` (Algorithm 2), which the ``B k / |V|``
+    amplification charge of Theorem 7 assumes; every node pair gets its own
+    noise vector (Theorem 6); the update is not averaged over the batch; and
+    the embeddings are normalised once at initialisation (Algorithm 3,
+    line 2).  The accountant tracks the RDP orders 2-64.
     """
 
     embedding_dim: int = 128
@@ -72,11 +57,6 @@ class AdvSGMConfig:
     sigmoid_a: float = 1e-5
     sigmoid_b: float = 120.0
     dp_enabled: bool = True
-    negative_distribution: str = "uniform"
-    noise_mode: str = "per_example"
-    normalize_embeddings: bool = True
-    average_gradients: bool = False
-    rdp_orders: Tuple[int, ...] = field(default_factory=lambda: tuple(range(2, 65)))
 
     def __post_init__(self) -> None:
         for name in (
@@ -99,16 +79,3 @@ class AdvSGMConfig:
         check_positive(self.sigmoid_b, "sigmoid_b")
         if self.sigmoid_b <= self.sigmoid_a:
             raise ValueError("sigmoid_b must exceed sigmoid_a")
-        check_negative_distribution(self.negative_distribution)
-        if self.noise_mode not in ("per_example", "per_batch"):
-            raise ValueError(
-                f"noise_mode must be 'per_example' or 'per_batch', got {self.noise_mode!r}"
-            )
-        if any(int(o) != o or o < 2 for o in self.rdp_orders):
-            raise ValueError("rdp_orders must all be integers >= 2")
-
-    def without_privacy(self) -> "AdvSGMConfig":
-        """Return a copy of this config with differential privacy disabled."""
-        from dataclasses import replace
-
-        return replace(self, dp_enabled=False)

@@ -8,7 +8,13 @@ responsible for producing the *perturbed* gradients of Theorem 6:
     d L_Nov / d v_j = clip(d L_sgm / d v_j + v'_i) + N_D,2(C^2 sigma^2 I)
 
 which are exactly the DPSGD-style noisy clipped gradients — no extra noise is
-injected on top of the adversarial module's own noise terms.  The class also
+injected on top of the adversarial module's own noise terms.  Every node pair
+gets its own noise vector ``N_D`` (Theorem 6), and the update is not averaged
+over the batch: per-pair gradients are accumulated into their rows with the
+full learning rate, the convention of word2vec/LINE implementations, where
+the ``1/B`` of Eqs. (22)-(23) is absorbed into the learning rate.  That is
+what makes the paper's learning rates (0.01-0.3) produce visible progress
+within the step counts the privacy budget allows.  The class also
 exposes the loss value ``L_Nov`` under different weight settings (lambda =
 0.5, 1 or 1/S(.)) for the Fig. 2 rationality experiment.
 
@@ -20,7 +26,7 @@ discriminator's seeded numpy stream, so one seed reproduces the mechanism.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -62,8 +68,7 @@ class AdvSGMDiscriminator:
         self.w_in = uniform_embedding(num_nodes, dim, rng=self._rng)
         self.w_out = uniform_embedding(num_nodes, dim, rng=self._rng)
         self.sigmoid = ConstrainedSigmoid(config.sigmoid_a, config.sigmoid_b)
-        if config.normalize_embeddings:
-            self.normalize()
+        self.normalize()
 
     # ------------------------------------------------------------------
     # embeddings
@@ -239,25 +244,9 @@ class AdvSGMDiscriminator:
         clipped_in = clip_rows_by_l2_norm(grad_vi + fake_vj, self.config.clip_norm)
         clipped_out = clip_rows_by_l2_norm(grad_vj + fake_vi, self.config.clip_norm)
 
-        if self.config.dp_enabled:
-            if self.config.noise_mode == "per_example":
-                noise_in = self.activation_noise(count)
-                noise_out = self.activation_noise(count)
-            else:
-                # One draw scaled for the batch-sum sensitivity B*C (Eq. 22),
-                # shared across the batch then averaged back per example.
-                std = self.config.clip_norm * self.config.noise_multiplier
-                dim = self.config.embedding_dim
-                shared_in = NUMPY_BACKEND.gaussian(self._rng, 0.0, std * count, dim)
-                shared_out = NUMPY_BACKEND.gaussian(self._rng, 0.0, std * count, dim)
-                noise_in = np.tile(shared_in / count, (count, 1))
-                noise_out = np.tile(shared_out / count, (count, 1))
-        else:
-            noise_in = np.zeros_like(clipped_in)
-            noise_out = np.zeros_like(clipped_out)
-
-        grad_in_rows = clipped_in + noise_in
-        grad_out_rows = clipped_out + noise_out
+        # One noise vector per pair and matrix (zero without DP).
+        grad_in_rows = clipped_in + self.activation_noise(count)
+        grad_out_rows = clipped_out + self.activation_noise(count)
         return grad_in_rows, pairs[:, 0], grad_out_rows, pairs[:, 1]
 
     def apply_gradients(
@@ -270,21 +259,13 @@ class AdvSGMDiscriminator:
     ) -> None:
         """Accumulate per-pair gradients into their embedding rows and ascend.
 
-        With ``config.average_gradients`` the update divides by the batch
-        size exactly as in Eqs. (22)-(23); otherwise per-pair gradients are
-        applied with the full learning rate (standard skip-gram SGD
-        convention, the ``1/B`` absorbed into the learning rate).  Ascent
-        because the skip-gram objective is a log-likelihood to be maximised.
+        Per-pair gradients are applied with the full learning rate, not
+        divided by the batch size (see the module docstring).  Ascent because
+        the skip-gram objective is a log-likelihood to be maximised.
         """
-        batch_size = max(1, grad_in_rows.shape[0])
-        scale = learning_rate / batch_size if self.config.average_gradients else learning_rate
-        NUMPY_BACKEND.index_add_(self.w_in, in_nodes, scale * grad_in_rows)
-        NUMPY_BACKEND.index_add_(self.w_out, out_nodes, scale * grad_out_rows)
+        NUMPY_BACKEND.index_add_(self.w_in, in_nodes, learning_rate * grad_in_rows)
+        NUMPY_BACKEND.index_add_(self.w_out, out_nodes, learning_rate * grad_out_rows)
         # Parameters are normalised only at initialisation (Algorithm 3,
         # line 2); re-normalising after every noisy update would keep erasing
         # the accumulated signal while the injected noise averages out over
         # steps, so the released embeddings are the raw post-processed sums.
-
-    def parameters(self) -> Dict[str, np.ndarray]:
-        """Embedding matrices as a parameter dict (Theta_D of the paper)."""
-        return {"w_in": self.w_in, "w_out": self.w_out}

@@ -5,7 +5,7 @@ real node ``v_i`` and ``G_{v'_i}`` produces a fake neighbour for ``v_j``.
 Each generator maps a Gaussian noise vector through a learnable matrix and a
 sigmoid non-linearity:
 
-    v' = phi(z @ theta),      z ~ N(0, sigma_g^2 I_r)
+    v' = phi(z @ theta),      z ~ N(0, I_r)
 
 Both generators are trained to *fool* the discriminator: they minimise
 ``log(1 - F(v_real . v_fake + noise_term))`` (Eq. 17), i.e. they push the
@@ -28,7 +28,6 @@ from repro.nn.constrained_sigmoid import ConstrainedSigmoid
 from repro.nn.functional import rowwise_dot, sigmoid
 from repro.nn.init import xavier_uniform
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_positive
 
 
 class FakeNeighbourGenerator:
@@ -38,8 +37,6 @@ class FakeNeighbourGenerator:
     ----------
     embedding_dim:
         Dimension ``r`` of the node embeddings it must imitate.
-    noise_std:
-        Standard deviation of the input Gaussian noise.
     rng:
         Seed or generator for noise draws and initialisation.
     """
@@ -47,23 +44,15 @@ class FakeNeighbourGenerator:
     def __init__(
         self,
         embedding_dim: int,
-        noise_std: float = 1.0,
         rng: RngLike = None,
     ) -> None:
         if embedding_dim <= 0:
             raise ValueError(f"embedding_dim must be positive, got {embedding_dim}")
-        check_positive(noise_std, "noise_std")
         self._rng = ensure_rng(rng)
         self.embedding_dim = int(embedding_dim)
-        self.noise_std = float(noise_std)
         self.theta = xavier_uniform((embedding_dim, embedding_dim), rng=self._rng)
         self._last_noise: np.ndarray | None = None
         self._last_activation: np.ndarray | None = None
-
-    @property
-    def params(self) -> Dict[str, np.ndarray]:
-        """Learnable parameters (for optimizer updates)."""
-        return {"theta": self.theta}
 
     def generate(self, count: int) -> np.ndarray:
         """Produce ``count`` fake-neighbour embeddings, caching intermediates.
@@ -74,9 +63,7 @@ class FakeNeighbourGenerator:
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        noise = NUMPY_BACKEND.gaussian(
-            self._rng, 0.0, self.noise_std, (count, self.embedding_dim)
-        )
+        noise = NUMPY_BACKEND.gaussian(self._rng, 0.0, 1.0, (count, self.embedding_dim))
         act = sigmoid(noise @ self.theta)
         self._last_noise = noise
         self._last_activation = act
@@ -116,7 +103,6 @@ class GeneratorPair:
     def __init__(
         self,
         embedding_dim: int,
-        noise_std: float = 1.0,
         noise_multiplier: float = 5.0,
         clip_norm: float = 1.0,
         sigmoid_a: float = 1e-5,
@@ -127,8 +113,8 @@ class GeneratorPair:
         rng = ensure_rng(rng)
         seed_j = int(rng.integers(0, 2**63 - 1))
         seed_i = int(rng.integers(0, 2**63 - 1))
-        self.generator_j = FakeNeighbourGenerator(embedding_dim, noise_std, rng=seed_j)
-        self.generator_i = FakeNeighbourGenerator(embedding_dim, noise_std, rng=seed_i)
+        self.generator_j = FakeNeighbourGenerator(embedding_dim, rng=seed_j)
+        self.generator_i = FakeNeighbourGenerator(embedding_dim, rng=seed_i)
         self._rng = rng
         self.noise_multiplier = float(noise_multiplier)
         self.clip_norm = float(clip_norm)

@@ -2,9 +2,9 @@
 
 Table V of the paper compares the non-private adversarial skip-gram against
 the plain skip-gram to show that the adversarial module improves utility even
-before privacy enters the picture.  This class is a thin convenience wrapper
-around :class:`repro.core.AdvSGM` with ``dp_enabled=False`` so the example
-scripts and experiments can treat it like any other embedding model.
+before privacy enters the picture.  This class is :class:`repro.core.AdvSGM`
+with ``dp_enabled`` pinned to ``False``, registered under its own name so the
+example scripts and experiments can treat it like any other embedding model.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-import numpy as np
-
-from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
 from repro.core.advsgm import AdvSGM
 from repro.core.config import AdvSGMConfig
@@ -28,8 +25,12 @@ from repro.utils.rng import RngLike
     paper="Table V, 'AdvSGM (No DP)' row",
     description="Adversarial skip-gram with DP noise and accounting off",
 )
-class AdversarialSkipGram(EstimatorMixin):
-    """Non-private adversarial skip-gram (AdvSGM with the noise switched off)."""
+class AdversarialSkipGram(AdvSGM):
+    """Non-private adversarial skip-gram (AdvSGM with the noise switched off).
+
+    Without a privacy handle it never stops early, and ``privacy_spent()``
+    and ``accountant`` are ``None``.
+    """
 
     def __init__(
         self,
@@ -37,46 +38,10 @@ class AdversarialSkipGram(EstimatorMixin):
         config: Optional[AdvSGMConfig] = None,
         rng: RngLike = None,
     ) -> None:
-        base = config or AdvSGMConfig()
-        self.config = replace(base, dp_enabled=False)
-        self._model = AdvSGM(graph, self.config, rng=rng)
-        self.graph = self._model.graph
-
-    def _setup(self, graph: Graph) -> None:
-        """Bind the wrapped AdvSGM trainer to ``graph``."""
-        self._model._setup(graph)
-        self.graph = graph
-
-    @property
-    def embeddings(self) -> np.ndarray:
-        """Learned node embeddings."""
-        return self._model.embeddings
-
-    @property
-    def history(self):
-        """Training history of the underlying AdvSGM trainer."""
-        return self._model.history
-
-    @property
-    def stopped_early(self) -> bool:
-        """Always ``False`` — without DP there is no budget to exhaust."""
-        return self._model.stopped_early
+        super().__init__(graph, replace(config or AdvSGMConfig(), dp_enabled=False), rng)
 
     def set_params(self, **params) -> "AdversarialSkipGram":
-        """Replace config fields (``dp_enabled`` stays off) on both layers."""
+        """Replace config fields; ``dp_enabled`` stays off."""
         super().set_params(**params)
         self.config = replace(self.config, dp_enabled=False)
-        self._model.config = self.config
         return self
-
-    def fit(
-        self, graph: Optional[Graph] = None, callbacks=()
-    ) -> "AdversarialSkipGram":
-        """Train the model (through the shared loop) and return ``self``."""
-        self._bind_on_fit(graph)
-        self._model.fit(callbacks=callbacks)
-        return self
-
-    def score_edges(self, pairs: np.ndarray) -> np.ndarray:
-        """Link-prediction scores for an ``(n, 2)`` array of node pairs."""
-        return self._model.score_edges(pairs)

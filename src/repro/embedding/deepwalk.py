@@ -21,11 +21,6 @@ from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
 from repro.graph.random_walk import walks_to_pairs
-from repro.graph.sampling import (
-    AliasTable,
-    check_negative_distribution,
-    unigram_weights,
-)
 from repro.graph.walk_engine import WalkEngine
 from repro.nn.functional import pair_gradients, score_pairs, sigmoid_pair
 from repro.nn.init import uniform_embedding
@@ -47,7 +42,6 @@ class DeepWalkConfig:
     learning_rate: float = 0.05
     num_epochs: int = 2
     batch_size: int = 512
-    negative_distribution: str = "uniform"
 
     def __post_init__(self) -> None:
         for name in ("embedding_dim", "num_walks", "walk_length", "window_size",
@@ -55,7 +49,6 @@ class DeepWalkConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         check_positive(self.learning_rate, "learning_rate")
-        check_negative_distribution(self.negative_distribution)
 
 
 @register_model(
@@ -80,28 +73,13 @@ class DeepWalk(EstimatorMixin):
             self._setup(graph)
 
     def _setup(self, graph: Graph) -> None:
-        """Bind ``graph``: initialise embeddings and the negative table."""
+        """Bind ``graph``: initialise the embeddings and split the streams."""
         self.graph = graph
         self.backend_ = NUMPY_BACKEND
         self._init_rng, self._walk_rng, self._train_rng = spawn_rngs(self._rng, 3)
         dim = self.config.embedding_dim
         self.w_in = uniform_embedding(graph.num_nodes, dim, rng=self._init_rng)
         self.w_out = uniform_embedding(graph.num_nodes, dim, rng=self._init_rng)
-        self._negative_table = (
-            AliasTable(unigram_weights(graph.degrees))
-            if self.config.negative_distribution == "unigram075"
-            else None
-        )
-
-    def _draw_negatives(self, count: int, num_negatives: int) -> np.ndarray:
-        """``(count, k)`` negative node ids from the configured distribution."""
-        if self._negative_table is not None:
-            return self._negative_table.draw(
-                self._train_rng, size=(count, num_negatives)
-            )
-        return self._train_rng.integers(
-            0, self.graph.num_nodes, size=(count, num_negatives)
-        )
 
     @property
     def embeddings(self) -> np.ndarray:
@@ -136,7 +114,9 @@ class DeepWalk(EstimatorMixin):
         cfg = self.config
         be = self.backend_
         centres, contexts = batch[:, 0], batch[:, 1]
-        negatives = self._draw_negatives(batch.shape[0], cfg.num_negatives)
+        negatives = self._train_rng.integers(
+            0, self.graph.num_nodes, size=(batch.shape[0], cfg.num_negatives)
+        )
 
         v_c = np.take(self.w_in, centres, axis=0)
         v_o = np.take(self.w_out, contexts, axis=0)

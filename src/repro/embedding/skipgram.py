@@ -24,7 +24,7 @@ from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
 from repro.backend import NUMPY_BACKEND
 from repro.graph.graph import Graph
-from repro.graph.sampling import EdgeSampler, SampleBatch, check_negative_distribution
+from repro.graph.sampling import EdgeSampler, SampleBatch
 from repro.nn.functional import log_sigmoid, pair_gradients, score_pairs
 from repro.nn.init import uniform_embedding
 from repro.train import SampledBatchSource, TrainingLoop
@@ -43,8 +43,6 @@ class SkipGramConfig:
     learning_rate: float = 0.1
     num_epochs: int = 50
     batches_per_epoch: int = 15
-    normalize_embeddings: bool = True
-    negative_distribution: str = "uniform"
 
     def __post_init__(self) -> None:
         if self.embedding_dim <= 0:
@@ -56,7 +54,6 @@ class SkipGramConfig:
         check_positive(self.learning_rate, "learning_rate")
         if self.num_epochs <= 0 or self.batches_per_epoch <= 0:
             raise ValueError("num_epochs and batches_per_epoch must be positive")
-        check_negative_distribution(self.negative_distribution)
 
 
 @register_model(
@@ -105,19 +102,16 @@ class SkipGramModel(EstimatorMixin):
         # their last rescale: train_step rescales them with the rows its
         # batch touched, and every other row is an exact fixed point of
         # x / max(||x||, 1), so each step is bit-for-bit the full pass.
-        self._carry = (np.empty(0, dtype=np.int64),) * 2
-        if self.config.normalize_embeddings:
-            all_rows = (np.arange(graph.num_nodes),)
-            self._carry = tuple(
-                self.backend_.normalize_rows_(matrix, 1.0, all_rows)
-                for matrix in (self.w_in, self.w_out)
-            )
+        all_rows = (np.arange(graph.num_nodes),)
+        self._carry = tuple(
+            self.backend_.normalize_rows_(matrix, 1.0, all_rows)
+            for matrix in (self.w_in, self.w_out)
+        )
         self.sampler = EdgeSampler(
             graph,
             batch_size=self.config.batch_size,
             num_negatives=self.config.num_negatives,
             rng=sample_rng,
-            negative_distribution=self.config.negative_distribution,
         )
         # The LINE-style trainer consumes its edge batches through the same
         # PairSource seam as the walk-corpus trainers; each pulled batch is
@@ -212,15 +206,11 @@ class SkipGramModel(EstimatorMixin):
         # done in place).
         grad_in *= lr
         grad_out *= lr
-        if self.config.normalize_embeddings:
-            # The carry comes back from the same call (see :meth:`_setup`).
-            self._carry = (
-                be.add_rows_project_(self.w_in, touched_in, grad_in, self._carry[0]),
-                be.add_rows_project_(self.w_out, touched_out, grad_out, self._carry[1]),
-            )
-        else:
-            be.index_add_(self.w_in, touched_in, grad_in, unique=True)
-            be.index_add_(self.w_out, touched_out, grad_out, unique=True)
+        # The carry comes back from the same call (see :meth:`_setup`).
+        self._carry = (
+            be.add_rows_project_(self.w_in, touched_in, grad_in, self._carry[0]),
+            be.add_rows_project_(self.w_out, touched_out, grad_out, self._carry[1]),
+        )
         return loss
 
     def fit(self, graph: Optional[Graph] = None, callbacks=()) -> "SkipGramModel":

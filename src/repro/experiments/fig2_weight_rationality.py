@@ -12,14 +12,11 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.core.advsgm import AdvSGM
 from repro.core.config import AdvSGMConfig
-from repro.core.discriminator import AdvSGMDiscriminator
-from repro.core.generator import GeneratorPair
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runners import settings_overrides
 from repro.graph.datasets import load_dataset
-from repro.graph.sampling import EdgeSampler
-from repro.utils.rng import spawn_rngs
 
 #: Datasets shown in Fig. 2.
 FIG2_DATASETS = ("ppi", "facebook", "wiki", "blog")
@@ -30,26 +27,11 @@ WEIGHT_SETTINGS = ("lambda=0.5", "lambda=1", "lambda=1/S")
 def _loss_magnitudes(
     dataset: str, settings: ExperimentSettings, num_batches: int = 5
 ) -> Dict[str, float]:
-    """Average |L_D_Nov| per weight setting on one dataset."""
+    """Average |L_D_Nov| per weight setting on one untrained AdvSGM."""
     graph = load_dataset(dataset, scale=settings.dataset_scale, seed=settings.seed)
     config = AdvSGMConfig(epsilon=6.0, **settings_overrides("advsgm", settings))
-    disc_rng, gen_rng, sample_rng = spawn_rngs(settings.seed, 3)
-    discriminator = AdvSGMDiscriminator(graph.num_nodes, config, rng=disc_rng)
-    generators = GeneratorPair(
-        embedding_dim=config.embedding_dim,
-        noise_multiplier=config.noise_multiplier,
-        clip_norm=config.clip_norm,
-        sigmoid_a=config.sigmoid_a,
-        sigmoid_b=config.sigmoid_b,
-        dp_enabled=config.dp_enabled,
-        rng=gen_rng,
-    )
-    sampler = EdgeSampler(
-        graph,
-        batch_size=config.batch_size,
-        num_negatives=config.num_negatives,
-        rng=sample_rng,
-    )
+    model = AdvSGM(graph, config, rng=settings.seed)
+    discriminator, generators, sampler = model.discriminator, model.generators, model.sampler
     totals = {name: [] for name in WEIGHT_SETTINGS}
     for _ in range(num_batches):
         batch = sampler.sample()

@@ -2,11 +2,7 @@
 
 from repro.graph.graph import Graph
 from repro.graph.datasets import load_dataset, list_datasets, DatasetSpec
-from repro.graph.generators import (
-    powerlaw_cluster_graph,
-    stochastic_block_graph,
-    barabasi_albert_graph,
-)
+from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.sampling import EdgeSampler, SampleBatch
 from repro.graph.splits import train_test_split_edges, EdgeSplit
 from repro.graph.random_walk import walks_to_pairs
@@ -19,8 +15,6 @@ __all__ = [
     "list_datasets",
     "DatasetSpec",
     "powerlaw_cluster_graph",
-    "stochastic_block_graph",
-    "barabasi_albert_graph",
     "EdgeSampler",
     "SampleBatch",
     "train_test_split_edges",

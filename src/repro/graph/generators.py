@@ -7,13 +7,13 @@ generators.  The generators produce the two structural properties that
 skip-gram embedding quality depends on:
 
 * a heavy-tailed degree distribution (preferential attachment), and
-* community structure (stochastic block model / clustered attachment),
+* community structure (planted communities / clustered attachment),
 
 so the *relative* behaviour of the methods under comparison is preserved even
 though absolute AUC/MI values differ from the paper's.
 
-The two generators behind the registry, :func:`powerlaw_cluster_graph` and
-:func:`labelled_powerlaw_community_graph`, grow the graph one node at a time
+The two generators, :func:`powerlaw_cluster_graph` and
+:func:`labelled_powerlaw_community_graph`, both behind the registry, grow the graph one node at a time
 and make two scalar draws per attachment attempt.  They take those draws
 through :class:`repro.utils.rng.ScalarDraws`, which reads the generator's raw
 PCG64 stream in blocks and returns exactly what ``rng.random()`` and
@@ -29,50 +29,12 @@ hi``, and :class:`~repro.graph.graph.Graph` sorts the decoded keys.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.graph.graph import Graph
 from repro.utils.rng import RngLike, ScalarDraws, ensure_rng
-
-
-def barabasi_albert_graph(
-    num_nodes: int,
-    attachment: int,
-    rng: RngLike = None,
-    name: str = "barabasi-albert",
-) -> Graph:
-    """Preferential-attachment graph (Barabasi-Albert model).
-
-    Each new node attaches to ``attachment`` existing nodes with probability
-    proportional to their current degree, producing a power-law degree
-    distribution similar to social and citation networks.
-    """
-    rng = ensure_rng(rng)
-    if attachment < 1:
-        raise ValueError(f"attachment must be >= 1, got {attachment}")
-    if num_nodes <= attachment:
-        raise ValueError(
-            f"num_nodes ({num_nodes}) must exceed attachment ({attachment})"
-        )
-    edges: List[Tuple[int, int]] = []
-    # Repeated-node list implements preferential attachment in O(1) sampling.
-    repeated: List[int] = []
-    # Seed with a small clique so the first arrivals have someone to attach to.
-    for u in range(attachment + 1):
-        for v in range(u + 1, attachment + 1):
-            edges.append((u, v))
-            repeated.extend((u, v))
-    for new_node in range(attachment + 1, num_nodes):
-        targets: set[int] = set()
-        while len(targets) < attachment:
-            pick = repeated[int(rng.integers(0, len(repeated)))]
-            targets.add(pick)
-        for t in targets:
-            edges.append((new_node, t))
-            repeated.extend((new_node, t))
-    return Graph(num_nodes, edges, name=name)
 
 
 def powerlaw_cluster_graph(
@@ -137,55 +99,6 @@ def powerlaw_cluster_graph(
                 added += 1
                 last_target = candidate
     return Graph(num_nodes, _edges_from_keys(keys, num_nodes), name=name)
-
-
-def stochastic_block_graph(
-    block_sizes: List[int],
-    p_in: float,
-    p_out: float,
-    rng: RngLike = None,
-    name: str = "sbm",
-) -> Graph:
-    """Stochastic block model with node labels set to block membership.
-
-    Nodes within a block connect with probability ``p_in`` and across blocks
-    with probability ``p_out``.  Used for the labelled datasets (PPI, Wiki,
-    Blog analogues) so node-clustering mutual information is meaningful.
-    """
-    rng = ensure_rng(rng)
-    if any(size <= 0 for size in block_sizes):
-        raise ValueError("all block sizes must be positive")
-    if not (0 <= p_out <= p_in <= 1):
-        raise ValueError(
-            f"require 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}"
-        )
-    num_nodes = int(sum(block_sizes))
-    labels = np.zeros(num_nodes, dtype=np.int64)
-    boundaries = np.cumsum([0] + list(block_sizes))
-    for block, (lo, hi) in enumerate(zip(boundaries[:-1], boundaries[1:])):
-        labels[lo:hi] = block
-
-    edges: List[Tuple[int, int]] = []
-    # Sample block-by-block to keep the memory footprint at one block pair.
-    for bi in range(len(block_sizes)):
-        lo_i, hi_i = boundaries[bi], boundaries[bi + 1]
-        for bj in range(bi, len(block_sizes)):
-            lo_j, hi_j = boundaries[bj], boundaries[bj + 1]
-            prob = p_in if bi == bj else p_out
-            if prob <= 0:
-                continue
-            if bi == bj:
-                size = hi_i - lo_i
-                mask = rng.random((size, size)) < prob
-                mask = np.triu(mask, k=1)
-                us, vs = np.nonzero(mask)
-                edges.extend(zip((us + lo_i).tolist(), (vs + lo_i).tolist()))
-            else:
-                mask = rng.random((hi_i - lo_i, hi_j - lo_j)) < prob
-                us, vs = np.nonzero(mask)
-                edges.extend(zip((us + lo_i).tolist(), (vs + lo_j).tolist()))
-    graph = Graph(num_nodes, edges, labels=labels, name=name)
-    return graph
 
 
 def labelled_powerlaw_community_graph(

@@ -1,6 +1,6 @@
 """Unified training subsystem: loop scheduling, the privacy handle, callbacks.
 
-AdvSGM (and AdversarialSkipGram, which wraps it with DP off), SkipGramModel,
+AdvSGM (and its DP-off subclass AdversarialSkipGram), SkipGramModel,
 DPSGM, DPASGM, DPGGAN and DPGVAE run their epochs through
 :class:`TrainingLoop`; DeepWalk/node2vec and the GAP/DPAR projection heads
 run theirs through it too.  The seven DP models (AdvSGM, DPSGM, DPASGM,

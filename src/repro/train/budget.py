@@ -11,11 +11,10 @@ check it between the substeps of a step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.graph.sampling import EdgeSampler
 from repro.privacy.accountant import PrivacySpent, RdpAccountant
-from repro.privacy.composition import DEFAULT_RDP_ORDERS
 
 
 def _release_sigma(epsilon: float, delta: float, releases: int) -> float:
@@ -25,7 +24,7 @@ def _release_sigma(epsilon: float, delta: float, releases: int) -> float:
     )
 
 
-def _refuse_empty_budget(epsilon: float, delta: float, orders: Sequence[int]) -> None:
+def _refuse_empty_budget(epsilon: float, delta: float) -> None:
     """Raise when an accountant that has charged nothing is already exhausted.
 
     Uncharged, the converted epsilon is ``log(1/delta) / (max order - 1)``
@@ -33,7 +32,7 @@ def _refuse_empty_budget(epsilon: float, delta: float, orders: Sequence[int]) ->
     a smaller target admits no step and the model would release its
     initialisation.
     """
-    empty = RdpAccountant(1.0, orders=orders)
+    empty = RdpAccountant(1.0)
     if empty.budget_exhausted(epsilon, delta):
         floor = empty.get_privacy_spent(delta).epsilon
         raise ValueError(
@@ -70,14 +69,13 @@ class PrivacyBudget:
         noise_multiplier: float,
         epsilon: float,
         delta: float,
-        orders: Sequence[int] = DEFAULT_RDP_ORDERS,
     ) -> "PrivacyBudget":
         """Handle of a trainer charging ``sampler``'s batches.
 
         Refuses a target admitting no step.
         """
-        _refuse_empty_budget(epsilon, delta, orders)
-        return cls(RdpAccountant(noise_multiplier, orders=orders), epsilon, delta, sampler)
+        _refuse_empty_budget(epsilon, delta)
+        return cls(RdpAccountant(noise_multiplier), epsilon, delta, sampler)
 
     @classmethod
     def calibrated(cls, releases: int, epsilon: float, delta: float) -> "PrivacyBudget":
@@ -85,7 +83,7 @@ class PrivacyBudget:
 
         Refuses a target admitting no step.
         """
-        _refuse_empty_budget(epsilon, delta, DEFAULT_RDP_ORDERS)
+        _refuse_empty_budget(epsilon, delta)
         return cls(RdpAccountant(_release_sigma(epsilon, delta, releases)), epsilon, delta)
 
     def uncharged_aggregation_sigma(self) -> float:

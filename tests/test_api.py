@@ -1,6 +1,7 @@
 """Tests for the unified estimator API: registry, protocol, specs, runners."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from repro.experiments.runners import (
     spec_from_settings,
 )
 from repro.graph.datasets import load_dataset
-from repro.graph.sampling import AliasTable, EdgeSampler, unigram_weights
 
 ALL_MODELS = (
     "advsgm",
@@ -248,53 +248,56 @@ class TestRunSpec:
         assert spec.display == "lr=0.2"
 
 
-class TestAliasSampling:
-    def test_alias_table_matches_weights(self):
-        weights = np.array([1.0, 2.0, 0.0, 5.0])
-        table = AliasTable(weights)
-        draws = table.draw(np.random.default_rng(0), size=20000)
-        counts = np.bincount(draws, minlength=4) / 20000
-        expected = weights / weights.sum()
-        assert counts[2] == 0.0
-        np.testing.assert_allclose(counts, expected, atol=0.02)
+#: Config fields that alternative mechanisms once read, with the value every
+#: caller used (as a Python value and as ``--set`` text).  The paper fixes
+#: one mechanism, so the fields are gone and passing one is an error.
+DELETED_FIELDS = {
+    "noise_mode": ("per_example", "per_example"),
+    "average_gradients": (False, "false"),
+    "normalize_embeddings": (True, "true"),
+    "rdp_orders": (tuple(range(2, 65)), json.dumps(list(range(2, 65)))),
+    "negative_distribution": ("uniform", "uniform"),
+}
+DELETED_FIELD_CASES = [
+    (model, field)
+    for model, fields in [
+        ("advsgm", list(DELETED_FIELDS)),
+        ("advsgm-nodp", list(DELETED_FIELDS)),
+        ("sgm", ["normalize_embeddings", "negative_distribution"]),
+        ("dpsgm", ["negative_distribution"]),
+        ("dpasgm", ["negative_distribution"]),
+        ("deepwalk", ["negative_distribution"]),
+        ("node2vec", ["negative_distribution"]),
+    ]
+    for field in fields
+]
 
-    def test_unigram_sampler_prefers_hubs(self, tiny_graph):
-        uniform = EdgeSampler(tiny_graph, batch_size=64, num_negatives=5, rng=0)
-        weighted = EdgeSampler(
-            tiny_graph, batch_size=64, num_negatives=5, rng=0,
-            negative_distribution="unigram075",
-        )
-        deg = tiny_graph.degrees
 
-        def mean_negative_degree(sampler):
-            total, n = 0.0, 0
-            for _ in range(30):
-                batch = sampler.sample()
-                total += deg[batch.negative_pairs[:, 1]].sum()
-                n += batch.negative_pairs.shape[0]
-            return total / n
+class TestDeletedConfigFields:
+    @pytest.mark.parametrize("model,field", DELETED_FIELD_CASES)
+    def test_make_model_refuses(self, model, field):
+        with pytest.raises(TypeError) as info:
+            make_model(model, **{field: DELETED_FIELDS[field][0]})
+        message = str(info.value)
+        assert f"unknown config field(s) ['{field}']" in message
+        assert "\n" not in message
 
-        # Degree^0.75-weighted draws hit high-degree nodes more often.
-        assert mean_negative_degree(weighted) > mean_negative_degree(uniform) + 0.5
+    @pytest.mark.parametrize("model,field", DELETED_FIELD_CASES)
+    def test_cli_set_refuses(self, model, field, monkeypatch):
+        from repro import cli
 
-    def test_invalid_distribution_rejected(self, tiny_graph):
-        with pytest.raises(ValueError):
-            EdgeSampler(tiny_graph, batch_size=4, negative_distribution="zipf")
-        from repro.embedding.skipgram import SkipGramConfig
+        def refuse_load(*args, **kwargs):
+            raise AssertionError("a dataset was loaded before the CLI refused")
 
-        with pytest.raises(ValueError):
-            SkipGramConfig(negative_distribution="zipf")
-
-    def test_uniform_default_unchanged(self, tiny_graph):
-        """The default distribution stays what the DP analysis assumes."""
-        sampler = EdgeSampler(tiny_graph, batch_size=4, rng=0)
-        assert sampler.negative_distribution == "uniform"
-        assert sampler._negative_table is None
-
-    def test_unigram_weights(self):
-        np.testing.assert_allclose(
-            unigram_weights(np.array([0, 1, 16])), [0.0, 1.0, 8.0]
-        )
+        monkeypatch.setattr(cli, "load_dataset", refuse_load)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["train", "--model", model, "--dataset", "ppi",
+                      "--set", f"{field}={DELETED_FIELDS[field][1]}"])
+        # A string exit code is printed to stderr with exit status 1.
+        message = info.value.code
+        assert isinstance(message, str)
+        assert message.startswith(f"unknown config field {field!r}")
+        assert "\n" not in message
 
 
 class TestPairDtype:

@@ -1,5 +1,7 @@
 """Tests for the AdvSGM core: config, generators, discriminator, trainer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ class TestAdvSGMConfig:
         assert cfg.sigmoid_b == 120.0
 
     def test_without_privacy(self):
-        cfg = AdvSGMConfig().without_privacy()
+        cfg = replace(AdvSGMConfig(), dp_enabled=False)
         assert cfg.dp_enabled is False
         assert AdvSGMConfig().dp_enabled is True
 
@@ -38,8 +40,6 @@ class TestAdvSGMConfig:
             {"epsilon": 0.0},
             {"delta": 2.0},
             {"sigmoid_a": 1.0, "sigmoid_b": 0.5},
-            {"noise_mode": "bogus"},
-            {"rdp_orders": (1, 2)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -74,8 +74,6 @@ class TestFakeNeighbourGenerator:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             FakeNeighbourGenerator(0)
-        with pytest.raises(ValueError):
-            FakeNeighbourGenerator(4, noise_std=0.0)
         with pytest.raises(ValueError):
             FakeNeighbourGenerator(4).generate(0)
 
@@ -127,7 +125,7 @@ class TestDiscriminator:
 
     def test_activation_noise_zero_without_dp(self, small_graph, tiny_config):
         disc = AdvSGMDiscriminator(
-            small_graph.num_nodes, tiny_config.without_privacy(), rng=0
+            small_graph.num_nodes, replace(tiny_config, dp_enabled=False), rng=0
         )
         assert np.allclose(disc.activation_noise(7), 0.0)
 
@@ -148,7 +146,7 @@ class TestDiscriminator:
     def test_gradients_clipped_without_dp(self, small_graph, tiny_config):
         """Without noise the per-pair gradient norm is bounded by C."""
         disc = AdvSGMDiscriminator(
-            small_graph.num_nodes, tiny_config.without_privacy(), rng=0
+            small_graph.num_nodes, replace(tiny_config, dp_enabled=False), rng=0
         )
         sampler = EdgeSampler(small_graph, batch_size=16, num_negatives=3, rng=0)
         batch = sampler.sample()
@@ -169,26 +167,6 @@ class TestDiscriminator:
         )
         # With sigma=5 the noisy gradients must exceed the clipping bound.
         assert np.linalg.norm(grad_in, axis=1).max() > tiny_config.clip_norm * 2
-
-    def test_per_batch_noise_mode_shares_draw(self, small_graph):
-        cfg = AdvSGMConfig(
-            embedding_dim=16, batch_size=8, num_epochs=1, discriminator_steps=1,
-            generator_steps=1, noise_mode="per_batch",
-        )
-        disc = AdvSGMDiscriminator(small_graph.num_nodes, cfg, rng=0)
-        sampler = EdgeSampler(small_graph, batch_size=8, num_negatives=2, rng=0)
-        batch = sampler.sample()
-        fake = np.zeros((8, 16))
-        grad_in, _, _, _ = disc.perturbed_batch_gradients(
-            batch.positive_edges, fake, fake, positive=True
-        )
-        # Shared noise: subtracting the clipped part leaves identical rows.
-        residual = grad_in - np.clip(grad_in, -np.inf, np.inf)  # placeholder no-op
-        diffs = grad_in - grad_in[0]
-        # The clipped signal differs but is bounded by 2C, while the shared
-        # noise is identical across rows, so row differences stay small
-        # relative to the noise magnitude.
-        assert np.abs(diffs).max() <= 2 * cfg.clip_norm + 1e-9
 
     def test_apply_gradients_moves_only_touched_rows(self, small_graph, tiny_config):
         disc = self._make(small_graph, tiny_config)
@@ -252,7 +230,7 @@ class TestAdvSGMTrainer:
         assert steps_at(6.0) > steps_at(1.0)
 
     def test_no_accounting_without_dp(self, small_graph, tiny_config):
-        model = AdvSGM(small_graph, tiny_config.without_privacy(), rng=0).fit()
+        model = AdvSGM(small_graph, replace(tiny_config, dp_enabled=False), rng=0).fit()
         assert model.accountant is None
         assert model.privacy_spent() is None
         assert model.stopped_early is False

@@ -9,37 +9,9 @@ from reference_impl import (
 )
 from repro.graph import datasets
 from repro.graph.generators import (
-    barabasi_albert_graph,
     labelled_powerlaw_community_graph,
     powerlaw_cluster_graph,
-    stochastic_block_graph,
 )
-
-
-class TestBarabasiAlbert:
-    def test_size_and_connectivity(self):
-        g = barabasi_albert_graph(200, attachment=3, rng=0)
-        assert g.num_nodes == 200
-        # Every node added after the seed attaches to `attachment` targets.
-        assert g.num_edges >= 3 * (200 - 4)
-        assert len(g.connected_components()) == 1
-
-    def test_heavy_tail(self):
-        g = barabasi_albert_graph(400, attachment=3, rng=0)
-        degrees = g.degrees
-        # Preferential attachment should create hubs far above the median.
-        assert degrees.max() > 4 * np.median(degrees)
-
-    def test_deterministic_given_seed(self):
-        g1 = barabasi_albert_graph(100, attachment=2, rng=5)
-        g2 = barabasi_albert_graph(100, attachment=2, rng=5)
-        assert np.array_equal(g1.edges, g2.edges)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            barabasi_albert_graph(5, attachment=0)
-        with pytest.raises(ValueError):
-            barabasi_albert_graph(3, attachment=5)
 
 
 class TestPowerlawCluster:
@@ -64,28 +36,6 @@ class TestPowerlawCluster:
         low = powerlaw_cluster_graph(300, attachment=4, triangle_prob=0.0, rng=3)
         high = powerlaw_cluster_graph(300, attachment=4, triangle_prob=0.9, rng=3)
         assert triangle_count(high) > triangle_count(low)
-
-
-class TestStochasticBlock:
-    def test_labels_match_blocks(self):
-        g = stochastic_block_graph([30, 40], p_in=0.3, p_out=0.01, rng=0)
-        assert g.num_nodes == 70
-        assert g.labels is not None
-        assert (g.labels[:30] == 0).all()
-        assert (g.labels[30:] == 1).all()
-
-    def test_intra_edges_dominate(self):
-        g = stochastic_block_graph([50, 50], p_in=0.3, p_out=0.01, rng=1)
-        labels = g.labels
-        intra = sum(1 for u, v in g.edges if labels[u] == labels[v])
-        inter = g.num_edges - intra
-        assert intra > 3 * inter
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            stochastic_block_graph([10, -1], p_in=0.3, p_out=0.01)
-        with pytest.raises(ValueError):
-            stochastic_block_graph([10, 10], p_in=0.1, p_out=0.5)
 
 
 class TestLabelledPowerlawCommunity:

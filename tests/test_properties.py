@@ -113,13 +113,14 @@ def test_mutual_information_symmetry_property(labels):
 
 
 @settings(deadline=None, max_examples=20)
-@given(st.integers(10, 60), st.integers(2, 5), st.integers(0, 2**31 - 1))
-def test_graph_degree_sum_property(num_nodes, attachment, seed):
+@given(st.integers(10, 60), st.integers(2, 5), st.floats(0.0, 1.0),
+       st.integers(0, 2**31 - 1))
+def test_graph_degree_sum_property(num_nodes, attachment, triangle_prob, seed):
     """Handshake lemma: degree sum equals twice the edge count."""
-    from repro.graph.generators import barabasi_albert_graph
+    from repro.graph.generators import powerlaw_cluster_graph
 
     if num_nodes <= attachment:
         return
-    graph = barabasi_albert_graph(num_nodes, attachment, rng=seed)
+    graph = powerlaw_cluster_graph(num_nodes, attachment, triangle_prob, rng=seed)
     assert graph.degrees.sum() == 2 * graph.num_edges
     assert graph.degrees.min() >= 1

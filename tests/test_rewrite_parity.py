@@ -171,7 +171,9 @@ def two_sigmoid_train_on_batch(self, batch):
     cfg = self.config
     be = self.backend_
     centres, contexts = batch[:, 0], batch[:, 1]
-    negatives = self._draw_negatives(batch.shape[0], cfg.num_negatives)
+    negatives = self._train_rng.integers(
+        0, self.graph.num_nodes, size=(batch.shape[0], cfg.num_negatives)
+    )
 
     v_c = np.take(self.w_in, centres, axis=0)
     v_o = np.take(self.w_out, contexts, axis=0)
@@ -203,15 +205,15 @@ def two_sigmoid_train_on_batch(self, batch):
 
 class TestDeepWalkBatch:
     @pytest.mark.parametrize("model", ["deepwalk", "node2vec"])
-    @pytest.mark.parametrize("distribution", ["uniform", "unigram075"])
     # At 0.5 the scores saturate the sigmoid (weights reach 1e18) and stay
-    # finite; a NaN loss would differ in its sign bit only.
-    @pytest.mark.parametrize("learning_rate", [0.05, 0.5])
+    # finite; a NaN loss would differ in its sign bit only.  The ids name
+    # the negatives drawn, uniform ones.
+    @pytest.mark.parametrize("learning_rate", [0.05, 0.5],
+                             ids=["0.05-uniform", "0.5-uniform"])
     def test_matches_two_sigmoid_step(self, small_graph, monkeypatch, model,
-                                      distribution, learning_rate):
+                                      learning_rate):
         config = dict(num_walks=2, walk_length=10, window_size=3, embedding_dim=16,
-                      num_epochs=3, batch_size=64, learning_rate=learning_rate,
-                      negative_distribution=distribution)
+                      num_epochs=3, batch_size=64, learning_rate=learning_rate)
         got = make_model(model, graph=small_graph, rng=9, **config).fit()
         monkeypatch.setattr(DeepWalk, "_train_on_batch", two_sigmoid_train_on_batch)
         want = make_model(model, graph=small_graph, rng=9, **config).fit()
@@ -989,14 +991,11 @@ def accumulate_gradients_reference(model, batch):
     return tuple(grads)
 
 
-def sgm_model(dim, batch_size, negatives, distribution="uniform", seed=0):
+def sgm_model(dim, batch_size, negatives, seed=0):
     rng = np.random.default_rng(seed)
     edges = rng.integers(0, 60, size=(300, 2))
     graph = Graph(60, edges[edges[:, 0] != edges[:, 1]])
-    config = SkipGramConfig(
-        embedding_dim=dim, batch_size=batch_size, num_negatives=negatives,
-        negative_distribution=distribution,
-    )
+    config = SkipGramConfig(embedding_dim=dim, batch_size=batch_size, num_negatives=negatives)
     model = SkipGramModel(graph, config, rng=seed)
     # Rows of mixed size, so scores and coefficients span the sigmoid.
     model.w_in *= rng.uniform(0.1, 30.0, size=(60, 1))
@@ -1004,15 +1003,17 @@ def sgm_model(dim, batch_size, negatives, distribution="uniform", seed=0):
     return model
 
 
+GATHER_CASES = [(1, 1, 1), (3, 3, 5), (7, 5, 2), (17, 13, 3), (128, 9, 5), (5, 64, 1)]
+
+
 class TestSingleGatherStep:
-    @pytest.mark.parametrize("distribution", ["uniform", "unigram075"])
-    @pytest.mark.parametrize("dim,batch_size,negatives", [
-        (1, 1, 1), (3, 3, 5), (7, 5, 2), (17, 13, 3), (128, 9, 5), (5, 64, 1),
-    ])
-    def test_matches_two_scoring_passes(self, dim, batch_size, negatives, distribution):
+    # The ids name the negatives drawn, uniform ones.
+    @pytest.mark.parametrize("dim,batch_size,negatives", GATHER_CASES,
+                             ids=[f"{d}-{b}-{k}-uniform" for d, b, k in GATHER_CASES])
+    def test_matches_two_scoring_passes(self, dim, batch_size, negatives):
         # Odd dims and batch sizes put the pos/neg split of the gathered
         # block at offsets that are not a multiple of any SIMD width.
-        model = sgm_model(dim, batch_size, negatives, distribution, seed=dim + batch_size)
+        model = sgm_model(dim, batch_size, negatives, seed=dim + batch_size)
         for _ in range(3):
             batch = model.sampler.sample()
             want_loss = batch_loss_reference(model, batch)
